@@ -14,7 +14,12 @@ import sys
 
 from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .homology import characterization_battery, enumerate_phi, ext1_ladder
+from .homology import (
+    characterization_battery,
+    check_hom_dim,
+    enumerate_phi,
+    ext1_ladder,
+)
 from .repmod import (
     direct_sum,
     evaluation_module,
@@ -302,6 +307,7 @@ def cmd_ext(scn: Scenario, args):
             n = evaluation_module(phi, alg)
         hd = len(hom_space(tw, n))
         ladder = ext1_ladder(tw, n, rungs=args.rungs, algebras=cache)
+        check_hom_dim(hd, ladder)
         rows.append([fmt_psi(scn, phi), hd, ladder.dims])
     rows.sort(key=lambda r: r[0])
     return {

@@ -61,7 +61,7 @@ class TruncatedAlgebra:
                 else:
                     out = tuple(
                         (self.index[(p, gk, mono)], c)
-                        for gk, c in self.g._table[(gi, gj)]
+                        for gk, c in self.g.bracket_terms(gi, gj)
                     )
             self._bracket_cache[key] = out
         return out
@@ -80,13 +80,12 @@ class TruncatedAlgebra:
         return tuple(out)
 
     def adjoint_matrix(self, i):
-        cols = []
-        for j in range(self.dim):
-            col = [self.field.zero] * self.dim
-            for k, s in self.bracket_terms(i, j):
-                col[k] = s
-            cols.append(col)
-        return Matrix(list(zip(*cols)), ncols=self.dim, fld=self.field)
+        return Matrix.from_triples(
+            self.field,
+            self.dim,
+            self.dim,
+            ((k, j, s) for j in range(self.dim) for k, s in self.bracket_terms(i, j)),
+        )
 
     def project(self, g_vec, f: LaurentFunction):
         """Image of (g-element tensor function) in the truncation."""
@@ -167,8 +166,7 @@ class MapElement:
             if f.is_zero():
                 continue
             gf = pa.act_function(f)
-            gvec = gm.apply(self.g.basis_vector(g_idx))
-            out = out + MapElement.pure(self.g, gvec, gf)
+            out = out + MapElement.pure(self.g, gm.column(g_idx), gf)
         return out
 
     def __eq__(self, other):
@@ -208,22 +206,7 @@ class OrbitTruncation:
         m = self._gamma_mats.get(gamma)
         if m is None:
             t = self.trunc
-            fld = self.field
-            gm = self.group.g_matrix(gamma)
-            pa = self.group.point_action(gamma)
-            point_map = {}
-            for p_idx, p in enumerate(t.points):
-                q = pa.act_point(p)
-                point_map[p_idx] = t.points.index(q)
-            rows = [[fld.zero] * t.dim for _ in range(t.dim)]
-            for j, (p_idx, g_idx, mono) in enumerate(t.basis):
-                fac = pa.jet_transport_factor(mono)
-                gcol = gm.apply(self.g.basis_vector(g_idx))
-                q_idx = point_map[p_idx]
-                for g_tgt, c in enumerate(gcol):
-                    if not c.is_zero():
-                        rows[t.index[(q_idx, g_tgt, mono)]][j] = c * fac
-            m = Matrix(rows, ncols=t.dim, fld=fld)
+            m = gamma_truncation_matrix(self.group, gamma, t, t)
             self._gamma_mats[gamma] = m
         return m
 
@@ -231,11 +214,12 @@ class OrbitTruncation:
         if self._avg is None:
             fld = self.field
             inv_n = fld.scalar(1) / fld.scalar(self.group.size)
-            acc = None
-            for gamma in self.group.elements:
-                m = self.gamma_matrix(gamma)
-                acc = m if acc is None else _mat_add(acc, m)
-            self._avg = _mat_scale(acc, inv_n)
+            self._avg = Matrix.combination(
+                fld,
+                self.dim,
+                self.dim,
+                [(inv_n, self.gamma_matrix(gamma)) for gamma in self.group.elements],
+            )
         return self._avg
 
     def g_side_projector(self, xi):
@@ -243,33 +227,15 @@ class OrbitTruncation:
         fld = self.field
         t = self.trunc
         inv_n = fld.scalar(1) / fld.scalar(self.group.size)
-        acc = None
+        triples = []
         for gamma in self.group.elements:
-            chi = self.group.character_value(xi, gamma).inverse()
+            chi = self.group.character_value(xi, gamma).inverse() * inv_n
             gm = self.group.g_matrix(gamma)
-            rows = [[fld.zero] * t.dim for _ in range(t.dim)]
             for j, (p_idx, g_idx, mono) in enumerate(t.basis):
-                gcol = gm.apply(self.g.basis_vector(g_idx))
-                for g_tgt, c in enumerate(gcol):
+                for g_tgt, c in enumerate(gm.column(g_idx)):
                     if not c.is_zero():
-                        rows[t.index[(p_idx, g_tgt, mono)]][j] = c * chi
-            m = Matrix(rows, ncols=t.dim, fld=fld)
-            acc = m if acc is None else _mat_add(acc, m)
-        return _mat_scale(acc, inv_n)
-
-
-def _mat_add(a, b):
-    return Matrix(
-        [tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)],
-        ncols=a.ncols,
-        fld=a.field,
-    )
-
-
-def _mat_scale(a, c):
-    return Matrix(
-        [tuple(c * x for x in row) for row in a.entries], ncols=a.ncols, fld=a.field
-    )
+                        triples.append((t.index[(p_idx, g_tgt, mono)], j, c * chi))
+        return Matrix.from_triples(fld, t.dim, t.dim, triples)
 
 
 class InvariantAlgebra:
@@ -292,8 +258,7 @@ class InvariantAlgebra:
             proj = self.ambient.g_side_projector(xi)
             vecs = []
             for j in range(t.dim):
-                v = avg.apply(t.basis_vector(j))
-                v = proj.apply(v)
+                v = proj.apply(avg.column(j))
                 if any(not c.is_zero() for c in v):
                     vecs.append(v)
             comp = Subspace(t.dim, vecs, fld=fld)
@@ -401,9 +366,7 @@ class InvariantAlgebra:
             for j in range(i + 1, self.dim):
                 br = self.bracket(self.basis_vector(i), self.basis_vector(j))
                 lhs = mat.apply(br)
-                rhs = target.bracket(
-                    mat.apply(self.basis_vector(i)), mat.apply(self.basis_vector(j))
-                )
+                rhs = target.bracket(mat.column(i), mat.column(j))
                 if tuple(lhs) != tuple(rhs):
                     return False
         return True
@@ -440,15 +403,14 @@ def gamma_truncation_matrix(group, gamma, source: TruncatedAlgebra, target: Trun
         if source.eta[p] != target.eta[q]:
             raise ValueError("exponents do not match along the group element")
         point_map[p_idx] = q_idx
-    rows = [[fld.zero] * source.dim for _ in range(target.dim)]
+    triples = []
     for j, (p_idx, g_idx, mono) in enumerate(source.basis):
         fac = pa.jet_transport_factor(mono)
-        gcol = gm.apply(g.basis_vector(g_idx))
         q_idx = point_map[p_idx]
-        for g_tgt, c in enumerate(gcol):
+        for g_tgt, c in enumerate(gm.column(g_idx)):
             if not c.is_zero():
-                rows[target.index[(q_idx, g_tgt, mono)]][j] = c * fac
-    return Matrix(rows, ncols=source.dim, fld=fld)
+                triples.append((target.index[(q_idx, g_tgt, mono)], j, c * fac))
+    return Matrix.from_triples(fld, target.dim, source.dim, triples)
 
 
 def ev_gamma_iso(g, group, eta: EtaFunction):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, hom_action
 from .repmod import (
     FiniteModule,
     PsiFunction,
@@ -24,14 +24,6 @@ from .repmod import (
 from .rootdata import Weight
 
 
-def _bracket_terms_of(L):
-    bt = getattr(L, "bracket_terms", None)
-    if bt is not None:
-        return bt
-    table = L._table
-    return lambda i, j: table[(i, j)]
-
-
 class CEComplex:
     """The bottom of the Chevalley-Eilenberg complex for a finite-dimensional
     Lie algebra acting on a finite-dimensional module."""
@@ -42,53 +34,39 @@ class CEComplex:
         self.vdim = vdim
         self.field = fld
         self.actions = actions
-        bt = _bracket_terms_of(L)
         l, v = self.ldim, vdim
         # C0 = V; C1 = maps L -> V indexed (i, a); C2 indexed (pair p, a)
         self.pairs = list(itertools.combinations(range(l), 2))
-        self.d0 = Matrix(
-            [
-                tuple(actions[i].entries[a])
-                for i in range(l)
-                for a in range(v)
-            ],
-            ncols=v,
-            fld=fld,
+        nonzeros = [list(act.nonzeros()) for act in actions]
+        self.d0 = Matrix.from_triples(
+            fld,
+            l * v,
+            v,
+            ((i * v + a, b, x) for i in range(l) for a, b, x in nonzeros[i]),
         )
-        rows = []
-        for (i1, i2) in self.pairs:
-            br = bt(i1, i2)
-            for a in range(v):
-                row = [fld.zero] * (l * v)
-                # x1 . f(x2)
-                for b in range(v):
-                    c = actions[i1].entries[a][b]
-                    if not c.is_zero():
-                        row[i2 * v + b] = row[i2 * v + b] + c
-                # - x2 . f(x1)
-                for b in range(v):
-                    c = actions[i2].entries[a][b]
-                    if not c.is_zero():
-                        row[i1 * v + b] = row[i1 * v + b] - c
-                # - f([x1, x2])
-                for k, c in br:
-                    row[k * v + a] = row[k * v + a] - c
-                rows.append(tuple(row))
-        self.d1 = Matrix(rows, ncols=l * v, fld=fld)
+        d1 = []
+        for p, (i1, i2) in enumerate(self.pairs):
+            row = p * v
+            # x1 . f(x2)
+            d1.extend((row + a, i2 * v + b, x) for a, b, x in nonzeros[i1])
+            # - x2 . f(x1)
+            d1.extend((row + a, i1 * v + b, -x) for a, b, x in nonzeros[i2])
+            # - f([x1, x2])
+            for k, c in L.bracket_terms(i1, i2):
+                d1.extend((row + a, k * v + a, -c) for a in range(v))
+        self.d1 = Matrix.from_triples(fld, len(self.pairs) * v, l * v, d1)
         if not self.d1.matmul(self.d0).is_zero():
             raise AssertionError("d1 after d0 is not zero")
+        # the coboundaries B^1, spanned by the columns of d0
+        self.d0_image = Subspace(l * v, [self.d0.column(a) for a in range(v)], fld=fld)
 
     def h0_dim(self):
-        return self.vdim - self.d0.rank()
+        return self.vdim - self.d0_image.dim
 
     def h1(self):
         """(dimension, representative cocycles as coefficient vectors)."""
         ker = self.d1.nullspace()
-        img = Subspace(
-            self.ldim * self.vdim,
-            [self.d0.apply(_unit(self.field, self.vdim, a)) for a in range(self.vdim)],
-            fld=self.field,
-        )
+        img = self.d0_image.copy()
         reps = []
         for b in ker.basis:
             r = img.reduce(b)
@@ -98,35 +76,12 @@ class CEComplex:
         return len(reps), reps
 
 
-def _unit(fld, n, j):
-    v = [fld.zero] * n
-    v[j] = fld.one
-    return tuple(v)
-
-
 def hom_module(L, m1: FiniteModule, m2: FiniteModule):
     """Hom(M1, M2) as an L-module: (x.T) = rho2(x) T - T rho1(x), flattened
     row-major; returns (actions, dim).  Works for any module object carrying
     `actions` and `dim` (including plain g-modules)."""
-    fld = m1.actions[0].field if m1.actions else m1.algebra.field
-    d1, d2 = m1.dim, m2.dim
-    dim = d2 * d1
-    actions = []
-    for a1, a2 in zip(m1.actions, m2.actions):
-        rows = [[fld.zero] * dim for _ in range(dim)]
-        for r in range(d2):
-            for c in range(d1):
-                col = r * d1 + c
-                for r2 in range(d2):
-                    x = a2.entries[r2][r]
-                    if not x.is_zero():
-                        rows[r2 * d1 + c][col] = rows[r2 * d1 + c][col] + x
-                for c2 in range(d1):
-                    x = a1.entries[c][c2]
-                    if not x.is_zero():
-                        rows[r * d1 + c2][col] = rows[r * d1 + c2][col] - x
-        actions.append(Matrix(rows, ncols=dim, fld=fld))
-    return actions, dim
+    actions = [hom_action(a1, a2) for a1, a2 in zip(m1.actions, m2.actions)]
+    return actions, m2.dim * m1.dim
 
 
 def h1(L, m1: FiniteModule, m2: FiniteModule):
@@ -177,9 +132,12 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
                 algebras[base + i] = L
         e1 = extend_to(m1, L)
         e2 = extend_to(m2, L)
+        actions, vdim = hom_module(L, e1, e2)
+        cx = CEComplex(L, actions, vdim, m1.field)
+        dim, _ = cx.h1()
         if homd is None:
-            homd = len(hom_space(e1, e2))
-        dim, _ = h1(L, e1, e2)
+            # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2), read off the d0 reduction h1 uses
+            homd = cx.h0_dim()
         out.append((base + i, dim))
     stable = len(out) >= 2 and out[-1][1] == out[-2][1]
     return ExtLadder(out, stable, homd)
@@ -213,6 +171,17 @@ def enumerate_phi(group, orbit_reps, rank, bound):
         psi = PsiFunction.of(mapping)
         out.append(psi_gamma(group, psi))
     return out
+
+
+def check_hom_dim(hom_dim, ladder: ExtLadder):
+    """Hom does not change when both modules are pulled back along the
+    surjection onto a ladder rung, so the base-algebra Hom dimension must
+    equal the rung's H^0."""
+    if hom_dim != ladder.hom_dim:
+        raise AssertionError(
+            "Hom dimension %d differs from H^0 %d of the ladder"
+            % (hom_dim, ladder.hom_dim)
+        )
 
 
 @dataclass
@@ -269,6 +238,7 @@ def characterization_battery(
         n = evaluation_module(phi, alg) if not phi.is_zero() else _trivial_module(alg)
         hd = len(hom_space(module, n))
         ladder = ext1_ladder(module, n, rungs=rungs, algebras=rung_cache)
+        check_hom_dim(hd, ladder)
         report.candidates.append((phi, hd, ladder.dims))
         if hd != 0 or any(d != 0 for d in ladder.dims):
             report.verdict = "FAIL"

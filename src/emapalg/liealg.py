@@ -7,7 +7,15 @@ from __future__ import annotations
 import itertools
 
 from .fields import QQ
-from .linalg import Matrix, Subspace, joint_eigenspaces, saturate
+from .linalg import (
+    Matrix,
+    Subspace,
+    joint_eigenspaces,
+    kron_slots,
+    kron_vector,
+    saturate,
+    tensor_strides,
+)
 from .rootdata import DiagramSymmetry, RootDatum, Weight
 
 
@@ -43,46 +51,50 @@ class ChevalleyAlgebra:
                 self.basis_weights.append(beta if lab[0] == "e" else -beta)
 
         self._table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                m = _commutator(self.basis_matrices[i], self.basis_matrices[j], fld)
+        for i, a in enumerate(self.basis_matrices):
+            for j, b in enumerate(self.basis_matrices):
+                m = Matrix.combination(
+                    fld,
+                    n_plus_1,
+                    n_plus_1,
+                    [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))],
+                )
                 self._table[(i, j)] = self._decompose(m)
         self._check_axioms()
 
     def _realize(self, lab):
-        n, fld = self.n, self.field
-        m = [[fld.zero] * n for _ in range(n)]
+        fld = self.field
         if lab[0] == "h":
             i = lab[1]
-            m[i][i] = fld.one
-            m[i + 1][i + 1] = -fld.one
+            triples = [(i, i, fld.one), (i + 1, i + 1, -fld.one)]
         else:
             rc = self.rd.positive_roots[lab[1]]
             lo = rc.index(1)
             hi = len(rc) - 1 - rc[::-1].index(1)
-            if lab[0] == "e":
-                m[lo][hi + 1] = fld.one
-            else:
-                m[hi + 1][lo] = fld.one
-        return m
+            triples = [(lo, hi + 1, fld.one) if lab[0] == "e" else (hi + 1, lo, fld.one)]
+        return Matrix.from_triples(fld, self.n, self.n, triples)
 
     def _decompose(self, m):
         """Coefficients of a traceless matrix in the Chevalley basis (sparse)."""
+        entry = {(r, c): x for r, c, x in m.nonzeros()}
         out = []
-        n = self.n
         for k, rc in enumerate(self.rd.positive_roots):
             lo = rc.index(1)
             hi = len(rc) - 1 - rc[::-1].index(1)
-            if not m[lo][hi + 1].is_zero():
-                out.append((self.index[("e", k)], m[lo][hi + 1]))
-            if not m[hi + 1][lo].is_zero():
-                out.append((self.index[("f", k)], m[hi + 1][lo]))
+            if (lo, hi + 1) in entry:
+                out.append((self.index[("e", k)], entry[(lo, hi + 1)]))
+            if (hi + 1, lo) in entry:
+                out.append((self.index[("f", k)], entry[(hi + 1, lo)]))
         acc = self.field.zero
-        for i in range(n - 1):
-            acc = acc + m[i][i]
+        for i in range(self.n - 1):
+            acc = acc + entry.get((i, i), self.field.zero)
             if not acc.is_zero():
                 out.append((self.index[("h", i)], acc))
         return tuple(out)
+
+    def bracket_terms(self, i, j):
+        """[x_i, x_j] as a tuple of (basis index, nonzero coefficient)."""
+        return self._table[(i, j)]
 
     def bracket(self, u, v):
         """Bracket of two coefficient vectors over the basis."""
@@ -131,33 +143,15 @@ class ChevalleyAlgebra:
         # Jacobi on all basis triples
         for i, j, k in itertools.combinations(range(self.dim), 3):
             x, y, z = (self.basis_vector(t) for t in (i, j, k))
-            s = _vadd(
-                _vadd(
+            s = [
+                a + b + c
+                for a, b, c in zip(
                     self.bracket(x, self.bracket(y, z)),
                     self.bracket(y, self.bracket(z, x)),
-                    fld,
-                ),
-                self.bracket(z, self.bracket(x, y)),
-                fld,
-            )
+                    self.bracket(z, self.bracket(x, y)),
+                )
+            ]
             assert all(c.is_zero() for c in s), "Jacobi identity failed"
-
-
-def _vadd(u, v, fld):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _commutator(a, b, fld):
-    n = len(a)
-    ab = [
-        [sum((a[i][k] * b[k][j] for k in range(n)), fld.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    ba = [
-        [sum((b[i][k] * a[k][j] for k in range(n)), fld.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
 
 
 def build_sl(n_plus_1, fld=QQ):
@@ -214,7 +208,7 @@ class GAutomorphism:
 
     def _verify(self):
         g = self.algebra
-        images = [self.matrix.apply(g.basis_vector(i)) for i in range(g.dim)]
+        images = [self.matrix.column(i) for i in range(g.dim)]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 lhs = self.matrix.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
@@ -278,76 +272,56 @@ class GModule:
         self.dim = actions[0].ncols if actions else 0
         self.highest = highest
         if check:
-            self._check_bracket()
-
-    def _check_bracket(self):
-        g = self.algebra
-        for (i, j), terms in g._table.items():
-            if j < i:
-                continue
-            lhs = _mat_sub(
-                self.actions[i].matmul(self.actions[j]),
-                self.actions[j].matmul(self.actions[i]),
-            )
-            rhs = _sparse_combo(self.actions, terms, self.dim, g.field)
-            if lhs != rhs:
-                raise ValueError("action matrices do not represent the bracket")
+            check_bracket(algebra, actions, self.dim)
 
     def character(self):
         """g-weight multiplicities via joint Cartan eigenspaces."""
         g = self.algebra
-        rank = g.rd.rank
-        hops = [self.actions[g.h(i)] for i in range(rank)]
-        fld = g.field
-        bound = max(
-            (abs(int(x.as_rational())) for m in hops for row in m.entries for x in row if x.is_rational()),
-            default=0,
-        )
-        bound = max(bound, self.dim)
-        candidates = [fld.scalar(c) for c in range(-bound, bound + 1)]
-        full = Subspace(
-            self.dim,
-            [tuple(fld.one if i == j else fld.zero for j in range(self.dim)) for i in range(self.dim)],
-            fld=fld,
-        )
-        pieces = joint_eigenspaces(hops, full, candidates)
-        out = {}
-        for key, sp in pieces.items():
-            w = Weight(tuple(int(ev.as_rational()) for ev in key))
-            out[w] = out.get(w, 0) + sp.dim
-        return out
+        hops = [self.actions[g.h(i)] for i in range(g.rd.rank)]
+        return {
+            Weight(key): dim
+            for key, dim in weight_spaces(hops, self.dim, g.field).items()
+        }
 
 
-def _mat_sub(a, b):
-    return Matrix(
-        [tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)],
-        ncols=a.ncols,
-        fld=a.field,
-    )
+def check_bracket(algebra, actions, dim):
+    """Raise unless the action matrices satisfy [rho(x_i), rho(x_j)] =
+    rho([x_i, x_j]) for every pair i < j of algebra basis elements."""
+    fld = algebra.field
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            a, b = actions[i], actions[j]
+            lhs = Matrix.combination(
+                fld, dim, dim, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
+            )
+            rhs = Matrix.combination(
+                fld, dim, dim, [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
+            )
+            if lhs != rhs:
+                raise ValueError(
+                    "action does not represent the bracket at basis pair (%d, %d)"
+                    % (i, j)
+                )
 
 
-def _sparse_combo(actions, terms, dim, fld):
-    acc = Matrix([[fld.zero] * dim for _ in range(dim)], ncols=dim, fld=fld)
-    for k, c in terms:
-        acc = Matrix(
-            [
-                tuple(x + c * y for x, y in zip(r1, r2))
-                for r1, r2 in zip(acc.entries, actions[k].entries)
-            ],
-            ncols=dim,
-            fld=fld,
-        )
-    return acc
+def weight_spaces(ops, dim, fld):
+    """Dimensions of the joint eigenspaces of commuting Cartan operators on a
+    module of dimension `dim`, keyed by tuples of integer eigenvalues.
+
+    Each operator is an h in an sl2-triple, so its eigenvalues are integers
+    in [1 - dim, dim - 1]; joint_eigenspaces raises if some part of the
+    module is left uncovered."""
+    candidates = [fld.scalar(c) for c in range(1 - dim, dim)]
+    pieces = joint_eigenspaces(ops, Subspace.full(fld, dim), candidates)
+    return {
+        tuple(int(ev.as_rational()) for ev in key): sp.dim
+        for key, sp in pieces.items()
+    }
 
 
 def natural_module(g):
     """The natural (n+1)-dimensional representation of sl_{n+1}."""
-    return GModule(
-        g,
-        [Matrix(m, ncols=g.n, fld=g.field) for m in g.basis_matrices],
-        highest=0,
-        check=False,
-    )
+    return GModule(g, list(g.basis_matrices), highest=0, check=False)
 
 
 def exterior_power(mod, k):
@@ -359,13 +333,11 @@ def exterior_power(mod, k):
     dim = len(subsets)
     actions = []
     for m in mod.actions:
-        rows = [[fld.zero] * dim for _ in range(dim)]
-        for s in subsets:
-            j = pos[s]
+        cols = [m.column(j) for j in range(mod.dim)]
+        triples = []
+        for j, s in enumerate(subsets):
             for slot in range(k):
-                col = m.transpose().entries[s[slot]]  # image of e_{s[slot]}
-                for tgt in range(mod.dim):
-                    c = col[tgt]
+                for tgt, c in enumerate(cols[s[slot]]):  # image of e_{s[slot]}
                     if c.is_zero() or (tgt in s and tgt != s[slot]):
                         continue
                     new = list(s)
@@ -377,9 +349,8 @@ def exterior_power(mod, k):
                         if new[a] > new[b]
                     )
                     perm = tuple(sorted(new))
-                    cc = c if inv_count % 2 == 0 else -c
-                    rows[pos[perm]][j] = rows[pos[perm]][j] + cc
-        actions.append(Matrix(rows, ncols=dim, fld=fld))
+                    triples.append((pos[perm], j, c if inv_count % 2 == 0 else -c))
+        actions.append(Matrix.from_triples(fld, dim, dim, triples))
     return GModule(g, actions, highest=pos[tuple(range(k))], check=False)
 
 
@@ -388,33 +359,11 @@ def tensor_actions(mods):
     g = mods[0].algebra
     fld = g.field
     dims = [m.dim for m in mods]
-    dim = 1
-    for d in dims:
-        dim *= d
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
-
-    actions = []
-    for bi in range(g.dim):
-        rows = [[fld.zero] * dim for _ in range(dim)]
-        for slot, m in enumerate(mods):
-            act = m.actions[bi]
-            outer = dim // dims[slot]
-            for j in range(dim):
-                idx = (j // strides[slot]) % dims[slot]
-                base = j - idx * strides[slot]
-                for tgt in range(dims[slot]):
-                    c = act.entries[tgt][idx]
-                    if not c.is_zero():
-                        rows[base + tgt * strides[slot]][j] = (
-                            rows[base + tgt * strides[slot]][j] + c
-                        )
-        actions.append(Matrix(rows, ncols=dim, fld=fld))
-    return GModule(g, actions, check=False), strides
+    actions = [
+        kron_slots(fld, dims, [(fld.one, slot, m.actions[bi]) for slot, m in enumerate(mods)])
+        for bi in range(g.dim)
+    ]
+    return GModule(g, actions, check=False), tensor_strides(dims)
 
 
 def irreducible_module(g, lam, max_ambient=20000, check=True):
@@ -440,20 +389,20 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
         raise ValueError(
             "ambient tensor dimension %d exceeds budget %d" % (ambient, max_ambient)
         )
-    tens, strides = tensor_actions(factors)
+    tens, _ = tensor_actions(factors)
     fld = g.field
-    hw = sum(m.highest * s for m, s in zip(factors, strides))
-    seedv = [fld.zero] * tens.dim
-    seedv[hw] = fld.one
+    seedv = kron_vector(
+        fld, [Matrix.identity(fld, m.dim).column(m.highest) for m in factors]
+    )
     lowering = [
         tens.actions[g.index[("f", k)]] for k in range(len(g.rd.positive_roots))
     ]
-    space = saturate(Subspace(tens.dim, [tuple(seedv)], fld=fld), lowering)
+    space = saturate(Subspace(tens.dim, [seedv], fld=fld), lowering)
     from .linalg import restrict_operator
 
     actions = [restrict_operator(a, space) for a in tens.actions]
     hw_coords = tuple(
-        x for x in _coords_in(space, tuple(seedv))
+        x for x in _coords_in(space, seedv)
     )
     mod = GModule(g, actions, highest=hw_coords, check=check)
     if check:
@@ -472,9 +421,8 @@ def pullback(mod, aut):
     rho(aut^{-1}(u))."""
     g = mod.algebra
     inv = aut.inverse_matrix()
-    actions = []
-    for i in range(g.dim):
-        col = inv.apply(g.basis_vector(i))
-        terms = [(k, c) for k, c in enumerate(col) if not c.is_zero()]
-        actions.append(_sparse_combo(mod.actions, terms, mod.dim, g.field))
+    actions = [
+        Matrix.combination(g.field, mod.dim, mod.dim, zip(inv.column(i), mod.actions))
+        for i in range(g.dim)
+    ]
     return GModule(g, actions, check=False)

@@ -4,6 +4,8 @@ operators."""
 
 from __future__ import annotations
 
+from math import prod
+
 from .fields import QQ
 
 
@@ -64,6 +66,43 @@ class Matrix:
             ncols=n,
             fld=fld,
         )
+
+    @classmethod
+    def from_triples(cls, fld, nrows, ncols, triples):
+        """The nrows x ncols matrix whose (r, c) entry is the sum of the x over
+        the triples (r, c, x); repeated positions accumulate."""
+        zero = fld.zero
+        rows = [[zero] * ncols for _ in range(nrows)]
+        for r, c, x in triples:
+            row = rows[r]
+            row[c] = x if row[c] is zero else row[c] + x
+        return cls(rows, ncols=ncols, fld=fld)
+
+    @classmethod
+    def combination(cls, fld, nrows, ncols, terms):
+        """The linear combination sum c * m over the pairs (c, m) in terms."""
+        return cls.from_triples(
+            fld,
+            nrows,
+            ncols,
+            (
+                (r, j, c * x)
+                for c, m in terms
+                if not c.is_zero()
+                for r, j, x in m.nonzeros()
+            ),
+        )
+
+    def column(self, j):
+        """Column j, i.e. the image of the j-th unit vector."""
+        return tuple(row[j] for row in self.entries)
+
+    def nonzeros(self):
+        """Yield (r, c, x) for every nonzero entry x, row by row."""
+        for r, row in enumerate(self.entries):
+            for c, x in enumerate(row):
+                if not x.is_zero():
+                    yield r, c, x
 
     def rank(self):
         _, pivots = rref(self.entries, self.ncols)
@@ -162,6 +201,11 @@ class Subspace:
         else:
             self.basis, self.pivots = rref(vectors, ambient_dim)
         self._pivot_set = set(self.pivots)
+
+    @classmethod
+    def full(cls, fld, n):
+        """The whole coordinate space of dimension n."""
+        return cls(n, Matrix.identity(fld, n).entries, fld=fld, _reduced=True)
 
     @property
     def dim(self):
@@ -288,14 +332,20 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
         return Subspace(s1.ambient_dim, (), fld=fld)
     cols = [list(b) for b in s1.basis] + [[-x for x in b] for b in s2.basis]
     m = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld)
-    vecs = []
-    for kv in m.nullspace().basis:
-        amb = [fld.zero] * s1.ambient_dim
-        for c, b in zip(kv[: s1.dim], s1.basis):
-            if not c.is_zero():
-                amb = [x + c * y for x, y in zip(amb, b)]
-        vecs.append(tuple(amb))
+    vecs = [
+        _combine(kv[: s1.dim], s1.basis, s1.ambient_dim, fld)
+        for kv in m.nullspace().basis
+    ]
     return Subspace(s1.ambient_dim, vecs, fld=fld)
+
+
+def _combine(coeffs, vectors, n, fld):
+    """sum c * v over zip(coeffs, vectors), for vectors of length n."""
+    out = [fld.zero] * n
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero():
+            out = [x + c * y for x, y in zip(out, v)]
+    return tuple(out)
 
 
 def restrict_operator(op, space):
@@ -350,16 +400,79 @@ def joint_eigenspaces(ops, space, eigenvalues):
                 )
                 ker = shifted.nullspace()
                 if ker.dim:
-                    vecs = []
-                    for kv in ker.basis:
-                        amb = [fld.zero] * space.ambient_dim
-                        for c, b in zip(kv, sp.basis):
-                            if not c.is_zero():
-                                amb = [x + c * y for x, y in zip(amb, b)]
-                        vecs.append(tuple(amb))
+                    vecs = [
+                        _combine(kv, sp.basis, space.ambient_dim, fld)
+                        for kv in ker.basis
+                    ]
                     new[key + (ev,)] = Subspace(space.ambient_dim, vecs, fld=fld)
                     covered += ker.dim
             if covered != sp.dim:
                 raise ValueError("operator is not semisimple over the candidate eigenvalues")
         pieces = new
     return pieces
+
+
+def tensor_strides(dims):
+    """Strides of the row-major layout of a tensor product of spaces of the
+    given dimensions: the last factor varies fastest."""
+    strides = [1] * len(dims)
+    for k in range(len(dims) - 2, -1, -1):
+        strides[k] = strides[k + 1] * dims[k + 1]
+    return strides
+
+
+def kron_slots(fld, dims, terms):
+    """sum c * (1 x ... x m x ... x 1), with m acting on tensor slot `slot`,
+    over the triples (c, slot, m) in terms, on the tensor product of spaces of
+    dimensions `dims` in the layout of tensor_strides."""
+    n = prod(dims)
+    strides = tensor_strides(dims)
+
+    def triples():
+        for c, slot, m in terms:
+            s = strides[slot]
+            block = dims[slot] * s
+            for r, j, x in m.nonzeros():
+                cx = c * x
+                for lo in range(0, n, block):
+                    for k in range(lo, lo + s):
+                        yield k + r * s, k + j * s, cx
+
+    return Matrix.from_triples(fld, n, n, triples())
+
+
+def kron_vector(fld, vectors):
+    """Tensor product of vectors in the layout of tensor_strides."""
+    out = (fld.one,)
+    for v in vectors:
+        out = tuple(a * b for a in out for b in v)
+    return out
+
+
+def hom_action(a1, a2):
+    """The operator T -> a2 T - T a1 on matrices T with a2.ncols rows and
+    a1.nrows columns, flattened row-major: a2 x 1 - 1 x a1^T."""
+    fld = a1.field
+    return kron_slots(
+        fld,
+        [a2.ncols, a1.nrows],
+        [(fld.one, 0, a2), (-fld.one, 1, a1.transpose())],
+    )
+
+
+def intertwiners(fld, d1, d2, pairs):
+    """Basis of the d2 x d1 matrices T with a2 T = T a1 for every pair
+    (a1, a2): the reduced basis of the common kernel of the hom_action
+    operators, cut down one pair at a time."""
+    basis = list(Matrix.identity(fld, d2 * d1).entries)
+    for a1, a2 in pairs:
+        if not basis:
+            break
+        act = _sparse_apply(hom_action(a1, a2))
+        images = [act(v) for v in basis]
+        kernel = Matrix(list(zip(*images)), ncols=len(images), fld=fld).nullspace()
+        basis = [_combine(kv, basis, d2 * d1, fld) for kv in kernel.basis]
+    return [
+        Matrix([v[r * d1 : (r + 1) * d1] for r in range(d2)], ncols=d1, fld=fld)
+        for v in basis
+    ]

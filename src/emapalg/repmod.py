@@ -9,8 +9,15 @@ from dataclasses import dataclass
 
 from .coordalg import EtaFunction, is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .liealg import irreducible_module
-from .linalg import Matrix, Subspace, joint_eigenspaces, rref, saturate
+from .liealg import check_bracket, irreducible_module, weight_spaces
+from .linalg import (
+    Matrix,
+    Subspace,
+    intertwiners,
+    kron_slots,
+    kron_vector,
+    saturate,
+)
 from .rootdata import Weight
 
 
@@ -145,34 +152,12 @@ class FiniteModule:
             self.check_bracket()
 
     def operator(self, coeffs) -> Matrix:
-        fld = self.field
-        acc = [[fld.zero] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            for r, row in enumerate(self.actions[i].entries):
-                accr = acc[r]
-                for j, x in enumerate(row):
-                    if not x.is_zero():
-                        accr[j] = accr[j] + c * x
-        return Matrix(acc, ncols=self.dim, fld=fld)
+        return Matrix.combination(
+            self.field, self.dim, self.dim, zip(coeffs, self.actions)
+        )
 
     def check_bracket(self):
-        alg = self.algebra
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                lhs = _mat_sub(
-                    self.actions[i].matmul(self.actions[j]),
-                    self.actions[j].matmul(self.actions[i]),
-                )
-                rhs = _zero_matrix(self.field, self.dim)
-                for k, c in alg.bracket_terms(i, j):
-                    rhs = _mat_axpy(rhs, c, self.actions[k])
-                if lhs != rhs:
-                    raise ValueError(
-                        "action does not represent the bracket at basis pair (%d, %d)"
-                        % (i, j)
-                    )
+        check_bracket(self.algebra, self.actions, self.dim)
 
     def is_cyclic_from(self, vec):
         space = saturate(
@@ -181,38 +166,12 @@ class FiniteModule:
         return space.dim == self.dim
 
 
-def _zero_matrix(fld, n):
-    return Matrix([[fld.zero] * n for _ in range(n)], ncols=n, fld=fld)
-
-
-def _mat_sub(a, b):
-    return Matrix(
-        [tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)],
-        ncols=a.ncols,
-        fld=a.field,
-    )
-
-
-def _mat_axpy(acc, c, m):
-    return Matrix(
-        [
-            tuple(x + c * y for x, y in zip(r1, r2))
-            for r1, r2 in zip(acc.entries, m.entries)
-        ],
-        ncols=acc.ncols,
-        fld=acc.field,
-    )
-
-
 def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule:
     """Pullback of a module along a Lie algebra map phi: source -> owner,
     given by its matrix in basis coordinates."""
     if phi.nrows != module.algebra.dim or phi.ncols != source_algebra.dim:
         raise ValueError("transport matrix shape mismatch")
-    actions = []
-    for j in range(source_algebra.dim):
-        col = tuple(phi.entries[k][j] for k in range(phi.nrows))
-        actions.append(module.operator(col))
+    actions = [module.operator(phi.column(j)) for j in range(source_algebra.dim)]
     return FiniteModule(source_algebra, actions, cyclic=module.cyclic)
 
 
@@ -239,50 +198,18 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
         if not w.is_zero():
             factors.append((p_idx, irreducible_module(g, w)))
     dims = [m.dim for _, m in factors]
-    dim = 1
-    for d in dims:
-        dim *= d
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
     slot_of = {p_idx: s for s, (p_idx, _) in enumerate(factors)}
 
     actions = []
     for p_idx, g_idx, mono in alg.basis:
-        if sum(mono) != 0 or p_idx not in slot_of:
-            actions.append(_zero_matrix(fld, dim))
-            continue
-        slot = slot_of[p_idx]
-        act = factors[slot][1].actions[g_idx]
-        rows = [[fld.zero] * dim for _ in range(dim)]
-        for j in range(dim):
-            idx = (j // strides[slot]) % dims[slot]
-            base = j - idx * strides[slot]
-            for tgt in range(dims[slot]):
-                c = act.entries[tgt][idx]
-                if not c.is_zero():
-                    r = base + tgt * strides[slot]
-                    rows[r][j] = rows[r][j] + c
-        actions.append(Matrix(rows, ncols=dim, fld=fld))
-
-    hw = [fld.zero] * dim
-    if factors:
-        # highest vector: tensor of the factor highest vectors
-        comps = [m.highest for _, m in factors]
-        for j in range(dim):
-            val = fld.one
-            for slot in range(len(factors)):
-                idx = (j // strides[slot]) % dims[slot]
-                val = val * comps[slot][idx]
-                if val.is_zero():
-                    break
-            hw[j] = val
-    else:
-        hw[0] = fld.one
-    return FiniteModule(alg, actions, cyclic=tuple(hw))
+        terms = []
+        if sum(mono) == 0 and p_idx in slot_of:
+            slot = slot_of[p_idx]
+            terms.append((fld.one, slot, factors[slot][1].actions[g_idx]))
+        actions.append(kron_slots(fld, dims, terms))
+    # highest vector: tensor of the factor highest vectors
+    hw = kron_vector(fld, [m.highest for _, m in factors])
+    return FiniteModule(alg, actions, cyclic=hw)
 
 
 def twist(module: FiniteModule, inv: InvariantAlgebra) -> FiniteModule:
@@ -329,29 +256,13 @@ def joint_weights(module: FiniteModule):
     alg = module.algebra
     if not isinstance(alg, TruncatedAlgebra):
         raise ValueError("joint weights need a truncated-algebra module")
-    fld = module.field
     ops = [module.actions[i] for i in _cartan_basis_indices(alg)]
-    bound = 2 * module.dim + 4
-    candidates = [fld.scalar(c) for c in range(-bound, bound + 1)]
-    full = Subspace(
-        module.dim,
-        [
-            tuple(fld.one if i == j else fld.zero for j in range(module.dim))
-            for i in range(module.dim)
-        ],
-        fld=fld,
-    )
-    pieces = joint_eigenspaces(ops, full, candidates)
     rank = alg.g.rd.rank
     npts = len(alg.points)
-    out = {}
-    for key, sp in pieces.items():
-        ints = [int(ev.as_rational()) for ev in key]
-        wkey = tuple(
-            Weight(tuple(ints[p * rank : (p + 1) * rank])) for p in range(npts)
-        )
-        out[wkey] = out.get(wkey, 0) + sp.dim
-    return out
+    return {
+        tuple(Weight(ints[p * rank : (p + 1) * rank]) for p in range(npts)): dim
+        for ints, dim in weight_spaces(ops, module.dim, module.field).items()
+    }
 
 
 def multiplicities(module: FiniteModule):
@@ -460,34 +371,9 @@ def is_maximal_weight(module: FiniteModule, psi: PsiFunction = None):
 
 def hom_space(m1: FiniteModule, m2: FiniteModule):
     """Basis of intertwiners T with T rho_1(u) = rho_2(u) T, as matrices."""
-    if m1.algebra is not m2.algebra:
-        if not _same_algebra(m1.algebra, m2.algebra):
-            raise ValueError("modules live over different algebras")
-    fld = m1.field
-    d1, d2 = m1.dim, m2.dim
-    basis = [
-        _unit_matrix(fld, d2, d1, r, c) for r in range(d2) for c in range(d1)
-    ]
-    for a1, a2 in zip(m1.actions, m2.actions):
-        if not basis:
-            break
-        images = [
-            _mat_sub(a2.matmul(t), t.matmul(a1)) for t in basis
-        ]
-        cols = [
-            tuple(x for row in im.entries for x in row) for im in images
-        ]
-        m = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld)
-        combos = m.nullspace().basis
-        new = []
-        for kv in combos:
-            acc = _zero_rect(fld, d2, d1)
-            for c, t in zip(kv, basis):
-                if not c.is_zero():
-                    acc = _mat_axpy(acc, c, t)
-            new.append(acc)
-        basis = new
-    return basis
+    if not _same_algebra(m1.algebra, m2.algebra):
+        raise ValueError("modules live over different algebras")
+    return intertwiners(m1.field, m1.dim, m2.dim, zip(m1.actions, m2.actions))
 
 
 def _same_algebra(a, b):
@@ -519,7 +405,7 @@ def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True
     for op in module.actions:
         cols = []
         for j in keep:
-            v = sub.reduce(op.apply(_unit_vec(fld, module.dim, j)))
+            v = sub.reduce(op.column(j))
             cols.append(tuple(v[k] for k in keep))
         actions.append(Matrix(list(zip(*cols)) if cols else [], ncols=len(keep), fld=fld))
     cyc = cyclic if cyclic is not None else module.cyclic
@@ -530,12 +416,6 @@ def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True
     return FiniteModule(module.algebra, actions, cyclic=qcyc)
 
 
-def _unit_vec(fld, n, j):
-    v = [fld.zero] * n
-    v[j] = fld.one
-    return tuple(v)
-
-
 def projection_matrix(big: TruncatedAlgebra, small: TruncatedAlgebra) -> Matrix:
     """Matrix of the quotient Lie map from a finer truncation onto a coarser
     one (more points / higher exponents to fewer / lower)."""
@@ -544,12 +424,12 @@ def projection_matrix(big: TruncatedAlgebra, small: TruncatedAlgebra) -> Matrix:
     if not small.eta <= big.eta:
         raise ValueError("target truncation is not dominated by the source")
     fld = big.field
-    rows = [[fld.zero] * big.dim for _ in range(small.dim)]
+    triples = []
     for j, (p_idx, g_idx, mono) in enumerate(big.basis):
         p = big.points[p_idx]
         if p in small.points and sum(mono) < small.eta[p]:
-            rows[small.index[(small.points.index(p), g_idx, mono)]][j] = fld.one
-    return Matrix(rows, ncols=big.dim, fld=fld)
+            triples.append((small.index[(small.points.index(p), g_idx, mono)], j, fld.one))
+    return Matrix.from_triples(fld, small.dim, big.dim, triples)
 
 
 def extend_to(module: FiniteModule, big) -> FiniteModule:
@@ -570,16 +450,6 @@ def invariant_projection(big: InvariantAlgebra, small: InvariantAlgebra) -> Matr
     return Matrix(list(zip(*cols)), ncols=big.dim, fld=big.field)
 
 
-def _unit_matrix(fld, nr, nc, r, c):
-    rows = [[fld.zero] * nc for _ in range(nr)]
-    rows[r][c] = fld.one
-    return Matrix(rows, ncols=nc, fld=fld)
-
-
-def _zero_rect(fld, nr, nc):
-    return Matrix([[fld.zero] * nc for _ in range(nr)], ncols=nc, fld=fld)
-
-
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
     """(verdict, witness): searches the Hom space for an invertible
     intertwiner over a deterministic small-coefficient ladder."""
@@ -598,10 +468,7 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
         for combo in itertools.product(*coeff_sets):
             if all(c.is_zero() for c in combo):
                 continue
-            acc = _zero_rect(fld, m2.dim, m1.dim)
-            for c, t in zip(combo, homs):
-                if not c.is_zero():
-                    acc = _mat_axpy(acc, c, t)
+            acc = Matrix.combination(fld, m2.dim, m1.dim, zip(combo, homs))
             if acc.inverse() is not None:
                 return True, acc
     return False, None
@@ -611,15 +478,18 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
     if not _same_algebra(m1.algebra, m2.algebra):
         raise ValueError("modules live over different algebras")
     fld = m1.field
-    d1, d2 = m1.dim, m2.dim
-    actions = []
-    for a1, a2 in zip(m1.actions, m2.actions):
-        rows = []
-        for r in range(d1):
-            rows.append(tuple(a1.entries[r]) + (fld.zero,) * d2)
-        for r in range(d2):
-            rows.append((fld.zero,) * d1 + tuple(a2.entries[r]))
-        actions.append(Matrix(rows, ncols=d1 + d2, fld=fld))
+    d1, dim = m1.dim, m1.dim + m2.dim
+    actions = [
+        Matrix.from_triples(
+            fld,
+            dim,
+            dim,
+            itertools.chain(
+                a1.nonzeros(), ((r + d1, c + d1, x) for r, c, x in a2.nonzeros())
+            ),
+        )
+        for a1, a2 in zip(m1.actions, m2.actions)
+    ]
     return FiniteModule(m1.algebra, actions)
 
 
@@ -628,26 +498,12 @@ def tensor_product(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
     if not _same_algebra(m1.algebra, m2.algebra):
         raise ValueError("modules live over different algebras")
     fld = m1.field
-    d1, d2 = m1.dim, m2.dim
-    dim = d1 * d2
-    actions = []
-    for a1, a2 in zip(m1.actions, m2.actions):
-        rows = [[fld.zero] * dim for _ in range(dim)]
-        for i in range(d1):
-            for j in range(d2):
-                col = i * d2 + j
-                for r in range(d1):
-                    c = a1.entries[r][i]
-                    if not c.is_zero():
-                        rows[r * d2 + j][col] = rows[r * d2 + j][col] + c
-                for r in range(d2):
-                    c = a2.entries[r][j]
-                    if not c.is_zero():
-                        rows[i * d2 + r][col] = rows[i * d2 + r][col] + c
-        actions.append(Matrix(rows, ncols=dim, fld=fld))
+    dims = [m1.dim, m2.dim]
+    actions = [
+        kron_slots(fld, dims, [(fld.one, 0, a1), (fld.one, 1, a2)])
+        for a1, a2 in zip(m1.actions, m2.actions)
+    ]
     cyc = None
     if m1.cyclic is not None and m2.cyclic is not None:
-        cyc = tuple(
-            a * b for a in m1.cyclic for b in m2.cyclic
-        )
+        cyc = kron_vector(fld, [m1.cyclic, m2.cyclic])
     return FiniteModule(m1.algebra, actions, cyclic=cyc)

@@ -104,6 +104,22 @@ class Scenario:
 
 _LIE_TYPES = {"A1": 2, "A2": 3, "A3": 4}
 
+_TOP_KEYS = {
+    "name", "lie_type", "num_variables", "cyclotomic_order", "generators", "points", "psi",
+}
+_GENERATOR_KEYS = {"order", "scaling", "automorphism"}
+_AUTOMORPHISM_KEYS = {"tau", "a", "zeta"}
+_PSI_KEYS = {"equivariant", "values"}
+
+
+def _check_keys(spec, allowed, where):
+    """Reject anything but a mapping whose keys all lie in `allowed`."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("%s must be a mapping" % where)
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ScenarioError("%s has unknown keys %s" % (where, unknown))
+
 
 def load_scenario(path=None, data=None) -> Scenario:
     if data is None:
@@ -112,8 +128,7 @@ def load_scenario(path=None, data=None) -> Scenario:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError("cannot read scenario: %s" % exc)
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a mapping")
+    _check_keys(data, _TOP_KEYS, "scenario")
 
     lie_type = data.get("lie_type")
     if lie_type not in _LIE_TYPES:
@@ -123,6 +138,11 @@ def load_scenario(path=None, data=None) -> Scenario:
         raise ScenarioError("num_variables must be a positive integer")
 
     gens_spec = data.get("generators", [])
+    for idx, spec in enumerate(gens_spec):
+        _check_keys(spec, _GENERATOR_KEYS, "generator %d" % idx)
+        _check_keys(
+            spec.get("automorphism", {}), _AUTOMORPHISM_KEYS, "generator %d automorphism" % idx
+        )
     orders = [g.get("order") for g in gens_spec]
     for o in orders:
         if not isinstance(o, int) or o < 1:
@@ -193,6 +213,7 @@ def load_scenario(path=None, data=None) -> Scenario:
     psis = {}
     psi_checks = {}
     for name, spec in (data.get("psi") or {}).items():
+        _check_keys(spec, _PSI_KEYS, "psi %r" % name)
         values = spec.get("values", {})
         mapping = {}
         for pname, coords in values.items():

@@ -158,14 +158,16 @@ class _Straightener:
         self._memo[key] = out
         return out
 
-    def operator_matrix(self, alg_idx):
-        fld = self.field
-        n = len(self.monomials)
-        rows = [[fld.zero] * n for _ in range(n)]
-        for j, m in enumerate(self.monomials):
+    def operator_matrix(self, alg_idx, n):
+        """Matrix of a basis element on the span of the first n normal
+        monomials, modulo the span of the others."""
+        triples = []
+        for j, m in enumerate(self.monomials[:n]):
             for m2, c in self.act(alg_idx, m).items():
-                rows[self.mono_index[m2]][j] = c
-        return Matrix(rows, ncols=n, fld=fld)
+                k = self.mono_index[m2]
+                if k < n:
+                    triples.append((k, j, c))
+        return Matrix.from_triples(self.field, n, n, triples)
 
 
 def _dadd(d, k, v):
@@ -225,15 +227,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
             seeds.append(low_vec(state))
 
         # induced operators on the low quotient
-        ops = []
-        for ai in range(alg.dim):
-            rows = [[fld.zero] * n_low for _ in range(n_low)]
-            for j, m in enumerate(st.monomials[:n_low]):
-                for m2, c in st.act(ai, m).items():
-                    k = st.mono_index[m2]
-                    if k < n_low:
-                        rows[k][j] = c
-            ops.append(Matrix(rows, ncols=n_low, fld=fld))
+        ops = [st.operator_matrix(ai, n_low) for ai in range(alg.dim)]
 
         rel = saturate(Subspace(n_low, seeds, fld=fld), ops)
     finally:
@@ -459,13 +453,13 @@ def head(module: FiniteModule) -> FiniteModule:
     # complement: joint kernel of prod (op - c) does not suit directly; use
     # the span of images of (op_k - c_k) over all k, which misses the top line
     comp = Subspace(module.dim, (), fld=fld)
+    ident = Matrix.identity(fld, module.dim)
     for op, c in zip(cart, scalars):
+        shifted = Matrix.combination(
+            fld, module.dim, module.dim, [(fld.one, op), (-c, ident)]
+        )
         for j in range(module.dim):
-            col = tuple(
-                op.entries[r][j] - (c if r == j else fld.zero)
-                for r in range(module.dim)
-            )
-            comp.add_vector(col)
+            comp.add_vector(shifted.column(j))
     # greatest invariant subspace inside comp: iterate
     # U <- {v in U : op(v) in U for all ops} until stable
     cur = comp
@@ -539,12 +533,7 @@ def hw_quotient_check(module: FiniteModule):
     sol = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld).solve(mc.cyclic)
     if sol is None:
         return psi, None
-    from .repmod import _zero_rect, _mat_axpy
-
-    acc = _zero_rect(fld, mc.dim, wc.dim)
-    for c, t in zip(sol, homs):
-        if not c.is_zero():
-            acc = _mat_axpy(acc, c, t)
+    acc = Matrix.combination(fld, mc.dim, wc.dim, zip(sol, homs))
     if acc.rank() != module.dim:
         return psi, None
     return psi, acc

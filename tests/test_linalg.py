@@ -7,8 +7,11 @@ from emapalg.fields import QQ, field
 from emapalg.linalg import (
     Matrix,
     Subspace,
+    hom_action,
     intersect,
     joint_eigenspaces,
+    kron_slots,
+    kron_vector,
     restrict_operator,
     rref,
     saturate,
@@ -122,3 +125,86 @@ def test_eigenspaces_cyclotomic():
     amb = Subspace(2, [(F.one, F.zero), (F.zero, F.one)], fld=F)
     eig = joint_eigenspaces([rot], amb, [F.zeta, -F.zeta])
     assert sorted(str(k[0]) for k in eig) == sorted([str(F.zeta), str(-F.zeta)])
+
+
+def _square(n):
+    return st.lists(st.lists(_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _delta(i, j):
+    return 1 if i == j else 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square(2), _square(3), _ints)
+def test_kron_slots_entrywise(a, b, c):
+    # A x I + I x B on Q^2 x Q^3, index (i, j) -> 3 i + j, written out
+    m = kron_slots(QQ, [2, 3], [(QQ.one, 0, _mat(a)), (QQ.one, 1, _mat(b))])
+    expect = [
+        [
+            a[i][k] * _delta(j, l) + _delta(i, k) * b[j][l]
+            for k in range(2)
+            for l in range(3)
+        ]
+        for i in range(2)
+        for j in range(3)
+    ]
+    assert m == _mat(expect)
+    # middle slot of three, with a coefficient: 1 x cA x 1 on Q^2 x Q^2 x Q^2
+    m = kron_slots(QQ, [2, 2, 2], [(QQ.scalar(c), 1, _mat(a))])
+    expect = [
+        [
+            _delta(i, k) * c * a[j][l] * _delta(p, q)
+            for k in range(2)
+            for l in range(2)
+            for q in range(2)
+        ]
+        for i in range(2)
+        for j in range(2)
+        for p in range(2)
+    ]
+    assert m == _mat(expect)
+    assert kron_vector(QQ, [_vec(a[0]), _vec(b[0])]) == _vec(
+        [x * y for x in a[0] for y in b[0]]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square(2), _square(3), st.lists(_ints, min_size=6, max_size=6))
+def test_hom_action_is_commutator_on_row_major_matrices(a1, a2, t):
+    # T is 3 x 2, flattened row-major
+    tm = _mat([t[0:2], t[2:4], t[4:6]])
+    image = _mat(a2).matmul(tm)
+    image = Matrix.combination(
+        QQ, 3, 2, [(QQ.one, image), (-QQ.one, tm.matmul(_mat(a1)))]
+    )
+    flat = tuple(image.column(c)[r] for r in range(3) for c in range(2))
+    assert hom_action(_mat(a1), _mat(a2)).apply(_vec(t)) == flat
+
+
+def test_from_triples_accumulates_duplicates():
+    m = Matrix.from_triples(
+        QQ,
+        2,
+        3,
+        [(0, 1, QQ.one), (1, 2, QQ.scalar(3)), (0, 1, QQ.scalar(4)), (1, 2, QQ.scalar(-3))],
+    )
+    assert m == _mat([[0, 5, 0], [0, 0, 0]])
+    assert list(m.nonzeros()) == [(0, 1, QQ.scalar(5))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_ints, min_size=3, max_size=3), min_size=1, max_size=4), _ints)
+def test_column_nonzeros_and_combination(rows, c):
+    m = _mat(rows)
+    assert Matrix.from_triples(QQ, m.nrows, m.ncols, m.nonzeros()) == m
+    for j in range(m.ncols):
+        unit = _vec([_delta(i, j) for i in range(m.ncols)])
+        assert m.column(j) == m.apply(unit)
+    assert Matrix(
+        list(zip(*(m.column(j) for j in range(m.ncols)))), ncols=m.ncols, fld=QQ
+    ) == m
+    twice = Matrix.combination(
+        QQ, m.nrows, m.ncols, [(QQ.scalar(c), m), (QQ.one, m), (QQ.zero, m)]
+    )
+    assert twice == _mat([[(c + 1) * x for x in r] for r in rows])

@@ -5,8 +5,10 @@ import pytest
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
 from emapalg.fields import field
+from emapalg.liealg import GModule, natural_module
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
+    FiniteModule,
     PsiFunction,
     direct_sum,
     evaluation_module,
@@ -90,6 +92,30 @@ def test_evaluation_module_single_point():
     assert mod.dim == 3
     mod.check_bracket()
     assert multiplicities(mod) == {_psi(fld, {1: (2,)}): 1}
+
+
+@pytest.mark.parametrize("finite", [False, True])
+def test_bracket_check_rejects_perturbed_action(finite):
+    # doubling rho(e) keeps [h, e] = 2e but breaks [e, f] = h
+    g, _ = z2_setup()
+    fld = g.field
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(fld, 1): 1}))
+    if finite:
+        actions = evaluation_module(_psi(fld, {1: (1,)}), alg).actions
+
+        def build(acts):
+            return FiniteModule(alg, acts, check=True)
+
+    else:
+        actions = natural_module(g).actions
+
+        def build(acts):
+            return GModule(g, acts, check=True)
+
+    build(actions)
+    doubled = [Matrix.combination(fld, 2, 2, [(fld.scalar(2), actions[0])])]
+    with pytest.raises(ValueError, match=r"basis pair \(0, 2\)"):
+        build(doubled + list(actions[1:]))
 
 
 def test_evaluation_module_two_points():

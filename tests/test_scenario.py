@@ -97,6 +97,10 @@ def test_malformed_inputs():
         lambda d: d["points"].update(bad=["0"]),
         lambda d: d["psi"].update(bad={"values": {"nope": [1]}}),
         lambda d: d["psi"].update(bad={"values": {"p1": [1, 2]}}),
+        lambda d: d.update(description="unknown top-level key"),
+        lambda d: d["generators"][0].update(period=2),
+        lambda d: d["generators"][0]["automorphism"].update(grading=[1]),
+        lambda d: d["psi"]["psiw"].update(weights={"p1": [1]}),
     ]:
         data = _data("sl2_z2.json")
         mutate(data)
