@@ -119,9 +119,8 @@ class CyclotomicField:
             if value.field.order == self.order:
                 return value
             return embed(value, self)
-        q = _Q(value) if not isinstance(value, str) else _Q(value)
         coeffs = [_Q0] * self.degree
-        coeffs[0] = q
+        coeffs[0] = _Q(value)
         return FieldElement(self, tuple(coeffs))
 
     def root_of_unity(self, order, power=1):
@@ -272,10 +271,10 @@ class FieldElement:
                 raise ArithmeticError("element not invertible mod Phi_m")
 
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self):
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self):
         if not self.is_rational():

@@ -1,108 +1,158 @@
 """Exact linear algebra over cyclotomic fields: row reduction, nullspaces,
 subspaces in reduced echelon form, and closure of a subspace under a set of
-operators."""
+operators.
+
+Matrices and subspace bases are stored as sparse rows: dicts from column to a
+nonzero FieldElement, never holding a zero.  Vectors that cross the module's
+interface (columns, images, bases, residues) are dense tuples."""
 
 from __future__ import annotations
 
+from bisect import insort
 from math import prod
 
 from .fields import QQ
 
 
-def zero_vector(fld, n):
-    return [fld.zero] * n
+def _sparse(row):
+    """A fresh sparse copy of a dense row or of a sparse row."""
+    if isinstance(row, dict):
+        return dict(row)
+    return {c: x for c, x in enumerate(row) if not x.is_zero()}
+
+
+def _dense(row, n, zero):
+    out = [zero] * n
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _axpy(row, c, other):
+    """row += c * other for sparse rows, in place; entries that cancel are
+    dropped.  c must be nonzero."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = c * y
+        else:
+            x = x + c * y
+            if x.is_zero():
+                del row[j]
+            else:
+                row[j] = x
+
+
+def _reduce(echelon, row):
+    """Clear from a sparse row, in place, every pivot column of the reduced
+    echelon rows {pivot: row}.  Each of those rows is zero at the other
+    pivots, so one pass over the pivots the row has is enough."""
+    for p in [c for c in row if c in echelon]:
+        _axpy(row, -row[p], echelon[p])
+
+
+def _insert(echelon, row):
+    """Add a sparse row to the reduced echelon rows {pivot: row}, keeping
+    them reduced: reduce it, normalise it at its first column, and clear that
+    column from the rows that have it.  Returns the new pivot, or None if the
+    row lies in their span."""
+    _reduce(echelon, row)
+    if not row:
+        return None
+    p = min(row)
+    inv = row[p].inverse()
+    row = {c: x * inv for c, x in row.items()}
+    for other in echelon.values():
+        c = other.get(p)
+        if c is not None:
+            _axpy(other, -c, row)
+    echelon[p] = row
+    return p
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.  Returns (rows, pivot_columns); zero rows dropped."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    """Reduced row echelon form of dense rows or of sparse {col: x} rows.
+
+    Returns (rows, pivot_columns): the nonzero rows of the form as sparse
+    rows, in pivot order.  The rows are added one at a time and elimination
+    touches only their nonzeros (as in LinBox or FLINT's fmpq_mat); the
+    reduced echelon form is unique, so the order does not change the result.
+    """
+    echelon = {}
+    for row in rows:
+        _insert(echelon, _sparse(row))
+        if len(echelon) == ncols:
             break
-    return [tuple(row) for row in rows[: len(pivots)]], pivots
+    pivots = sorted(echelon)
+    return [echelon[p] for p in pivots], pivots
 
 
 class Matrix:
-    """A dense exact matrix; entries are FieldElement rows."""
+    """An exact matrix.  `entries` holds one sparse row per matrix row."""
 
     def __init__(self, entries, ncols=None, fld=None):
-        self.entries = [tuple(row) for row in entries]
-        if self.entries:
-            self.ncols = len(self.entries[0])
-            self.field = self.entries[0][0].field if self.ncols else (fld or QQ)
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-            self.field = fld or QQ
-        self.nrows = len(self.entries)
+        """A matrix from dense rows of FieldElements."""
+        rows = [tuple(row) for row in entries]
+        if rows:
+            ncols = len(rows[0])
+            fld = rows[0][0].field if ncols else fld
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        self._set(fld or QQ, [_sparse(row) for row in rows], ncols)
+
+    def _set(self, fld, rows, ncols):
+        self.field = fld
+        self.entries = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._cols = None  # sparse columns, built by the first product with a vector
+
+    @classmethod
+    def _of(cls, fld, rows, ncols):
+        """A matrix on sparse rows that hold no zeros; they are not copied."""
+        m = cls.__new__(cls)
+        m._set(fld, rows, ncols)
+        return m
 
     @classmethod
     def identity(cls, fld, n):
-        return cls(
-            [
-                tuple(fld.one if i == j else fld.zero for j in range(n))
-                for i in range(n)
-            ],
-            ncols=n,
-            fld=fld,
-        )
+        return cls._of(fld, [{i: fld.one} for i in range(n)], n)
 
     @classmethod
     def from_triples(cls, fld, nrows, ncols, triples):
         """The nrows x ncols matrix whose (r, c) entry is the sum of the x over
         the triples (r, c, x); repeated positions accumulate."""
-        zero = fld.zero
-        rows = [[zero] * ncols for _ in range(nrows)]
+        rows = [{} for _ in range(nrows)]
         for r, c, x in triples:
             row = rows[r]
-            row[c] = x if row[c] is zero else row[c] + x
-        return cls(rows, ncols=ncols, fld=fld)
+            y = row.get(c)
+            row[c] = x if y is None else y + x
+        return cls._of(
+            fld,
+            [{c: x for c, x in row.items() if not x.is_zero()} for row in rows],
+            ncols,
+        )
 
     @classmethod
     def combination(cls, fld, nrows, ncols, terms):
         """The linear combination sum c * m over the pairs (c, m) in terms."""
-        return cls.from_triples(
-            fld,
-            nrows,
-            ncols,
-            (
-                (r, j, c * x)
-                for c, m in terms
-                if not c.is_zero()
-                for r, j, x in m.nonzeros()
-            ),
-        )
+        rows = [{} for _ in range(nrows)]
+        for c, m in terms:
+            if not c.is_zero():
+                for row, mrow in zip(rows, m.entries):
+                    _axpy(row, c, mrow)
+        return cls._of(fld, rows, ncols)
 
     def column(self, j):
         """Column j, i.e. the image of the j-th unit vector."""
-        return tuple(row[j] for row in self.entries)
+        zero = self.field.zero
+        return tuple(row.get(j, zero) for row in self.entries)
 
     def nonzeros(self):
         """Yield (r, c, x) for every nonzero entry x, row by row."""
         for r, row in enumerate(self.entries):
-            for c, x in enumerate(row):
-                if not x.is_zero():
-                    yield r, c, x
+            for c in sorted(row):
+                yield r, c, row[c]
 
     def rank(self):
         _, pivots = rref(self.entries, self.ncols)
@@ -111,72 +161,80 @@ class Matrix:
     def nullspace(self):
         """Right nullspace as a Subspace of dimension ncols - rank."""
         rows, pivots = rref(self.entries, self.ncols)
-        fld = self.field
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = zero_vector(fld, self.ncols)
-            v[fc] = fld.one
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[fc]
-            basis.append(tuple(v))
-        return Subspace(self.ncols, basis, fld=fld)
+        pivot_set = set(pivots)
+        one = self.field.one
+        # one vector per free column; a reduced row is zero at the other pivots
+        free = {c: {c: one} for c in range(self.ncols) if c not in pivot_set}
+        for row, pc in zip(rows, pivots):
+            for c, x in row.items():
+                if c != pc:
+                    free[c][pc] = -x
+        return Subspace(self.ncols, list(free.values()), fld=self.field)
 
     def solve(self, rhs):
         """A solution of self * x = rhs, or None if inconsistent.
 
         Free variables are set to zero, so the result is deterministic.
         """
-        aug = [tuple(row) + (b,) for row, b in zip(self.entries, rhs)]
-        rows, pivots = rref(aug, self.ncols + 1)
-        if self.ncols in pivots:
+        n = self.ncols
+        aug = [
+            row if b.is_zero() else {**row, n: b} for row, b in zip(self.entries, rhs)
+        ]
+        rows, pivots = rref(aug, n + 1)
+        if n in pivots:
             return None
-        fld = self.field
-        x = zero_vector(fld, self.ncols)
+        zero = self.field.zero
+        x = [zero] * n
         for row, pc in zip(rows, pivots):
-            x[pc] = row[-1]
+            x[pc] = row.get(n, zero)
         return tuple(x)
 
     def apply(self, vec):
-        return tuple(
-            sum((a * v for a, v in zip(row, vec) if not a.is_zero()), self.field.zero)
-            for row in self.entries
-        )
+        """self * vec for a dense vector, scattered over its nonzeros."""
+        return _dense(self._image(_sparse(vec)), self.nrows, self.field.zero)
+
+    def _image(self, row):
+        """self * v for a sparse vector v, as a sparse vector."""
+        if self._cols is None:
+            self._cols = self.transpose().entries
+        out = {}
+        for j, v in row.items():
+            _axpy(out, v, self._cols[j])
+        return out
 
     def matmul(self, other):
-        cols = list(zip(*other.entries)) if other.entries else []
-        return Matrix(
-            [
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if not a.is_zero()), self.field.zero)
-                    for col in cols
-                )
-                for row in self.entries
-            ],
-            ncols=other.ncols,
-            fld=self.field,
-        )
+        """The product self * other, row by row over the nonzeros."""
+        rows = []
+        for row in self.entries:
+            out = {}
+            for k, a in row.items():
+                _axpy(out, a, other.entries[k])
+            rows.append(out)
+        return Matrix._of(self.field, rows, other.ncols)
 
     def transpose(self):
-        return Matrix(list(zip(*self.entries)), ncols=self.nrows, fld=self.field)
+        rows = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self.entries):
+            for c, x in row.items():
+                rows[c][r] = x
+        return Matrix._of(self.field, rows, self.nrows)
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self.entries)
 
     def inverse(self):
         """Inverse of a square matrix, or None if singular."""
-        if self.nrows != self.ncols:
-            return None
-        fld = self.field
         n = self.nrows
-        aug = [
-            tuple(row) + tuple(fld.one if i == j else fld.zero for j in range(n))
-            for i, row in enumerate(self.entries)
-        ]
+        if n != self.ncols:
+            return None
+        one = self.field.one
+        aug = [{**row, n + i: one} for i, row in enumerate(self.entries)]
         rows, pivots = rref(aug, 2 * n)
         if pivots != list(range(n)):
             return None
-        return Matrix([row[n:] for row in rows], ncols=n, fld=fld)
+        return Matrix._of(
+            self.field, [{c - n: x for c, x in row.items() if c >= n} for row in rows], n
+        )
 
     def __eq__(self, other):
         return (
@@ -192,131 +250,97 @@ class Matrix:
 class Subspace:
     """A subspace of a coordinate space, stored as a reduced-echelon basis."""
 
-    def __init__(self, ambient_dim, vectors=(), fld=None, _reduced=False):
+    def __init__(self, ambient_dim, vectors=(), fld=None, _rows=None):
         self.ambient_dim = ambient_dim
         self.field = fld or (vectors[0][0].field if vectors else QQ)
-        if _reduced:
-            self.basis = [tuple(v) for v in vectors]
-            self.pivots = _pivots_of(self.basis)
-        else:
-            self.basis, self.pivots = rref(vectors, ambient_dim)
-        self._pivot_set = set(self.pivots)
+        if _rows is None:
+            rows, pivots = rref(vectors, ambient_dim)
+            _rows = dict(zip(pivots, rows))
+        self._rows = _rows  # pivot column -> sparse basis row
+        self.pivots = sorted(_rows)
+        self._basis = None
 
     @classmethod
     def full(cls, fld, n):
         """The whole coordinate space of dimension n."""
-        return cls(n, Matrix.identity(fld, n).entries, fld=fld, _reduced=True)
+        return cls(n, fld=fld, _rows={i: {i: fld.one} for i in range(n)})
+
+    @property
+    def basis(self):
+        """The reduced echelon basis as dense vectors, in pivot order."""
+        if self._basis is None:
+            n, zero = self.ambient_dim, self.field.zero
+            self._basis = [_dense(self._rows[p], n, zero) for p in self.pivots]
+        return self._basis
+
+    @property
+    def _pivot_set(self):
+        return self._rows.keys()
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
+
+    def _matrix(self):
+        """The basis rows as a Matrix (sharing the rows)."""
+        return Matrix._of(
+            self.field, [self._rows[p] for p in self.pivots], self.ambient_dim
+        )
+
+    def _residue(self, vec):
+        row = _sparse(vec)
+        _reduce(self._rows, row)
+        return row
 
     def reduce(self, vec):
         """Residue of vec modulo the subspace (eliminate pivot coordinates)."""
-        vec = list(vec)
-        for row, pc in zip(self.basis, self.pivots):
-            c = vec[pc]
-            if not c.is_zero():
-                vec[pc:] = [
-                    x if y.is_zero() else x - c * y
-                    for x, y in zip(vec[pc:], row[pc:])
-                ]
-        return tuple(vec)
+        return _dense(self._residue(vec), self.ambient_dim, self.field.zero)
 
     def contains(self, vec):
-        return all(x.is_zero() for x in self.reduce(vec))
-
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
+        return not self._residue(vec)
 
     def add_vector(self, vec):
         """Grow the basis by one vector; returns True if the dimension grew."""
-        res = self.reduce(vec)
-        piv = next((j for j, x in enumerate(res) if not x.is_zero()), None)
-        if piv is None:
+        p = _insert(self._rows, _sparse(vec))
+        if p is None:
             return False
-        inv = res[piv].inverse()
-        res = tuple(x * inv for x in res)
-        for i in range(len(self.basis)):
-            c = self.basis[i][piv]
-            if not c.is_zero():
-                self.basis[i] = tuple(
-                    x - c * y for x, y in zip(self.basis[i], res)
-                )
-        k = next(
-            (i for i, p in enumerate(self.pivots) if p > piv), len(self.basis)
-        )
-        self.basis.insert(k, res)
-        self.pivots.insert(k, piv)
-        self._pivot_set.add(piv)
+        insort(self.pivots, p)
+        self._basis = None
         return True
 
     def copy(self):
         return Subspace(
-            self.ambient_dim, list(self.basis), fld=self.field, _reduced=True
+            self.ambient_dim,
+            fld=self.field,
+            _rows={p: dict(row) for p, row in self._rows.items()},
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
 
-def _pivots_of(rows):
-    pivots = []
-    for row in rows:
-        pivots.append(next(j for j, x in enumerate(row) if not x.is_zero()))
-    return pivots
-
-
-def _sparse_apply(m: Matrix):
-    """Column-sparse application closure for a matrix (fast when columns are
-    mostly zero)."""
-    cols = []
-    for j in range(m.ncols):
-        cols.append(
-            [(i, m.entries[i][j]) for i in range(m.nrows) if not m.entries[i][j].is_zero()]
-        )
-    fld = m.field
-    nr = m.nrows
-
-    def ap(vec):
-        out = [fld.zero] * nr
-        for j, v in enumerate(vec):
-            if not v.is_zero():
-                for i, a in cols[j]:
-                    out[i] = out[i] + v * a
-        return tuple(out)
-
-    return ap
-
-
 def saturate(seed, operators):
-    """Smallest subspace containing `seed` and stable under every operator.
-
-    Operators may be Matrix instances or callables vector -> vector.
-    """
+    """Smallest subspace containing `seed` and stable under every operator
+    (Matrix instances)."""
     space = seed.copy()
-    frontier = list(space.basis)
-    ops = [_sparse_apply(op) if isinstance(op, Matrix) else op for op in operators]
+    # copies: add_vector changes the echelon rows in place
+    frontier = [dict(row) for row in space._rows.values()]
     while frontier:
         new = []
         for v in frontier:
-            for op in ops:
-                w = op(v)
+            for op in operators:
+                w = op._image(v)
                 if space.add_vector(w):
                     new.append(w)
         frontier = new
     return space
-
-
-def span_of(vectors, ambient_dim, fld=None):
-    return Subspace(ambient_dim, vectors, fld=fld)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -328,46 +352,32 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     fld = s1.field
+    n = s1.ambient_dim
     if s1.dim == 0 or s2.dim == 0:
-        return Subspace(s1.ambient_dim, (), fld=fld)
-    cols = [list(b) for b in s1.basis] + [[-x for x in b] for b in s2.basis]
-    m = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld)
-    vecs = [
-        _combine(kv[: s1.dim], s1.basis, s1.ambient_dim, fld)
-        for kv in m.nullspace().basis
-    ]
-    return Subspace(s1.ambient_dim, vecs, fld=fld)
-
-
-def _combine(coeffs, vectors, n, fld):
-    """sum c * v over zip(coeffs, vectors), for vectors of length n."""
-    out = [fld.zero] * n
-    for c, v in zip(coeffs, vectors):
-        if not c.is_zero():
-            out = [x + c * y for x, y in zip(out, v)]
-    return tuple(out)
+        return Subspace(n, (), fld=fld)
+    u = s1._matrix().entries
+    minus_v = [{c: -x for c, x in row.items()} for row in s2._matrix().entries]
+    kernel = Matrix._of(fld, u + minus_v, n).transpose().nullspace()
+    # sum a_i u_i for each kernel vector (a, b)
+    lhs = Matrix._of(fld, u + [{}] * s2.dim, n)
+    return Subspace(n, kernel._matrix().matmul(lhs).entries, fld=fld)
 
 
 def restrict_operator(op, space):
-    """Matrix of an operator on an invariant subspace, in basis coordinates.
+    """Matrix of an operator (a Matrix) on an invariant subspace, in basis
+    coordinates.
 
     The basis rows of `space` are in reduced echelon form, so coordinates can
     be read off at the pivot positions; the residual must vanish.
     """
-    apply = op.apply if isinstance(op, Matrix) else op
-    fld = space.field
-    cols = []
-    for b in space.basis:
-        w = apply(b)
-        coords = tuple(w[p] for p in space.pivots)
-        res = list(w)
-        for c, row in zip(coords, space.basis):
-            if not c.is_zero():
-                res = [x - c * y for x, y in zip(res, row)]
-        if any(not x.is_zero() for x in res):
+    index = {p: k for k, p in enumerate(space.pivots)}
+    triples = []
+    for i, p in enumerate(space.pivots):
+        w = op._image(space._rows[p])
+        if not space.contains(w):
             raise ValueError("subspace is not invariant under the operator")
-        cols.append(coords)
-    return Matrix(list(zip(*cols)) if cols else [], ncols=space.dim, fld=fld)
+        triples.extend((index[c], i, x) for c, x in w.items() if c in index)
+    return Matrix.from_triples(space.field, space.dim, space.dim, triples)
 
 
 def joint_eigenspaces(ops, space, eigenvalues):
@@ -385,25 +395,14 @@ def joint_eigenspaces(ops, space, eigenvalues):
             if sp.dim == 0:
                 continue
             m = restrict_operator(op, sp)
+            ident = Matrix.identity(fld, sp.dim)
             covered = 0
             for ev in eigenvalues:
-                shifted = Matrix(
-                    [
-                        tuple(
-                            row[j] - ev if i == j else row[j]
-                            for j in range(m.ncols)
-                        )
-                        for i, row in enumerate(m.entries)
-                    ],
-                    ncols=m.ncols,
-                    fld=fld,
-                )
-                ker = shifted.nullspace()
+                ker = Matrix.combination(
+                    fld, sp.dim, sp.dim, [(fld.one, m), (-ev, ident)]
+                ).nullspace()
                 if ker.dim:
-                    vecs = [
-                        _combine(kv, sp.basis, space.ambient_dim, fld)
-                        for kv in ker.basis
-                    ]
+                    vecs = ker._matrix().matmul(sp._matrix()).entries
                     new[key + (ev,)] = Subspace(space.ambient_dim, vecs, fld=fld)
                     covered += ker.dim
             if covered != sp.dim:
@@ -464,15 +463,14 @@ def intertwiners(fld, d1, d2, pairs):
     """Basis of the d2 x d1 matrices T with a2 T = T a1 for every pair
     (a1, a2): the reduced basis of the common kernel of the hom_action
     operators, cut down one pair at a time."""
-    basis = list(Matrix.identity(fld, d2 * d1).entries)
+    basis = Matrix.identity(fld, d2 * d1)
     for a1, a2 in pairs:
-        if not basis:
+        if not basis.nrows:
             break
-        act = _sparse_apply(hom_action(a1, a2))
-        images = [act(v) for v in basis]
-        kernel = Matrix(list(zip(*images)), ncols=len(images), fld=fld).nullspace()
-        basis = [_combine(kv, basis, d2 * d1, fld) for kv in kernel.basis]
+        # column i of this product is the image of basis vector i
+        images = hom_action(a1, a2).matmul(basis.transpose())
+        basis = images.nullspace()._matrix().matmul(basis)
     return [
-        Matrix([v[r * d1 : (r + 1) * d1] for r in range(d2)], ncols=d1, fld=fld)
-        for v in basis
+        Matrix.from_triples(fld, d2, d1, ((c // d1, c % d1, x) for c, x in row.items()))
+        for row in basis.entries
     ]

@@ -206,11 +206,13 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
         # relation subspace seeds inside the low part: push-downs of the
         # beyond-interval monomials, plus the Weyl powers
         seeds = []
+        # act never returns a zero coefficient, so a push-down is nonzero
+        # exactly when it reaches a low monomial
         for m in st.monomials[n_low:]:
             for ai in range(alg.dim):
-                v = low_vec(st.act(ai, m))
-                if any(not c.is_zero() for c in v):
-                    seeds.append(v)
+                state = st.act(ai, m)
+                if any(st.mono_index[m2] < n_low for m2 in state):
+                    seeds.append(low_vec(state))
         for i in range(rd.rank):
             state = {(): fld.one}
             fi_indices = [

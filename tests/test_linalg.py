@@ -28,6 +28,130 @@ def _vec(xs):
     return tuple(QQ.scalar(x) for x in xs)
 
 
+def _dense_rref(rows, ncols):
+    """Reference: the dense Gauss-Jordan elimination that linalg.rref
+    replaced.  Returns (dense rows, pivot columns); zero rows dropped."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[: len(pivots)]], pivots
+
+
+def _ref_nullspace(rows, ncols, fld):
+    red, pivots = _dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [fld.zero] * ncols
+            v[fc] = fld.one
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return _dense_rref(basis, ncols)[0]
+
+
+def _ref_solve(rows, rhs, ncols, fld):
+    red, pivots = _dense_rref([tuple(r) + (b,) for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [fld.zero] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[-1]
+    return tuple(x)
+
+
+def _ref_inverse(rows, fld):
+    n = len(rows)
+    unit = [tuple(fld.one if i == j else fld.zero for j in range(n)) for i in range(n)]
+    red, pivots = _dense_rref([tuple(r) + u for r, u in zip(rows, unit)], 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def _densify(row, n, fld):
+    return tuple(row.get(c, fld.zero) for c in range(n))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(field, dense rows, ncols): up to 4 x 5 over QQ or Q(zeta_3), about
+    two thirds of the entries zero."""
+    fld = draw(st.sampled_from([QQ, field(3)]))
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    coeff = st.integers(min_value=-3, max_value=3)
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=2)):
+            return fld.zero
+        return fld.element([draw(coeff) for _ in range(fld.degree)])
+
+    return fld, [tuple(entry() for _ in range(ncols)) for _ in range(nrows)], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices(), st.data())
+def test_sparse_rows_agree_with_dense_reference(drawn, data):
+    fld, rows, ncols = drawn
+    m = Matrix(rows, ncols=ncols, fld=fld)
+    ref_rows, ref_pivots = _dense_rref(rows, ncols)
+    got_rows, got_pivots = rref(m.entries, ncols)
+    assert got_pivots == ref_pivots
+    assert [_densify(r, ncols, fld) for r in got_rows] == ref_rows
+    assert rref(rows, ncols) == (got_rows, got_pivots)
+    assert m.rank() == len(ref_pivots)
+    assert m.nullspace().basis == _ref_nullspace(rows, ncols, fld)
+    # one consistent right-hand side, one arbitrary
+    x = data.draw(st.lists(_ints, min_size=ncols, max_size=ncols))
+    b = data.draw(st.lists(_ints, min_size=len(rows), max_size=len(rows)))
+    for rhs in (m.apply(tuple(map(fld.scalar, x))), tuple(map(fld.scalar, b))):
+        assert m.solve(rhs) == _ref_solve(rows, rhs, ncols, fld)
+    k = min(len(rows), ncols)
+    square = [r[:k] for r in rows[:k]]
+    inv = Matrix(square, ncols=k, fld=fld).inverse()
+    ref_inv = _ref_inverse(square, fld)
+    assert inv == (None if ref_inv is None else Matrix(ref_inv, ncols=k, fld=fld))
+    assert Matrix(rows, ncols=ncols, fld=fld).inverse() == (
+        None if len(rows) != ncols else inv
+    )
+    # one vector at a time
+    sub = Subspace(ncols, (), fld=fld)
+    for i, row in enumerate(rows):
+        before = _dense_rref(rows[:i], ncols)[0]
+        after = _dense_rref(rows[: i + 1], ncols)[0]
+        assert sub.add_vector(row) == (len(after) > len(before))
+        assert sub.basis == after
+
+
+def test_entries_that_cancel_are_dropped():
+    m = _mat([[1, 2], [0, 3]])
+    zero = _mat([[0, 0], [0, 0]])
+    for z in (
+        Matrix.from_triples(QQ, 2, 2, [(0, 0, QQ.one), (0, 0, -QQ.one)]),
+        Matrix.combination(QQ, 2, 2, [(QQ.one, m), (-QQ.one, m)]),
+    ):
+        assert z.is_zero()
+        assert z == zero
+        assert list(z.nonzeros()) == []
+
+
 def test_rref_known():
     rows, pivots = rref(_mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).entries, 3)
     assert pivots == [0, 2]
