@@ -5,21 +5,19 @@ and the ideal identities that drive untwisting."""
 
 from __future__ import annotations
 
-import itertools
-
 from .coordalg import (
     EtaFunction,
-    JetAlgebra,
     LaurentFunction,
     QuotientAlgebra,
     is_transversal_set,
     jet_expand,
     interpolate,
 )
+from .liealg import LieAlgebra, preserves_bracket
 from .linalg import Matrix, Subspace, intersect
 
 
-class TruncatedAlgebra:
+class TruncatedAlgebra(LieAlgebra):
     """(g tensor A)/(g tensor I_eta) with basis {g-basis x jet monomial}."""
 
     def __init__(self, g, eta: EtaFunction):
@@ -39,11 +37,6 @@ class TruncatedAlgebra:
 
     def zero(self):
         return (self.field.zero,) * self.dim
-
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
 
     def bracket_terms(self, i, j):
         key = (i, j)
@@ -66,27 +59,6 @@ class TruncatedAlgebra:
             self._bracket_cache[key] = out
         return out
 
-    def bracket(self, u, v):
-        out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                c = a * b
-                for k, s in self.bracket_terms(i, j):
-                    out[k] = out[k] + c * s
-        return tuple(out)
-
-    def adjoint_matrix(self, i):
-        return Matrix.from_triples(
-            self.field,
-            self.dim,
-            self.dim,
-            ((k, j, s) for j in range(self.dim) for k, s in self.bracket_terms(i, j)),
-        )
-
     def project(self, g_vec, f: LaurentFunction):
         """Image of (g-element tensor function) in the truncation."""
         out = [self.field.zero] * self.dim
@@ -99,25 +71,6 @@ class TruncatedAlgebra:
                     k = self.index[(p_idx, g_idx, mono)]
                     out[k] = out[k] + c * jc
         return tuple(out)
-
-    def check_jacobi(self, samples=60):
-        idxs = list(range(self.dim))
-        count = 0
-        for i, j, k in itertools.combinations(idxs, 3):
-            x, y, z = (self.basis_vector(t) for t in (i, j, k))
-            s = [
-                a + b + c
-                for a, b, c in zip(
-                    self.bracket(x, self.bracket(y, z)),
-                    self.bracket(y, self.bracket(z, x)),
-                    self.bracket(z, self.bracket(x, y)),
-                )
-            ]
-            if any(not t.is_zero() for t in s):
-                raise AssertionError("Jacobi identity failed in truncation")
-            count += 1
-            if count >= samples:
-                return
 
 
 class MapElement:
@@ -172,18 +125,6 @@ class MapElement:
     def __eq__(self, other):
         return isinstance(other, MapElement) and self.terms == other.terms
 
-    def project(self, trunc: TruncatedAlgebra):
-        out = [trunc.field.zero] * trunc.dim
-        for g_idx in range(self.g.dim):
-            f = self.component(g_idx)
-            if f.is_zero():
-                continue
-            vec = [trunc.field.zero] * self.g.dim
-            vec[g_idx] = trunc.field.one
-            p = trunc.project(tuple(vec), f)
-            out = [a + b for a, b in zip(out, p)]
-        return tuple(out)
-
 
 class OrbitTruncation:
     """A truncated algebra over an orbit-saturated exponent function, carrying
@@ -196,7 +137,6 @@ class OrbitTruncation:
         self.trunc = TruncatedAlgebra(g, self.eta_tilde)
         self.field = g.field
         self._gamma_mats = {}
-        self._avg = None
 
     @property
     def dim(self):
@@ -210,126 +150,141 @@ class OrbitTruncation:
             self._gamma_mats[gamma] = m
         return m
 
-    def averaging_matrix(self):
-        if self._avg is None:
-            fld = self.field
-            inv_n = fld.scalar(1) / fld.scalar(self.group.size)
-            self._avg = Matrix.combination(
-                fld,
-                self.dim,
-                self.dim,
-                [(inv_n, self.gamma_matrix(gamma)) for gamma in self.group.elements],
-            )
-        return self._avg
 
-    def g_side_projector(self, xi):
-        """Projector onto the xi-isotypic part of the g tensor factor."""
-        fld = self.field
-        t = self.trunc
-        inv_n = fld.scalar(1) / fld.scalar(self.group.size)
-        triples = []
-        for gamma in self.group.elements:
-            chi = self.group.character_value(xi, gamma).inverse() * inv_n
-            gm = self.group.g_matrix(gamma)
-            for j, (p_idx, g_idx, mono) in enumerate(t.basis):
-                for g_tgt, c in enumerate(gm.column(g_idx)):
-                    if not c.is_zero():
-                        triples.append((t.index[(p_idx, g_tgt, mono)], j, c * chi))
-        return Matrix.from_triples(fld, t.dim, t.dim, triples)
-
-
-class InvariantAlgebra:
+class InvariantAlgebra(LieAlgebra):
     """The group-fixed subalgebra of an orbit truncation, with a character
-    grading label on every basis element."""
+    grading label on every basis element.
+
+    The group acts freely on the points, so evaluation at one point per orbit
+    identifies the invariants with the truncations at those points.  The
+    basis is made of the orbit sums sum_gamma gamma.(x, v, u^beta), where x is
+    the first point of each orbit, v runs over the reduced basis of the
+    eigenspace g_xi of the group on g (characters in order) and u^beta over the
+    jet monomials at x.  Each orbit sum equals (x, v, u^beta) at x and is zero
+    at the other orbit-first points, so the orbit sums labelled xi are the
+    reduced echelon basis of the xi-graded invariants."""
 
     def __init__(self, g, group, eta: EtaFunction):
         self.g = g
         self.group = group
         self.eta = eta  # representative exponent function (transversal side)
         self.ambient = OrbitTruncation(g, group, eta)
-        self.field = g.field
-        avg = self.ambient.averaging_matrix()
-        fld = self.field
+        self.field = fld = g.field
         t = self.ambient.trunc
 
-        self.basis = []
-        self.xi_labels = []
+        # the g_xi, from the character projectors on g
+        inv_n = fld.one / fld.scalar(group.size)
+        eigen = []  # (xi, basis vector of g_xi)
         for xi in group.characters:
-            proj = self.ambient.g_side_projector(xi)
-            vecs = []
-            for j in range(t.dim):
-                v = proj.apply(avg.column(j))
-                if any(not c.is_zero() for c in v):
-                    vecs.append(v)
-            comp = Subspace(t.dim, vecs, fld=fld)
-            for b in comp.basis:
-                self.basis.append(b)
-                self.xi_labels.append(xi)
-        self.dim = len(self.basis)
-        full = Subspace(t.dim, self.basis, fld=fld)
-        if full.dim != self.dim:
-            raise AssertionError("character components of the invariants overlap")
-        # coordinate extractor: invert the basis on a set of pivot columns
-        cols = full.pivots
-        # columns of sq are the basis vectors restricted to the pivot rows,
-        # so coords solve sq * c = restricted
-        sq = Matrix(
-            [tuple(b[c] for b in self.basis) for c in cols], ncols=self.dim, fld=fld
+            proj = Matrix.combination(
+                fld,
+                g.dim,
+                g.dim,
+                [
+                    (group.character_value(xi, gamma).inverse() * inv_n, group.g_matrix(gamma))
+                    for gamma in group.elements
+                ],
+            )
+            comp = Subspace(g.dim, [proj.column(j) for j in range(g.dim)], fld=fld)
+            eigen.extend((xi, v) for v in comp.basis)
+        change = Matrix(list(zip(*(v for _, v in eigen))), ncols=len(eigen), fld=fld)
+        self._eigen_inv = change.inverse()
+        if self._eigen_inv is None:
+            raise AssertionError("the character components g_xi do not form a basis of g")
+
+        self._reps = []  # index of the first point of each orbit
+        covered = set()
+        for p_idx, p in enumerate(t.points):
+            if p in covered:
+                continue
+            orbit = group.orbit(p)
+            if len(orbit) != group.size:
+                raise ValueError("the group does not act freely on the orbit of %r" % (p,))
+            covered.update(orbit)
+            self._reps.append(p_idx)
+
+        # column k of `seed` is the k-th (x, v, u^beta)
+        self.xi_labels = []
+        self._slot = {}  # (point index, eigenvector index, monomial) -> basis index
+        triples = []
+        for xi in group.characters:
+            for p_idx in self._reps:
+                for e, (xi_v, v) in enumerate(eigen):
+                    if xi_v != xi:
+                        continue
+                    for mono in t.quotient.summands[p_idx].monomials:
+                        k = len(self.xi_labels)
+                        self.xi_labels.append(xi)
+                        self._slot[(p_idx, e, mono)] = k
+                        triples.extend(
+                            (t.index[(p_idx, gi, mono)], k, c)
+                            for gi, c in enumerate(v)
+                            if not c.is_zero()
+                        )
+        self.dim = len(self.xi_labels)
+        seed = Matrix.from_triples(fld, t.dim, self.dim, triples)
+        # column k of `span` is the k-th basis vector, the orbit sum of seed k
+        span = Matrix.combination(
+            fld,
+            t.dim,
+            self.dim,
+            [(fld.one, self.ambient.gamma_matrix(gamma).matmul(seed)) for gamma in group.elements],
         )
-        inv = sq.inverse()
-        assert inv is not None
-        self._coord_cols = cols
-        self._coord_inv = inv
+        for gen_idx in range(len(group.generators)):
+            gamma = tuple(int(i == gen_idx) for i in range(len(group.generators)))
+            if self.ambient.gamma_matrix(gamma).matmul(span) != span:
+                raise AssertionError("an orbit sum is not fixed by generator %r" % (gamma,))
+        self._span = span
+        self.basis = [span.column(k) for k in range(self.dim)]
+        self._terms = [[] for _ in range(self.dim)]  # basis vectors, nonzeros only
+        for r, k, x in span.nonzeros():
+            self._terms[k].append((r, x))
         self._bracket_cache = {}
         self._iso_cache = {}
 
+    def _coords(self, vec):
+        """Coordinates {basis index: nonzero coefficient} of an ambient vector
+        given as a dict {ambient index: coefficient}: its g-vectors at the
+        first points of the orbits, in the eigenbasis of g.  Raises ValueError
+        unless the vector is the combination they give."""
+        t = self.ambient.trunc
+        zero = self.field.zero
+        vec = {r: x for r, x in vec.items() if not x.is_zero()}
+        at_reps = {}  # (point index, monomial) -> g-vector
+        for r, x in vec.items():
+            p_idx, g_idx, mono = t.basis[r]
+            if p_idx in self._reps:
+                at_reps.setdefault((p_idx, mono), [zero] * self.g.dim)[g_idx] = x
+        coeffs = {}
+        for (p_idx, mono), w in at_reps.items():
+            for e, c in enumerate(self._eigen_inv.apply(w)):
+                if not c.is_zero():
+                    coeffs[self._slot[(p_idx, e, mono)]] = c
+        rebuilt = {}
+        for k, c in coeffs.items():
+            for r, x in self._terms[k]:
+                rebuilt[r] = rebuilt.get(r, zero) + c * x
+        if {r: x for r, x in rebuilt.items() if not x.is_zero()} != vec:
+            raise ValueError("vector is not in the invariant subalgebra")
+        return coeffs
+
     def coords(self, ambient_vec):
         """Coordinates of an ambient invariant vector in the chosen basis."""
-        restricted = tuple(ambient_vec[c] for c in self._coord_cols)
-        c = self._coord_inv.apply(restricted)
-        # verify membership
-        rec = [self.field.zero] * self.ambient.dim
-        for coef, b in zip(c, self.basis):
-            if not coef.is_zero():
-                rec = [x + coef * y for x, y in zip(rec, b)]
-        if tuple(rec) != tuple(ambient_vec):
-            raise ValueError("vector is not in the invariant subalgebra")
-        return tuple(c)
-
-    def embed(self, coeffs):
-        out = [self.field.zero] * self.ambient.dim
-        for c, b in zip(coeffs, self.basis):
-            if not c.is_zero():
-                out = [x + c * y for x, y in zip(out, b)]
+        out = [self.field.zero] * self.dim
+        for k, c in self._coords(dict(enumerate(ambient_vec))).items():
+            out[k] = c
         return tuple(out)
 
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
-
     def bracket_terms(self, i, j):
+        """[b_i, b_j], bracketed in the ambient truncation and read back in
+        invariant coordinates."""
         key = (i, j)
         out = self._bracket_cache.get(key)
         if out is None:
-            amb = self.ambient.trunc.bracket(self.basis[i], self.basis[j])
-            c = self.coords(amb)
-            out = tuple((k, x) for k, x in enumerate(c) if not x.is_zero())
+            amb = self.ambient.trunc.bracket_sparse(self._terms[i], self._terms[j])
+            out = tuple(sorted(self._coords(amb).items()))
             self._bracket_cache[key] = out
         return out
-
-    def bracket(self, u, v):
-        out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                c = a * b
-                for k, s in self.bracket_terms(i, j):
-                    out[k] = out[k] + c * s
-        return tuple(out)
 
     def evaluation_iso(self, eta=None):
         """The map restricting invariants to the summands over Supp eta, as a
@@ -345,14 +300,19 @@ class InvariantAlgebra:
         if not ok:
             raise ValueError("support contains two points of one orbit: %r" % (viol,))
         target = TruncatedAlgebra(self.g, eta)
+        if target.dim != self.dim:
+            raise AssertionError("evaluation map is not square: %d vs %d" % (target.dim, self.dim))
         amb = self.ambient.trunc
-        rows = []
-        for p_idx, g_idx, mono in target.basis:
-            src = amb.index[(amb.points.index(target.points[p_idx]), g_idx, mono)]
-            rows.append(tuple(b[src] for b in self.basis))
-        mat = Matrix(rows, ncols=self.dim, fld=self.field)
-        if mat.nrows != mat.ncols:
-            raise AssertionError("evaluation map is not square: %d vs %d" % (mat.nrows, self.dim))
+        row_of = {
+            amb.index[(amb.points.index(target.points[p_idx]), g_idx, mono)]: r
+            for r, (p_idx, g_idx, mono) in enumerate(target.basis)
+        }
+        mat = Matrix.from_triples(
+            self.field,
+            target.dim,
+            self.dim,
+            ((row_of[r], k, x) for r, k, x in self._span.nonzeros() if r in row_of),
+        )
         inv = mat.inverse()
         if inv is None:
             raise AssertionError("evaluation map is not invertible")
@@ -362,14 +322,7 @@ class InvariantAlgebra:
 
     def check_iso_is_homomorphism(self, eta=None):
         target, mat, _ = self.evaluation_iso(eta)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                br = self.bracket(self.basis_vector(i), self.basis_vector(j))
-                lhs = mat.apply(br)
-                rhs = target.bracket(mat.column(i), mat.column(j))
-                if tuple(lhs) != tuple(rhs):
-                    return False
-        return True
+        return preserves_bracket(mat, self, target)
 
     def invariant_part_of(self, ambient_subspace: Subspace) -> Subspace:
         """Intersection with the fixed space (the subspace need not be stable)."""

@@ -15,7 +15,6 @@ from .repmod import (
     PsiFunction,
     evaluation_module,
     extend_to,
-    height_psi,
     height_psi_orbits,
     hom_space,
     is_maximal_weight,
@@ -100,17 +99,6 @@ class ExtLadder:
     @property
     def dims(self):
         return [d for _, d in self.rungs]
-
-
-def _rung_algebra(sample_algebra, exponent):
-    """Algebra of the same shape with a uniform exponent on the support."""
-    if isinstance(sample_algebra, InvariantAlgebra):
-        eta = EtaFunction.of(
-            {p: exponent for p in sample_algebra.eta.support()}
-        )
-        return InvariantAlgebra(sample_algebra.g, sample_algebra.group, eta)
-    eta = EtaFunction.of({p: exponent for p in sample_algebra.points})
-    return TruncatedAlgebra(sample_algebra.g, eta)
 
 
 def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras=None) -> ExtLadder:

@@ -19,7 +19,71 @@ from .linalg import (
 from .rootdata import DiagramSymmetry, RootDatum, Weight
 
 
-class ChevalleyAlgebra:
+class LieAlgebra:
+    """A Lie algebra with a basis, given by its structure constants.
+
+    Subclasses set `field` and `dim` and define bracket_terms(i, j), the
+    bracket [x_i, x_j] as a tuple of (basis index, nonzero coefficient).
+    Vectors at the interface are dense coefficient tuples over the basis."""
+
+    def basis_vector(self, i):
+        v = [self.field.zero] * self.dim
+        v[i] = self.field.one
+        return tuple(v)
+
+    def bracket_sparse(self, u, v, out=None):
+        """Add [u, v] into the dict `out` (basis index -> coefficient, may
+        hold zeros) and return it; u and v are lists of (basis index, nonzero
+        coefficient)."""
+        out = {} if out is None else out
+        for i, a in u:
+            for j, b in v:
+                c = a * b
+                for k, s in self.bracket_terms(i, j):
+                    x = out.get(k)
+                    out[k] = c * s if x is None else x + c * s
+        return out
+
+    def bracket(self, u, v):
+        """Bracket of two coefficient vectors over the basis."""
+        out = [self.field.zero] * self.dim
+        for k, x in self.bracket_sparse(_terms(u), _terms(v)).items():
+            out[k] = x
+        return tuple(out)
+
+    def check_jacobi(self, samples=60):
+        """Raise unless [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
+        vanishes on the first `samples` basis triples i < j < k (on all of
+        them if samples is None)."""
+        one = self.field.one
+        triples = itertools.combinations(range(self.dim), 3)
+        for i, j, k in itertools.islice(triples, samples):
+            s = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                self.bracket_sparse([(a, one)], self.bracket_terms(b, c), s)
+            if any(not x.is_zero() for x in s.values()):
+                raise AssertionError(
+                    "Jacobi identity failed at basis triple (%d, %d, %d)" % (i, j, k)
+                )
+
+
+def _terms(vec):
+    return [(i, x) for i, x in enumerate(vec) if not x.is_zero()]
+
+
+def preserves_bracket(mat, source, target):
+    """True iff the matrix of a linear map source -> target carries [x_i, x_j]
+    to [mat x_i, mat x_j] for every pair i < j of source basis elements."""
+    images = [mat.column(i) for i in range(source.dim)]
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            lhs = mat.apply(source.bracket(source.basis_vector(i), source.basis_vector(j)))
+            if lhs != target.bracket(images[i], images[j]):
+                return False
+    return True
+
+
+class ChevalleyAlgebra(LieAlgebra):
     """sl_{n+1} with basis {e_beta} + {h_i} + {f_beta} and exact brackets."""
 
     def __init__(self, n_plus_1, fld=QQ):
@@ -96,25 +160,6 @@ class ChevalleyAlgebra:
         """[x_i, x_j] as a tuple of (basis index, nonzero coefficient)."""
         return self._table[(i, j)]
 
-    def bracket(self, u, v):
-        """Bracket of two coefficient vectors over the basis."""
-        out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                c = a * b
-                for k, s in self._table[(i, j)]:
-                    out[k] = out[k] + c * s
-        return tuple(out)
-
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
-
     def e(self, i):
         """Chevalley generator e_i (simple root index, 0-based)."""
         return self.index[("e", self.rd.positive_roots.index(
@@ -140,18 +185,7 @@ class ChevalleyAlgebra:
                 expect = [fld.zero] * self.dim
                 expect[ej] = fld.scalar(self.rd.cartan[j][i])
                 assert br == tuple(expect), "[h_i, e_j] != a_ji e_j"
-        # Jacobi on all basis triples
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            x, y, z = (self.basis_vector(t) for t in (i, j, k))
-            s = [
-                a + b + c
-                for a, b, c in zip(
-                    self.bracket(x, self.bracket(y, z)),
-                    self.bracket(y, self.bracket(z, x)),
-                    self.bracket(z, self.bracket(x, y)),
-                )
-            ]
-            assert all(c.is_zero() for c in s), "Jacobi identity failed"
+        self.check_jacobi(samples=None)
 
 
 def build_sl(n_plus_1, fld=QQ):
@@ -207,14 +241,8 @@ class GAutomorphism:
         return Matrix(list(zip(*cols)), ncols=g.dim, fld=fld)
 
     def _verify(self):
-        g = self.algebra
-        images = [self.matrix.column(i) for i in range(g.dim)]
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = self.matrix.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-                rhs = g.bracket(images[i], images[j])
-                if lhs != rhs:
-                    raise ValueError("not an automorphism: bracket not preserved")
+        if not preserves_bracket(self.matrix, self.algebra, self.algebra):
+            raise ValueError("not an automorphism: bracket not preserved")
 
     def _compute_order(self):
         ident = Matrix.identity(self.algebra.field, self.algebra.dim)

@@ -196,12 +196,9 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
         n_low = sum(1 for m in st.monomials if st.drop(m) <= big_d)
 
         def low_vec(state):
-            v = [fld.zero] * n_low
-            for m, c in state.items():
-                j = st.mono_index[m]
-                if j < n_low:
-                    v[j] = c
-            return tuple(v)
+            """The low part of a state, as a sparse row {index: coefficient}."""
+            idx = st.mono_index
+            return {idx[m]: c for m, c in state.items() if idx[m] < n_low}
 
         # relation subspace seeds inside the low part: push-downs of the
         # beyond-interval monomials, plus the Weyl powers

@@ -29,7 +29,7 @@ from emapalg.ema import (
 )
 from emapalg.fields import field
 from emapalg.liealg import GAutomorphism, build_sl
-from emapalg.linalg import Matrix
+from emapalg.linalg import Matrix, Subspace
 from emapalg.rootdata import DiagramSymmetry, Weight
 
 
@@ -112,8 +112,51 @@ def test_orbit_truncation_and_gamma_order():
     assert orb.dim == 12
     m = orb.gamma_matrix((1,))
     assert m.matmul(m) == Matrix.identity(fld, orb.dim)
-    avg = orb.averaging_matrix()
+
+
+def _reference_components(g, group, eta):
+    """The xi-graded invariants of the orbit truncation, built without orbit
+    sums: average over the whole group, project the g factor onto each
+    character over the whole truncation, and take the reduced basis."""
+    orb = OrbitTruncation(g, group, eta)
+    t = orb.trunc
+    fld = g.field
+    inv_n = fld.one / fld.scalar(group.size)
+    avg = Matrix.combination(
+        fld, t.dim, t.dim, [(inv_n, orb.gamma_matrix(gamma)) for gamma in group.elements]
+    )
     assert avg.matmul(avg) == avg
+    components = {}
+    for xi in group.characters:
+        triples = []
+        for gamma in group.elements:
+            chi = group.character_value(xi, gamma).inverse() * inv_n
+            gm = group.g_matrix(gamma)
+            for j, (p_idx, g_idx, mono) in enumerate(t.basis):
+                for g_tgt, c in enumerate(gm.column(g_idx)):
+                    if not c.is_zero():
+                        triples.append((t.index[(p_idx, g_tgt, mono)], j, c * chi))
+        proj = Matrix.from_triples(fld, t.dim, t.dim, triples)
+        vecs = [proj.apply(avg.column(j)) for j in range(t.dim)]
+        components[xi] = Subspace(t.dim, vecs, fld=fld)
+    return components
+
+
+@pytest.mark.parametrize("setup", [z2_setup, flip_setup])
+@pytest.mark.parametrize("exps", [(1,), (2,), (1, 2)])
+def test_orbit_sum_basis_matches_reference(setup, exps):
+    g, group = setup()
+    fld = g.field
+    eta = EtaFunction.of({pt(fld, k + 1): e for k, e in enumerate(exps)})
+    inv = InvariantAlgebra(g, group, eta)
+    ref = _reference_components(g, group, eta)
+    assert inv.xi_labels == [xi for xi in group.characters for _ in range(ref[xi].dim)]
+    for xi in group.characters:
+        mine = [b for b, label in zip(inv.basis, inv.xi_labels) if label == xi]
+        assert Subspace(inv.ambient.dim, mine, fld=fld) == ref[xi]
+        # the orbit sums are in reduced echelon form, so they are the
+        # reference's reduced basis itself, in the same order
+        assert mine == ref[xi].basis
 
 
 def test_invariant_dims_and_labels():
@@ -124,6 +167,16 @@ def test_invariant_dims_and_labels():
     assert sorted(inv1.xi_labels) == [(0,), (1,), (1,)]
     inv2 = InvariantAlgebra(g, group, EtaFunction.of({pt(fld, 1): 2}))
     assert inv2.dim == 6
+
+
+def test_coords_rejects_non_invariant_vectors():
+    g, group = z2_setup()
+    inv = InvariantAlgebra(g, group, EtaFunction.of({pt(g.field, 1): 2}))
+    t = inv.ambient.trunc
+    assert inv.coords(inv.basis[1]) == inv.basis_vector(1)
+    # a single ambient basis vector lives at one point of a two-point orbit
+    with pytest.raises(ValueError):
+        inv.coords(t.basis_vector(0))
 
 
 def test_invariant_closed_under_bracket():

@@ -1,8 +1,12 @@
 """Exact linear algebra."""
 
+import ast
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emapalg
 from emapalg.fields import QQ, field
 from emapalg.linalg import (
     Matrix,
@@ -332,3 +336,23 @@ def test_column_nonzeros_and_combination(rows, c):
         QQ, m.nrows, m.ncols, [(QQ.scalar(c), m), (QQ.one, m), (QQ.zero, m)]
     )
     assert twice == _mat([[(c + 1) * x for x in r] for r in rows])
+
+
+def test_only_linalg_knows_matrix_storage():
+    """No module but linalg reads the sparse rows of a Matrix or a Subspace,
+    scatters through them, or imports a private linalg name."""
+    src = Path(emapalg.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        text = path.read_text()
+        offenders += [
+            (path.name, token) for token in (".entries", "._rows", "._image(") if token in text
+        ]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg":
+                offenders += [
+                    (path.name, alias.name) for alias in node.names if alias.name.startswith("_")
+                ]
+    assert offenders == []
