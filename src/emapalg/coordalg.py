@@ -476,7 +476,11 @@ def interpolate(assignments, fld=None):
         raise ValueError("empty interpolation data")
     fld = fld or points[0].coords[0].field
     nvars = points[0].nvars
-    values = [fld.scalar(v) if not hasattr(v, "field") else v for _, v in assignments]
+    values = {}
+    for i, (_, v) in enumerate(assignments):
+        v = v if hasattr(v, "field") else fld.scalar(v)
+        if not v.is_zero():
+            values[i] = v
     ladder = []
     deg = 0
     while True:
@@ -497,11 +501,7 @@ def interpolate(assignments, fld=None):
             rows.append(tuple(row))
         sol = Matrix(rows, ncols=len(ladder), fld=fld).solve(values)
         if sol is not None:
-            return LaurentFunction(
-                nvars,
-                {exp: c for exp, c in zip(ladder, sol) if not c.is_zero()},
-                fld=fld,
-            )
+            return LaurentFunction(nvars, {ladder[k]: c for k, c in sol.items()}, fld=fld)
         deg += 1
         if deg > 4 * len(points) + 4:
             raise RuntimeError("interpolation ladder failed to close")

@@ -14,7 +14,7 @@ from .coordalg import (
     interpolate,
 )
 from .liealg import LieAlgebra, preserves_bracket
-from .linalg import Matrix, Subspace, intersect
+from .linalg import Matrix, Subspace, intersect, linear_combination
 
 
 class TruncatedAlgebra(LieAlgebra):
@@ -34,9 +34,6 @@ class TruncatedAlgebra(LieAlgebra):
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._bracket_cache = {}
-
-    def zero(self):
-        return (self.field.zero,) * self.dim
 
     def bracket_terms(self, i, j):
         key = (i, j)
@@ -61,47 +58,42 @@ class TruncatedAlgebra(LieAlgebra):
 
     def project(self, g_vec, f: LaurentFunction):
         """Image of (g-element tensor function) in the truncation."""
-        out = [self.field.zero] * self.dim
+        out = {}
         for p_idx, jet in enumerate(self.quotient.summands):
             coeffs = jet_expand(f, jet.point, jet.order)
-            for g_idx, c in enumerate(g_vec):
-                if c.is_zero():
-                    continue
+            for g_idx, c in g_vec.items():
                 for mono, jc in coeffs.items():
-                    k = self.index[(p_idx, g_idx, mono)]
-                    out[k] = out[k] + c * jc
-        return tuple(out)
+                    out[self.index[(p_idx, g_idx, mono)]] = c * jc
+        return out
 
 
 class MapElement:
-    """An element of (g tensor A), stored per Laurent monomial as a g-vector."""
+    """An element of (g tensor A), stored per Laurent monomial as a sparse
+    g-vector."""
 
     def __init__(self, g, terms=None):
         self.g = g
-        self.terms = {}
-        if terms:
-            for exp, vec in terms.items():
-                if any(not c.is_zero() for c in vec):
-                    self.terms[exp] = tuple(vec)
+        self.terms = {exp: vec for exp, vec in (terms or {}).items() if vec}
 
     @classmethod
     def pure(cls, g, g_vec, f: LaurentFunction):
         terms = {}
         for exp, c in f.terms.items():
-            terms[exp] = tuple(c * x for x in g_vec)
+            terms[exp] = {i: c * x for i, x in g_vec.items()}
         return cls(g, terms)
 
     def __add__(self, other):
         out = dict(self.terms)
+        one = self.g.field.one
         for exp, vec in other.terms.items():
             cur = out.get(exp)
-            out[exp] = vec if cur is None else tuple(a + b for a, b in zip(cur, vec))
+            out[exp] = vec if cur is None else linear_combination([(one, cur), (one, vec)])
         return MapElement(self.g, out)
 
     def component(self, g_idx) -> LaurentFunction:
         return LaurentFunction(
             self._nvars(),
-            {exp: vec[g_idx] for exp, vec in self.terms.items()},
+            {exp: vec[g_idx] for exp, vec in self.terms.items() if g_idx in vec},
             fld=self.g.field,
         )
 
@@ -187,7 +179,7 @@ class InvariantAlgebra(LieAlgebra):
             )
             comp = Subspace(g.dim, [proj.column(j) for j in range(g.dim)], fld=fld)
             eigen.extend((xi, v) for v in comp.basis)
-        change = Matrix(list(zip(*(v for _, v in eigen))), ncols=len(eigen), fld=fld)
+        change = Matrix.from_columns(fld, g.dim, [v for _, v in eigen])
         self._eigen_inv = change.inverse()
         if self._eigen_inv is None:
             raise AssertionError("the character components g_xi do not form a basis of g")
@@ -217,9 +209,7 @@ class InvariantAlgebra(LieAlgebra):
                         self.xi_labels.append(xi)
                         self._slot[(p_idx, e, mono)] = k
                         triples.extend(
-                            (t.index[(p_idx, gi, mono)], k, c)
-                            for gi, c in enumerate(v)
-                            if not c.is_zero()
+                            (t.index[(p_idx, gi, mono)], k, c) for gi, c in v.items()
                         )
         self.dim = len(self.xi_labels)
         seed = Matrix.from_triples(fld, t.dim, self.dim, triples)
@@ -236,44 +226,26 @@ class InvariantAlgebra(LieAlgebra):
                 raise AssertionError("an orbit sum is not fixed by generator %r" % (gamma,))
         self._span = span
         self.basis = [span.column(k) for k in range(self.dim)]
-        self._terms = [[] for _ in range(self.dim)]  # basis vectors, nonzeros only
-        for r, k, x in span.nonzeros():
-            self._terms[k].append((r, x))
         self._bracket_cache = {}
         self._iso_cache = {}
 
-    def _coords(self, vec):
-        """Coordinates {basis index: nonzero coefficient} of an ambient vector
-        given as a dict {ambient index: coefficient}: its g-vectors at the
-        first points of the orbits, in the eigenbasis of g.  Raises ValueError
-        unless the vector is the combination they give."""
+    def coords(self, vec):
+        """Coordinates of an ambient vector in the chosen basis: its g-vectors
+        at the first points of the orbits, in the eigenbasis of g.  Raises
+        ValueError unless the vector is the combination they give."""
         t = self.ambient.trunc
-        zero = self.field.zero
-        vec = {r: x for r, x in vec.items() if not x.is_zero()}
         at_reps = {}  # (point index, monomial) -> g-vector
         for r, x in vec.items():
             p_idx, g_idx, mono = t.basis[r]
             if p_idx in self._reps:
-                at_reps.setdefault((p_idx, mono), [zero] * self.g.dim)[g_idx] = x
+                at_reps.setdefault((p_idx, mono), {})[g_idx] = x
         coeffs = {}
         for (p_idx, mono), w in at_reps.items():
-            for e, c in enumerate(self._eigen_inv.apply(w)):
-                if not c.is_zero():
-                    coeffs[self._slot[(p_idx, e, mono)]] = c
-        rebuilt = {}
-        for k, c in coeffs.items():
-            for r, x in self._terms[k]:
-                rebuilt[r] = rebuilt.get(r, zero) + c * x
-        if {r: x for r, x in rebuilt.items() if not x.is_zero()} != vec:
+            for e, c in self._eigen_inv.apply(w).items():
+                coeffs[self._slot[(p_idx, e, mono)]] = c
+        if linear_combination((c, self.basis[k]) for k, c in coeffs.items()) != vec:
             raise ValueError("vector is not in the invariant subalgebra")
         return coeffs
-
-    def coords(self, ambient_vec):
-        """Coordinates of an ambient invariant vector in the chosen basis."""
-        out = [self.field.zero] * self.dim
-        for k, c in self._coords(dict(enumerate(ambient_vec))).items():
-            out[k] = c
-        return tuple(out)
 
     def bracket_terms(self, i, j):
         """[b_i, b_j], bracketed in the ambient truncation and read back in
@@ -281,8 +253,8 @@ class InvariantAlgebra(LieAlgebra):
         key = (i, j)
         out = self._bracket_cache.get(key)
         if out is None:
-            amb = self.ambient.trunc.bracket_sparse(self._terms[i], self._terms[j])
-            out = tuple(sorted(self._coords(amb).items()))
+            amb = self.ambient.trunc.bracket(self.basis[i], self.basis[j])
+            out = tuple(sorted(self.coords(amb).items()))
             self._bracket_cache[key] = out
         return out
 
@@ -346,7 +318,6 @@ def gamma_truncation_matrix(group, gamma, source: TruncatedAlgebra, target: Trun
     fld = source.field
     gm = group.g_matrix(gamma)
     pa = group.point_action(gamma)
-    g = source.g
     point_map = {}
     for p_idx, p in enumerate(source.points):
         q = pa.act_point(p)
@@ -360,9 +331,8 @@ def gamma_truncation_matrix(group, gamma, source: TruncatedAlgebra, target: Trun
     for j, (p_idx, g_idx, mono) in enumerate(source.basis):
         fac = pa.jet_transport_factor(mono)
         q_idx = point_map[p_idx]
-        for g_tgt, c in enumerate(gm.column(g_idx)):
-            if not c.is_zero():
-                triples.append((target.index[(q_idx, g_tgt, mono)], j, c * fac))
+        for g_tgt, c in gm.column(g_idx).items():
+            triples.append((target.index[(q_idx, g_tgt, mono)], j, c * fac))
     return Matrix.from_triples(fld, target.dim, source.dim, triples)
 
 
@@ -395,7 +365,8 @@ def constructive_lift(g, group, a_vec, f: LaurentFunction, x, eta: EtaFunction):
                 % (2 * n)
             )
         xi = fld.zeta ** (fld.order // (2 * n))
-    assert xi**n == -fld.one
+    if xi**n != -fld.one:
+        raise AssertionError("xi^n != -1")
 
     assignments = [(x, fld.zero)]
     for gamma in group.elements:
@@ -424,7 +395,7 @@ def verify_lift(g, group, alpha: MapElement, a_vec, f, x, eta: EtaFunction):
         )
         if alpha.gamma_apply(group, gamma) != alpha:
             return False, "not invariant"
-    diff = alpha + MapElement.pure(g, tuple(-c for c in a_vec), f)
+    diff = alpha + MapElement.pure(g, {i: -c for i, c in a_vec.items()}, f)
     for g_idx in range(g.dim):
         comp = jet_expand(diff.component(g_idx), x, eta[x])
         if comp:

@@ -61,7 +61,8 @@ def _polydiv_exact_int(num, den):
         if c:
             for j, y in enumerate(den):
                 num[i + j] -= c * y
-    assert all(x == 0 for x in num), "non-exact polynomial division"
+    if any(num):
+        raise AssertionError("non-exact polynomial division")
     return q
 
 

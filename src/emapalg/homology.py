@@ -69,7 +69,7 @@ class CEComplex:
         reps = []
         for b in ker.basis:
             r = img.reduce(b)
-            if any(not c.is_zero() for c in r):
+            if r:
                 img.add_vector(r)
                 reps.append(r)
         return len(reps), reps
@@ -240,4 +240,4 @@ def characterization_battery(
 def _trivial_module(alg):
     fld = alg.field
     zero = Matrix([[fld.zero]], ncols=1, fld=fld)
-    return FiniteModule(alg, [zero] * alg.dim, cyclic=(fld.one,))
+    return FiniteModule(alg, [zero] * alg.dim, cyclic={0: fld.one})

@@ -13,6 +13,7 @@ from .linalg import (
     joint_eigenspaces,
     kron_slots,
     kron_vector,
+    restrict_operator,
     saturate,
     tensor_strides,
 )
@@ -24,12 +25,11 @@ class LieAlgebra:
 
     Subclasses set `field` and `dim` and define bracket_terms(i, j), the
     bracket [x_i, x_j] as a tuple of (basis index, nonzero coefficient).
-    Vectors at the interface are dense coefficient tuples over the basis."""
+    Vectors at the interface are sparse coefficient vectors over the basis,
+    {basis index: nonzero coefficient}, as in linalg."""
 
     def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
+        return {i: self.field.one}
 
     def bracket_sparse(self, u, v, out=None):
         """Add [u, v] into the dict `out` (basis index -> coefficient, may
@@ -46,10 +46,8 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """Bracket of two coefficient vectors over the basis."""
-        out = [self.field.zero] * self.dim
-        for k, x in self.bracket_sparse(_terms(u), _terms(v)).items():
-            out[k] = x
-        return tuple(out)
+        out = self.bracket_sparse(u.items(), v.items())
+        return {k: x for k, x in out.items() if not x.is_zero()}
 
     def check_jacobi(self, samples=60):
         """Raise unless [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
@@ -65,10 +63,6 @@ class LieAlgebra:
                 raise AssertionError(
                     "Jacobi identity failed at basis triple (%d, %d, %d)" % (i, j, k)
                 )
-
-
-def _terms(vec):
-    return [(i, x) for i, x in enumerate(vec) if not x.is_zero()]
 
 
 def preserves_bracket(mat, source, target):
@@ -178,13 +172,14 @@ class ChevalleyAlgebra(LieAlgebra):
         for i in range(rank):
             ei, fi, hi = self.e(i), self.f(i), self.h(i)
             br = self.bracket(self.basis_vector(ei), self.basis_vector(fi))
-            assert br == self.basis_vector(hi), "[e_i, f_i] != h_i"
+            if br != self.basis_vector(hi):
+                raise AssertionError("[e_i, f_i] != h_i")
             for j in range(rank):
                 ej = self.e(j)
                 br = self.bracket(self.basis_vector(hi), self.basis_vector(ej))
-                expect = [fld.zero] * self.dim
-                expect[ej] = fld.scalar(self.rd.cartan[j][i])
-                assert br == tuple(expect), "[h_i, e_j] != a_ji e_j"
+                a_ji = fld.scalar(self.rd.cartan[j][i])
+                if br != ({} if a_ji.is_zero() else {ej: a_ji}):
+                    raise AssertionError("[h_i, e_j] != a_ji e_j")
         self.check_jacobi(samples=None)
 
 
@@ -214,12 +209,10 @@ class GAutomorphism:
         for i in range(rank):
             zp = self.zeta ** self.exponents[i]
             ti = self.out_part.perm[i]
-            images[("e", _simple_index(g, i))] = _scaled_basis(
-                g, ("e", _simple_index(g, ti)), zp
-            )
-            images[("f", _simple_index(g, i))] = _scaled_basis(
-                g, ("f", _simple_index(g, ti)), zp.inverse()
-            )
+            images[("e", _simple_index(g, i))] = {g.index[("e", _simple_index(g, ti))]: zp}
+            images[("f", _simple_index(g, i))] = {
+                g.index[("f", _simple_index(g, ti))]: zp.inverse()
+            }
             images[("h", i)] = g.basis_vector(g.index[("h", ti)])
         # extend to non-simple root vectors by bracket words, in height order
         for k, rc in enumerate(g.rd.positive_roots):
@@ -231,14 +224,13 @@ class GAutomorphism:
             for kind in ("e", "f"):
                 a = g.basis_vector(g.index[(kind, _simple_index(g, i))])
                 b = g.basis_vector(g.index[(kind, krest)])
-                br = g.bracket(a, b)
-                c = br[g.index[(kind, k)]]
-                assert not c.is_zero()
+                c = g.bracket(a, b).get(g.index[(kind, k)])
+                if c is None:
+                    raise AssertionError("zero bracket coefficient for root vector %d" % k)
                 img = g.bracket(images[(kind, _simple_index(g, i))], images[(kind, krest)])
                 inv = c.inverse()
-                images[(kind, k)] = tuple(x * inv for x in img)
-        cols = [images[lab] for lab in g.labels]
-        return Matrix(list(zip(*cols)), ncols=g.dim, fld=fld)
+                images[(kind, k)] = {r: x * inv for r, x in img.items()}
+        return Matrix.from_columns(fld, g.dim, [images[lab] for lab in g.labels])
 
     def _verify(self):
         if not preserves_bracket(self.matrix, self.algebra, self.algebra):
@@ -278,12 +270,6 @@ def _simple_index(g, i):
     )
 
 
-def _scaled_basis(g, lab, c):
-    v = [g.field.zero] * g.dim
-    v[g.index[lab]] = c
-    return tuple(v)
-
-
 def identity_automorphism(g):
     return GAutomorphism(
         g, DiagramSymmetry.identity(g.rd.rank), (0,) * g.rd.rank, g.field.one
@@ -292,7 +278,8 @@ def identity_automorphism(g):
 
 class GModule:
     """A finite-dimensional g-module given by an exact action matrix per
-    Chevalley basis element."""
+    Chevalley basis element; `highest`, when given, is a highest weight vector
+    (a sparse vector)."""
 
     def __init__(self, algebra, actions, highest=None, check=True):
         self.algebra = algebra
@@ -349,7 +336,7 @@ def weight_spaces(ops, dim, fld):
 
 def natural_module(g):
     """The natural (n+1)-dimensional representation of sl_{n+1}."""
-    return GModule(g, list(g.basis_matrices), highest=0, check=False)
+    return GModule(g, list(g.basis_matrices), highest={0: g.field.one}, check=False)
 
 
 def exterior_power(mod, k):
@@ -365,8 +352,8 @@ def exterior_power(mod, k):
         triples = []
         for j, s in enumerate(subsets):
             for slot in range(k):
-                for tgt, c in enumerate(cols[s[slot]]):  # image of e_{s[slot]}
-                    if c.is_zero() or (tgt in s and tgt != s[slot]):
+                for tgt, c in cols[s[slot]].items():  # image of e_{s[slot]}
+                    if tgt in s and tgt != s[slot]:
                         continue
                     new = list(s)
                     new[slot] = tgt
@@ -379,7 +366,7 @@ def exterior_power(mod, k):
                     perm = tuple(sorted(new))
                     triples.append((pos[perm], j, c if inv_count % 2 == 0 else -c))
         actions.append(Matrix.from_triples(fld, dim, dim, triples))
-    return GModule(g, actions, highest=pos[tuple(range(k))], check=False)
+    return GModule(g, actions, highest={pos[tuple(range(k))]: fld.one}, check=False)
 
 
 def tensor_actions(mods):
@@ -409,7 +396,7 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
         # trivial module
         fld = g.field
         zero = Matrix([[fld.zero]], ncols=1, fld=fld)
-        return GModule(g, [zero] * g.dim, highest=0, check=False)
+        return GModule(g, [zero] * g.dim, highest={0: fld.one}, check=False)
     ambient = 1
     for m in factors:
         ambient *= m.dim
@@ -419,29 +406,20 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
         )
     tens, _ = tensor_actions(factors)
     fld = g.field
-    seedv = kron_vector(
-        fld, [Matrix.identity(fld, m.dim).column(m.highest) for m in factors]
-    )
+    seedv = kron_vector(fld, [m.dim for m in factors], [m.highest for m in factors])
     lowering = [
         tens.actions[g.index[("f", k)]] for k in range(len(g.rd.positive_roots))
     ]
     space = saturate(Subspace(tens.dim, [seedv], fld=fld), lowering)
-    from .linalg import restrict_operator
-
     actions = [restrict_operator(a, space) for a in tens.actions]
-    hw_coords = tuple(
-        x for x in _coords_in(space, seedv)
-    )
-    mod = GModule(g, actions, highest=hw_coords, check=check)
+    # the basis is in reduced echelon form: coordinates are the pivot entries
+    hw = {k: seedv[p] for k, p in enumerate(space.pivots) if p in seedv}
+    mod = GModule(g, actions, highest=hw, check=check)
     if check:
         expected = g.rd.freudenthal_mults(lam)
         if mod.character() != expected:
             raise ValueError("constructed module has wrong character")
     return mod
-
-
-def _coords_in(space, vec):
-    return tuple(vec[p] for p in space.pivots)
 
 
 def pullback(mod, aut):
@@ -450,7 +428,9 @@ def pullback(mod, aut):
     g = mod.algebra
     inv = aut.inverse_matrix()
     actions = [
-        Matrix.combination(g.field, mod.dim, mod.dim, zip(inv.column(i), mod.actions))
+        Matrix.combination(
+            g.field, mod.dim, mod.dim, ((c, mod.actions[k]) for k, c in inv.column(i).items())
+        )
         for i in range(g.dim)
     ]
     return GModule(g, actions, check=False)

@@ -2,9 +2,10 @@
 subspaces in reduced echelon form, and closure of a subspace under a set of
 operators.
 
-Matrices and subspace bases are stored as sparse rows: dicts from column to a
-nonzero FieldElement, never holding a zero.  Vectors that cross the module's
-interface (columns, images, bases, residues) are dense tuples."""
+Matrices, subspace bases and vectors are sparse rows: dicts from index to a
+nonzero FieldElement, never holding a zero.  Every vector that crosses the
+module's interface (columns, images, solutions, bases, residues) is such a
+dict; only literal input (the Matrix constructor, rref) may be dense rows."""
 
 from __future__ import annotations
 
@@ -19,13 +20,6 @@ def _sparse(row):
     if isinstance(row, dict):
         return dict(row)
     return {c: x for c, x in enumerate(row) if not x.is_zero()}
-
-
-def _dense(row, n, zero):
-    out = [zero] * n
-    for c, x in row.items():
-        out[c] = x
-    return tuple(out)
 
 
 def _axpy(row, c, other):
@@ -87,6 +81,15 @@ def rref(rows, ncols):
     return [echelon[p] for p in pivots], pivots
 
 
+def linear_combination(terms):
+    """The sparse vector sum c * v over the pairs (c, v) in terms."""
+    out = {}
+    for c, v in terms:
+        if not c.is_zero():
+            _axpy(out, c, v)
+    return out
+
+
 class Matrix:
     """An exact matrix.  `entries` holds one sparse row per matrix row."""
 
@@ -143,10 +146,19 @@ class Matrix:
                     _axpy(row, c, mrow)
         return cls._of(fld, rows, ncols)
 
+    @classmethod
+    def from_columns(cls, fld, nrows, columns):
+        """The matrix with nrows rows whose columns are the given vectors."""
+        return cls._of(fld, list(columns), nrows).transpose()
+
+    def _columns(self):
+        if self._cols is None:
+            self._cols = self.transpose().entries
+        return self._cols
+
     def column(self, j):
         """Column j, i.e. the image of the j-th unit vector."""
-        zero = self.field.zero
-        return tuple(row.get(j, zero) for row in self.entries)
+        return dict(self._columns()[j])
 
     def nonzeros(self):
         """Yield (r, c, x) for every nonzero entry x, row by row."""
@@ -178,28 +190,19 @@ class Matrix:
         """
         n = self.ncols
         aug = [
-            row if b.is_zero() else {**row, n: b} for row, b in zip(self.entries, rhs)
+            {**row, n: rhs[r]} if r in rhs else row for r, row in enumerate(self.entries)
         ]
         rows, pivots = rref(aug, n + 1)
         if n in pivots:
             return None
-        zero = self.field.zero
-        x = [zero] * n
-        for row, pc in zip(rows, pivots):
-            x[pc] = row.get(n, zero)
-        return tuple(x)
+        return {pc: row[n] for row, pc in zip(rows, pivots) if n in row}
 
     def apply(self, vec):
-        """self * vec for a dense vector, scattered over its nonzeros."""
-        return _dense(self._image(_sparse(vec)), self.nrows, self.field.zero)
-
-    def _image(self, row):
-        """self * v for a sparse vector v, as a sparse vector."""
-        if self._cols is None:
-            self._cols = self.transpose().entries
+        """self * vec, scattered over the nonzeros of vec."""
+        cols = self._columns()
         out = {}
-        for j, v in row.items():
-            _axpy(out, v, self._cols[j])
+        for j, v in vec.items():
+            _axpy(out, v, cols[j])
         return out
 
     def matmul(self, other):
@@ -250,15 +253,14 @@ class Matrix:
 class Subspace:
     """A subspace of a coordinate space, stored as a reduced-echelon basis."""
 
-    def __init__(self, ambient_dim, vectors=(), fld=None, _rows=None):
+    def __init__(self, ambient_dim, vectors=(), *, fld, _rows=None):
         self.ambient_dim = ambient_dim
-        self.field = fld or (vectors[0][0].field if vectors else QQ)
+        self.field = fld
         if _rows is None:
             rows, pivots = rref(vectors, ambient_dim)
             _rows = dict(zip(pivots, rows))
         self._rows = _rows  # pivot column -> sparse basis row
         self.pivots = sorted(_rows)
-        self._basis = None
 
     @classmethod
     def full(cls, fld, n):
@@ -267,15 +269,9 @@ class Subspace:
 
     @property
     def basis(self):
-        """The reduced echelon basis as dense vectors, in pivot order."""
-        if self._basis is None:
-            n, zero = self.ambient_dim, self.field.zero
-            self._basis = [_dense(self._rows[p], n, zero) for p in self.pivots]
-        return self._basis
-
-    @property
-    def _pivot_set(self):
-        return self._rows.keys()
+        """The reduced echelon basis, in pivot order.  The vectors are copies,
+        so a later add_vector leaves them as they are."""
+        return [dict(self._rows[p]) for p in self.pivots]
 
     @property
     def dim(self):
@@ -287,25 +283,22 @@ class Subspace:
             self.field, [self._rows[p] for p in self.pivots], self.ambient_dim
         )
 
-    def _residue(self, vec):
-        row = _sparse(vec)
+    def reduce(self, vec):
+        """Residue of vec modulo the subspace: vec with every pivot coordinate
+        eliminated."""
+        row = dict(vec)
         _reduce(self._rows, row)
         return row
 
-    def reduce(self, vec):
-        """Residue of vec modulo the subspace (eliminate pivot coordinates)."""
-        return _dense(self._residue(vec), self.ambient_dim, self.field.zero)
-
     def contains(self, vec):
-        return not self._residue(vec)
+        return not self.reduce(vec)
 
     def add_vector(self, vec):
         """Grow the basis by one vector; returns True if the dimension grew."""
-        p = _insert(self._rows, _sparse(vec))
+        p = _insert(self._rows, dict(vec))
         if p is None:
             return False
         insort(self.pivots, p)
-        self._basis = None
         return True
 
     def copy(self):
@@ -330,13 +323,12 @@ def saturate(seed, operators):
     """Smallest subspace containing `seed` and stable under every operator
     (Matrix instances)."""
     space = seed.copy()
-    # copies: add_vector changes the echelon rows in place
-    frontier = [dict(row) for row in space._rows.values()]
+    frontier = space.basis
     while frontier:
         new = []
         for v in frontier:
             for op in operators:
-                w = op._image(v)
+                w = op.apply(v)
                 if space.add_vector(w):
                     new.append(w)
         frontier = new
@@ -373,7 +365,7 @@ def restrict_operator(op, space):
     index = {p: k for k, p in enumerate(space.pivots)}
     triples = []
     for i, p in enumerate(space.pivots):
-        w = op._image(space._rows[p])
+        w = op.apply(space._rows[p])
         if not space.contains(w):
             raise ValueError("subspace is not invariant under the operator")
         triples.extend((index[c], i, x) for c, x in w.items() if c in index)
@@ -440,11 +432,12 @@ def kron_slots(fld, dims, terms):
     return Matrix.from_triples(fld, n, n, triples())
 
 
-def kron_vector(fld, vectors):
-    """Tensor product of vectors in the layout of tensor_strides."""
-    out = (fld.one,)
-    for v in vectors:
-        out = tuple(a * b for a in out for b in v)
+def kron_vector(fld, dims, vectors):
+    """Tensor product of vectors in spaces of dimensions `dims`, in the layout
+    of tensor_strides."""
+    out = {0: fld.one}
+    for n, v in zip(dims, vectors):
+        out = {i * n + j: a * b for i, a in out.items() for j, b in v.items()}
     return out
 
 

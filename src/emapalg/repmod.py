@@ -140,7 +140,8 @@ def is_equivariant(group, psi: PsiFunction) -> bool:
 
 class FiniteModule:
     """A module over a truncated or invariant algebra: one exact action
-    matrix per algebra basis element."""
+    matrix per algebra basis element, and optionally a cyclic vector (a sparse
+    vector)."""
 
     def __init__(self, algebra, actions, cyclic=None, check=False):
         self.algebra = algebra
@@ -152,17 +153,16 @@ class FiniteModule:
             self.check_bracket()
 
     def operator(self, coeffs) -> Matrix:
+        """The action of the algebra element with sparse coordinates coeffs."""
         return Matrix.combination(
-            self.field, self.dim, self.dim, zip(coeffs, self.actions)
+            self.field, self.dim, self.dim, ((c, self.actions[k]) for k, c in coeffs.items())
         )
 
     def check_bracket(self):
         check_bracket(self.algebra, self.actions, self.dim)
 
     def is_cyclic_from(self, vec):
-        space = saturate(
-            Subspace(self.dim, [tuple(vec)], fld=self.field), self.actions
-        )
+        space = saturate(Subspace(self.dim, [vec], fld=self.field), self.actions)
         return space.dim == self.dim
 
 
@@ -208,7 +208,7 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
             terms.append((fld.one, slot, factors[slot][1].actions[g_idx]))
         actions.append(kron_slots(fld, dims, terms))
     # highest vector: tensor of the factor highest vectors
-    hw = kron_vector(fld, [m.highest for _, m in factors])
+    hw = kron_vector(fld, dims, [m.highest for _, m in factors])
     return FiniteModule(alg, actions, cyclic=hw)
 
 
@@ -400,19 +400,20 @@ def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True
             for op in module.actions:
                 if not sub.contains(op.apply(b)):
                     raise ValueError("subspace is not invariant under the action")
-    keep = [j for j in range(module.dim) if j not in sub._pivot_set]
-    actions = []
-    for op in module.actions:
-        cols = []
-        for j in keep:
-            v = sub.reduce(op.column(j))
-            cols.append(tuple(v[k] for k in keep))
-        actions.append(Matrix(list(zip(*cols)) if cols else [], ncols=len(keep), fld=fld))
+    pivots = set(sub.pivots)
+    keep = [j for j in range(module.dim) if j not in pivots]
+    pos = {j: k for k, j in enumerate(keep)}
+
+    def image(vec):
+        # the residue is zero at the pivots, so it lives on the kept coordinates
+        return {pos[j]: x for j, x in sub.reduce(vec).items()}
+
+    actions = [
+        Matrix.from_columns(fld, len(keep), [image(op.column(j)) for j in keep])
+        for op in module.actions
+    ]
     cyc = cyclic if cyclic is not None else module.cyclic
-    qcyc = None
-    if cyc is not None:
-        v = sub.reduce(cyc)
-        qcyc = tuple(v[k] for k in keep)
+    qcyc = None if cyc is None else image(cyc)
     return FiniteModule(module.algebra, actions, cyclic=qcyc)
 
 
@@ -447,7 +448,7 @@ def invariant_projection(big: InvariantAlgebra, small: InvariantAlgebra) -> Matr
         raise ValueError("invariant algebras over different data")
     amb = projection_matrix(big.ambient.trunc, small.ambient.trunc)
     cols = [small.coords(amb.apply(b)) for b in big.basis]
-    return Matrix(list(zip(*cols)), ncols=big.dim, fld=big.field)
+    return Matrix.from_columns(big.field, small.dim, cols)
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
@@ -505,5 +506,5 @@ def tensor_product(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
     ]
     cyc = None
     if m1.cyclic is not None and m2.cyclic is not None:
-        cyc = kron_vector(fld, [m1.cyclic, m2.cyclic])
+        cyc = kron_vector(fld, dims, [m1.cyclic, m2.cyclic])
     return FiniteModule(m1.algebra, actions, cyclic=cyc)

@@ -145,7 +145,8 @@ class RootDatum:
         if not lam.is_dominant():
             raise ValueError("weight_interval requires a dominant weight")
         d = self.root_coords(lam - self.w0(lam))
-        assert all(k.denominator == 1 for k in d)
+        if any(k.denominator != 1 for k in d):
+            raise AssertionError("lam - w0(lam) is not in the root lattice")
         box = [range(int(k) + 1) for k in d]
         out = []
         for drops in itertools.product(*box):
@@ -203,7 +204,8 @@ class RootDatum:
                 mults[mu] = 0
                 continue
             val = num / den
-            assert val.denominator == 1 and val >= 0
+            if val.denominator != 1 or val < 0:
+                raise AssertionError("Freudenthal multiplicity is not a nonnegative integer")
             mults[mu] = int(val)
         out = {}
         for mu in interval:
@@ -222,7 +224,8 @@ class RootDatum:
             num *= self.inner(lr, alpha)
             den *= self.inner(self.rho, alpha)
         val = num / den
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise AssertionError("Weyl dimension is not an integer")
         return int(val)
 
 

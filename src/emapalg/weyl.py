@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
-from .linalg import Matrix, Subspace, saturate
+from .linalg import Matrix, Subspace, linear_combination, saturate
 from .repmod import (
     FiniteModule,
     PsiFunction,
@@ -175,26 +175,41 @@ def _dadd(d, k, v):
     d[k] = v if cur is None else cur + v
 
 
+def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
+    """The truncation at exponent max(1, lam(h_theta)) + n_extra on the
+    support, its straightener with cap D + ht(theta) + buffer_extra, and the
+    number of normal monomials inside the weight interval (drop <= D)."""
+    rd = g.rd
+    lam = psi.total_weight()
+    n_trunc = max(1, rd.pairing_htheta(lam)) + n_extra
+    alg = TruncatedAlgebra(g, EtaFunction.of({p: n_trunc for p in psi.support()}))
+    big_d = int(rd.height(lam - rd.w0(lam)))
+    cap = big_d + int(rd.height(rd.theta)) + buffer_extra
+    st = _Straightener(alg, psi, cap, reverse_order=reverse_order)
+    return alg, st, sum(1 for m in st.monomials if st.drop(m) <= big_d)
+
+
+def _lowering_indices(alg: TruncatedAlgebra, i):
+    """Basis indices of f_i tensor 1 at each truncation point, for the simple
+    root i."""
+    fi = alg.g.f(i)
+    return [
+        alg.index[(p_idx, fi, (0,) * p.nvars)] for p_idx, p in enumerate(alg.points)
+    ]
+
+
 def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
     rd = g.rd
     fld = g.field
     lam = psi.total_weight()
-    n_trunc = max(1, rd.pairing_htheta(lam)) + n_extra
-    eta = EtaFunction.of({p: n_trunc for p in psi.support()})
-    alg = TruncatedAlgebra(g, eta)
-    big_d = int(rd.height(lam - rd.w0(lam)))
-    ht_theta = int(rd.height(rd.theta))
-    cap = big_d + ht_theta + buffer_extra
-    st = _Straightener(alg, psi, cap, reverse_order=reverse_order)
+    alg, st, n_low = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20000))
     try:
-        # monomials are sorted by drop, so the weight-interval part is a prefix;
-        # everything beyond drop D is a relation seed, so the whole computation
-        # lives in the quotient by the beyond-interval span
-        n_low = sum(1 for m in st.monomials if st.drop(m) <= big_d)
-
+        # monomials are sorted by drop, so the weight-interval part is a prefix
+        # of n_low monomials; everything beyond drop D is a relation seed, so
+        # the whole computation lives in the quotient by the beyond-interval span
         def low_vec(state):
             """The low part of a state, as a sparse row {index: coefficient}."""
             idx = st.mono_index
@@ -212,10 +227,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
                     seeds.append(low_vec(state))
         for i in range(rd.rank):
             state = {(): fld.one}
-            fi_indices = [
-                alg.index[(p_idx, g.index[("f", _simple_root_index(rd, i))], (0,) * alg.points[p_idx].nvars)]
-                for p_idx in range(len(alg.points))
-            ]
+            fi_indices = _lowering_indices(alg, i)
             for _ in range(lam.coords[i] + 1):
                 nxt = {}
                 for m, c in state.items():
@@ -233,12 +245,12 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
         sys.setrecursionlimit(old_limit)
 
     ambient = FiniteModule(alg, ops)
-    cyc = [fld.zero] * n_low
-    cyc[st.mono_index[()]] = fld.one
-    if rel.contains(tuple(cyc)):
+    cyc = {st.mono_index[()]: fld.one}
+    if rel.contains(cyc):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
-    mod = quotient_module(ambient, rel, cyclic=tuple(cyc), check=False)
-    keep = [j for j in range(n_low) if j not in rel._pivot_set]
+    mod = quotient_module(ambient, rel, cyclic=cyc, check=False)
+    pivots = set(rel.pivots)
+    keep = [j for j in range(n_low) if j not in pivots]
     weights = [
         lam - _drop_weight(rd, st, st.monomials[j]) for j in keep
     ]
@@ -248,21 +260,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
     """Upper bound on dim W(psi): the number of normal PBW monomials inside
     the weight interval, from the enumeration alone (no matrices built)."""
-    rd = g.rd
-    lam = psi.total_weight()
-    n_trunc = max(1, rd.pairing_htheta(lam))
-    eta = EtaFunction.of({p: n_trunc for p in psi.support()})
-    alg = TruncatedAlgebra(g, eta)
-    big_d = int(rd.height(lam - rd.w0(lam)))
-    cap = big_d + int(rd.height(rd.theta))
-    st = _Straightener(alg, psi, cap)
-    return sum(1 for m in st.monomials if st.drop(m) <= big_d)
-
-
-def _simple_root_index(rd, i):
-    return rd.positive_roots.index(
-        tuple(1 if j == i else 0 for j in range(rd.rank))
-    )
+    return _straighten(g, psi)[2]
 
 
 def _drop_weight(rd, st, mono):
@@ -289,31 +287,27 @@ def weyl_module(g, psi: PsiFunction, certify=True) -> WeylModule:
         kind = g.labels[g_idx][0]
         v = mod.actions[idx].apply(mod.cyclic)
         if kind == "e":
-            if any(not c.is_zero() for c in v):
+            if v:
                 raise CertificationError(
                     "n+ does not annihilate the cyclic vector",
                     relation=("e", alg.basis[idx]),
                 )
         elif kind == "h":
             c = st._char_scalar(p_idx, g_idx, mono)
-            if tuple(x * c for x in mod.cyclic) != tuple(v):
+            if linear_combination([(c, mod.cyclic)]) != v:
                 raise CertificationError(
                     "h does not act by the psi character",
                     relation=("h", alg.basis[idx]),
                 )
     for i in range(rd.rank):
-        fi_indices = [
-            alg.index[(p_idx, g.index[("f", _simple_root_index(rd, i))], (0,) * alg.points[p_idx].nvars)]
-            for p_idx in range(len(alg.points))
-        ]
+        # f_i tensor 1 summed over the points
+        f_i = Matrix.combination(
+            fld, mod.dim, mod.dim, [(fld.one, mod.actions[ai]) for ai in _lowering_indices(alg, i)]
+        )
         v = mod.cyclic
         for _ in range(lam.coords[i] + 1):
-            acc = [fld.zero] * mod.dim
-            for ai in fi_indices:
-                w = mod.actions[ai].apply(v)
-                acc = [a + b for a, b in zip(acc, w)]
-            v = tuple(acc)
-        if any(not c.is_zero() for c in v):
+            v = f_i.apply(v)
+        if v:
             raise CertificationError(
                 "Weyl power relation fails", relation=("f-power", i)
             )
@@ -444,11 +438,7 @@ def head(module: FiniteModule) -> FiniteModule:
     alg = module.algebra
     cart = [module.actions[i] for i in _cartan_basis_indices(alg)]
     # top character values on the cyclic vector
-    scalars = []
-    for op in cart:
-        v = op.apply(module.cyclic)
-        c = _ratio(v, module.cyclic, fld)
-        scalars.append(c)
+    scalars = [_ratio(op.apply(module.cyclic), module.cyclic, fld) for op in cart]
     # complement: joint kernel of prod (op - c) does not suit directly; use
     # the span of images of (op_k - c_k) over all k, which misses the top line
     comp = Subspace(module.dim, (), fld=fld)
@@ -461,33 +451,31 @@ def head(module: FiniteModule) -> FiniteModule:
             comp.add_vector(shifted.column(j))
     # greatest invariant subspace inside comp: iterate
     # U <- {v in U : op(v) in U for all ops} until stable
+    n = module.dim
     cur = comp
     while cur.dim:
+        basis = cur.basis
+        # column k: the residues of op(b_k) modulo cur, one block per op
         cols = []
-        for b in cur.basis:
-            col = []
-            for op in module.actions:
-                col.extend(cur.reduce(op.apply(b)))
-            cols.append(tuple(col))
-        ker = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld).nullspace()
+        for b in basis:
+            col = {}
+            for t, op in enumerate(module.actions):
+                col.update((t * n + j, x) for j, x in cur.reduce(op.apply(b)).items())
+            cols.append(col)
+        ker = Matrix.from_columns(fld, len(module.actions) * n, cols).nullspace()
         if ker.dim == cur.dim:
             break
-        vecs = []
-        for kv in ker.basis:
-            amb = [fld.zero] * module.dim
-            for c, b in zip(kv, cur.basis):
-                if not c.is_zero():
-                    amb = [x + c * y for x, y in zip(amb, b)]
-            vecs.append(tuple(amb))
-        cur = Subspace(module.dim, vecs, fld=fld)
+        vecs = [linear_combination((c, basis[k]) for k, c in kv.items()) for kv in ker.basis]
+        cur = Subspace(n, vecs, fld=fld)
     return quotient_module(module, cur)
 
 
 def _ratio(v, w, fld):
-    for a, b in zip(v, w):
-        if not b.is_zero():
-            return a * b.inverse()
-    return fld.zero
+    """v[k] / w[k] at the first nonzero coordinate k of w (zero if w is)."""
+    if not w:
+        return fld.zero
+    k = min(w)
+    return v[k] * w[k].inverse() if k in v else fld.zero
 
 
 def hw_quotient_check(module: FiniteModule):
@@ -509,7 +497,7 @@ def hw_quotient_check(module: FiniteModule):
             idx = alg.index[(p_idx, g.h(i), (0,) * nvars)]
             v = module.actions[idx].apply(module.cyclic)
             c = _ratio(v, module.cyclic, fld)
-            if tuple(x * c for x in module.cyclic) != tuple(v):
+            if linear_combination([(c, module.cyclic)]) != v:
                 raise ValueError("cyclic vector is not a joint weight vector")
             coords.append(int(c.as_rational()))
         values[p] = Weight(tuple(coords))
@@ -529,10 +517,10 @@ def hw_quotient_check(module: FiniteModule):
     cols = [t.apply(wc.cyclic) for t in homs]
     if not cols:
         return psi, None
-    sol = Matrix(list(zip(*cols)), ncols=len(cols), fld=fld).solve(mc.cyclic)
+    sol = Matrix.from_columns(fld, mc.dim, cols).solve(mc.cyclic)
     if sol is None:
         return psi, None
-    acc = Matrix.combination(fld, mc.dim, wc.dim, zip(sol, homs))
+    acc = Matrix.combination(fld, mc.dim, wc.dim, ((c, homs[k]) for k, c in sol.items()))
     if acc.rank() != module.dim:
         return psi, None
     return psi, acc

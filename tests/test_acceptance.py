@@ -106,8 +106,9 @@ def test_criterion_02_constructive_lift():
                     exps[pt(fld, 2)] = rng.randint(1, 2)
                 eta = EtaFunction.of(exps)
                 x = rng.choice(sorted(eta.support(), key=lambda p: p.sort_key()))
-                a = tuple(fld.scalar(rng.randint(-2, 2)) for _ in range(g.dim))
-                if all(c.is_zero() for c in a):
+                draws = [rng.randint(-2, 2) for _ in range(g.dim)]
+                a = {i: fld.scalar(c) for i, c in enumerate(draws) if c}
+                if not a:
                     a = g.basis_vector(0)
                 f = t ** rng.randint(0, 2) + LaurentFunction.constant(
                     1, fld.scalar(rng.randint(0, 3))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emapalg.fields import QQ, field
+from emapalg.linalg import linear_combination
 from emapalg.liealg import (
     GAutomorphism,
     build_sl,
@@ -41,11 +42,9 @@ def test_bad_rank():
 )
 def test_jacobi_and_antisymmetry(n, a, b, c):
     g = build_sl(n)
-    u = tuple(QQ.scalar(x) for x in a[: g.dim]) + (QQ.zero,) * max(0, g.dim - 8)
-    v = tuple(QQ.scalar(x) for x in b[: g.dim]) + (QQ.zero,) * max(0, g.dim - 8)
-    w = tuple(QQ.scalar(x) for x in c[: g.dim]) + (QQ.zero,) * max(0, g.dim - 8)
-    zero = (QQ.zero,) * g.dim
-    add = lambda x, y: tuple(p + q for p, q in zip(x, y))
+    u, v, w = ({i: QQ.scalar(x) for i, x in enumerate(xs[: g.dim]) if x} for xs in (a, b, c))
+    zero = {}
+    add = lambda x, y: linear_combination([(QQ.one, x), (QQ.one, y)])
     assert add(g.bracket(u, v), g.bracket(v, u)) == zero
     jac = add(
         add(g.bracket(u, g.bracket(v, w)), g.bracket(v, g.bracket(w, u))),
@@ -58,8 +57,8 @@ def test_sl2_relations():
     g = build_sl(2)
     e, f, h = (g.basis_vector(g.e(0)), g.basis_vector(g.f(0)), g.basis_vector(g.h(0)))
     assert g.bracket(e, f) == h
-    assert g.bracket(h, e) == tuple(QQ.scalar(2) * x for x in e)
-    assert g.bracket(h, f) == tuple(QQ.scalar(-2) * x for x in f)
+    assert g.bracket(h, e) == {k: QQ.scalar(2) * x for k, x in e.items()}
+    assert g.bracket(h, f) == {k: QQ.scalar(-2) * x for k, x in f.items()}
 
 
 def test_natural_module_character():
@@ -99,6 +98,35 @@ def test_irreducible_dims(n, coords, dim):
     mod = irreducible_module(g, Weight(coords))
     assert mod.dim == dim
     assert mod.character() == g.rd.freudenthal_mults(Weight(coords))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_highest_is_a_highest_weight_vector(n):
+    """For the natural module, an exterior power and the irreducibles,
+    `highest` is a sparse vector killed by every e and an h-eigenvector with
+    the eigenvalues lam."""
+    g = build_sl(n)
+    rank = g.rd.rank
+    nat = natural_module(g)
+    unit = lambda i: Weight(tuple(int(j == i) for j in range(rank)))
+    cases = [
+        (nat, unit(0)),
+        (exterior_power(nat, 2), unit(1)),
+        (irreducible_module(g, Weight((1,) * rank)), Weight((1,) * rank)),
+        (irreducible_module(g, Weight((2,) + (0,) * (rank - 1))), Weight((2,) + (0,) * (rank - 1))),
+        (irreducible_module(g, Weight((0,) * rank)), Weight((0,) * rank)),
+    ]
+    for mod, lam in cases:
+        hw = mod.highest
+        assert isinstance(hw, dict) and hw
+        assert all(0 <= k < mod.dim and not x.is_zero() for k, x in hw.items())
+        for label, idx in g.index.items():
+            if label[0] == "e":
+                assert mod.actions[idx].apply(hw) == {}
+        for i in range(rank):
+            c = QQ.scalar(lam.coords[i])
+            expect = linear_combination([(c, hw)])
+            assert mod.actions[g.h(i)].apply(hw) == expect
 
 
 def test_adjoint_zero_weight_mult():

@@ -16,6 +16,7 @@ from emapalg.linalg import (
     joint_eigenspaces,
     kron_slots,
     kron_vector,
+    linear_combination,
     restrict_operator,
     rref,
     saturate,
@@ -29,7 +30,8 @@ def _mat(rows):
 
 
 def _vec(xs):
-    return tuple(QQ.scalar(x) for x in xs)
+    """The sparse vector with the given integer coordinates."""
+    return {i: QQ.scalar(x) for i, x in enumerate(xs) if x}
 
 
 def _dense_rref(rows, ncols):
@@ -93,6 +95,10 @@ def _densify(row, n, fld):
     return tuple(row.get(c, fld.zero) for c in range(n))
 
 
+def _sparsify(row):
+    return {c: x for c, x in enumerate(row) if not x.is_zero()}
+
+
 @st.composite
 def _sparse_matrices(draw):
     """(field, dense rows, ncols): up to 4 x 5 over QQ or Q(zeta_3), about
@@ -121,12 +127,16 @@ def test_sparse_rows_agree_with_dense_reference(drawn, data):
     assert [_densify(r, ncols, fld) for r in got_rows] == ref_rows
     assert rref(rows, ncols) == (got_rows, got_pivots)
     assert m.rank() == len(ref_pivots)
-    assert m.nullspace().basis == _ref_nullspace(rows, ncols, fld)
+    assert [_densify(v, ncols, fld) for v in m.nullspace().basis] == _ref_nullspace(
+        rows, ncols, fld
+    )
     # one consistent right-hand side, one arbitrary
     x = data.draw(st.lists(_ints, min_size=ncols, max_size=ncols))
     b = data.draw(st.lists(_ints, min_size=len(rows), max_size=len(rows)))
-    for rhs in (m.apply(tuple(map(fld.scalar, x))), tuple(map(fld.scalar, b))):
-        assert m.solve(rhs) == _ref_solve(rows, rhs, ncols, fld)
+    for rhs in (m.apply(_sparsify(map(fld.scalar, x))), _sparsify(map(fld.scalar, b))):
+        sol = m.solve(rhs)
+        ref = _ref_solve(rows, _densify(rhs, len(rows), fld), ncols, fld)
+        assert (None if sol is None else _densify(sol, ncols, fld)) == ref
     k = min(len(rows), ncols)
     square = [r[:k] for r in rows[:k]]
     inv = Matrix(square, ncols=k, fld=fld).inverse()
@@ -140,8 +150,79 @@ def test_sparse_rows_agree_with_dense_reference(drawn, data):
     for i, row in enumerate(rows):
         before = _dense_rref(rows[:i], ncols)[0]
         after = _dense_rref(rows[: i + 1], ncols)[0]
-        assert sub.add_vector(row) == (len(after) > len(before))
-        assert sub.basis == after
+        assert sub.add_vector(_sparsify(row)) == (len(after) > len(before))
+        assert [_densify(v, ncols, fld) for v in sub.basis] == after
+
+
+def _check_vec(v, n):
+    """v is a sparse vector of a space of dimension n: a dict with in-range
+    int keys and no zero value."""
+    assert isinstance(v, dict)
+    for c, x in v.items():
+        assert isinstance(c, int) and 0 <= c < n
+        assert not x.is_zero()
+
+
+def _dense_apply(rows, x, fld):
+    out = []
+    for row in rows:
+        acc = fld.zero
+        for a, b in zip(row, x):
+            acc = acc + a * b
+        out.append(acc)
+    return tuple(out)
+
+
+def _dense_residue(basis, pivots, v):
+    """v modulo reduced echelon dense rows, with their pivot columns."""
+    v = list(v)
+    for row, p in zip(basis, pivots):
+        c = v[p]
+        v = [a - c * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices(), st.data())
+def test_sparse_api_contract(drawn, data):
+    """Every vector linalg returns is a sparse row that equals its dense
+    reference, and a basis once taken does not change."""
+    fld, rows, ncols = drawn
+    nrows = len(rows)
+    m = Matrix(rows, ncols=ncols, fld=fld)
+    for j in range(ncols):
+        col = m.column(j)
+        _check_vec(col, nrows)
+        assert _densify(col, nrows, fld) == tuple(r[j] for r in rows)
+    x = tuple(map(fld.scalar, data.draw(st.lists(_ints, min_size=ncols, max_size=ncols))))
+    image = m.apply(_sparsify(x))
+    _check_vec(image, nrows)
+    assert _densify(image, nrows, fld) == _dense_apply(rows, x, fld)
+    sol = m.solve(image)
+    _check_vec(sol, ncols)
+    assert _densify(sol, ncols, fld) == _ref_solve(rows, _dense_apply(rows, x, fld), ncols, fld)
+    ker = m.nullspace().basis
+    for v in ker:
+        _check_vec(v, ncols)
+    assert [_densify(v, ncols, fld) for v in ker] == _ref_nullspace(rows, ncols, fld)
+
+    sub = Subspace(ncols, [_sparsify(r) for r in rows[:-1]], fld=fld)
+    ref_basis, ref_pivots = _dense_rref(rows[:-1], ncols)
+    basis = sub.basis
+    for v in basis:
+        _check_vec(v, ncols)
+    assert [_densify(v, ncols, fld) for v in basis] == ref_basis
+    res = sub.reduce(_sparsify(rows[-1]))
+    _check_vec(res, ncols)
+    assert _densify(res, ncols, fld) == _dense_residue(ref_basis, ref_pivots, rows[-1])
+    snapshot = [dict(v) for v in basis]
+    sub.add_vector(_sparsify(rows[-1]))
+    assert basis == snapshot
+
+    y = tuple(map(fld.scalar, data.draw(st.lists(_ints, min_size=2, max_size=2))))
+    kron = kron_vector(fld, [ncols, 2], [_sparsify(x), _sparsify(y)])
+    _check_vec(kron, 2 * ncols)
+    assert _densify(kron, 2 * ncols, fld) == tuple(a * b for a in x for b in y)
 
 
 def test_entries_that_cancel_are_dropped():
@@ -169,7 +250,7 @@ def test_nullspace_annihilates(rows):
     ns = m.nullspace()
     assert ns.dim == 3 - m.rank()
     for b in ns.basis:
-        assert all(x.is_zero() for x in m.apply(b))
+        assert m.apply(b) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +286,7 @@ def test_subspace_reduce_membership(vectors, probe):
     # residue reduces to itself
     assert s.reduce(res) == res
     grew = s.add_vector(_vec(probe))
-    assert grew == (not all(x.is_zero() for x in res))
+    assert grew == (res != {})
     assert s.contains(_vec(probe))
 
 
@@ -250,7 +331,7 @@ def test_eigenspaces_cyclotomic():
     rot = Matrix(
         [[F.zero, -F.one], [F.one, F.zero]], ncols=2, fld=F
     )  # eigenvalues +-i
-    amb = Subspace(2, [(F.one, F.zero), (F.zero, F.one)], fld=F)
+    amb = Subspace(2, [{0: F.one}, {1: F.one}], fld=F)
     eig = joint_eigenspaces([rot], amb, [F.zeta, -F.zeta])
     assert sorted(str(k[0]) for k in eig) == sorted([str(F.zeta), str(-F.zeta)])
 
@@ -292,7 +373,7 @@ def test_kron_slots_entrywise(a, b, c):
         for p in range(2)
     ]
     assert m == _mat(expect)
-    assert kron_vector(QQ, [_vec(a[0]), _vec(b[0])]) == _vec(
+    assert kron_vector(QQ, [2, 3], [_vec(a[0]), _vec(b[0])]) == _vec(
         [x * y for x in a[0] for y in b[0]]
     )
 
@@ -306,7 +387,7 @@ def test_hom_action_is_commutator_on_row_major_matrices(a1, a2, t):
     image = Matrix.combination(
         QQ, 3, 2, [(QQ.one, image), (-QQ.one, tm.matmul(_mat(a1)))]
     )
-    flat = tuple(image.column(c)[r] for r in range(3) for c in range(2))
+    flat = {2 * r + c: x for r, c, x in image.nonzeros()}
     assert hom_action(_mat(a1), _mat(a2)).apply(_vec(t)) == flat
 
 
@@ -329,9 +410,10 @@ def test_column_nonzeros_and_combination(rows, c):
     for j in range(m.ncols):
         unit = _vec([_delta(i, j) for i in range(m.ncols)])
         assert m.column(j) == m.apply(unit)
-    assert Matrix(
-        list(zip(*(m.column(j) for j in range(m.ncols)))), ncols=m.ncols, fld=QQ
-    ) == m
+    assert Matrix.from_columns(QQ, m.nrows, [m.column(j) for j in range(m.ncols)]) == m
+    assert linear_combination(
+        [(QQ.scalar(c), m.column(0)), (QQ.one, m.column(0)), (QQ.zero, m.column(1))]
+    ) == {r: QQ.scalar((c + 1) * row[0]) for r, row in enumerate(rows) if (c + 1) * row[0]}
     twice = Matrix.combination(
         QQ, m.nrows, m.ncols, [(QQ.scalar(c), m), (QQ.one, m), (QQ.zero, m)]
     )
@@ -340,7 +422,8 @@ def test_column_nonzeros_and_combination(rows, c):
 
 def test_only_linalg_knows_matrix_storage():
     """No module but linalg reads the sparse rows of a Matrix or a Subspace,
-    scatters through them, or imports a private linalg name."""
+    their pivot layout or a private constructor, or imports a private linalg
+    name."""
     src = Path(emapalg.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -348,11 +431,29 @@ def test_only_linalg_knows_matrix_storage():
             continue
         text = path.read_text()
         offenders += [
-            (path.name, token) for token in (".entries", "._rows", "._image(") if token in text
+            (path.name, token)
+            for token in (
+                ".entries", "._rows", "._image(", "._pivot_set", "._basis", "._of(",
+                "._matrix(", "._residue(",
+            )
+            if token in text
         ]
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg":
                 offenders += [
                     (path.name, alias.name) for alias in node.names if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_no_bare_assert_in_package():
+    """Checks on computed results raise explicitly: `python -O` strips assert
+    statements."""
+    src = Path(emapalg.__file__).parent
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
     assert offenders == []
