@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json.
+
+    python3 scripts/stress.py --out BENCH.json [--src DIR]
+
+Each probe runs ``emapalg.cli.main`` once, in a fresh child process, and
+records its wall time (the ``main`` call only, not interpreter start-up),
+the child's peak RSS, the Python version, the core count and the scalar
+backend (gmpy2 or fractions).  Every answer is checked against a closed
+form: the Weyl and twist dimensions against the Chari-Loktev formula
+dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
+points, and the battery verdict against PASS.
+
+--src imports emapalg from another checkout's ``src`` directory, so the
+same harness measures two versions on the same machine.  The result goes
+to --out as JSON and to standard output; the exit code is nonzero when a
+probe fails or gives a wrong answer.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURE = os.path.join(ROOT, "fixtures", "sl3_stress.json")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from checks import chari_loktev_dim  # noqa: E402
+
+# name -> CLI arguments after the scenario path
+PROBES = {
+    "weyl psi_2w1": ["weyl", "psi_2w1"],
+    "weyl psi_w1w2": ["weyl", "psi_w1w2"],
+    "weyl psi_two_point": ["weyl", "psi_two_point"],
+    "twist psi_w1w2_eq": ["twist", "psi_w1w2_eq"],
+    "battery psi_w1w2_eq": ["battery", "psi_w1w2_eq", "--bound", "1"],
+}
+TIMEOUT_S = 900
+
+
+def expected_dim(scenario, psi_name):
+    """Chari-Loktev dimension of the local Weyl module of a scenario psi:
+    the product over its points of the one-point type-A formula."""
+    rank = int(scenario["lie_type"][1:])
+    dim = 1
+    for weight in scenario["psi"][psi_name]["values"].values():
+        dim *= chari_loktev_dim(rank, weight)
+    return dim
+
+
+def check(scenario, args, report):
+    """None when the CLI report is right, else a one-line reason."""
+    results = report["results"]
+    if report["status"] != "ok":
+        return "status %s" % report["status"]
+    if args[0] == "battery":
+        return None if results["verdict"] == "PASS" else "verdict %s" % results["verdict"]
+    want = expected_dim(scenario, args[1])
+    return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
+
+
+def child(src, argv):
+    """Run one CLI call in this process and print its measurements as JSON."""
+    sys.path.insert(0, src)
+    from emapalg import cli, fields
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    wall = time.perf_counter() - start
+    print(json.dumps({
+        "report": json.loads(out.getvalue()),
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "backend": fields._Q.__module__.split(".")[0],
+    }))
+
+
+def run_probe(src, scenario, name):
+    args = PROBES[name]
+    argv = [args[0], FIXTURE] + args[1:] + ["--format", "machine"]
+    entry = {
+        "probe": name,
+        "argv": argv[:1] + [os.path.relpath(FIXTURE, ROOT)] + argv[2:],
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+    }
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", json.dumps(argv), "--src", src],
+            capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
+        )
+    except subprocess.TimeoutExpired:
+        return dict(entry, correct=False, error="timed out after %d s" % TIMEOUT_S)
+    if proc.returncode != 0:
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return dict(entry, correct=False, error="child exit %d: %s" % (proc.returncode, tail))
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    reason = check(scenario, args, res["report"])
+    entry.update(
+        wall_s=res["wall_s"],
+        peak_rss_mb=res["peak_rss_mb"],
+        backend=res["backend"],
+        answer=res["report"]["results"].get("verdict", res["report"]["results"].get("dim")),
+        correct=reason is None,
+    )
+    if reason is not None:
+        entry["error"] = reason
+    return entry
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", help="write the result JSON here")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory to import emapalg from")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if args.child is not None:
+        child(src, json.loads(args.child))
+        return 0
+    with open(FIXTURE) as fh:
+        scenario = json.load(fh)
+    probes = [run_probe(src, scenario, name) for name in PROBES]
+    result = {
+        "fixture": os.path.relpath(FIXTURE, ROOT),
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "machine": platform.machine(),
+        "probes": probes,
+    }
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0 if all(p["correct"] for p in probes) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -159,9 +159,6 @@ class EtaFunction:
     def max_exponent(self):
         return max((e for _, e in self.assignments), default=0)
 
-    def is_empty(self):
-        return not self.assignments
-
     def __le__(self, other):
         return all(e <= other[p] for p, e in self.assignments)
 
@@ -447,10 +444,6 @@ def validate_free_and_Xstar(group: GammaGroup, points):
         "x_star_ok": xok,
         "x_star_violations": x_viol,
     }
-
-
-def gamma_orbit(group, p):
-    return group.orbit(p)
 
 
 def xi_component(group: GammaGroup, f: LaurentFunction, xi) -> LaurentFunction:

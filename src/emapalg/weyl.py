@@ -5,7 +5,6 @@ evaluation isomorphism, and the structural checks that come with them
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction, jet_monomials
@@ -177,8 +176,9 @@ def _dadd(d, k, v):
 
 def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
     """The truncation at exponent max(1, lam(h_theta)) + n_extra on the
-    support, its straightener with cap D + ht(theta) + buffer_extra, and the
-    number of normal monomials inside the weight interval (drop <= D)."""
+    support, its straightener with cap D + ht(theta) + buffer_extra, the
+    largest drop D = ht(lam - w0 lam) inside the weight interval, and the
+    number of normal monomials with drop <= D."""
     rd = g.rd
     lam = psi.total_weight()
     n_trunc = max(1, rd.pairing_htheta(lam)) + n_extra
@@ -186,7 +186,7 @@ def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     big_d = int(rd.height(lam - rd.w0(lam)))
     cap = big_d + int(rd.height(rd.theta)) + buffer_extra
     st = _Straightener(alg, psi, cap, reverse_order=reverse_order)
-    return alg, st, sum(1 for m in st.monomials if st.drop(m) <= big_d)
+    return alg, st, big_d, sum(1 for m in st.monomials if st.drop(m) <= big_d)
 
 
 def _lowering_indices(alg: TruncatedAlgebra, i):
@@ -198,54 +198,74 @@ def _lowering_indices(alg: TruncatedAlgebra, i):
     ]
 
 
+def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, big_d, n_low):
+    """The push-downs into the weight interval (drop <= D) of the normal
+    monomials beyond it, as sparse rows over the first n_low monomials.
+
+    act is weight-homogeneous, and drop is a function of weight: f_alpha
+    tensor u raises the drop by ht(alpha), h tensor u keeps it, and e_alpha
+    tensor u lowers it by ht(alpha).  So only e_alpha tensor u acting on a
+    monomial m with D < drop(m) <= D + ht(alpha) can reach the interval, and
+    then its whole image lies there.  The pairs are visited in the order of
+    the loop over every (monomial, basis element) pair, so the seed list is
+    the same list in the same order."""
+    g = alg.g
+    raising = [
+        (ai, sum(g.rd.positive_roots[g.labels[g_idx][1]]))
+        for ai, (_, g_idx, _) in enumerate(alg.basis)
+        if g.labels[g_idx][0] == "e"
+    ]
+    top = max(ht for _, ht in raising)
+    idx = st.mono_index
+    seeds = []
+    # monomials are sorted by drop, so past drop D + ht(theta) none can seed
+    for m in st.monomials[n_low:]:
+        excess = st.drop(m) - big_d
+        if excess > top:
+            break
+        for ai, ht in raising:
+            if ht >= excess:
+                # act never returns a zero coefficient, so a nonempty image
+                # is a nonzero seed
+                state = st.act(ai, m)
+                if state:
+                    seeds.append({idx[m2]: c for m2, c in state.items()})
+    return seeds
+
+
 def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
     rd = g.rd
     fld = g.field
     lam = psi.total_weight()
-    alg, st, n_low = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
+    alg, st, big_d, n_low = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20000))
-    try:
-        # monomials are sorted by drop, so the weight-interval part is a prefix
-        # of n_low monomials; everything beyond drop D is a relation seed, so
-        # the whole computation lives in the quotient by the beyond-interval span
-        def low_vec(state):
-            """The low part of a state, as a sparse row {index: coefficient}."""
-            idx = st.mono_index
-            return {idx[m]: c for m, c in state.items() if idx[m] < n_low}
+    # monomials are sorted by drop, so the weight-interval part is a prefix
+    # of n_low monomials; everything beyond drop D is a relation seed, so the
+    # whole computation lives in the quotient by the beyond-interval span.
+    # The relation seeds inside the low part are the push-downs of the
+    # beyond-interval monomials (only e_alpha tensor u can push one down,
+    # see _push_down_seeds), plus the Weyl powers f_i^(lam_i + 1) w.
+    seeds = _push_down_seeds(alg, st, big_d, n_low)
+    idx = st.mono_index
+    for i in range(rd.rank):
+        state = {(): fld.one}
+        fi_indices = _lowering_indices(alg, i)
+        for _ in range(lam.coords[i] + 1):
+            nxt = {}
+            for m, c in state.items():
+                for ai in fi_indices:
+                    for m2, c2 in st.act(ai, m).items():
+                        _dadd(nxt, m2, c * c2)
+            state = {m: c for m, c in nxt.items() if not c.is_zero()}
+        seeds.append({idx[m]: c for m, c in state.items() if idx[m] < n_low})
 
-        # relation subspace seeds inside the low part: push-downs of the
-        # beyond-interval monomials, plus the Weyl powers
-        seeds = []
-        # act never returns a zero coefficient, so a push-down is nonzero
-        # exactly when it reaches a low monomial
-        for m in st.monomials[n_low:]:
-            for ai in range(alg.dim):
-                state = st.act(ai, m)
-                if any(st.mono_index[m2] < n_low for m2 in state):
-                    seeds.append(low_vec(state))
-        for i in range(rd.rank):
-            state = {(): fld.one}
-            fi_indices = _lowering_indices(alg, i)
-            for _ in range(lam.coords[i] + 1):
-                nxt = {}
-                for m, c in state.items():
-                    for ai in fi_indices:
-                        for m2, c2 in st.act(ai, m).items():
-                            _dadd(nxt, m2, c * c2)
-                state = {m: c for m, c in nxt.items() if not c.is_zero()}
-            seeds.append(low_vec(state))
+    # induced operators on the low quotient
+    ops = [st.operator_matrix(ai, n_low) for ai in range(alg.dim)]
 
-        # induced operators on the low quotient
-        ops = [st.operator_matrix(ai, n_low) for ai in range(alg.dim)]
-
-        rel = saturate(Subspace(n_low, seeds, fld=fld), ops)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    rel = saturate(Subspace(n_low, seeds, fld=fld), ops)
 
     ambient = FiniteModule(alg, ops)
-    cyc = {st.mono_index[()]: fld.one}
+    cyc = {idx[()]: fld.one}
     if rel.contains(cyc):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
     mod = quotient_module(ambient, rel, cyclic=cyc, check=False)
@@ -260,7 +280,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
     """Upper bound on dim W(psi): the number of normal PBW monomials inside
     the weight interval, from the enumeration alone (no matrices built)."""
-    return _straighten(g, psi)[2]
+    return _straighten(g, psi)[3]
 
 
 def _drop_weight(rd, st, mono):

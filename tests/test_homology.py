@@ -13,7 +13,7 @@ from emapalg.homology import (
     h1,
     hom_module,
 )
-from emapalg.liealg import build_sl, irreducible_module, natural_module
+from emapalg.liealg import LieAlgebra, build_sl, irreducible_module, natural_module
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
     PsiFunction,
@@ -45,17 +45,52 @@ def test_whitehead_vanishing_semisimple():
     assert dim == 0
 
 
-def test_abelian_h1():
-    # one-dimensional abelian Lie algebra on the trivial module: H^1 = k
-    class Abelian:
-        dim = 1
-        _table = {(0, 0): ()}
+class _TableAlgebra(LieAlgebra):
+    """A Lie algebra over QQ given by its nonzero brackets [x_i, x_j], i < j."""
 
-    one = Matrix([[QQ.zero]], ncols=1, fld=QQ)
-    cx = CEComplex(Abelian(), [one], 1, QQ)
-    assert cx.h0_dim() == 1
+    field = QQ
+
+    def __init__(self, dim, brackets):
+        self.dim = dim
+        self._table = {}
+        for (i, j), terms in brackets.items():
+            self._table[(i, j)] = tuple(terms)
+            self._table[(j, i)] = tuple((k, -c) for k, c in terms)
+
+    def bracket_terms(self, i, j):
+        return self._table.get((i, j), ())
+
+
+def _trivial_h(L):
+    """(H^0, H^1) of L on the one-dimensional trivial module."""
+    zero = Matrix.from_triples(QQ, 1, 1, ())
+    cx = CEComplex(L, [zero] * L.dim, 1, QQ)
     dim, reps = cx.h1()
-    assert dim == 1 and len(reps) == 1
+    assert len(reps) == dim
+    return cx.h0_dim(), dim
+
+
+def test_abelian_h1():
+    # two-dimensional abelian: H^1 = (L / [L, L])^* = L^*
+    L = _TableAlgebra(2, {})
+    L.check_jacobi(samples=None)
+    assert _trivial_h(L) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "L, expected_h1",
+    [
+        # [x, y] = y: [L, L] = ky, so H^1 = 1; without the bracket term of
+        # d1 it would read 2
+        (_TableAlgebra(2, {(0, 1): [(1, QQ.one)]}), 1),
+        # sl2 is perfect
+        (build_sl(2), 0),
+    ],
+    ids=["affine-line", "sl2"],
+)
+def test_nonabelian_h1(L, expected_h1):
+    L.check_jacobi(samples=None)
+    assert _trivial_h(L) == (1, expected_h1)
 
 
 def test_hom_module_dimension():

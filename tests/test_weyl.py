@@ -1,5 +1,11 @@
 """Local Weyl modules: certified construction, twisting, tensor structure."""
 
+import os
+import subprocess
+import sys
+from math import comb, prod
+from pathlib import Path
+
 import pytest
 
 from emapalg.coordalg import EtaFunction
@@ -15,6 +21,8 @@ from emapalg.repmod import (
 from emapalg.rootdata import Weight
 from emapalg.weyl import (
     CertificationError,
+    _push_down_seeds,
+    _straighten,
     check_choice_independence,
     check_gamma_twist,
     head,
@@ -163,3 +171,81 @@ def test_certificate_structure():
     assert w.certificate["bracket"] == "verified"
     assert w.certificate["cyclic"] is True
     assert w.certificate["weights_in_interval"] is True
+
+
+def _exhaustive_seeds(alg, st, n_low):
+    """Push-downs of every beyond-interval monomial by every basis element
+    that reach the interval, restricted to it."""
+    idx = st.mono_index
+    seeds = []
+    for m in st.monomials[n_low:]:
+        for ai in range(alg.dim):
+            state = st.act(ai, m)
+            if any(idx[m2] < n_low for m2 in state):
+                seeds.append({idx[m2]: c for m2, c in state.items() if idx[m2] < n_low})
+    return seeds
+
+
+@pytest.mark.parametrize(
+    "n, mapping",
+    [(2, {1: (3,)}), (3, {1: (1, 1)}), (2, {1: (2,), 2: (1,)})],
+    ids=["A1-3w", "A2-w1+w2", "A1-2w@a+w@b"],
+)
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"buffer_extra": 1}, {"reverse_order": True}],
+    ids=["base", "buffer+1", "reversed"],
+)
+def test_push_down_seeds_match_exhaustive_loop(n, mapping, kwargs):
+    g = build_sl(n)
+    alg, st, big_d, n_low = _straighten(g, _psi(QQ, mapping), **kwargs)
+    assert _push_down_seeds(alg, st, big_d, n_low) == _exhaustive_seeds(alg, st, n_low)
+
+
+def test_weyl_build_runs_under_a_low_recursion_limit():
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(150)\n"
+        "from emapalg.coordalg import Point\n"
+        "from emapalg.fields import QQ\n"
+        "from emapalg.liealg import build_sl\n"
+        "from emapalg.repmod import PsiFunction\n"
+        "from emapalg.rootdata import Weight\n"
+        "from emapalg.weyl import weyl_module\n"
+        "for n, lam in ((3, (1, 1)), (2, (4,))):\n"
+        "    psi = PsiFunction.of({Point((QQ.scalar(1),)): Weight(lam)})\n"
+        "    print(weyl_module(build_sl(n), psi).dim)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["9", "16"]
+    for file in sorted(src.rglob("*.py")):
+        assert "setrecursionlimit" not in file.read_text(), file
+
+
+def _chari_loktev_dim(rank, lam):
+    """dim W(lam) at one point in type A_rank: prod_i C(rank + 1, i) ** lam_i
+    (Chari-Loktev 2006)."""
+    return prod(comb(rank + 1, i) ** k for i, k in enumerate(lam, start=1))
+
+
+@pytest.mark.parametrize(
+    "n, mapping",
+    [(2, {1: (m,)}) for m in (1, 2, 3, 4)]
+    + [(3, {1: lam}) for lam in ((1, 0), (0, 1), (1, 1), (2, 0))]
+    + [(4, {1: (1, 0, 0)}), (4, {1: (0, 1, 0)}), (2, {1: (2,), 2: (1,)})],
+    ids=lambda v: str(v).replace(" ", ""),
+)
+def test_weyl_dims_match_chari_loktev(n, mapping):
+    # dimensions multiply over distinct points
+    want = prod(_chari_loktev_dim(n - 1, lam) for lam in mapping.values())
+    assert weyl_module(build_sl(n), _psi(QQ, mapping)).dim == want
