@@ -324,8 +324,10 @@ def weight_spaces(ops, dim, fld):
     module of dimension `dim`, keyed by tuples of integer eigenvalues.
 
     Each operator is an h in an sl2-triple, so its eigenvalues are integers
-    in [1 - dim, dim - 1]; joint_eigenspaces raises if some part of the
-    module is left uncovered."""
+    in [1 - dim, dim - 1].  The modules the system builds have weight bases,
+    so joint_eigenspaces reads the weights off the diagonal of each operator
+    and scans the candidates only for an operator that is not diagonal; it
+    raises if some part of the module is left uncovered."""
     candidates = [fld.scalar(c) for c in range(1 - dim, dim)]
     pieces = joint_eigenspaces(ops, Subspace.full(fld, dim), candidates)
     return {

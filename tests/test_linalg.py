@@ -3,14 +3,17 @@
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emapalg
 from emapalg.fields import QQ, field
+from emapalg.liealg import weight_spaces
 from emapalg.linalg import (
     Matrix,
     Subspace,
+    _scanned_eigenspaces,
     hom_action,
     intersect,
     joint_eigenspaces,
@@ -334,6 +337,99 @@ def test_eigenspaces_cyclotomic():
     amb = Subspace(2, [{0: F.one}, {1: F.one}], fld=F)
     eig = joint_eigenspaces([rot], amb, [F.zeta, -F.zeta])
     assert sorted(str(k[0]) for k in eig) == sorted([str(F.zeta), str(-F.zeta)])
+
+
+def test_eigenspaces_rational_non_diagonal():
+    # the scan: e0 has eigenvalue 1 and e0 + e1 eigenvalue 2; keys follow
+    # the candidate order
+    m = _mat([[1, 1], [0, 2]])
+    cands = [QQ.scalar(c) for c in (2, 1, 0)]
+    eig = joint_eigenspaces([m], Subspace.full(QQ, 2), cands)
+    assert list(eig) == [(cands[0],), (cands[1],)]
+    assert eig[(cands[0],)] == Subspace(2, [_vec([1, 1])], fld=QQ)
+    assert eig[(cands[1],)] == Subspace(2, [_vec([1, 0])], fld=QQ)
+    nilpotent = _mat([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not semisimple"):
+        joint_eigenspaces([nilpotent], Subspace.full(QQ, 2), cands)
+
+
+def _weight_candidates(fld, n):
+    """The candidates of liealg.weight_spaces on a module of dimension n."""
+    return [fld.scalar(c) for c in range(1 - n, n)]
+
+
+def _scan_reference(ops, space, eigenvalues):
+    """joint_eigenspaces with the per-candidate nullspace scan on every
+    piece, diagonal or not."""
+    pieces = {(): space}
+    for op in ops:
+        pieces = {
+            key + (ev,): sub
+            for key, sp in pieces.items()
+            for ev, sub in _scanned_eigenspaces(restrict_operator(op, sp), sp, eigenvalues)
+        }
+    return pieces
+
+
+@st.composite
+def _diagonals_and_conjugator(draw):
+    """(n, [D1, D2], P): two diagonal n x n matrices over QQ with integer
+    entries in [1 - n, n - 1], and a unitriangular P."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=1 - n, max_value=n - 1)
+    diags = [
+        _mat([[draw(entry) if i == j else 0 for j in range(n)] for i in range(n)])
+        for _ in range(2)
+    ]
+    p = _mat([[draw(_ints) if i < j else int(i == j) for j in range(n)] for i in range(n)])
+    return n, diags, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_diagonals_and_conjugator(), st.integers(min_value=1, max_value=2))
+def test_diagonal_read_equals_the_scan(drawn, nops):
+    n, diags, p = drawn
+    diags = diags[:nops]
+    p_inv = p.inverse()
+    conjugates = [p.matmul(d).matmul(p_inv) for d in diags]
+    full = Subspace.full(QQ, n)
+    cands = _weight_candidates(QQ, n)
+    read = joint_eigenspaces(diags, full, cands)
+    # same keys in the same order and the same Subspaces as the scan; with
+    # two operators the second is read on proper pieces
+    assert list(read.items()) == list(_scan_reference(diags, full, cands).items())
+    scanned = joint_eigenspaces(conjugates, full, cands)
+    assert list(scanned) == list(read)
+    for key, sp in read.items():
+        # D v = ev v gives (P D P^-1)(P v) = ev P v
+        assert scanned[key].dim == sp.dim
+        assert scanned[key] == Subspace(n, [p.apply(v) for v in sp.basis], fld=QQ)
+
+
+def test_diagonal_read_matches_candidates_of_another_field():
+    # zeta_8^2 = zeta_4, but the two elements hash apart
+    F4, F8 = field(4), field(8)
+    i = F8.zeta**2
+    d = Matrix([[i, F8.zero], [F8.zero, -i]], ncols=2, fld=F8)
+    full = Subspace.full(F8, 2)
+    cands = [F4.zeta, -F4.zeta]
+    read = joint_eigenspaces([d], full, cands)
+    assert list(read.items()) == list(_scan_reference([d], full, cands).items())
+
+
+def test_diagonal_read_keeps_the_coverage_check():
+    # a diagonal entry that is not a candidate leaves its row uncovered
+    half = QQ.one / QQ.scalar(2)
+    d = Matrix([[half, QQ.zero], [QQ.zero, QQ.one]], ncols=2, fld=QQ)
+    with pytest.raises(ValueError, match="not semisimple"):
+        joint_eigenspaces([d], Subspace.full(QQ, 2), _weight_candidates(QQ, 2))
+    F = field(4)
+    z = Matrix([[F.zeta, F.zero], [F.zero, F.one]], ncols=2, fld=F)
+    with pytest.raises(ValueError, match="not semisimple"):
+        joint_eigenspaces([z], Subspace.full(F, 2), _weight_candidates(F, 2))
+    # an integer weight outside [1 - dim, dim - 1]
+    with pytest.raises(ValueError, match="not semisimple"):
+        weight_spaces([_mat([[2, 0], [0, 0]])], 2, QQ)
 
 
 def _square(n):

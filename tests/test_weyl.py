@@ -7,6 +7,8 @@ from math import comb, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
 from emapalg.fields import QQ, field
@@ -14,6 +16,7 @@ from emapalg.liealg import build_sl, irreducible_module
 from emapalg.repmod import (
     PsiFunction,
     is_isomorphic,
+    joint_weights,
     multiplicities,
     psi_gamma,
     untwist,
@@ -61,8 +64,6 @@ def test_sl2_weight_layers_match_oracle():
         w = weyl_module(g, _psi(QQ, {1: (m,)}))
         layers = weyl_weight_dims_sl2(m)
         # h-weight m - 2d layer of W equals the oracle's degree-d layer
-        from emapalg.repmod import joint_weights
-
         table = joint_weights(w.module)
         for d, dim in layers.items():
             if dim:
@@ -249,3 +250,61 @@ def test_weyl_dims_match_chari_loktev(n, mapping):
     # dimensions multiply over distinct points
     want = prod(_chari_loktev_dim(n - 1, lam) for lam in mapping.values())
     assert weyl_module(build_sl(n), _psi(QQ, mapping)).dim == want
+
+
+def _fundamental_power_character(rd, lam):
+    """Character of the tensor product of lam_i copies of each fundamental
+    module V(omega_i), from their Freudenthal multiplicities; in type A it is
+    the g-character of the local Weyl module W(lam) (Chari-Loktev 2006)."""
+    rank = rd.rank
+    char = {Weight((0,) * rank): 1}
+    for i, k in enumerate(lam.coords):
+        omega = Weight(tuple(int(j == i) for j in range(rank)))
+        fundamental = rd.freudenthal_mults(omega)
+        for _ in range(k):
+            out = {}
+            for mu, a in char.items():
+                for nu, b in fundamental.items():
+                    out[mu + nu] = out.get(mu + nu, 0) + a * b
+            char = out
+    return char
+
+
+_points = st.sampled_from([-2, -1, 1, 2, 3])
+
+
+def _psi_maps(values, npoints):
+    return st.dictionaries(
+        _points, st.sampled_from(values), min_size=npoints, max_size=npoints
+    )
+
+
+# (n, {point: lam}) for sl_n.  Two-point builds grow fast (A1 3w at two
+# points, dim 64, took about 100 s on a 2-core x86_64 host with the fractions
+# backend), so two points carry a total weight of at most 3.
+_weyl_oracle_inputs = st.one_of(
+    st.tuples(st.just(2), _psi_maps([(1,), (2,), (3,)], 1)),
+    st.tuples(
+        st.just(2),
+        _psi_maps([(1,), (2,)], 2).filter(lambda m: sum(lam[0] for lam in m.values()) <= 3),
+    ),
+    st.tuples(st.just(3), _psi_maps([(1, 0), (0, 1)], 1)),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_weyl_oracle_inputs)
+def test_weyl_weight_table_matches_freudenthal_characters(case):
+    # the joint weight table is the product over the points of the
+    # characters of the one-point Weyl modules
+    n, mapping = case
+    g = build_sl(n)
+    psi = _psi(QQ, mapping)
+    w = weyl_module(g, psi)
+    points = w.module.algebra.points
+    want = {(): 1}
+    for p in points:
+        char = _fundamental_power_character(g.rd, psi[p])
+        want = {key + (mu,): a * b for key, a in want.items() for mu, b in char.items()}
+    assert joint_weights(w.module) == want
+    assert w.dim == prod(_chari_loktev_dim(n - 1, lam) for lam in mapping.values())
