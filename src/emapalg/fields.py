@@ -43,6 +43,23 @@ def _cyclotomic_poly(m):
 _CYCLO_CACHE = {}
 
 
+def _moebius_totient(n):
+    """The Moebius function mu(n) and Euler's totient phi(n)."""
+    mu, phi, p = 1, n, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        if n % p == 0:
+            n //= p
+            mu, phi = -mu, phi // p * (p - 1)
+            if n % p == 0:
+                mu = 0
+            while n % p == 0:
+                n //= p
+        p += 1
+    return mu, phi
+
+
 def _polymul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -90,6 +107,12 @@ class CyclotomicField:
                 for i in range(self.degree):
                     cur[i] -= top * self.modulus[i]
         self._red.append(tuple(cur))
+        # Tr(zeta^k) / phi(m) = mu(m/g) / phi(m/g) with g = gcd(k, m) (a
+        # Ramanujan sum).  The normalised trace of an element is the same in
+        # every Q(zeta_M) that holds it, so it serves as the hash.
+        self._trace_weights = tuple(
+            _Q(*_moebius_totient(order // math.gcd(k, order))) for k in range(self.degree)
+        )
         self.zero = FieldElement(self, (_Q0,) * self.degree)
         one = [_Q0] * self.degree
         one[0] = _Q1
@@ -293,9 +316,11 @@ class FieldElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # equal elements of different fields hash alike (see _trace_weights),
+        # and a rational element hashes as its rational value
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.field.order, self.coeffs))
+        return hash(sum(c * w for c, w in zip(self.coeffs, self.field._trace_weights) if c))
 
     def __bool__(self):
         return not self.is_zero()

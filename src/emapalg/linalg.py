@@ -383,9 +383,6 @@ def _diagonal_eigenspaces(m, sp, eigenvalues):
         groups.setdefault(m.entries[i].get(i, fld.zero), []).append(p)
     for ev in eigenvalues:
         pivots = groups.get(ev)
-        if pivots is None and ev.field.order != fld.order:
-            # equal elements of different cyclotomic fields can hash apart
-            pivots = next((ps for d, ps in groups.items() if d == ev), None)
         if pivots:
             rows = {p: dict(sp._rows[p]) for p in pivots}
             yield ev, Subspace(sp.ambient_dim, fld=fld, _rows=rows)

@@ -393,7 +393,7 @@ def _same_algebra(a, b):
 def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True) -> FiniteModule:
     """Quotient by an invariant subspace; basis = classes of the non-pivot
     coordinates.  `check=False` skips the invariance check (for subspaces
-    produced by saturation, where it holds by construction)."""
+    stable under a generating set of the algebra, hence invariant)."""
     fld = module.field
     if check:
         for b in sub.basis:

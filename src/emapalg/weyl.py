@@ -76,10 +76,15 @@ class _Straightener:
         self.alg_index_to_factor = {
             ai: fi for fi, ai in enumerate(self.factor_alg_index)
         }
-        # classify algebra basis elements
+        # classify algebra basis elements; act by one of them moves the drop
+        # by its shift (+ht alpha for f_alpha, 0 for h, -ht alpha for e_alpha)
         self.kind = []
+        self.shift = []
         for p_idx, g_idx, mono in alg.basis:
-            self.kind.append(g.labels[g_idx][0])
+            kind, k = g.labels[g_idx]
+            self.kind.append(kind)
+            ht = 0 if kind == "h" else sum(rd.positive_roots[k])
+            self.shift.append(-ht if kind == "e" else ht)
         self._memo = {}
         self.monomials = self._enumerate()
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
@@ -159,9 +164,16 @@ class _Straightener:
 
     def operator_matrix(self, alg_idx, n):
         """Matrix of a basis element on the span of the first n normal
-        monomials, modulo the span of the others."""
+        monomials, modulo the span of the others.
+
+        act moves the drop by shift[alg_idx], and the monomials are sorted by
+        drop, so from the first monomial whose image would lie past the
+        largest drop among the first n, every image lies among the others."""
         triples = []
+        limit = self.drop(self.monomials[n - 1]) - self.shift[alg_idx]
         for j, m in enumerate(self.monomials[:n]):
+            if self.drop(m) > limit:
+                break
             for m2, c in self.act(alg_idx, m).items():
                 k = self.mono_index[m2]
                 if k < n:
@@ -189,47 +201,59 @@ def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     return alg, st, big_d, sum(1 for m in st.monomials if st.drop(m) <= big_d)
 
 
+def _at_each_point(alg: TruncatedAlgebra, x):
+    """Basis indices of x tensor 1 at each truncation point, for a basis
+    index x of g."""
+    return [alg.index[(p_idx, x, (0,) * p.nvars)] for p_idx, p in enumerate(alg.points)]
+
+
 def _lowering_indices(alg: TruncatedAlgebra, i):
     """Basis indices of f_i tensor 1 at each truncation point, for the simple
     root i."""
-    fi = alg.g.f(i)
-    return [
-        alg.index[(p_idx, fi, (0,) * p.nvars)] for p_idx, p in enumerate(alg.points)
-    ]
+    return _at_each_point(alg, alg.g.f(i))
+
+
+def _generators(alg: TruncatedAlgebra):
+    """Basis indices of a set that generates the truncation as a Lie algebra:
+    e_i tensor 1 and f_i tensor 1 at each point for the simple roots i, and
+    h_j tensor u^beta for every jet monomial u^beta at each point.  The
+    brackets [h_i tensor u^beta, e_i tensor 1] = 2 e_i tensor u^beta (and the
+    same for f_i) give g tensor u^beta from there."""
+    g = alg.g
+    out = []
+    for i in range(g.rd.rank):
+        out += _at_each_point(alg, g.e(i)) + _lowering_indices(alg, i)
+    out += [ai for ai, (_, g_idx, _) in enumerate(alg.basis) if g.labels[g_idx][0] == "h"]
+    return out
 
 
 def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, big_d, n_low):
-    """The push-downs into the weight interval (drop <= D) of the normal
-    monomials beyond it, as sparse rows over the first n_low monomials.
+    """The push-downs into the weight interval (drop <= D) by e_i tensor 1
+    at each point, for the simple roots i, of the normal monomials with drop
+    D + 1, as sparse rows over the first n_low monomials.
 
-    act is weight-homogeneous, and drop is a function of weight: f_alpha
-    tensor u raises the drop by ht(alpha), h tensor u keeps it, and e_alpha
-    tensor u lowers it by ht(alpha).  So only e_alpha tensor u acting on a
-    monomial m with D < drop(m) <= D + ht(alpha) can reach the interval, and
-    then its whole image lies there.  The pairs are visited in the order of
-    the loop over every (monomial, basis element) pair, so the seed list is
-    the same list in the same order."""
+    Together with saturation under _generators these give the same relation
+    space as the push-downs of every monomial beyond the interval by every
+    basis element.  act is weight-homogeneous and drop is a function of
+    weight, so f tensor u and h tensor u never lower the drop, and e_i tensor
+    1 lowers it by exactly 1.  Hence R + span(drop > D) is stable under the
+    generators once R holds these seeds and is stable under their induced
+    operators; the elements that keep a subspace stable form a Lie
+    subalgebra, so it is then stable under the whole truncation."""
     g = alg.g
-    raising = [
-        (ai, sum(g.rd.positive_roots[g.labels[g_idx][1]]))
-        for ai, (_, g_idx, _) in enumerate(alg.basis)
-        if g.labels[g_idx][0] == "e"
-    ]
-    top = max(ht for _, ht in raising)
+    raising = [ai for i in range(g.rd.rank) for ai in _at_each_point(alg, g.e(i))]
     idx = st.mono_index
     seeds = []
-    # monomials are sorted by drop, so past drop D + ht(theta) none can seed
+    # monomials are sorted by drop, so those with drop D + 1 come first
     for m in st.monomials[n_low:]:
-        excess = st.drop(m) - big_d
-        if excess > top:
+        if st.drop(m) > big_d + 1:
             break
-        for ai, ht in raising:
-            if ht >= excess:
-                # act never returns a zero coefficient, so a nonempty image
-                # is a nonzero seed
-                state = st.act(ai, m)
-                if state:
-                    seeds.append({idx[m2]: c for m2, c in state.items()})
+        for ai in raising:
+            # act never returns a zero coefficient, so a nonempty image is a
+            # nonzero seed
+            state = st.act(ai, m)
+            if state:
+                seeds.append({idx[m2]: c for m2, c in state.items()})
     return seeds
 
 
@@ -243,8 +267,8 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     # of n_low monomials; everything beyond drop D is a relation seed, so the
     # whole computation lives in the quotient by the beyond-interval span.
     # The relation seeds inside the low part are the push-downs of the
-    # beyond-interval monomials (only e_alpha tensor u can push one down,
-    # see _push_down_seeds), plus the Weyl powers f_i^(lam_i + 1) w.
+    # monomials just past the interval (see _push_down_seeds), plus the Weyl
+    # powers f_i^(lam_i + 1) w.
     seeds = _push_down_seeds(alg, st, big_d, n_low)
     idx = st.mono_index
     for i in range(rd.rank):
@@ -259,15 +283,18 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
             state = {m: c for m, c in nxt.items() if not c.is_zero()}
         seeds.append({idx[m]: c for m, c in state.items() if idx[m] < n_low})
 
-    # induced operators on the low quotient
+    # induced operators on the low quotient; the relation space only needs
+    # closing under the generators
     ops = [st.operator_matrix(ai, n_low) for ai in range(alg.dim)]
-
-    rel = saturate(Subspace(n_low, seeds, fld=fld), ops)
+    rel = saturate(Subspace(n_low, seeds, fld=fld), [ops[ai] for ai in _generators(alg)])
 
     ambient = FiniteModule(alg, ops)
     cyc = {idx[()]: fld.one}
     if rel.contains(cyc):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
+    # rel + span(drop > D) is stable under a generating set, hence under every
+    # basis element (see _push_down_seeds), so rel is invariant under every
+    # induced operator and the check is skipped
     mod = quotient_module(ambient, rel, cyclic=cyc, check=False)
     pivots = set(rel.pivots)
     keep = [j for j in range(n_low) if j not in pivots]

@@ -107,3 +107,32 @@ def test_pow_matches_repeated_product(m, a):
     for k in range(5):
         assert x**k == acc
         acc = acc * x
+
+
+# each order with the orders in the list that it divides
+_FIELD_TOWERS = [(m, M) for m in (3, 4, 6, 8, 12) for M in (3, 4, 6, 8, 12) if M % m == 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_FIELD_TOWERS),
+    st.lists(_scalars, min_size=1, max_size=4),
+    st.lists(_scalars, min_size=1, max_size=4),
+)
+def test_equal_elements_hash_alike_across_fields(tower, a, b):
+    m, M = tower
+    x = _elt(field(m), a)
+    y = embed(x, field(M))
+    z = _elt(field(M), b)
+    for u, v in ((x, y), (x, z), (y, z), (x, x.field.scalar(a[0]))):
+        if u == v:
+            assert hash(u) == hash(v)
+    assert x == y
+    assert {y: 1}.get(x) == 1
+    assert hash(x.field.scalar(a[0])) == hash(Fraction(a[0]))
+
+
+def test_zeta4_and_zeta8_squared_hash_alike():
+    assert field(4).zeta == field(8).zeta ** 2
+    assert hash(field(4).zeta) == hash(field(8).zeta ** 2)
+    assert hash(field(3).zeta) == hash(embed(field(3).zeta, field(12)))

@@ -407,7 +407,8 @@ def test_diagonal_read_equals_the_scan(drawn, nops):
 
 
 def test_diagonal_read_matches_candidates_of_another_field():
-    # zeta_8^2 = zeta_4, but the two elements hash apart
+    # zeta_8^2 = zeta_4: the diagonal is grouped by the elements of one field
+    # and looked up with those of another
     F4, F8 = field(4), field(8)
     i = F8.zeta**2
     d = Matrix([[i, F8.zero], [F8.zero, -i]], ncols=2, fld=F8)

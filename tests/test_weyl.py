@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
+from emapalg.ema import TruncatedAlgebra
 from emapalg.fields import QQ, field
 from emapalg.liealg import build_sl, irreducible_module
+from emapalg.linalg import Matrix, Subspace, saturate
 from emapalg.repmod import (
     PsiFunction,
     is_isomorphic,
@@ -24,6 +26,8 @@ from emapalg.repmod import (
 from emapalg.rootdata import Weight
 from emapalg.weyl import (
     CertificationError,
+    _Straightener,
+    _generators,
     _push_down_seeds,
     _straighten,
     check_choice_independence,
@@ -187,20 +191,83 @@ def _exhaustive_seeds(alg, st, n_low):
     return seeds
 
 
-@pytest.mark.parametrize(
-    "n, mapping",
-    [(2, {1: (3,)}), (3, {1: (1, 1)}), (2, {1: (2,), 2: (1,)})],
-    ids=["A1-3w", "A2-w1+w2", "A1-2w@a+w@b"],
+def _unpruned_operator_matrix(st, ai, n):
+    """The action of basis element ai on the first n normal monomials modulo
+    the others, from every one of those monomials."""
+    triples = []
+    for j, m in enumerate(st.monomials[:n]):
+        for m2, c in st.act(ai, m).items():
+            k = st.mono_index[m2]
+            if k < n:
+                triples.append((k, j, c))
+    return Matrix.from_triples(st.field, n, n, triples)
+
+
+def _two_variable_psi(lam):
+    from emapalg.coordalg import Point
+
+    return PsiFunction.of({Point((QQ.scalar(1), QQ.scalar(2))): Weight(lam)})
+
+
+_SEED_CASES = pytest.mark.parametrize(
+    "n, psi",
+    [
+        (2, _psi(QQ, {1: (3,)})),
+        (3, _psi(QQ, {1: (1, 1)})),
+        (2, _psi(QQ, {1: (2,), 2: (1,)})),
+        (2, _two_variable_psi((2,))),
+    ],
+    ids=["A1-3w", "A2-w1+w2", "A1-2w@a+w@b", "A1-2w@(a,b)"],
 )
+
+
+def _assert_seeds_generate_the_relations(alg, st, big_d):
+    # the seeds e_i x 1 on drop d + 1, closed under the generators, span the
+    # same relation space as every push-down closed under every basis
+    # element.  The argument holds for any cut d <= D; below D the space is
+    # no longer a Weyl module's relations, and there the h x u^beta
+    # generators are needed as well.
+    for d in (big_d, big_d - 1):
+        n_d = sum(1 for m in st.monomials if st.drop(m) <= d)
+        seeds = _push_down_seeds(alg, st, d, n_d)
+        exhaustive = _exhaustive_seeds(alg, st, n_d)
+        assert all(seed in exhaustive for seed in seeds)
+        gens = [st.operator_matrix(ai, n_d) for ai in _generators(alg)]
+        every = [_unpruned_operator_matrix(st, ai, n_d) for ai in range(alg.dim)]
+        assert saturate(Subspace(n_d, seeds, fld=QQ), gens) == saturate(
+            Subspace(n_d, exhaustive, fld=QQ), every
+        )
+
+
+@_SEED_CASES
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"buffer_extra": 1}, {"reverse_order": True}],
-    ids=["base", "buffer+1", "reversed"],
+    [{}, {"buffer_extra": 1}, {"n_extra": 1}, {"reverse_order": True}],
+    ids=["base", "buffer+1", "N+1", "reversed"],
 )
-def test_push_down_seeds_match_exhaustive_loop(n, mapping, kwargs):
-    g = build_sl(n)
-    alg, st, big_d, n_low = _straighten(g, _psi(QQ, mapping), **kwargs)
-    assert _push_down_seeds(alg, st, big_d, n_low) == _exhaustive_seeds(alg, st, n_low)
+def test_push_down_seeds_match_exhaustive_loop(n, psi, kwargs):
+    alg, st, big_d, _ = _straighten(build_sl(n), psi, **kwargs)
+    _assert_seeds_generate_the_relations(alg, st, big_d)
+
+
+@pytest.mark.parametrize("idle", [-1, 2], ids=["idle-first", "idle-last"])
+def test_push_down_seeds_with_a_point_where_psi_vanishes(idle):
+    # where psi is nonzero at every point, e_i x 1 at one point already
+    # pushes the other points' relations down (through the scalar psi(h_i));
+    # at a truncation point where psi vanishes only that point's seeds do
+    g = build_sl(2)
+    psi = _psi(QQ, {1: (2,)})
+    _, base, big_d, _ = _straighten(g, psi)
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(QQ, 1): 2, pt(QQ, idle): 2}))
+    _assert_seeds_generate_the_relations(alg, _Straightener(alg, psi, base.cap), big_d)
+
+
+@_SEED_CASES
+def test_operator_matrix_skips_only_images_past_the_prefix(n, psi):
+    alg, st, _, n_low = _straighten(build_sl(n), psi)
+    for size in (1, n_low - 1, n_low, n_low + 2, len(st.monomials)):
+        for ai in range(alg.dim):
+            assert st.operator_matrix(ai, size) == _unpruned_operator_matrix(st, ai, size)
 
 
 def test_weyl_build_runs_under_a_low_recursion_limit():
