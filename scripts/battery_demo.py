@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the homological characterization battery on a twisted Weyl module and
 on two deliberately wrong candidates (its head alone, and a padded direct
-sum), printing verdicts and witnesses."""
+sum), printing verdicts and witnesses.  Exits 1 unless the verdicts are
+PASS, FAIL, FAIL."""
 
 import os
 import sys
@@ -30,6 +31,7 @@ def show(tag, module, psi):
             time.time() - t0,
         )
     )
+    return rep.verdict
 
 
 if __name__ == "__main__":
@@ -37,11 +39,14 @@ if __name__ == "__main__":
     psi = scn.psis["psi2w"]
     p1 = scn.points["p1"]
     tw, w, inv = twisted_weyl(scn.group, psi, [p1])
-    show("W_Gamma", tw, psi)
+    verdicts = [show("W_Gamma", tw, psi)]
 
     head = evaluation_module(psi, tw.algebra)  # V_Gamma(psi) = head of W_Gamma
-    show("head alone", head, psi)
+    verdicts.append(show("head alone", head, psi))
 
     psiw = scn.psis["psiw"]
     padded = direct_sum(tw, evaluation_module(psiw, tw.algebra))
-    show("padded sum", padded, psi)
+    verdicts.append(show("padded sum", padded, psi))
+    if verdicts != ["PASS", "FAIL", "FAIL"]:
+        print("expected verdicts PASS, FAIL, FAIL; got %s" % ", ".join(verdicts))
+        sys.exit(1)

@@ -183,6 +183,12 @@ class InvariantAlgebra(LieAlgebra):
         self._eigen_inv = change.inverse()
         if self._eigen_inv is None:
             raise AssertionError("the character components g_xi do not form a basis of g")
+        # [v_a, v_b] in the eigenbasis, as (eigenvector index, coefficient) pairs
+        self._eigen_bracket = {
+            (a, b): tuple(self._eigen_inv.apply(g.bracket(va, vb)).items())
+            for a, (_, va) in enumerate(eigen)
+            for b, (_, vb) in enumerate(eigen)
+        }
 
         self._reps = []  # index of the first point of each orbit
         covered = set()
@@ -198,6 +204,7 @@ class InvariantAlgebra(LieAlgebra):
         # column k of `seed` is the k-th (x, v, u^beta)
         self.xi_labels = []
         self._slot = {}  # (point index, eigenvector index, monomial) -> basis index
+        self._labels = []  # basis index -> (point index, eigenvector index, monomial)
         triples = []
         for xi in group.characters:
             for p_idx in self._reps:
@@ -208,6 +215,7 @@ class InvariantAlgebra(LieAlgebra):
                         k = len(self.xi_labels)
                         self.xi_labels.append(xi)
                         self._slot[(p_idx, e, mono)] = k
+                        self._labels.append((p_idx, e, mono))
                         triples.extend(
                             (t.index[(p_idx, gi, mono)], k, c) for gi, c in v.items()
                         )
@@ -248,13 +256,34 @@ class InvariantAlgebra(LieAlgebra):
         return coeffs
 
     def bracket_terms(self, i, j):
-        """[b_i, b_j], bracketed in the ambient truncation and read back in
-        invariant coordinates."""
+        """[b_i, b_j] in invariant coordinates, read off the basis labels.
+
+        The group acts freely, so the orbit sums of (x, v_a, u^alpha) and
+        (y, v_b, u^beta) bracket to zero unless x = y, and then to the orbit
+        sum of (x, [v_a, v_b], u^(alpha + beta)), which is zero once
+        |alpha + beta| reaches the order at x.  [v_a, v_b] comes from the
+        eigenbasis bracket table.  Raises AssertionError unless every term
+        carries the character label xi_i + xi_j."""
         key = (i, j)
         out = self._bracket_cache.get(key)
         if out is None:
-            amb = self.ambient.trunc.bracket(self.basis[i], self.basis[j])
-            out = tuple(sorted(self.coords(amb).items()))
+            p, a, ma = self._labels[i]
+            q, b, mb = self._labels[j]
+            mono = tuple(s + t for s, t in zip(ma, mb))
+            if p != q or sum(mono) >= self.ambient.trunc.quotient.summands[p].order:
+                out = ()
+            else:
+                out = tuple(
+                    sorted((self._slot[(p, e, mono)], c) for e, c in self._eigen_bracket[(a, b)])
+                )
+                xi = tuple(
+                    (s + t) % gen.order
+                    for s, t, gen in zip(self.xi_labels[i], self.xi_labels[j], self.group.generators)
+                )
+                if any(self.xi_labels[k] != xi for k, _ in out):
+                    raise AssertionError(
+                        "[b_%d, b_%d] leaves the character component %r" % (i, j, xi)
+                    )
             self._bracket_cache[key] = out
         return out
 

@@ -5,6 +5,7 @@ multiplicity tables, Hom spaces, and isomorphism testing."""
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .coordalg import EtaFunction, is_transversal_set
@@ -19,6 +20,10 @@ from .linalg import (
     saturate,
 )
 from .rootdata import Weight
+
+# Schwartz-Zippel trials in is_isomorphic; each misses an existing
+# isomorphism with probability below 1/2
+_ISO_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -452,8 +457,15 @@ def invariant_projection(big: InvariantAlgebra, small: InvariantAlgebra) -> Matr
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
-    """(verdict, witness): searches the Hom space for an invertible
-    intertwiner over a deterministic small-coefficient ladder."""
+    """(verdict, witness): an invertible intertwiner m1 -> m2, checked exactly.
+
+    False is exact: the dimensions differ, there is no nonzero intertwiner,
+    or the intertwiners are the multiples of one singular map.  Otherwise
+    seeded Schwartz-Zippel trials draw the coefficients of sum_k c_k T_k over
+    the Hom basis from a set of 2 dim + 1 scalars; det(sum_k c_k T_k) has
+    degree dim, so when an isomorphism exists each trial misses it with
+    probability below 1/2.  When the trials run out the verdict is None
+    (inconclusive), never a false "not isomorphic"."""
     if m1.dim != m2.dim:
         return False, None
     homs = hom_space(m1, m2)
@@ -462,17 +474,16 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
     for t in homs:
         if t.inverse() is not None:
             return True, t
+    if len(homs) == 1:
+        return False, None
     fld = m1.field
-    r = len(homs)
-    if r > 1:
-        coeff_sets = [tuple(fld.scalar(c) for c in range(3))] * min(r, 7)
-        for combo in itertools.product(*coeff_sets):
-            if all(c.is_zero() for c in combo):
-                continue
-            acc = Matrix.combination(fld, m2.dim, m1.dim, zip(combo, homs))
-            if acc.inverse() is not None:
-                return True, acc
-    return False, None
+    rng = random.Random(0)
+    for _ in range(_ISO_TRIALS):
+        coeffs = [fld.scalar(rng.randrange(2 * m1.dim + 1)) for _ in homs]
+        acc = Matrix.combination(fld, m2.dim, m1.dim, zip(coeffs, homs))
+        if acc.inverse() is not None:
+            return True, acc
+    return None, None
 
 
 def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:

@@ -406,6 +406,14 @@ def twisted_weyl(group, psi: PsiFunction, points, inv: InvariantAlgebra = None):
     return twist(w.module, inv), w, inv
 
 
+def _isomorphic(m1, m2):
+    """is_isomorphic's verdict; raises RuntimeError when it is inconclusive."""
+    ok, _ = is_isomorphic(m1, m2)
+    if ok is None:
+        raise RuntimeError("isomorphism test inconclusive: no invertible intertwiner found")
+    return ok
+
+
 def check_choice_independence(group, psi: PsiFunction):
     """Twisted Weyl modules over all transversals of the support orbits are
     isomorphic."""
@@ -424,8 +432,7 @@ def check_choice_independence(group, psi: PsiFunction):
     first, _, inv = twisted_weyl(group, psi, list(choices[0]))
     for choice in choices[1:]:
         other, _, _ = twisted_weyl(group, psi, list(choice), inv=inv)
-        ok, _ = is_isomorphic(first, other)
-        if not ok:
+        if not _isomorphic(first, other):
             return False
     return True
 
@@ -441,8 +448,7 @@ def check_gamma_twist(group, psi: PsiFunction, points, gamma):
         group, group.inverse(gamma), w2.module.algebra, w1.module.algebra
     )
     pulled = transport(w1.module, phi, w2.module.algebra)
-    ok, _ = is_isomorphic(pulled, w2.module)
-    return ok
+    return _isomorphic(pulled, w2.module)
 
 
 def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
@@ -459,9 +465,8 @@ def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
     m1 = extend_to(w1.module, common)
     m2 = extend_to(w2.module, common)
     prod = tensor_product(m1, m2)
-    ok, _ = is_isomorphic(w12.module, prod)
     result = {
-        "untwisted": ok,
+        "untwisted": _isomorphic(w12.module, prod),
         "dim_product": w1.dim * w2.dim,
         "dim_joint": w12.dim,
     }
@@ -469,8 +474,7 @@ def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
         inv = InvariantAlgebra(g, group, common.eta)
         t12 = twist(w12.module, inv)
         tp = twist(prod, inv)
-        ok2, _ = is_isomorphic(t12, tp)
-        result["twisted"] = ok2
+        result["twisted"] = _isomorphic(t12, tp)
     return result
 
 

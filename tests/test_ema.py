@@ -1,6 +1,7 @@
 """Truncated map algebras, invariants, evaluation isomorphisms, lifts,
 ideal identities."""
 
+import os
 import random
 
 import pytest
@@ -31,6 +32,9 @@ from emapalg.fields import field
 from emapalg.liealg import GAutomorphism, build_sl
 from emapalg.linalg import Matrix, Subspace
 from emapalg.rootdata import DiagramSymmetry, Weight
+from emapalg.scenario import load_scenario
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def z2_setup(order=4):
@@ -173,6 +177,43 @@ def test_coords_rejects_non_invariant_vectors():
     # a single ambient basis vector lives at one point of a two-point orbit
     with pytest.raises(ValueError):
         inv.coords(t.basis_vector(0))
+
+
+def _fixture_invariant(name, exponent):
+    """The invariant algebra of a fixture scenario, truncated at every one of
+    its points to the given exponent."""
+    scn = load_scenario(os.path.join(FIXTURES, name + ".json"))
+    eta = EtaFunction.of({p: exponent for p in scn.points.values()})
+    return InvariantAlgebra(scn.algebra, scn.group, eta)
+
+
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sl2_z2", "sl2_z2_one_orbit", "sl3_flip", "sl3_stress"])
+def test_structure_constants_match_ambient_bracket(name, exponent):
+    # the label-read structure constants against the bracket of the orbit
+    # sums in the ambient truncation, read back through coords
+    inv = _fixture_invariant(name, exponent)
+    t = inv.ambient.trunc
+    for i in range(inv.dim):
+        for j in range(inv.dim):
+            ref = tuple(sorted(inv.coords(t.bracket(inv.basis[i], inv.basis[j])).items()))
+            assert inv.bracket_terms(i, j) == ref, (i, j)
+
+
+def test_invariant_jacobi_all_triples_sl3():
+    _fixture_invariant("sl3_flip", 2).check_jacobi(samples=None)
+
+
+def test_corrupted_eigen_bracket_fails_the_grading_check():
+    inv = _fixture_invariant("sl3_flip", 1)
+    x = inv._reps[0]
+    label = {e: inv.xi_labels[inv._slot[(x, e, (0,))]] for e in range(inv.g.dim)}
+    (a, b), terms = next(kv for kv in inv._eigen_bracket.items() if kv[1])
+    # put [v_a, v_b] on an eigenvector of another character
+    wrong = next(e for e in label if label[e] != label[terms[0][0]])
+    inv._eigen_bracket[(a, b)] = ((wrong, inv.field.one),)
+    with pytest.raises(AssertionError):
+        inv.bracket_terms(inv._slot[(x, a, (0,))], inv._slot[(x, b, (0,))])
 
 
 def test_invariant_closed_under_bracket():

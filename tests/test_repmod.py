@@ -187,6 +187,45 @@ def test_is_isomorphic_with_witness():
     assert not ok
 
 
+def _sum(modules):
+    out = modules[0]
+    for m in modules[1:]:
+        out = direct_sum(out, m)
+    return out
+
+
+def test_is_isomorphic_beyond_eight_hom_generators():
+    # End of the trivial 8-dim module has 64 rank-1 basis maps: any
+    # combination of seven of them has rank <= 7, so only a combination of
+    # more than seven generators is invertible
+    g, _ = z2_setup()
+    fld = g.field
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(fld, 1): 1}))
+    triv = _sum([evaluation_module(_psi(fld, {}), alg)] * 8)
+    homs = hom_space(triv, triv)
+    assert len(homs) == 64 and all(t.rank() == 1 for t in homs)
+    ok, witness = is_isomorphic(triv, triv)
+    assert ok is True
+    assert witness.inverse() is not None
+    assert all(witness.matmul(a) == a.matmul(witness) for a in triv.actions)
+
+
+def test_is_isomorphic_inconclusive_is_not_false():
+    # V(2) + 2 V(0) and 2 V(1) + V(0): same dimension, Hom = Hom(2 V(0), V(0))
+    # of dimension 2 and no isomorphism, which random trials cannot prove
+    g, _ = z2_setup()
+    fld = g.field
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(fld, 1): 1}))
+    v0, v1, v2 = (evaluation_module(_psi(fld, m), alg) for m in ({}, {1: (1,)}, {1: (2,)}))
+    m1, m2 = _sum([v2, v0, v0]), _sum([v1, v1, v0])
+    assert len(hom_space(m1, m2)) == 2
+    assert is_isomorphic(m1, m2) == (None, None)
+    # the multiples of one singular intertwiner give an exact "no"
+    v3 = evaluation_module(_psi(fld, {1: (3,)}), alg)
+    assert len(hom_space(_sum([v2, v1, v0]), _sum([v1, v3]))) == 1
+    assert is_isomorphic(_sum([v2, v1, v0]), _sum([v1, v3])) == (False, None)
+
+
 def test_direct_sum_and_tensor():
     g, _ = z2_setup()
     fld = g.field

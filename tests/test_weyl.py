@@ -169,6 +169,21 @@ def test_gamma_twist_sl3():
     assert check_gamma_twist(group, psi, [pt(fld, 1)], (1,))
 
 
+def test_isomorphism_checks_raise_when_inconclusive(monkeypatch):
+    import emapalg.weyl
+
+    monkeypatch.setattr(emapalg.weyl, "is_isomorphic", lambda m1, m2: (None, None))
+    g, group = z2_setup()
+    fld = g.field
+    psi = psi_gamma(group, _psi(fld, {1: (2,)}))
+    with pytest.raises(RuntimeError):
+        check_choice_independence(group, psi)
+    with pytest.raises(RuntimeError):
+        check_gamma_twist(group, psi, [pt(fld, 1)], (1,))
+    with pytest.raises(RuntimeError):
+        tensor_check(build_sl(2), _psi(QQ, {1: (1,)}), _psi(QQ, {2: (1,)}))
+
+
 def test_certificate_structure():
     g = build_sl(2)
     w = weyl_module(g, _psi(QQ, {1: (2,)}))
