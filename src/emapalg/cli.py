@@ -20,6 +20,7 @@ from .homology import (
     enumerate_phi,
     ext1_ladder,
 )
+from .liealg import trivial_module
 from .repmod import (
     direct_sum,
     evaluation_module,
@@ -300,9 +301,7 @@ def cmd_ext(scn: Scenario, args):
         if not height_psi_orbits(scn.group, phi) < target_h:
             continue
         if phi.is_zero():
-            from .homology import _trivial_module
-
-            n = _trivial_module(alg)
+            n = trivial_module(alg)
         else:
             n = evaluation_module(phi, alg)
         hd = len(hom_space(tw, n))

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
+from .liealg import FiniteModule, trivial_module
 from .linalg import Matrix, Subspace, hom_action
 from .repmod import (
-    FiniteModule,
     PsiFunction,
     evaluation_module,
     extend_to,
@@ -223,7 +223,7 @@ def characterization_battery(
     for phi in enumerate_phi(group, reps, rd.rank, weight_bound):
         if not height_psi_orbits(group, phi) < target_h:
             continue
-        n = evaluation_module(phi, alg) if not phi.is_zero() else _trivial_module(alg)
+        n = evaluation_module(phi, alg) if not phi.is_zero() else trivial_module(alg)
         hd = len(hom_space(module, n))
         ladder = ext1_ladder(module, n, rungs=rungs, algebras=rung_cache)
         check_hom_dim(hd, ladder)
@@ -236,8 +236,3 @@ def characterization_battery(
                 return report
     return report
 
-
-def _trivial_module(alg):
-    fld = alg.field
-    zero = Matrix([[fld.zero]], ncols=1, fld=fld)
-    return FiniteModule(alg, [zero] * alg.dim, cyclic={0: fld.one})

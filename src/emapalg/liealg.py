@@ -1,10 +1,13 @@
 """The concrete semisimple Lie algebra sl_{n+1} with Chevalley basis and
 matrix realization, finite-order automorphisms of torus-scaling x diagram
-form, and explicit irreducible highest weight modules."""
+form, the one module class (exact action matrices over any of the Lie
+algebras, weights read off the diagonal Cartan actions), and explicit
+irreducible highest weight modules."""
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 
 from .fields import QQ
 from .linalg import (
@@ -15,7 +18,6 @@ from .linalg import (
     kron_vector,
     restrict_operator,
     saturate,
-    tensor_strides,
 )
 from .rootdata import DiagramSymmetry, RootDatum, Weight
 
@@ -97,16 +99,6 @@ class ChevalleyAlgebra(LieAlgebra):
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.basis_matrices = [self._realize(lab) for lab in self.labels]
-        # ad-weight of each basis element (in fundamental coordinates)
-        self.basis_weights = []
-        for lab in self.labels:
-            if lab[0] == "h":
-                self.basis_weights.append(Weight((0,) * rank))
-            else:
-                beta = Weight(
-                    self.rd._root_to_fundamental(self.rd.positive_roots[lab[1]])
-                )
-                self.basis_weights.append(beta if lab[0] == "e" else -beta)
 
         self._table = {}
         for i, a in enumerate(self.basis_matrices):
@@ -276,69 +268,109 @@ def identity_automorphism(g):
     )
 
 
-class GModule:
-    """A finite-dimensional g-module given by an exact action matrix per
-    Chevalley basis element; `highest`, when given, is a highest weight vector
-    (a sparse vector)."""
+class FiniteModule:
+    """A module over a Lie algebra with a basis (g, a truncation or an
+    invariant algebra): one exact action matrix per algebra basis element,
+    and optionally a cyclic vector (a sparse vector).
 
-    def __init__(self, algebra, actions, highest=None, check=True):
+    Every module the system builds has a weight basis: the Cartan elements act
+    by diagonal matrices, whose diagonals are the weights.  weight_spaces
+    checks that on every read."""
+
+    def __init__(self, algebra, actions, cyclic=None, check=False):
         self.algebra = algebra
         self.actions = actions
+        self.field = algebra.field
         self.dim = actions[0].ncols if actions else 0
-        self.highest = highest
+        self.cyclic = cyclic
         if check:
-            check_bracket(algebra, actions, self.dim)
+            self.check_bracket()
+
+    def operator(self, coeffs) -> Matrix:
+        """The action of the algebra element with sparse coordinates coeffs."""
+        return Matrix.combination(
+            self.field, self.dim, self.dim, ((c, self.actions[k]) for k, c in coeffs.items())
+        )
+
+    def check_bracket(self):
+        """Raise unless the action matrices satisfy [rho(x_i), rho(x_j)] =
+        rho([x_i, x_j]) for every pair i < j of algebra basis elements."""
+        fld, dim, actions = self.field, self.dim, self.actions
+        for i in range(self.algebra.dim):
+            for j in range(i + 1, self.algebra.dim):
+                a, b = actions[i], actions[j]
+                lhs = Matrix.combination(
+                    fld, dim, dim, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
+                )
+                rhs = Matrix.combination(
+                    fld, dim, dim, [(c, actions[k]) for k, c in self.algebra.bracket_terms(i, j)]
+                )
+                if lhs != rhs:
+                    raise ValueError(
+                        "action does not represent the bracket at basis pair (%d, %d)"
+                        % (i, j)
+                    )
+
+    def is_cyclic_from(self, vec):
+        space = saturate(Subspace(self.dim, [vec], fld=self.field), self.actions)
+        return space.dim == self.dim
 
     def character(self):
-        """g-weight multiplicities via joint Cartan eigenspaces."""
+        """Weight multiplicities of a module over g."""
         g = self.algebra
         hops = [self.actions[g.h(i)] for i in range(g.rd.rank)]
-        return {
-            Weight(key): dim
-            for key, dim in weight_spaces(hops, self.dim, g.field).items()
-        }
+        return {Weight(key): dim for key, dim in weight_spaces(hops, self.dim).items()}
 
 
-def check_bracket(algebra, actions, dim):
-    """Raise unless the action matrices satisfy [rho(x_i), rho(x_j)] =
-    rho([x_i, x_j]) for every pair i < j of algebra basis elements."""
-    fld = algebra.field
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            a, b = actions[i], actions[j]
-            lhs = Matrix.combination(
-                fld, dim, dim, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
-            )
-            rhs = Matrix.combination(
-                fld, dim, dim, [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
-            )
-            if lhs != rhs:
-                raise ValueError(
-                    "action does not represent the bracket at basis pair (%d, %d)"
-                    % (i, j)
-                )
+def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule:
+    """Pullback of a module along a Lie algebra map phi: source -> owner,
+    given by its matrix in basis coordinates."""
+    if phi.nrows != module.algebra.dim or phi.ncols != source_algebra.dim:
+        raise ValueError("transport matrix shape mismatch")
+    actions = [module.operator(phi.column(j)) for j in range(source_algebra.dim)]
+    return FiniteModule(source_algebra, actions, cyclic=module.cyclic)
 
 
-def weight_spaces(ops, dim, fld):
+def pullback(mod, aut):
+    """The module with action twisted by an automorphism: u acts as
+    rho(aut^{-1}(u))."""
+    return transport(mod, aut.inverse_matrix(), mod.algebra)
+
+
+def integer_weight(x, dim):
+    """x as an int, for an eigenvalue of an h in an sl2-triple on a module of
+    dimension dim; raises ValueError unless x is an integer in
+    [1 - dim, dim - 1], the range such an eigenvalue must lie in."""
+    q = x.as_rational() if x.is_rational() else None
+    if q is None or q.denominator != 1 or not 1 - dim <= q <= dim - 1:
+        raise ValueError(
+            "%r is not an integer weight in [%d, %d]" % (x, 1 - dim, dim - 1)
+        )
+    return int(q)
+
+
+def weight_spaces(ops, dim):
     """Dimensions of the joint eigenspaces of commuting Cartan operators on a
     module of dimension `dim`, keyed by tuples of integer eigenvalues.
 
-    Each operator is an h in an sl2-triple, so its eigenvalues are integers
-    in [1 - dim, dim - 1].  The modules the system builds have weight bases,
-    so joint_eigenspaces reads the weights off the diagonal of each operator
-    and scans the candidates only for an operator that is not diagonal; it
-    raises if some part of the module is left uncovered."""
-    candidates = [fld.scalar(c) for c in range(1 - dim, dim)]
-    pieces = joint_eigenspaces(ops, Subspace.full(fld, dim), candidates)
+    The operators must be diagonal on the module's basis (joint_eigenspaces
+    raises otherwise), and every diagonal entry must pass integer_weight."""
     return {
-        tuple(int(ev.as_rational()) for ev in key): sp.dim
-        for key, sp in pieces.items()
+        tuple(integer_weight(x, dim) for x in key): len(coords)
+        for key, coords in joint_eigenspaces(ops, dim).items()
     }
+
+
+def trivial_module(algebra):
+    """The one-dimensional module on which every element acts by zero."""
+    fld = algebra.field
+    zero = Matrix.from_triples(fld, 1, 1, ())
+    return FiniteModule(algebra, [zero] * algebra.dim, cyclic={0: fld.one})
 
 
 def natural_module(g):
     """The natural (n+1)-dimensional representation of sl_{n+1}."""
-    return GModule(g, list(g.basis_matrices), highest={0: g.field.one}, check=False)
+    return FiniteModule(g, list(g.basis_matrices), cyclic={0: g.field.one})
 
 
 def exterior_power(mod, k):
@@ -368,19 +400,7 @@ def exterior_power(mod, k):
                     perm = tuple(sorted(new))
                     triples.append((pos[perm], j, c if inv_count % 2 == 0 else -c))
         actions.append(Matrix.from_triples(fld, dim, dim, triples))
-    return GModule(g, actions, highest={pos[tuple(range(k))]: fld.one}, check=False)
-
-
-def tensor_actions(mods):
-    """Tensor product of GModules over the same algebra (diagonal action)."""
-    g = mods[0].algebra
-    fld = g.field
-    dims = [m.dim for m in mods]
-    actions = [
-        kron_slots(fld, dims, [(fld.one, slot, m.actions[bi]) for slot, m in enumerate(mods)])
-        for bi in range(g.dim)
-    ]
-    return GModule(g, actions, check=False), tensor_strides(dims)
+    return FiniteModule(g, actions, cyclic={pos[tuple(range(k))]: fld.one})
 
 
 def irreducible_module(g, lam, max_ambient=20000, check=True):
@@ -395,44 +415,28 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
             wedge = exterior_power(nat, i + 1)
             factors.extend([wedge] * c)
     if not factors:
-        # trivial module
-        fld = g.field
-        zero = Matrix([[fld.zero]], ncols=1, fld=fld)
-        return GModule(g, [zero] * g.dim, highest={0: fld.one}, check=False)
-    ambient = 1
-    for m in factors:
-        ambient *= m.dim
+        return trivial_module(g)
+    dims = [m.dim for m in factors]
+    ambient = prod(dims)
     if ambient > max_ambient:
         raise ValueError(
             "ambient tensor dimension %d exceeds budget %d" % (ambient, max_ambient)
         )
-    tens, _ = tensor_actions(factors)
     fld = g.field
-    seedv = kron_vector(fld, [m.dim for m in factors], [m.highest for m in factors])
-    lowering = [
-        tens.actions[g.index[("f", k)]] for k in range(len(g.rd.positive_roots))
+    # the diagonal action on the tensor product of the factors
+    tens = [
+        kron_slots(fld, dims, [(fld.one, slot, m.actions[bi]) for slot, m in enumerate(factors)])
+        for bi in range(g.dim)
     ]
-    space = saturate(Subspace(tens.dim, [seedv], fld=fld), lowering)
-    actions = [restrict_operator(a, space) for a in tens.actions]
+    seedv = kron_vector(fld, dims, [m.cyclic for m in factors])
+    lowering = [tens[g.index[("f", k)]] for k in range(len(g.rd.positive_roots))]
+    space = saturate(Subspace(ambient, [seedv], fld=fld), lowering)
+    actions = [restrict_operator(a, space) for a in tens]
     # the basis is in reduced echelon form: coordinates are the pivot entries
     hw = {k: seedv[p] for k, p in enumerate(space.pivots) if p in seedv}
-    mod = GModule(g, actions, highest=hw, check=check)
+    mod = FiniteModule(g, actions, cyclic=hw, check=check)
     if check:
         expected = g.rd.freudenthal_mults(lam)
         if mod.character() != expected:
             raise ValueError("constructed module has wrong character")
     return mod
-
-
-def pullback(mod, aut):
-    """The module with action twisted by an automorphism: u acts as
-    rho(aut^{-1}(u))."""
-    g = mod.algebra
-    inv = aut.inverse_matrix()
-    actions = [
-        Matrix.combination(
-            g.field, mod.dim, mod.dim, ((c, mod.actions[k]) for k, c in inv.column(i).items())
-        )
-        for i in range(g.dim)
-    ]
-    return GModule(g, actions, check=False)

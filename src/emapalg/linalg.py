@@ -301,6 +301,11 @@ class Subspace:
         insort(self.pivots, p)
         return True
 
+    def annihilator(self):
+        """The orthogonal complement: the vectors x with sum_i b_i x_i = 0
+        for every basis vector b."""
+        return self._matrix().nullspace()
+
     def copy(self):
         return Subspace(
             self.ambient_dim,
@@ -372,67 +377,22 @@ def restrict_operator(op, space):
     return Matrix.from_triples(space.field, space.dim, space.dim, triples)
 
 
-def _diagonal_eigenspaces(m, sp, eigenvalues):
-    """Yield (ev, eigenspace) for the candidates, in order, that occur on the
-    diagonal of m, the diagonal matrix of an operator on sp.  The eigenspace
-    of ev is spanned by the basis rows of sp whose diagonal entry is ev (an
-    absent entry is zero); a subset of reduced echelon rows is reduced."""
-    fld = sp.field
-    groups = {}
-    for i, p in enumerate(sp.pivots):
-        groups.setdefault(m.entries[i].get(i, fld.zero), []).append(p)
-    for ev in eigenvalues:
-        pivots = groups.get(ev)
-        if pivots:
-            rows = {p: dict(sp._rows[p]) for p in pivots}
-            yield ev, Subspace(sp.ambient_dim, fld=fld, _rows=rows)
+def joint_eigenspaces(ops, dim):
+    """Group the coordinates of a space of dimension dim by their joint
+    eigenvalues under operators that are diagonal in the coordinate basis.
 
-
-def _scanned_eigenspaces(m, sp, eigenvalues):
-    """Yield (ev, eigenspace) for the candidates, in order, with a nonzero
-    kernel of m - ev, m being the matrix of an operator on sp in basis
-    coordinates: one nullspace per candidate."""
-    fld = sp.field
-    ident = Matrix.identity(fld, sp.dim)
-    for ev in eigenvalues:
-        ker = Matrix.combination(
-            fld, sp.dim, sp.dim, [(fld.one, m), (-ev, ident)]
-        ).nullspace()
-        if ker.dim:
-            vecs = ker._matrix().matmul(sp._matrix()).entries
-            yield ev, Subspace(sp.ambient_dim, vecs, fld=fld)
-
-
-def joint_eigenspaces(ops, space, eigenvalues):
-    """Split an invariant subspace into joint eigenspaces of commuting operators.
-
-    `eigenvalues` is the candidate list (field scalars), walked in order per
-    operator.  Each operator is restricted to each piece found so far; when
-    the restricted matrix is diagonal, the eigenspaces are read off its
-    diagonal by grouping the piece's basis rows, and only otherwise is there
-    one nullspace per candidate.  Both give the same keys in the same order
-    and the same Subspaces.  Returns a dict mapping eigenvalue tuples to
-    Subspaces of the ambient space.  Raises if some part of the space is not
-    covered: the action is not semisimple, or it has an eigenvalue (on the
-    diagonal read, a diagonal entry) that is not a candidate.
-    """
-    pieces = {(): space}
+    Returns a dict mapping each tuple of diagonal entries (one per operator;
+    an absent entry is zero) to the list of coordinate indices that carry it,
+    keys in the order of their first coordinate.  Raises ValueError if some
+    operator has a nonzero entry off its diagonal."""
     for op in ops:
-        new = {}
-        for key, sp in pieces.items():
-            if sp.dim == 0:
-                continue
-            m = restrict_operator(op, sp)
-            diagonal = all(row.keys() <= {i} for i, row in enumerate(m.entries))
-            split = _diagonal_eigenspaces if diagonal else _scanned_eigenspaces
-            covered = 0
-            for ev, eigenspace in split(m, sp, eigenvalues):
-                new[key + (ev,)] = eigenspace
-                covered += eigenspace.dim
-            if covered != sp.dim:
-                raise ValueError("operator is not semisimple over the candidate eigenvalues")
-        pieces = new
-    return pieces
+        if any(row.keys() - {i} for i, row in enumerate(op.entries)):
+            raise ValueError("operator is not diagonal on the basis")
+    groups = {}
+    for i in range(dim):
+        key = tuple(op.entries[i].get(i, op.field.zero) for op in ops)
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def tensor_strides(dims):

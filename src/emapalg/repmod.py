@@ -10,14 +10,13 @@ from dataclasses import dataclass
 
 from .coordalg import EtaFunction, is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .liealg import check_bracket, irreducible_module, weight_spaces
+from .liealg import FiniteModule, irreducible_module, transport, weight_spaces
 from .linalg import (
     Matrix,
     Subspace,
     intertwiners,
     kron_slots,
     kron_vector,
-    saturate,
 )
 from .rootdata import Weight
 
@@ -143,43 +142,6 @@ def is_equivariant(group, psi: PsiFunction) -> bool:
     return True
 
 
-class FiniteModule:
-    """A module over a truncated or invariant algebra: one exact action
-    matrix per algebra basis element, and optionally a cyclic vector (a sparse
-    vector)."""
-
-    def __init__(self, algebra, actions, cyclic=None, check=False):
-        self.algebra = algebra
-        self.actions = actions
-        self.field = algebra.field
-        self.dim = actions[0].ncols if actions else 0
-        self.cyclic = cyclic
-        if check:
-            self.check_bracket()
-
-    def operator(self, coeffs) -> Matrix:
-        """The action of the algebra element with sparse coordinates coeffs."""
-        return Matrix.combination(
-            self.field, self.dim, self.dim, ((c, self.actions[k]) for k, c in coeffs.items())
-        )
-
-    def check_bracket(self):
-        check_bracket(self.algebra, self.actions, self.dim)
-
-    def is_cyclic_from(self, vec):
-        space = saturate(Subspace(self.dim, [vec], fld=self.field), self.actions)
-        return space.dim == self.dim
-
-
-def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule:
-    """Pullback of a module along a Lie algebra map phi: source -> owner,
-    given by its matrix in basis coordinates."""
-    if phi.nrows != module.algebra.dim or phi.ncols != source_algebra.dim:
-        raise ValueError("transport matrix shape mismatch")
-    actions = [module.operator(phi.column(j)) for j in range(source_algebra.dim)]
-    return FiniteModule(source_algebra, actions, cyclic=module.cyclic)
-
-
 def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
     """The (tensor of) irreducibles evaluated at the support, pulled back to
     the target algebra."""
@@ -197,7 +159,7 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
     for p in psi.support():
         if alg.eta[p] < 1:
             raise ValueError("truncation does not cover the support point %r" % (p,))
-    factors = []  # (point index, GModule)
+    factors = []  # (point index, module over g)
     for p_idx, p in enumerate(alg.points):
         w = psi[p]
         if not w.is_zero():
@@ -213,7 +175,7 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
             terms.append((fld.one, slot, factors[slot][1].actions[g_idx]))
         actions.append(kron_slots(fld, dims, terms))
     # highest vector: tensor of the factor highest vectors
-    hw = kron_vector(fld, dims, [m.highest for _, m in factors])
+    hw = kron_vector(fld, dims, [m.cyclic for _, m in factors])
     return FiniteModule(alg, actions, cyclic=hw)
 
 
@@ -266,7 +228,7 @@ def joint_weights(module: FiniteModule):
     npts = len(alg.points)
     return {
         tuple(Weight(ints[p * rank : (p + 1) * rank]) for p in range(npts)): dim
-        for ints, dim in weight_spaces(ops, module.dim, module.field).items()
+        for ints, dim in weight_spaces(ops, module.dim).items()
     }
 
 
@@ -464,8 +426,10 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
     seeded Schwartz-Zippel trials draw the coefficients of sum_k c_k T_k over
     the Hom basis from a set of 2 dim + 1 scalars; det(sum_k c_k T_k) has
     degree dim, so when an isomorphism exists each trial misses it with
-    probability below 1/2.  When the trials run out the verdict is None
-    (inconclusive), never a false "not isomorphic"."""
+    probability below 1/2.  When the trials run out, dim Hom(m1, m2) is
+    compared with dim End(m1) and dim End(m2): if they differ the answer is
+    an exact False, and otherwise None (inconclusive), never a false "not
+    isomorphic"."""
     if m1.dim != m2.dim:
         return False, None
     homs = hom_space(m1, m2)
@@ -483,6 +447,9 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
         acc = Matrix.combination(fld, m2.dim, m1.dim, zip(coeffs, homs))
         if acc.inverse() is not None:
             return True, acc
+    # an isomorphism makes Hom(m1, m2), End(m1) and End(m2) of one dimension
+    if len(hom_space(m1, m1)) != len(homs) or len(hom_space(m2, m2)) != len(homs):
+        return False, None
     return None, None
 
 

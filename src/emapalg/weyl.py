@@ -9,10 +9,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
+from .liealg import FiniteModule, integer_weight
 from .linalg import Matrix, Subspace, linear_combination, saturate
 from .repmod import (
-    FiniteModule,
     PsiFunction,
+    _cartan_basis_indices,
     extend_to,
     hom_space,
     is_isomorphic,
@@ -479,19 +480,21 @@ def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
 
 
 def head(module: FiniteModule) -> FiniteModule:
-    """Quotient by the greatest submodule avoiding the cyclic vector's line:
-    the maximal invariant subspace of the span of the other weight layers."""
+    """Quotient by the greatest submodule avoiding the cyclic vector's line."""
+    return quotient_module(module, _maximal_submodule(module))
+
+
+def _maximal_submodule(module: FiniteModule):
+    """The greatest submodule inside the span of the weight layers other than
+    the cyclic vector's."""
     if module.cyclic is None:
         raise ValueError("head needs a cyclic module")
     fld = module.field
-    from .repmod import _cartan_basis_indices
-
-    alg = module.algebra
-    cart = [module.actions[i] for i in _cartan_basis_indices(alg)]
+    cart = [module.actions[i] for i in _cartan_basis_indices(module.algebra)]
     # top character values on the cyclic vector
     scalars = [_ratio(op.apply(module.cyclic), module.cyclic, fld) for op in cart]
-    # complement: joint kernel of prod (op - c) does not suit directly; use
-    # the span of images of (op_k - c_k) over all k, which misses the top line
+    # complement: the span of images of (op_k - c_k) over all k, which misses
+    # the top line
     comp = Subspace(module.dim, (), fld=fld)
     ident = Matrix.identity(fld, module.dim)
     for op, c in zip(cart, scalars):
@@ -500,25 +503,11 @@ def head(module: FiniteModule) -> FiniteModule:
         )
         for j in range(module.dim):
             comp.add_vector(shifted.column(j))
-    # greatest invariant subspace inside comp: iterate
-    # U <- {v in U : op(v) in U for all ops} until stable
-    n = module.dim
-    cur = comp
-    while cur.dim:
-        basis = cur.basis
-        # column k: the residues of op(b_k) modulo cur, one block per op
-        cols = []
-        for b in basis:
-            col = {}
-            for t, op in enumerate(module.actions):
-                col.update((t * n + j, x) for j, x in cur.reduce(op.apply(b)).items())
-            cols.append(col)
-        ker = Matrix.from_columns(fld, len(module.actions) * n, cols).nullspace()
-        if ker.dim == cur.dim:
-            break
-        vecs = [linear_combination((c, basis[k]) for k, c in kv.items()) for kv in ker.basis]
-        cur = Subspace(n, vecs, fld=fld)
-    return quotient_module(module, cur)
+    # a subspace is a submodule iff its annihilator is stable under the
+    # transposed actions, so the greatest submodule inside comp is the
+    # annihilator of the smallest such subspace holding comp's annihilator
+    stable = saturate(comp.annihilator(), [op.transpose() for op in module.actions])
+    return stable.annihilator()
 
 
 def _ratio(v, w, fld):
@@ -550,7 +539,7 @@ def hw_quotient_check(module: FiniteModule):
             c = _ratio(v, module.cyclic, fld)
             if linear_combination([(c, module.cyclic)]) != v:
                 raise ValueError("cyclic vector is not a joint weight vector")
-            coords.append(int(c.as_rational()))
+            coords.append(integer_weight(c, module.dim))
         values[p] = Weight(tuple(coords))
     psi = PsiFunction.of(values)
     w = weyl_module(g, psi)

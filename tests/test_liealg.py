@@ -16,8 +16,8 @@ from emapalg.liealg import (
     irreducible_module,
     natural_module,
     pullback,
-    tensor_actions,
 )
+from emapalg.repmod import tensor_product
 from emapalg.rootdata import DiagramSymmetry, Weight
 
 _small = st.integers(min_value=-3, max_value=3)
@@ -74,11 +74,13 @@ def test_exterior_square_of_natural():
     assert wedge.character() == g.rd.freudenthal_mults(Weight((0, 1)))
 
 
-def test_tensor_actions_dim():
+def test_tensor_product_of_g_modules():
     g = build_sl(2)
     nat = natural_module(g)
-    tens, strides = tensor_actions([nat, nat])
-    assert tens.dim == 4 and strides == [2, 1]
+    tens = tensor_product(nat, nat)
+    assert tens.dim == 4 and tens.cyclic == {0: QQ.one}
+    # V(1) x V(1) = V(2) + V(0)
+    assert tens.character() == {Weight((2,)): 1, Weight((0,)): 2, Weight((-2,)): 1}
 
 
 @pytest.mark.parametrize(
@@ -103,7 +105,7 @@ def test_irreducible_dims(n, coords, dim):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_highest_is_a_highest_weight_vector(n):
     """For the natural module, an exterior power and the irreducibles,
-    `highest` is a sparse vector killed by every e and an h-eigenvector with
+    `cyclic` is a sparse vector killed by every e and an h-eigenvector with
     the eigenvalues lam."""
     g = build_sl(n)
     rank = g.rd.rank
@@ -117,7 +119,7 @@ def test_highest_is_a_highest_weight_vector(n):
         (irreducible_module(g, Weight((0,) * rank)), Weight((0,) * rank)),
     ]
     for mod, lam in cases:
-        hw = mod.highest
+        hw = mod.cyclic
         assert isinstance(hw, dict) and hw
         assert all(0 <= k < mod.dim and not x.is_zero() for k, x in hw.items())
         for label, idx in g.index.items():

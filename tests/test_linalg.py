@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import emapalg
 from emapalg.fields import QQ, field
-from emapalg.liealg import weight_spaces
+from emapalg.liealg import FiniteModule, build_sl, natural_module, weight_spaces
 from emapalg.linalg import (
     Matrix,
     Subspace,
-    _scanned_eigenspaces,
     hom_action,
     intersect,
     joint_eigenspaces,
@@ -323,52 +322,85 @@ def test_restrict_operator_and_eigenspaces():
     sub = Subspace(3, [_vec([1, 0, 0]), _vec([0, 0, 1])], fld=QQ)
     r = restrict_operator(d, sub)
     assert r.entries[0][0] == QQ.one and r.entries[1][1] == QQ.scalar(2)
-    eig = joint_eigenspaces([d], sub, [QQ.one, QQ.scalar(2)])
-    assert {k[0].as_rational() for k in eig} == {1, 2}
-    total = sum(v.dim for v in eig.values())
-    assert total == 2
+    assert joint_eigenspaces([r], 2) == {(QQ.one,): [0], (QQ.scalar(2),): [1]}
+    # keys follow the first coordinate that carries them; an absent diagonal
+    # entry is zero
+    assert list(joint_eigenspaces([d, _mat([[0, 0, 0], [0, 3, 0], [0, 0, 0]])], 3)) == [
+        (QQ.one, QQ.zero), (QQ.one, QQ.scalar(3)), (QQ.scalar(2), QQ.zero)
+    ]
 
 
 def test_eigenspaces_cyclotomic():
     F = field(4)
-    rot = Matrix(
-        [[F.zero, -F.one], [F.one, F.zero]], ncols=2, fld=F
-    )  # eigenvalues +-i
-    amb = Subspace(2, [{0: F.one}, {1: F.one}], fld=F)
-    eig = joint_eigenspaces([rot], amb, [F.zeta, -F.zeta])
-    assert sorted(str(k[0]) for k in eig) == sorted([str(F.zeta), str(-F.zeta)])
+    d = Matrix([[F.zeta, F.zero], [F.zero, -F.zeta]], ncols=2, fld=F)
+    assert joint_eigenspaces([d], 2) == {(F.zeta,): [0], (-F.zeta,): [1]}
+    # the rotation has the eigenvalues +-i too, but not on the basis
+    rot = Matrix([[F.zero, -F.one], [F.one, F.zero]], ncols=2, fld=F)
+    with pytest.raises(ValueError, match="not diagonal"):
+        joint_eigenspaces([rot], 2)
 
 
 def test_eigenspaces_rational_non_diagonal():
-    # the scan: e0 has eigenvalue 1 and e0 + e1 eigenvalue 2; keys follow
-    # the candidate order
-    m = _mat([[1, 1], [0, 2]])
-    cands = [QQ.scalar(c) for c in (2, 1, 0)]
-    eig = joint_eigenspaces([m], Subspace.full(QQ, 2), cands)
-    assert list(eig) == [(cands[0],), (cands[1],)]
-    assert eig[(cands[0],)] == Subspace(2, [_vec([1, 1])], fld=QQ)
-    assert eig[(cands[1],)] == Subspace(2, [_vec([1, 0])], fld=QQ)
-    nilpotent = _mat([[0, 1], [0, 0]])
-    with pytest.raises(ValueError, match="not semisimple"):
-        joint_eigenspaces([nilpotent], Subspace.full(QQ, 2), cands)
+    # semisimple (eigenvalues 1 and 2) or nilpotent: neither is diagonal on
+    # the basis, so neither is a weight read
+    for m in (_mat([[1, 1], [0, 2]]), _mat([[0, 1], [0, 0]])):
+        with pytest.raises(ValueError, match="not diagonal"):
+            joint_eigenspaces([m], 2)
+        with pytest.raises(ValueError, match="not diagonal"):
+            weight_spaces([m], 2)
+
+
+def test_off_diagonal_cartan_action_raises():
+    # the natural sl2-module in the basis e0, e0 + e1: h is not diagonal
+    g = build_sl(2)
+    nat = natural_module(g)
+    p = _mat([[1, 1], [0, 1]])
+    p_inv = p.inverse()
+    moved = FiniteModule(g, [p.matmul(a).matmul(p_inv) for a in nat.actions], check=True)
+    with pytest.raises(ValueError, match="not diagonal"):
+        moved.character()
 
 
 def _weight_candidates(fld, n):
-    """The candidates of liealg.weight_spaces on a module of dimension n."""
+    """The integer weights possible on a module of dimension n."""
     return [fld.scalar(c) for c in range(1 - n, n)]
 
 
-def _scan_reference(ops, space, eigenvalues):
-    """joint_eigenspaces with the per-candidate nullspace scan on every
-    piece, diagonal or not."""
-    pieces = {(): space}
+def _scan_reference(ops, n, eigenvalues):
+    """The joint eigenspaces of commuting semisimple operators on the
+    coordinate space of dimension n, by one nullspace per piece and candidate
+    eigenvalue: a reference that needs no diagonal, keys in candidate
+    order."""
+    pieces = {(): Subspace.full(ops[0].field, n)}
     for op in ops:
-        pieces = {
-            key + (ev,): sub
-            for key, sp in pieces.items()
-            for ev, sub in _scanned_eigenspaces(restrict_operator(op, sp), sp, eigenvalues)
-        }
+        new = {}
+        for key, sp in pieces.items():
+            m = restrict_operator(op, sp)
+            fld, basis = sp.field, sp.basis
+            ident = Matrix.identity(fld, sp.dim)
+            for ev in eigenvalues:
+                ker = Matrix.combination(
+                    fld, sp.dim, sp.dim, [(fld.one, m), (-ev, ident)]
+                ).nullspace()
+                if ker.dim:
+                    vecs = [
+                        linear_combination((c, basis[k]) for k, c in v.items())
+                        for v in ker.basis
+                    ]
+                    new[key + (ev,)] = Subspace(n, vecs, fld=fld)
+        pieces = new
     return pieces
+
+
+def _coordinate_spaces(fld, n, groups):
+    """Each group of coordinate indices as the Subspace it spans."""
+    return {
+        key: Subspace(n, [{i: fld.one} for i in idx], fld=fld) for key, idx in groups.items()
+    }
+
+
+def _is_diagonal(m):
+    return all(r == c for r, c, _ in m.nonzeros())
 
 
 @st.composite
@@ -392,18 +424,22 @@ def test_diagonal_read_equals_the_scan(drawn, nops):
     diags = diags[:nops]
     p_inv = p.inverse()
     conjugates = [p.matmul(d).matmul(p_inv) for d in diags]
-    full = Subspace.full(QQ, n)
-    cands = _weight_candidates(QQ, n)
-    read = joint_eigenspaces(diags, full, cands)
-    # same keys in the same order and the same Subspaces as the scan; with
-    # two operators the second is read on proper pieces
-    assert list(read.items()) == list(_scan_reference(diags, full, cands).items())
-    scanned = joint_eigenspaces(conjugates, full, cands)
-    assert list(scanned) == list(read)
-    for key, sp in read.items():
-        # D v = ev v gives (P D P^-1)(P v) = ev P v
-        assert scanned[key].dim == sp.dim
-        assert scanned[key] == Subspace(n, [p.apply(v) for v in sp.basis], fld=QQ)
+    read = joint_eigenspaces(diags, n)
+    # the same eigenspaces as the scan; with two operators the second is
+    # scanned on proper pieces
+    scanned = _scan_reference(diags, n, _weight_candidates(QQ, n))
+    assert _coordinate_spaces(QQ, n, read) == scanned
+    assert sum(len(idx) for idx in read.values()) == n
+    assert weight_spaces(diags, n) == {
+        tuple(int(x.as_rational()) for x in key): len(idx) for key, idx in read.items()
+    }
+    # a unitriangular conjugate of a diagonal matrix is either that matrix or
+    # not diagonal, and then it is refused
+    if all(_is_diagonal(c) for c in conjugates):
+        assert conjugates == diags
+    else:
+        with pytest.raises(ValueError, match="not diagonal"):
+            joint_eigenspaces(conjugates, n)
 
 
 def test_diagonal_read_matches_candidates_of_another_field():
@@ -412,25 +448,23 @@ def test_diagonal_read_matches_candidates_of_another_field():
     F4, F8 = field(4), field(8)
     i = F8.zeta**2
     d = Matrix([[i, F8.zero], [F8.zero, -i]], ncols=2, fld=F8)
-    full = Subspace.full(F8, 2)
-    cands = [F4.zeta, -F4.zeta]
-    read = joint_eigenspaces([d], full, cands)
-    assert list(read.items()) == list(_scan_reference([d], full, cands).items())
+    read = joint_eigenspaces([d], 2)
+    assert read[(F4.zeta,)] == [0] and read[(-F4.zeta,)] == [1]
+    assert _coordinate_spaces(F8, 2, read) == _scan_reference([d], 2, [F4.zeta, -F4.zeta])
 
 
 def test_diagonal_read_keeps_the_coverage_check():
-    # a diagonal entry that is not a candidate leaves its row uncovered
+    # every diagonal entry must be an integer weight: not 1/2, not zeta, and
+    # not 2 on a module of dimension 2 (outside [1 - dim, dim - 1])
     half = QQ.one / QQ.scalar(2)
-    d = Matrix([[half, QQ.zero], [QQ.zero, QQ.one]], ncols=2, fld=QQ)
-    with pytest.raises(ValueError, match="not semisimple"):
-        joint_eigenspaces([d], Subspace.full(QQ, 2), _weight_candidates(QQ, 2))
     F = field(4)
-    z = Matrix([[F.zeta, F.zero], [F.zero, F.one]], ncols=2, fld=F)
-    with pytest.raises(ValueError, match="not semisimple"):
-        joint_eigenspaces([z], Subspace.full(F, 2), _weight_candidates(F, 2))
-    # an integer weight outside [1 - dim, dim - 1]
-    with pytest.raises(ValueError, match="not semisimple"):
-        weight_spaces([_mat([[2, 0], [0, 0]])], 2, QQ)
+    for d in (
+        Matrix([[half, QQ.zero], [QQ.zero, QQ.one]], ncols=2, fld=QQ),
+        Matrix([[F.zeta, F.zero], [F.zero, F.one]], ncols=2, fld=F),
+        _mat([[2, 0], [0, 0]]),
+    ):
+        with pytest.raises(ValueError, match="not an integer weight"):
+            weight_spaces([d], 2)
 
 
 def _square(n):

@@ -5,7 +5,7 @@ import pytest
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
 from emapalg.fields import field
-from emapalg.liealg import GModule, natural_module
+from emapalg.liealg import natural_module
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
     FiniteModule,
@@ -101,16 +101,12 @@ def test_bracket_check_rejects_perturbed_action(finite):
     fld = g.field
     alg = TruncatedAlgebra(g, EtaFunction.of({pt(fld, 1): 1}))
     if finite:
-        actions = evaluation_module(_psi(fld, {1: (1,)}), alg).actions
-
-        def build(acts):
-            return FiniteModule(alg, acts, check=True)
-
+        algebra, actions = alg, evaluation_module(_psi(fld, {1: (1,)}), alg).actions
     else:
-        actions = natural_module(g).actions
+        algebra, actions = g, natural_module(g).actions
 
-        def build(acts):
-            return GModule(g, acts, check=True)
+    def build(acts):
+        return FiniteModule(algebra, acts, check=True)
 
     build(actions)
     doubled = [Matrix.combination(fld, 2, 2, [(fld.scalar(2), actions[0])])]
@@ -212,14 +208,16 @@ def test_is_isomorphic_beyond_eight_hom_generators():
 
 def test_is_isomorphic_inconclusive_is_not_false():
     # V(2) + 2 V(0) and 2 V(1) + V(0): same dimension, Hom = Hom(2 V(0), V(0))
-    # of dimension 2 and no isomorphism, which random trials cannot prove
+    # of dimension 2 and no isomorphism, which random trials cannot prove;
+    # End of either side has dimension 5, so the answer is an exact "no"
     g, _ = z2_setup()
     fld = g.field
     alg = TruncatedAlgebra(g, EtaFunction.of({pt(fld, 1): 1}))
     v0, v1, v2 = (evaluation_module(_psi(fld, m), alg) for m in ({}, {1: (1,)}, {1: (2,)}))
     m1, m2 = _sum([v2, v0, v0]), _sum([v1, v1, v0])
     assert len(hom_space(m1, m2)) == 2
-    assert is_isomorphic(m1, m2) == (None, None)
+    assert len(hom_space(m1, m1)) == len(hom_space(m2, m2)) == 5
+    assert is_isomorphic(m1, m2) == (False, None)
     # the multiples of one singular intertwiner give an exact "no"
     v3 = evaluation_module(_psi(fld, {1: (3,)}), alg)
     assert len(hom_space(_sum([v2, v1, v0]), _sum([v1, v3]))) == 1

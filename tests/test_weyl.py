@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from emapalg.coordalg import EtaFunction
 from emapalg.ema import TruncatedAlgebra
 from emapalg.fields import QQ, field
-from emapalg.liealg import build_sl, irreducible_module
-from emapalg.linalg import Matrix, Subspace, saturate
+from emapalg.liealg import FiniteModule, build_sl, irreducible_module
+from emapalg.linalg import Matrix, Subspace, linear_combination, saturate
 from emapalg.repmod import (
     PsiFunction,
+    _cartan_basis_indices,
     is_isomorphic,
     joint_weights,
     multiplicities,
@@ -28,6 +29,7 @@ from emapalg.weyl import (
     CertificationError,
     _Straightener,
     _generators,
+    _maximal_submodule,
     _push_down_seeds,
     _straighten,
     check_choice_independence,
@@ -121,6 +123,68 @@ def test_hw_quotient_check():
     assert psi == _psi(QQ, {1: (2,)})
     assert witness is not None
     assert witness.rank() == w.dim
+
+
+def _fixed_point_maximal_submodule(module):
+    """The greatest submodule inside the span of the images of op - c over
+    the Cartan operators op, c the cyclic vector's eigenvalue: the subspace
+    loop U <- {v in U : op(v) in U for every op} run until it is stable."""
+    fld, n = module.field, module.dim
+    cart = [module.actions[i] for i in _cartan_basis_indices(module.algebra)]
+    cur = Subspace(n, (), fld=fld)
+    ident = Matrix.identity(fld, n)
+    for op in cart:
+        k = min(module.cyclic)
+        c = op.apply(module.cyclic).get(k, fld.zero) * module.cyclic[k].inverse()
+        shifted = Matrix.combination(fld, n, n, [(fld.one, op), (-c, ident)])
+        for j in range(n):
+            cur.add_vector(shifted.column(j))
+    while cur.dim:
+        basis = cur.basis
+        cols = []
+        for b in basis:
+            col = {}
+            for t, op in enumerate(module.actions):
+                col.update((t * n + j, x) for j, x in cur.reduce(op.apply(b)).items())
+            cols.append(col)
+        ker = Matrix.from_columns(fld, len(module.actions) * n, cols).nullspace()
+        if ker.dim == cur.dim:
+            break
+        vecs = [linear_combination((c, basis[k]) for k, c in kv.items()) for kv in ker.basis]
+        cur = Subspace(n, vecs, fld=fld)
+    return cur
+
+
+@pytest.mark.parametrize(
+    "n,mapping",
+    [
+        (2, {1: (2,)}),
+        (2, {1: (3,)}),
+        (3, {1: (1, 1)}),
+        (3, {1: (2, 0)}),
+        (2, {1: (2,), 2: (1,)}),
+    ],
+)
+def test_head_by_dual_saturation_matches_the_fixed_point_loop(n, mapping):
+    w = weyl_module(build_sl(n), _psi(QQ, mapping), certify=False)
+    sub = _maximal_submodule(w.module)
+    assert sub == _fixed_point_maximal_submodule(w.module)
+    assert w.dim - sub.dim == prod(
+        build_sl(n).rd.weyl_dim(Weight(lam)) for lam in mapping.values()
+    )
+
+
+def test_hw_quotient_check_refuses_a_non_integer_weight():
+    # h tensor 1 acts on a line by 5/2: no integer weight to read psi from
+    g = build_sl(2)
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(QQ, 1): 1}))
+    zero = Matrix.from_triples(QQ, 1, 1, ())
+    actions = [zero] * alg.dim
+    actions[alg.index[(0, g.h(0), (0,))]] = Matrix.from_triples(
+        QQ, 1, 1, [(0, 0, QQ.scalar("5/2"))]
+    )
+    with pytest.raises(ValueError, match="not an integer weight"):
+        hw_quotient_check(FiniteModule(alg, actions, cyclic={0: QQ.one}))
 
 
 def test_tensor_check_untwisted():
