@@ -41,6 +41,7 @@ PROBES = {
     "weyl psi_two_point": ["weyl", "psi_two_point"],
     "twist psi_w1w2_eq": ["twist", "psi_w1w2_eq"],
     "battery psi_w1w2_eq": ["battery", "psi_w1w2_eq", "--bound", "1"],
+    "battery psi_2w1w2_eq": ["battery", "psi_2w1w2_eq", "--bound", "2"],
 }
 TIMEOUT_S = 900
 

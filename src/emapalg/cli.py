@@ -14,21 +14,9 @@ import sys
 
 from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .homology import (
-    characterization_battery,
-    check_hom_dim,
-    enumerate_phi,
-    ext1_ladder,
-)
-from .liealg import trivial_module
+from .homology import characterization_battery, enumerate_phi, lower_candidates
 from .repmod import (
-    direct_sum,
-    evaluation_module,
-    extend_to,
-    height_psi_orbits,
-    hom_space,
-    multiplicities,
-    tensor_product,
+    direct_sum, evaluation_module, extend_to, multiplicities, psi_restrict, tensor_product, untwist,
 )
 from .scenario import (
     Scenario,
@@ -111,11 +99,7 @@ def cmd_validate(scn: Scenario, args):
 
 
 def cmd_weyl(scn: Scenario, args):
-    psi = _resolve_psi(scn, args.psi)
-    if psi.equivariant:
-        from .repmod import psi_restrict
-
-        psi = psi_restrict(psi, scn.group, _orbit_reps(scn))
+    psi = _plain(scn, args.psi)
     _check_cap(weyl_dim_bound(scn.algebra, psi))
     w = weyl_module(scn.algebra, psi)
     _check_cap(w.dim)
@@ -138,8 +122,6 @@ def cmd_twist(scn: Scenario, args):
             raise ScenarioError("unknown point name %s" % exc)
     else:
         points = [p for p in _orbit_reps(scn) if any(q in psi.support() for q in scn.group.orbit(p))]
-    from .repmod import psi_restrict, untwist
-
     _check_cap(weyl_dim_bound(scn.algebra, psi_restrict(psi, scn.group, points)))
     tw, w, inv = twisted_weyl(scn.group, psi, points)
     _check_cap(tw.dim)
@@ -266,8 +248,6 @@ def cmd_mult(scn: Scenario, args):
 def _plain(scn: Scenario, name):
     psi = _resolve_psi(scn, name)
     if psi.equivariant:
-        from .repmod import psi_restrict
-
         psi = psi_restrict(psi, scn.group, _orbit_reps(scn))
     return psi
 
@@ -281,8 +261,6 @@ def _battery_module(scn: Scenario, name):
         for p in _orbit_reps(scn)
         if any(q in psi.support() for q in scn.group.orbit(p))
     ]
-    from .repmod import psi_restrict
-
     _check_cap(weyl_dim_bound(scn.algebra, psi_restrict(psi, scn.group, reps)))
     tw, _, _ = twisted_weyl(scn.group, psi, reps)
     _check_cap(tw.dim)
@@ -291,23 +269,11 @@ def _battery_module(scn: Scenario, name):
 
 def cmd_ext(scn: Scenario, args):
     tw, psi = _battery_module(scn, args.psi)
-    alg = tw.algebra
-    rank = scn.algebra.rd.rank
-    target_h = height_psi_orbits(scn.group, psi)
-    reps = sorted(alg.eta.support(), key=lambda p: p.sort_key())
-    rows = []
-    cache = {}
-    for phi in enumerate_phi(scn.group, reps, rank, args.bound):
-        if not height_psi_orbits(scn.group, phi) < target_h:
-            continue
-        if phi.is_zero():
-            n = trivial_module(alg)
-        else:
-            n = evaluation_module(phi, alg)
-        hd = len(hom_space(tw, n))
-        ladder = ext1_ladder(tw, n, rungs=args.rungs, algebras=cache)
-        check_hom_dim(hd, ladder)
-        rows.append([fmt_psi(scn, phi), hd, ladder.dims])
+    reps = sorted(tw.algebra.eta.support(), key=lambda p: p.sort_key())
+    rows = [
+        [fmt_psi(scn, phi), hd, dims]
+        for phi, hd, dims in lower_candidates(tw, psi, reps, args.bound, args.rungs)
+    ]
     rows.sort(key=lambda r: r[0])
     return {
         "psi": fmt_psi(scn, psi),

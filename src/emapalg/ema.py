@@ -56,6 +56,17 @@ class TruncatedAlgebra(LieAlgebra):
             self._bracket_cache[key] = out
         return out
 
+    def levi_split(self):
+        """s = g tensor 1 at each point, split as g is; n = the basis elements
+        of positive jet degree."""
+        cartan, raising, _ = self.g.levi_split()
+        at_one = [(k, g_idx) for k, (_, g_idx, mono) in enumerate(self.basis) if not any(mono)]
+        return (
+            [k for k, g_idx in at_one if g_idx in cartan],
+            [k for k, g_idx in at_one if g_idx in raising],
+            [k for k, (_, _, mono) in enumerate(self.basis) if any(mono)],
+        )
+
     def project(self, g_vec, f: LaurentFunction):
         """Image of (g-element tensor function) in the truncation."""
         out = {}

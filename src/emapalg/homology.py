@@ -7,10 +7,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .coordalg import EtaFunction
+from .coordalg import EtaFunction, is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
 from .liealg import FiniteModule, trivial_module
-from .linalg import Matrix, Subspace, hom_action
+from .linalg import Matrix, Subspace, hom_action, joint_eigenspaces
 from .repmod import (
     PsiFunction,
     evaluation_module,
@@ -19,60 +19,115 @@ from .repmod import (
     hom_space,
     is_maximal_weight,
     psi_gamma,
+    untwist,
 )
 from .rootdata import Weight
 
 
 class CEComplex:
-    """The bottom of the Chevalley-Eilenberg complex for a finite-dimensional
-    Lie algebra acting on a finite-dimensional module."""
+    """The bottom of the Chevalley-Eilenberg complex of L = s + n relative to
+    its Levi factor s (from L.levi_split()), for L acting on a module V.
+
+    Hochschild-Serre and Whitehead's lemmas give H^1(L, V) = H^1(n, V)^s, and
+    s acts semisimply on the cochains, so H^1 is that of the complex
+    V^s -> Hom_s(n, V) -> Hom_s(L^2 n, V).  The Cartan elements of s must act
+    diagonally on V and on n (ValueError otherwise); Hom_s(n, V) is the
+    weight-zero part of Hom(n, V) killed by the simple raising elements.
+    With s = 0 this is the full complex."""
 
     def __init__(self, L, actions, vdim, fld):
-        self.L = L
-        self.ldim = L.dim
-        self.vdim = vdim
-        self.field = fld
-        self.actions = actions
-        l, v = self.ldim, vdim
-        # C0 = V; C1 = maps L -> V indexed (i, a); C2 indexed (pair p, a)
-        self.pairs = list(itertools.combinations(range(l), 2))
-        nonzeros = [list(act.nonzeros()) for act in actions]
-        self.d0 = Matrix.from_triples(
+        self.L, self.actions, self.vdim, self.field = L, actions, vdim, fld
+        cartan, self.raising, self.nil = L.levi_split()
+        by_weight = joint_eigenspaces([actions[h] for h in cartan], vdim)
+        # the weight-zero coordinates (i, a) of Hom(n, V)
+        self.cochains = [(i, a) for i in self.nil for a in by_weight.get(_weight(L, cartan, i), ())]
+        index = {key: k for k, key in enumerate(self.cochains)}
+        self._e_brackets = _brackets_by_term(L, ((e, j) for e in self.raising for j in self.nil))
+        self._n_brackets = _brackets_by_term(L, itertools.combinations(self.nil, 2))
+        invariants = _kernel(  # V^s
             fld,
-            l * v,
-            v,
-            ((i * v + a, b, x) for i in range(l) for a, b, x in nonzeros[i]),
+            by_weight.get(tuple(fld.zero for _ in cartan), []),
+            lambda a: (((e, b), x) for e in self.raising for b, x in actions[e].column(a).items()),
         )
-        d1 = []
-        for p, (i1, i2) in enumerate(self.pairs):
-            row = p * v
-            # x1 . f(x2)
-            d1.extend((row + a, i2 * v + b, x) for a, b, x in nonzeros[i1])
-            # - x2 . f(x1)
-            d1.extend((row + a, i1 * v + b, -x) for a, b, x in nonzeros[i2])
-            # - f([x1, x2])
-            for k, c in L.bracket_terms(i1, i2):
-                d1.extend((row + a, k * v + a, -c) for a in range(v))
-        self.d1 = Matrix.from_triples(fld, len(self.pairs) * v, l * v, d1)
-        if not self.d1.matmul(self.d0).is_zero():
+        relative = _kernel(fld, range(len(index)), self._raise)  # Hom_s(n, V)
+        self.d1 = _keyed_matrix(fld, len(relative), self._d1_terms(relative))
+        c1_rel = Subspace(len(index), relative, fld=fld)
+        d0 = []  # (d0 v)(x_i) = x_i . v on V^s
+        for v in invariants:
+            image = {(i, b): y for i in self.nil for b, y in actions[i].apply(v).items()}
+            d0.append({index[key]: y for key, y in image.items() if key in index})
+            if len(d0[-1]) < len(image) or not c1_rel.contains(d0[-1]):
+                raise AssertionError("d0(V^s) is not inside Hom_s(n, V)")
+        if not _keyed_matrix(fld, len(d0), self._d1_terms(d0)).is_zero():
             raise AssertionError("d1 after d0 is not zero")
-        # the coboundaries B^1, spanned by the columns of d0
-        self.d0_image = Subspace(l * v, [self.d0.column(a) for a in range(v)], fld=fld)
+        self.b1_dim = Subspace(len(index), d0, fld=fld).dim
+        self._h0 = len(invariants) - self.b1_dim
+
+    def _raise(self, k):
+        """(key, x) pairs summing to e.phi, over the simple raising e, for phi
+        the k-th weight-zero cochain: (e.phi)(y) = e.phi(y) - phi([e, y])."""
+        j, a = self.cochains[k]
+        for e in self.raising:
+            for b, x in self.actions[e].column(a).items():
+                yield (e, j, b), x
+        for e, i, x in self._e_brackets.get(j, ()):
+            yield (e, i, a), -x
+
+    def _d1_terms(self, cochains):
+        """(key, column, x) triples summing to d1 of each cochain, where
+        (d1 phi)(x_i, x_j) = x_i.phi(x_j) - x_j.phi(x_i) - phi([x_i, x_j])."""
+        for col, phi in enumerate(cochains):
+            for k, c in phi.items():
+                j, a = self.cochains[k]
+                for i in self.nil:
+                    if i != j:
+                        s = c if i < j else -c
+                        for b, x in self.actions[i].column(a).items():
+                            yield (min(i, j), max(i, j), b), col, s * x
+                for i1, i2, x in self._n_brackets.get(j, ()):
+                    yield (i1, i2, a), col, -c * x
 
     def h0_dim(self):
-        return self.vdim - self.d0_image.dim
+        return self._h0
 
     def h1(self):
-        """(dimension, representative cocycles as coefficient vectors)."""
-        ker = self.d1.nullspace()
-        img = self.d0_image.copy()
-        reps = []
-        for b in ker.basis:
-            r = img.reduce(b)
-            if r:
-                img.add_vector(r)
-                reps.append(r)
-        return len(reps), reps
+        """dim ker d1 - dim B^1."""
+        return self.d1.ncols - self.d1.rank() - self.b1_dim
+
+
+def _weight(L, cartan, i):
+    """The weight of basis element i, read off bracket_terms; raises
+    ValueError unless each [h, x_i] is a multiple of x_i."""
+    terms = [L.bracket_terms(h, i) for h in cartan]
+    if any(k != i for t in terms for k, _ in t):
+        raise ValueError("a Cartan element is not diagonal on n")
+    return tuple(t[0][1] if t else L.field.zero for t in terms)
+
+
+def _brackets_by_term(L, pairs):
+    """{k: [(x, y, c), ...]} over the pairs (x, y) with [x, y] = c x_k + ..."""
+    out = {}
+    for x, y in pairs:
+        for k, c in L.bracket_terms(x, y):
+            out.setdefault(k, []).append((x, y, c))
+    return out
+
+
+def _keyed_matrix(fld, ncols, triples):
+    """The matrix summing (row key, column, x) triples, rows numbered by the
+    first appearance of their key."""
+    rows = {}
+    triples = [(rows.setdefault(key, len(rows)), c, x) for key, c, x in triples]
+    return Matrix.from_triples(fld, len(rows), ncols, triples)
+
+
+def _kernel(fld, coords, image):
+    """The kernel of a linear map on the span of the coordinate vectors at
+    coords, as sparse vectors; image(a) yields (row key, x) pairs that sum to
+    the image of coordinate vector a."""
+    triples = ((key, k, x) for k, a in enumerate(coords) for key, x in image(a))
+    kernel = _keyed_matrix(fld, len(coords), triples).nullspace()
+    return [{coords[k]: c for k, c in z.items()} for z in kernel.basis]
 
 
 def hom_module(L, m1: FiniteModule, m2: FiniteModule):
@@ -81,13 +136,6 @@ def hom_module(L, m1: FiniteModule, m2: FiniteModule):
     `actions` and `dim` (including plain g-modules)."""
     actions = [hom_action(a1, a2) for a1, a2 in zip(m1.actions, m2.actions)]
     return actions, m2.dim * m1.dim
-
-
-def h1(L, m1: FiniteModule, m2: FiniteModule):
-    """Ext^1 between modules over L via H^1(L, Hom(M1, M2))."""
-    actions, dim = hom_module(L, m1, m2)
-    cx = CEComplex(L, actions, dim, m1.field)
-    return cx.h1()
 
 
 @dataclass
@@ -105,60 +153,52 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
     """H^1 of truncations with growing exponent; extensions of any pair of
     finite modules live on some rung, so stabilized dims certify vanishing up
     to that depth.  The base exponent sits one above the modules' own
-    truncations so that genuinely new extensions can appear on the ladder."""
+    truncations so that genuinely new extensions can appear on the ladder.
+
+    Modules over an invariant algebra are first untwisted through the stored
+    inverse of its evaluation isomorphism; Ext does not change under pullback
+    along a Lie isomorphism, so every rung is a plain truncation at the
+    representative points."""
+    group = m1.algebra.group if isinstance(m1.algebra, InvariantAlgebra) else None
+    if group is not None:
+        m1, m2 = untwist(m1), untwist(m2)
     alg1, alg2 = m1.algebra, m2.algebra
     if base is None:
         base = max(alg1.eta.max_exponent(), alg2.eta.max_exponent()) + 1
-    out = []
-    homd = None
-    for i in range(rungs):
-        if algebras is not None and (base + i) in algebras:
-            L = algebras[base + i]
-        else:
-            L = _rung_algebra_joint(alg1, alg2, base + i)
-            if algebras is not None:
-                algebras[base + i] = L
-        e1 = extend_to(m1, L)
-        e2 = extend_to(m2, L)
-        actions, vdim = hom_module(L, e1, e2)
+    algebras = {} if algebras is None else algebras
+    out, homd = [], None
+    for e in range(base, base + rungs):
+        if e not in algebras:
+            algebras[e] = _rung_algebra_joint(alg1, alg2, e, group)
+        L = algebras[e]
+        actions, vdim = hom_module(L, extend_to(m1, L), extend_to(m2, L))
         cx = CEComplex(L, actions, vdim, m1.field)
-        dim, _ = cx.h1()
         if homd is None:
-            # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2), read off the d0 reduction h1 uses
-            homd = cx.h0_dim()
-        out.append((base + i, dim))
+            homd = cx.h0_dim()  # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2)
+        out.append((e, cx.h1()))
     stable = len(out) >= 2 and out[-1][1] == out[-2][1]
     return ExtLadder(out, stable, homd)
 
 
-def _rung_algebra_joint(alg1, alg2, exponent):
-    if isinstance(alg1, InvariantAlgebra):
-        pts = sorted(
-            set(alg1.eta.support()) | set(alg2.eta.support()),
-            key=lambda p: p.sort_key(),
-        )
-        eta = EtaFunction.of({p: exponent for p in pts})
-        return InvariantAlgebra(alg1.g, alg1.group, eta)
+def _rung_algebra_joint(alg1, alg2, exponent, group=None):
+    """The truncation at the union of the two algebras' points; with a group,
+    the union must be a transversal (one point per orbit)."""
     pts = sorted(set(alg1.points) | set(alg2.points), key=lambda p: p.sort_key())
-    eta = EtaFunction.of({p: exponent for p in pts})
-    return TruncatedAlgebra(alg1.g, eta)
+    if group is not None:
+        ok, viol = is_transversal_set(group, pts)
+        if not ok:
+            raise ValueError("representative points share an orbit: %r" % (viol,))
+    return TruncatedAlgebra(alg1.g, EtaFunction.of({p: exponent for p in pts}))
 
 
 def enumerate_phi(group, orbit_reps, rank, bound):
     """All equivariant phi with support inside the given orbits and
     fundamental coordinates at most `bound` (including the zero function)."""
-    coord_range = range(bound + 1)
-    weight_choices = [
-        Weight(c) for c in itertools.product(coord_range, repeat=rank)
+    weights = [Weight(c) for c in itertools.product(range(bound + 1), repeat=rank)]
+    return [
+        psi_gamma(group, PsiFunction.of(dict(zip(orbit_reps, combo))))
+        for combo in itertools.product(weights, repeat=len(orbit_reps))
     ]
-    out = []
-    for combo in itertools.product(weight_choices, repeat=len(orbit_reps)):
-        mapping = {
-            p: w for p, w in zip(orbit_reps, combo) if not w.is_zero()
-        }
-        psi = PsiFunction.of(mapping)
-        out.append(psi_gamma(group, psi))
-    return out
 
 
 def check_hom_dim(hom_dim, ladder: ExtLadder):
@@ -167,8 +207,7 @@ def check_hom_dim(hom_dim, ladder: ExtLadder):
     equal the rung's H^0."""
     if hom_dim != ladder.hom_dim:
         raise AssertionError(
-            "Hom dimension %d differs from H^0 %d of the ladder"
-            % (hom_dim, ladder.hom_dim)
+            "Hom dimension %d differs from H^0 %d of the ladder" % (hom_dim, ladder.hom_dim)
         )
 
 
@@ -181,58 +220,47 @@ class BatteryReport:
 
 
 def characterization_battery(
-    module: FiniteModule,
-    psi: PsiFunction,
-    weight_bound=None,
-    rungs=3,
-    early_stop=False,
+    module: FiniteModule, psi: PsiFunction, weight_bound=None, rungs=3, early_stop=False
 ) -> BatteryReport:
     """The Hom/Ext vanishing test against all lower-height candidates: PASS
     exactly when every Hom and every ladder rung vanishes."""
     alg = module.algebra
     if not isinstance(alg, InvariantAlgebra):
         raise ValueError("battery expects a module over an invariant algebra")
-    group = alg.group
-    rd = alg.g.rd
     ok, top = is_maximal_weight(module, psi)
     if not ok:
-        raise ValueError(
-            "module is not maximal weight with top %r (found %r)" % (psi, top)
-        )
+        raise ValueError("module is not maximal weight with top %r (found %r)" % (psi, top))
     if weight_bound is None:
-        weight_bound = max(
-            (c for _, w in psi.assignments for c in w.coords), default=1
-        )
-    done = set()
+        weight_bound = max((c for _, w in psi.assignments for c in w.coords), default=1)
+    # one point per orbit that psi meets: the one that indexes the algebra
     reps = []
-    for p, _ in psi.assignments:
-        if p in done:
-            continue
-        if p not in alg.eta.support():
-            # pick the orbit representative that indexes the algebra
-            for q in group.orbit(p):
-                if q in alg.eta.support():
-                    p = q
-                    break
-        for q in group.orbit(p):
-            done.add(q)
-        reps.append(p)
-    target_h = height_psi_orbits(group, psi)
+    for p in psi.support():
+        q = next((q for q in alg.group.orbit(p) if q in alg.eta.support()), p)
+        if q not in reps:
+            reps.append(q)
     report = BatteryReport(psi=psi)
-    rung_cache = {}
-    for phi in enumerate_phi(group, reps, rd.rank, weight_bound):
-        if not height_psi_orbits(group, phi) < target_h:
-            continue
-        n = evaluation_module(phi, alg) if not phi.is_zero() else trivial_module(alg)
-        hd = len(hom_space(module, n))
-        ladder = ext1_ladder(module, n, rungs=rungs, algebras=rung_cache)
-        check_hom_dim(hd, ladder)
-        report.candidates.append((phi, hd, ladder.dims))
-        if hd != 0 or any(d != 0 for d in ladder.dims):
+    for phi, hd, dims in lower_candidates(module, psi, reps, weight_bound, rungs):
+        report.candidates.append((phi, hd, dims))
+        if hd != 0 or any(d != 0 for d in dims):
             report.verdict = "FAIL"
             if report.witness is None:
-                report.witness = (phi, hd, ladder.dims)
+                report.witness = (phi, hd, dims)
             if early_stop:
                 return report
     return report
 
+
+def lower_candidates(module: FiniteModule, psi: PsiFunction, reps, bound, rungs):
+    """(phi, hom dim, ladder dims) for every equivariant phi supported on the
+    orbits of reps, with coordinates at most bound and height below psi;
+    each Hom dimension is checked against its ladder's H^0."""
+    alg = module.algebra
+    target_h = height_psi_orbits(alg.group, psi)
+    cache = {}
+    for phi in enumerate_phi(alg.group, reps, alg.g.rd.rank, bound):
+        if height_psi_orbits(alg.group, phi) < target_h:
+            n = evaluation_module(phi, alg) if not phi.is_zero() else trivial_module(alg)
+            hd = len(hom_space(module, n))
+            ladder = ext1_ladder(module, n, rungs=rungs, algebras=cache)
+            check_hom_dim(hd, ladder)
+            yield phi, hd, ladder.dims

@@ -33,6 +33,12 @@ class LieAlgebra:
     def basis_vector(self, i):
         return {i: self.field.one}
 
+    def levi_split(self):
+        """(cartan, raising, nil): the basis indices of the Cartan elements and
+        of the simple raising elements of a semisimple subalgebra s, and the
+        basis of a nilpotent ideal n with L = s + n.  Here s = 0 and n = L."""
+        return [], [], list(range(self.dim))
+
     def bracket_sparse(self, u, v, out=None):
         """Add [u, v] into the dict `out` (basis index -> coefficient, may
         hold zeros) and return it; u and v are lists of (basis index, nonzero
@@ -145,6 +151,11 @@ class ChevalleyAlgebra(LieAlgebra):
     def bracket_terms(self, i, j):
         """[x_i, x_j] as a tuple of (basis index, nonzero coefficient)."""
         return self._table[(i, j)]
+
+    def levi_split(self):
+        """s = g and n = 0."""
+        rank = range(self.rd.rank)
+        return [self.h(i) for i in rank], [self.e(i) for i in rank], []
 
     def e(self, i):
         """Chevalley generator e_i (simple root index, 0-based)."""

@@ -8,7 +8,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .coordalg import EtaFunction, is_transversal_set
+from .coordalg import is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
 from .liealg import FiniteModule, irreducible_module, transport, weight_spaces
 from .linalg import (
@@ -190,31 +190,14 @@ def twist(module: FiniteModule, inv: InvariantAlgebra) -> FiniteModule:
     return transport(module, mat, inv)
 
 
-def untwist(module: FiniteModule, points=None) -> FiniteModule:
-    """Inverse transport through the stored inverse of the evaluation iso."""
+def untwist(module: FiniteModule) -> FiniteModule:
+    """Inverse transport through the stored inverse of the evaluation iso at
+    the algebra's representative points."""
     inv = module.algebra
     if not isinstance(inv, InvariantAlgebra):
         raise ValueError("untwist expects a module over an invariant algebra")
-    if points is None:
-        eta = inv.eta
-    else:
-        eta = EtaFunction.of(
-            {p: inv.ambient.eta_tilde[p] for p in points}
-        )
-    target, _, matinv = inv.evaluation_iso(eta)
+    target, _, matinv = inv.evaluation_iso()
     return transport(module, matinv, target)
-
-
-def _cartan_basis_indices(alg: TruncatedAlgebra):
-    g = alg.g
-    rank = g.rd.rank
-    nvars = alg.points[0].nvars
-    zero_mono = (0,) * nvars
-    out = []
-    for p_idx in range(len(alg.points)):
-        for i in range(rank):
-            out.append(alg.index[(p_idx, g.h(i), zero_mono)])
-    return out
 
 
 def joint_weights(module: FiniteModule):
@@ -223,7 +206,7 @@ def joint_weights(module: FiniteModule):
     alg = module.algebra
     if not isinstance(alg, TruncatedAlgebra):
         raise ValueError("joint weights need a truncated-algebra module")
-    ops = [module.actions[i] for i in _cartan_basis_indices(alg)]
+    ops = [module.actions[i] for i in alg.levi_split()[0]]
     rank = alg.g.rd.rank
     npts = len(alg.points)
     return {

@@ -13,7 +13,6 @@ from .liealg import FiniteModule, integer_weight
 from .linalg import Matrix, Subspace, linear_combination, saturate
 from .repmod import (
     PsiFunction,
-    _cartan_basis_indices,
     extend_to,
     hom_space,
     is_isomorphic,
@@ -490,7 +489,9 @@ def _maximal_submodule(module: FiniteModule):
     if module.cyclic is None:
         raise ValueError("head needs a cyclic module")
     fld = module.field
-    cart = [module.actions[i] for i in _cartan_basis_indices(module.algebra)]
+    cart = [module.actions[i] for i in module.algebra.levi_split()[0]]
+    if not cart:
+        raise ValueError("head needs an algebra that names its Cartan elements")
     # top character values on the cyclic vector
     scalars = [_ratio(op.apply(module.cyclic), module.cyclic, fld) for op in cart]
     # complement: the span of images of (op_k - c_k) over all k, which misses

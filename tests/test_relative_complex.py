@@ -1,0 +1,154 @@
+"""The Levi-relative complex of emapalg.homology against the full
+Chevalley-Eilenberg complex of ce_oracle on every ladder rung of the fixture
+batteries and of hypothesis-drawn small psi, and the checks that must raise.
+The generic (s = 0) and semisimple (n = 0) cases are in test_homology."""
+
+import contextlib
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emapalg import homology
+from emapalg.cli import main
+from emapalg.coordalg import EtaFunction, Point
+from emapalg.ema import TruncatedAlgebra
+from emapalg.fields import QQ
+from emapalg.homology import CEComplex, characterization_battery, ext1_ladder
+from emapalg.liealg import FiniteModule, build_sl
+from emapalg.linalg import Matrix
+from emapalg.repmod import PsiFunction, direct_sum, evaluation_module
+from emapalg.rootdata import Weight
+from emapalg.scenario import load_scenario
+from emapalg.weyl import twisted_weyl, weyl_module
+
+from ce_oracle import FullComplex
+from test_homology import _TableAlgebra
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
+
+
+@contextlib.contextmanager
+def against_oracle():
+    """Every CEComplex built inside the block checks its H^0 and H^1 against
+    the full complex on the same algebra and module.  Yields the list of the
+    (H^0, H^1) pairs checked."""
+    seen = []
+
+    class Checked(CEComplex):
+        def h1(self):
+            dims = (self.h0_dim(), super().h1())
+            full = FullComplex(self.L, self.actions, self.vdim, self.field)
+            assert dims == (full.h0_dim(), full.h1())
+            seen.append(dims)
+            return dims[1]
+
+    with mock.patch.object(homology, "CEComplex", Checked):
+        yield seen
+
+
+def test_battery_demo_rungs_match_the_full_complex():
+    scn = load_scenario(os.path.join(FIXTURES, "sl2_z2.json"))
+    psi = scn.psis["psi2w"]
+    tw, _, _ = twisted_weyl(scn.group, psi, [scn.points["p1"]])
+    head = evaluation_module(psi, tw.algebra)
+    padded = direct_sum(tw, evaluation_module(scn.psis["psiw"], tw.algebra))
+    with against_oracle() as seen:
+        verdicts = [
+            characterization_battery(m, psi, weight_bound=2, rungs=3).verdict
+            for m in (tw, head, padded)
+        ]
+    assert verdicts == ["PASS", "FAIL", "FAIL"]
+    # the comparison covered rungs with H^1 = 1 and with H^0 = 1
+    assert (0, 1) in seen and any(h0 == 1 for h0, _ in seen)
+
+
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("sl2_z2.json", ["ext", "psiw", "--rungs", "2", "--bound", "1"]),
+        ("sl2_z2.json", ["battery", "psi2w", "--bound", "2"]),
+        ("sl3_flip.json", ["battery", "psi_w1"]),
+    ],
+    ids=["sl2_z2-ext-psiw", "sl2_z2-battery-psi2w", "sl3_flip-battery-psi_w1"],
+)
+def test_cli_rungs_match_the_full_complex(fixture, argv, tmp_path):
+    out = str(tmp_path / "out.json")
+    with against_oracle() as seen:
+        code = main(argv[:1] + [os.path.join(FIXTURES, fixture)] + argv[1:] + ["--output", out])
+    assert code == 0 and seen
+
+
+def _pt(c):
+    return Point((QQ.scalar(c),))
+
+
+@st.composite
+def ladder_cases(draw):
+    """(m1, m2, base, rungs) over plain truncations: A1 with weights up to 2
+    at one or two points, or A2 with w1 or w2 at one point; m1 a local Weyl
+    or an evaluation module, m2 an evaluation module; exponents up to 3."""
+    if draw(st.booleans()):
+        g = build_sl(2)
+        npts = draw(st.integers(1, 2))
+        # weight 1 at a second point keeps a two-point Weyl module at exponent <= 3
+        lam1 = [(draw(st.integers(1, 2)),)] + [(1,)] * (npts - 1)
+        lam2 = [(draw(st.integers(0, 3 - npts)),) for _ in range(npts)]
+    else:
+        g = build_sl(3)
+        lam1 = [draw(st.sampled_from([(1, 0), (0, 1)]))]
+        lam2 = [draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))]
+    pts = [_pt(c) for c in range(1, len(lam1) + 1)]
+    psi1 = PsiFunction.of({p: Weight(w) for p, w in zip(pts, lam1)})
+    psi2 = PsiFunction.of({p: Weight(w) for p, w in zip(pts, lam2)})
+    evaluation = TruncatedAlgebra(g, EtaFunction.of({p: 1 for p in pts}))
+    if draw(st.booleans()):
+        m1 = weyl_module(g, psi1).module
+    else:
+        m1 = evaluation_module(psi1, evaluation)
+    m2 = evaluation_module(psi2, evaluation)
+    base = draw(st.integers(m1.algebra.eta.max_exponent(), 3))
+    return m1, m2, base, draw(st.integers(1, 4 - base))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ladder_cases())
+def test_hypothesis_ladders_match_the_full_complex(case):
+    m1, m2, base, rungs = case
+    with against_oracle() as seen:
+        ladder = ext1_ladder(m1, m2, rungs=rungs, base=base)
+    assert len(seen) == rungs
+    assert ladder.dims == [h1 for _, h1 in seen]
+
+
+def test_off_diagonal_cartan_action_raises_in_the_ladder():
+    # the natural module conjugated by [[1, 1], [0, 1]] still represents sl2,
+    # but h no longer acts diagonally; there is no fallback to the full complex
+    g = build_sl(2)
+    alg = TruncatedAlgebra(g, EtaFunction.of({_pt(1): 1}))
+    nat = evaluation_module(PsiFunction.of({_pt(1): Weight((1,))}), alg)
+    p = Matrix([[QQ.one, QQ.one], [QQ.zero, QQ.one]])
+    conj = FiniteModule(alg, [p.matmul(a).matmul(p.inverse()) for a in nat.actions], check=True)
+    with pytest.raises(ValueError, match="not diagonal"):
+        ext1_ladder(conj, conj, rungs=1)
+
+
+def test_off_diagonal_cartan_bracket_on_n_raises():
+    # x0 as a "Cartan element" with [x0, x1] = x2: not diagonal on n
+    L = _TableAlgebra(3, {(0, 1): [(2, QQ.one)]})
+    L.levi_split = lambda: ([0], [], [1, 2])
+    zero = Matrix.from_triples(QQ, 1, 1, ())
+    with pytest.raises(ValueError, match="not diagonal on n"):
+        CEComplex(L, [zero] * 3, 1, QQ)
+
+
+def test_truncation_levi_split():
+    g = build_sl(3)
+    alg = TruncatedAlgebra(g, EtaFunction.of({_pt(1): 2, _pt(2): 1}))
+    cartan, raising, nil = alg.levi_split()
+    # s = g tensor 1 at both points: 2 Cartan and 2 simple raising elements each
+    assert len(cartan) == len(raising) == 4
+    assert nil == [k for k, (_, _, mono) in enumerate(alg.basis) if any(mono)]
+    assert len(nil) == g.dim

@@ -17,7 +17,6 @@ from emapalg.liealg import FiniteModule, build_sl, irreducible_module
 from emapalg.linalg import Matrix, Subspace, linear_combination, saturate
 from emapalg.repmod import (
     PsiFunction,
-    _cartan_basis_indices,
     is_isomorphic,
     joint_weights,
     multiplicities,
@@ -116,6 +115,16 @@ def test_head_of_w2():
     assert multiplicities(hd) == {_psi(QQ, {1: (2,)}): 1}
 
 
+def test_head_refuses_an_algebra_without_cartan_elements():
+    # an invariant algebra names no Levi split, so there are no weights to
+    # separate the top line by; head must not quietly return the module
+    g, group = z2_setup()
+    psi = psi_gamma(group, _psi(g.field, {1: (2,)}))
+    tw, _, _ = twisted_weyl(group, psi, [pt(g.field, 1)])
+    with pytest.raises(ValueError, match="Cartan"):
+        head(tw)
+
+
 def test_hw_quotient_check():
     g = build_sl(2)
     w = weyl_module(g, _psi(QQ, {1: (2,)}))
@@ -130,7 +139,7 @@ def _fixed_point_maximal_submodule(module):
     the Cartan operators op, c the cyclic vector's eigenvalue: the subspace
     loop U <- {v in U : op(v) in U for every op} run until it is stable."""
     fld, n = module.field, module.dim
-    cart = [module.actions[i] for i in _cartan_basis_indices(module.algebra)]
+    cart = [module.actions[i] for i in module.algebra.levi_split()[0]]
     cur = Subspace(n, (), fld=fld)
     ident = Matrix.identity(fld, n)
     for op in cart:
