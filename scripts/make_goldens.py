@@ -27,6 +27,8 @@ PAIRS = [
     ("sl3_flip.json", "weyl_psi_w1_plain", ["weyl", "psi_w1_plain"]),
     ("sl3_flip.json", "twist_psi_w1", ["twist", "psi_w1"]),
     ("sl3_flip.json", "irreps_b1", ["irreps", "--bound", "1"]),
+    ("sl2_z2.json", "mult_twisted", ["mult", "W(psi2w)*V(psiw)"]),
+    ("sl3_flip.json", "mult_twisted", ["mult", "V(psi_w1)+W(psi_w1)*W(psi_w1)"]),
 ]
 
 
