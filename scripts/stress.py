@@ -9,7 +9,8 @@ the child's peak RSS, the Python version, the core count and the scalar
 backend (gmpy2 or fractions).  Every answer is checked against a closed
 form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
-points, and the battery verdict against PASS.
+points, and the battery against PASS over at least one candidate, each
+with Hom 0 and every ladder rung 0.
 
 --src imports emapalg from another checkout's ``src`` directory, so the
 same harness measures two versions on the same machine.  The result goes
@@ -62,7 +63,15 @@ def check(scenario, args, report):
     if report["status"] != "ok":
         return "status %s" % report["status"]
     if args[0] == "battery":
-        return None if results["verdict"] == "PASS" else "verdict %s" % results["verdict"]
+        # a PASS over no candidate, or over a nonzero Hom or rung, is wrong
+        if results["verdict"] != "PASS":
+            return "verdict %s" % results["verdict"]
+        if not results["candidates"]:
+            return "PASS over no candidate"
+        for phi, hom, rungs in results["candidates"]:
+            if hom != 0 or any(rungs):
+                return "PASS with Hom %d, Ext %s at %s" % (hom, rungs, phi)
+        return None
     want = expected_dim(scenario, args[1])
     return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
 

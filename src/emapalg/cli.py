@@ -13,10 +13,11 @@ import os
 import sys
 
 from .coordalg import EtaFunction
-from .ema import InvariantAlgebra, TruncatedAlgebra
+from .ema import TruncatedAlgebra
 from .homology import characterization_battery, enumerate_phi, lower_candidates
 from .repmod import (
-    direct_sum, evaluation_module, extend_to, multiplicities, psi_restrict, tensor_product, untwist,
+    direct_sum, equivariant_table, evaluation_module, extend_to, multiplicities, psi_restrict,
+    tensor_product, untwist,
 )
 from .scenario import (
     Scenario,
@@ -69,8 +70,7 @@ def _resolve_psi(scn: Scenario, name):
     return scn.psis[name]
 
 
-def _mult_table(scn: Scenario, module):
-    table = multiplicities(module)
+def _mult_table(scn: Scenario, table):
     items = sorted(
         ((fmt_psi(scn, k), v) for k, v in table.items()), key=lambda kv: kv[0]
     )
@@ -90,6 +90,16 @@ def _orbit_reps(scn: Scenario):
     return reps
 
 
+def _check_ranges(args):
+    """Fewer than one rung or a negative bound would report an empty table
+    (or a PASS over no candidates), so they are input errors."""
+    if getattr(args, "rungs", 1) < 1:
+        raise ScenarioError("--rungs must be at least 1, got %d" % args.rungs)
+    bound = getattr(args, "bound", None)
+    if bound is not None and bound < 0:
+        raise ScenarioError("--bound must be at least 0, got %d" % bound)
+
+
 def cmd_validate(scn: Scenario, args):
     results = dict(scn.validation)
     results["passed"] = validation_passed(scn)
@@ -107,7 +117,7 @@ def cmd_weyl(scn: Scenario, args):
         "psi": fmt_psi(scn, psi),
         "dim": w.dim,
         "certificate": {k: v for k, v in sorted(w.certificate.items())},
-        "multiplicities": _mult_table(scn, w.module),
+        "multiplicities": _mult_table(scn, multiplicities(w.module)),
     }
 
 
@@ -122,7 +132,11 @@ def cmd_twist(scn: Scenario, args):
             raise ScenarioError("unknown point name %s" % exc)
     else:
         points = [p for p in _orbit_reps(scn) if any(q in psi.support() for q in scn.group.orbit(p))]
-    _check_cap(weyl_dim_bound(scn.algebra, psi_restrict(psi, scn.group, points)))
+    try:
+        rest = psi_restrict(psi, scn.group, points)
+    except ValueError as exc:
+        raise ScenarioError("bad --transversal: %s" % exc)
+    _check_cap(weyl_dim_bound(scn.algebra, rest))
     tw, w, inv = twisted_weyl(scn.group, psi, points)
     _check_cap(tw.dim)
     back = untwist(tw)
@@ -134,7 +148,7 @@ def cmd_twist(scn: Scenario, args):
         "dim": tw.dim,
         "untwisted_dim": w.dim,
         "untwist_roundtrip": "identity",
-        "multiplicities": _mult_table(scn, tw),
+        "multiplicities": _mult_table(scn, multiplicities(tw)),
     }
 
 
@@ -180,49 +194,26 @@ def _parse_module_expr(scn: Scenario, expr):
     return atoms, ops
 
 
-def _common_algebra(scn: Scenario, psis, twisted):
-    pts = sorted(
-        {p for psi in psis for p in psi.support()}, key=lambda p: p.sort_key()
-    )
-    exp = max(
-        max(1, scn.algebra.rd.pairing_htheta(psi.total_weight())) for psi in psis
-    )
-    if twisted:
-        done = set()
-        reps = []
-        for p in pts:
-            if p in done:
-                continue
-            for q in scn.group.orbit(p):
-                done.add(q)
-            reps.append(p)
-        eta = EtaFunction.of({p: exp for p in reps})
-        return InvariantAlgebra(scn.algebra, scn.group, eta)
-    eta = EtaFunction.of({p: exp for p in pts})
-    return TruncatedAlgebra(scn.algebra, eta)
-
-
 def cmd_mult(scn: Scenario, args):
+    """Every atom is built on one truncation; equivariant psi are restricted
+    to the orbit representatives (building over the invariant algebra would
+    untwist to the same modules) and the table is keyed by psi^Gamma."""
     atoms, ops = _parse_module_expr(scn, args.expr)
-    psis = [_resolve_psi(scn, name) for _, name in atoms]
-    flags = {psi.equivariant for psi in psis}
+    flags = {_resolve_psi(scn, name).equivariant for _, name in atoms}
     if len(flags) > 1:
         raise ScenarioError("module expression mixes equivariant and plain psi")
-    twisted = flags.pop() if flags else False
-    for kind, name in atoms:
+    psis = [_plain(scn, name) for _, name in atoms]
+    for (kind, _), psi in zip(atoms, psis):
         if kind == "W":
-            _check_cap(weyl_dim_bound(scn.algebra, _plain(scn, name)))
-    common = _common_algebra(scn, psis, twisted)
-    mods = []
-    for (kind, name), psi in zip(atoms, psis):
-        if kind == "V":
-            m = evaluation_module(psi, common)
-        elif twisted:
-            tw, _, _ = twisted_weyl(scn.group, psi, _orbit_reps(scn))
-            m = extend_to(tw, common)
-        else:
-            m = extend_to(weyl_module(scn.algebra, psi).module, common)
-        mods.append(m)
+            _check_cap(weyl_dim_bound(scn.algebra, psi))
+    pts = sorted({p for psi in psis for p in psi.support()}, key=lambda p: p.sort_key())
+    exp = max(max(1, scn.algebra.rd.pairing_htheta(psi.total_weight())) for psi in psis)
+    common = TruncatedAlgebra(scn.algebra, EtaFunction.of({p: exp for p in pts}))
+    mods = [
+        evaluation_module(psi, common) if kind == "V"
+        else extend_to(weyl_module(scn.algebra, psi).module, common)
+        for (kind, _), psi in zip(atoms, psis)
+    ]
     acc = mods[0]
     # left-to-right with * binding tighter
     pending_sum = None
@@ -238,10 +229,13 @@ def cmd_mult(scn: Scenario, args):
     if pending_sum is not None:
         acc = direct_sum(pending_sum, acc)
     _check_cap(acc.dim)
+    table = multiplicities(acc)
+    if flags == {True}:
+        table = equivariant_table(scn.group, table)
     return {
         "expr": args.expr,
         "dim": acc.dim,
-        "multiplicities": _mult_table(scn, acc),
+        "multiplicities": _mult_table(scn, table),
     }
 
 
@@ -405,6 +399,7 @@ def main(argv=None):
         scn = load_scenario(args.scenario)
         report["scenario"] = scn.name
         report["digest"] = _digest(args.scenario)
+        _check_ranges(args)
         report["results"] = _COMMANDS[args.command](scn, args)
     except ScenarioError as exc:
         report["status"] = "input-error"

@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .coordalg import EtaFunction, is_transversal_set
+from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .liealg import FiniteModule, trivial_module
+from .liealg import FiniteModule
 from .linalg import Matrix, Subspace, hom_action, joint_eigenspaces
 from .repmod import (
     PsiFunction,
@@ -19,6 +19,7 @@ from .repmod import (
     hom_space,
     is_maximal_weight,
     psi_gamma,
+    psi_restrict,
     untwist,
 )
 from .rootdata import Weight
@@ -130,14 +131,6 @@ def _kernel(fld, coords, image):
     return [{coords[k]: c for k, c in z.items()} for z in kernel.basis]
 
 
-def hom_module(L, m1: FiniteModule, m2: FiniteModule):
-    """Hom(M1, M2) as an L-module: (x.T) = rho2(x) T - T rho1(x), flattened
-    row-major; returns (actions, dim).  Works for any module object carrying
-    `actions` and `dim` (including plain g-modules)."""
-    actions = [hom_action(a1, a2) for a1, a2 in zip(m1.actions, m2.actions)]
-    return actions, m2.dim * m1.dim
-
-
 @dataclass
 class ExtLadder:
     rungs: list  # (exponent, h1 dimension)
@@ -155,40 +148,31 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
     to that depth.  The base exponent sits one above the modules' own
     truncations so that genuinely new extensions can appear on the ladder.
 
-    Modules over an invariant algebra are first untwisted through the stored
-    inverse of its evaluation isomorphism; Ext does not change under pullback
-    along a Lie isomorphism, so every rung is a plain truncation at the
-    representative points."""
-    group = m1.algebra.group if isinstance(m1.algebra, InvariantAlgebra) else None
-    if group is not None:
-        m1, m2 = untwist(m1), untwist(m2)
+    Both modules live over truncations (twisted modules are untwisted
+    first); each rung is the truncation at the union of their points, and
+    Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x)."""
     alg1, alg2 = m1.algebra, m2.algebra
+    if not (isinstance(alg1, TruncatedAlgebra) and isinstance(alg2, TruncatedAlgebra)):
+        raise ValueError("ext1_ladder expects modules over truncations")
+    if rungs < 1:
+        raise ValueError("the ladder needs at least one rung")
     if base is None:
         base = max(alg1.eta.max_exponent(), alg2.eta.max_exponent()) + 1
+    pts = sorted(set(alg1.points) | set(alg2.points), key=lambda p: p.sort_key())
     algebras = {} if algebras is None else algebras
     out, homd = [], None
     for e in range(base, base + rungs):
         if e not in algebras:
-            algebras[e] = _rung_algebra_joint(alg1, alg2, e, group)
+            algebras[e] = TruncatedAlgebra(alg1.g, EtaFunction.of({p: e for p in pts}))
         L = algebras[e]
-        actions, vdim = hom_module(L, extend_to(m1, L), extend_to(m2, L))
-        cx = CEComplex(L, actions, vdim, m1.field)
+        a1, a2 = extend_to(m1, L).actions, extend_to(m2, L).actions
+        actions = [hom_action(x, y) for x, y in zip(a1, a2)]
+        cx = CEComplex(L, actions, m1.dim * m2.dim, m1.field)
         if homd is None:
             homd = cx.h0_dim()  # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2)
         out.append((e, cx.h1()))
     stable = len(out) >= 2 and out[-1][1] == out[-2][1]
     return ExtLadder(out, stable, homd)
-
-
-def _rung_algebra_joint(alg1, alg2, exponent, group=None):
-    """The truncation at the union of the two algebras' points; with a group,
-    the union must be a transversal (one point per orbit)."""
-    pts = sorted(set(alg1.points) | set(alg2.points), key=lambda p: p.sort_key())
-    if group is not None:
-        ok, viol = is_transversal_set(group, pts)
-        if not ok:
-            raise ValueError("representative points share an orbit: %r" % (viol,))
-    return TruncatedAlgebra(alg1.g, EtaFunction.of({p: exponent for p in pts}))
 
 
 def enumerate_phi(group, orbit_reps, rank, bound):
@@ -253,14 +237,20 @@ def characterization_battery(
 def lower_candidates(module: FiniteModule, psi: PsiFunction, reps, bound, rungs):
     """(phi, hom dim, ladder dims) for every equivariant phi supported on the
     orbits of reps, with coordinates at most bound and height below psi;
-    each Hom dimension is checked against its ladder's H^0."""
+    each Hom dimension is checked against its ladder's H^0.
+
+    Untwisting is an isomorphism of categories, so the module is untwisted
+    once and each candidate is built on that truncation from phi restricted
+    to its points."""
     alg = module.algebra
+    plain = untwist(module)
+    trunc = plain.algebra
     target_h = height_psi_orbits(alg.group, psi)
     cache = {}
     for phi in enumerate_phi(alg.group, reps, alg.g.rd.rank, bound):
         if height_psi_orbits(alg.group, phi) < target_h:
-            n = evaluation_module(phi, alg) if not phi.is_zero() else trivial_module(alg)
-            hd = len(hom_space(module, n))
-            ladder = ext1_ladder(module, n, rungs=rungs, algebras=cache)
+            n = evaluation_module(psi_restrict(phi, alg.group, trunc.points), trunc)
+            hd = len(hom_space(plain, n))
+            ladder = ext1_ladder(plain, n, rungs=rungs, algebras=cache)
             check_hom_dim(hd, ladder)
             yield phi, hd, ladder.dims

@@ -220,13 +220,7 @@ def multiplicities(module: FiniteModule):
     character solve against Freudenthal characters on the Levi copy."""
     alg = module.algebra
     if isinstance(alg, InvariantAlgebra):
-        plain = untwist(module)
-        table = multiplicities(plain)
-        out = {}
-        for psi, m in table.items():
-            key = psi_gamma(alg.group, psi) if not psi.is_zero() else PsiFunction.of({}, equivariant=True)
-            out[key] = out.get(key, 0) + m
-        return out
+        return equivariant_table(alg.group, multiplicities(untwist(module)))
 
     rd = alg.g.rd
     counts = dict(joint_weights(module))
@@ -270,6 +264,16 @@ def multiplicities(module: FiniteModule):
     if total != module.dim:
         raise AssertionError("multiplicity table fails the dimension sum")
     return table
+
+
+def equivariant_table(group, table):
+    """A multiplicity table over a truncation at a transversal, keyed by the
+    equivariant extensions psi^Gamma of its keys."""
+    out = {}
+    for psi, m in table.items():
+        key = psi_gamma(group, psi)
+        out[key] = out.get(key, 0) + m
+    return out
 
 
 def _psi_dim(rd, psi: PsiFunction):
@@ -383,22 +387,10 @@ def projection_matrix(big: TruncatedAlgebra, small: TruncatedAlgebra) -> Matrix:
     return Matrix.from_triples(fld, small.dim, big.dim, triples)
 
 
-def extend_to(module: FiniteModule, big) -> FiniteModule:
-    """View a module over a coarser (invariant or plain) truncation as one
-    over a finer one through the quotient map."""
-    if isinstance(big, InvariantAlgebra):
-        return transport(module, invariant_projection(big, module.algebra), big)
+def extend_to(module: FiniteModule, big: TruncatedAlgebra) -> FiniteModule:
+    """View a module over a coarser truncation as one over a finer one
+    through the quotient map."""
     return transport(module, projection_matrix(big, module.algebra), big)
-
-
-def invariant_projection(big: InvariantAlgebra, small: InvariantAlgebra) -> Matrix:
-    """Matrix of the quotient map between invariant algebras induced by the
-    ambient truncation projection."""
-    if big.g is not small.g or big.group is not small.group:
-        raise ValueError("invariant algebras over different data")
-    amb = projection_matrix(big.ambient.trunc, small.ambient.trunc)
-    cols = [small.coords(amb.apply(b)) for b in big.basis]
-    return Matrix.from_columns(big.field, small.dim, cols)
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule):

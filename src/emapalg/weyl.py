@@ -318,7 +318,7 @@ def _drop_weight(rd, st, mono):
     return acc
 
 
-def weyl_module(g, psi: PsiFunction, certify=True) -> WeylModule:
+def weyl_module(g, psi: PsiFunction) -> WeylModule:
     """The local Weyl module W(psi) over the truncation at exponent
     max(1, lam(h_theta)) on the support."""
     if psi.is_zero():
@@ -374,20 +374,19 @@ def weyl_module(g, psi: PsiFunction, certify=True) -> WeylModule:
         raise CertificationError("module is not cyclic on w", relation="cyclic")
     cert["cyclic"] = True
 
-    if certify:
-        for tag, kwargs in (
-            ("buffer+1", {"buffer_extra": 1}),
-            ("N+1", {"n_extra": 1}),
-            ("reversed", {"reverse_order": True}),
-        ):
-            other, _, _, _ = _build_once(g, psi, **kwargs)
-            if other.dim != mod.dim:
-                raise CertificationError(
-                    "dimension not stable under recomputation (%s): %d vs %d"
-                    % (tag, other.dim, mod.dim),
-                    relation=("recompute", tag),
-                )
-            cert[tag] = other.dim
+    for tag, kwargs in (
+        ("buffer+1", {"buffer_extra": 1}),
+        ("N+1", {"n_extra": 1}),
+        ("reversed", {"reverse_order": True}),
+    ):
+        other, _, _, _ = _build_once(g, psi, **kwargs)
+        if other.dim != mod.dim:
+            raise CertificationError(
+                "dimension not stable under recomputation (%s): %d vs %d"
+                % (tag, other.dim, mod.dim),
+                relation=("recompute", tag),
+            )
+        cert[tag] = other.dim
     return WeylModule(mod, psi, lam, cert)
 
 
@@ -456,9 +455,7 @@ def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
     with a group, also the twisted version."""
     if set(psi1.support()) & set(psi2.support()):
         raise ValueError("supports overlap")
-    # the joint module is cross-validated by the isomorphism test below, so
-    # skip the (expensive) three-way dimension recomputation here
-    w12 = weyl_module(g, psi1 + psi2, certify=False)
+    w12 = weyl_module(g, psi1 + psi2)
     common = w12.module.algebra
     w1 = weyl_module(g, psi1)
     w2 = weyl_module(g, psi2)

@@ -78,6 +78,18 @@ def test_twist_explicit_transversal(tmp_path):
     assert json.loads(text)["results"]["transversal"] == ["p1"]
 
 
+@pytest.mark.parametrize("transversal", ["p1,m1", "p2"])
+def test_twist_bad_transversal_exit_2(tmp_path, transversal):
+    # p1 and m1 share an orbit; p2 misses the orbit of psi2w's support
+    code, text = _run(
+        ["twist", _fixture("sl2_z2.json"), "psi2w", "--transversal", transversal], tmp_path
+    )
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert rep["results"]["error"].startswith("bad --transversal")
+
+
 def test_twist_needs_equivariant(tmp_path):
     code, _ = _run(["twist", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
     assert code == 2
@@ -112,6 +124,28 @@ def test_battery_pass(tmp_path):
     )
     assert code == 0
     assert json.loads(text)["results"]["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("command", ["ext", "battery"])
+@pytest.mark.parametrize("rungs", ["0", "-1"])
+def test_rungs_below_one_exit_2(tmp_path, command, rungs):
+    code, text = _run([command, _fixture("sl2_z2.json"), "psi2w", "--rungs", rungs], tmp_path)
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert "--rungs" in rep["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["ext", "psi2w"], ["battery", "psi2w"], ["irreps"]], ids=lambda a: a[0]
+)
+def test_negative_bound_exit_2(tmp_path, argv):
+    # a negative bound enumerates no candidate: an empty table or a vacuous PASS
+    code, text = _run(argv[:1] + [_fixture("sl2_z2.json")] + argv[1:] + ["--bound", "-1"], tmp_path)
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert "--bound" in rep["results"]["error"]
 
 
 def test_cap_exceeded(tmp_path, monkeypatch):

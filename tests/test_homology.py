@@ -10,10 +10,9 @@ from emapalg.homology import (
     characterization_battery,
     enumerate_phi,
     ext1_ladder,
-    hom_module,
 )
 from emapalg.liealg import LieAlgebra, build_sl, irreducible_module, natural_module
-from emapalg.linalg import Matrix
+from emapalg.linalg import Matrix, hom_action
 from emapalg.repmod import (
     PsiFunction,
     direct_sum,
@@ -101,10 +100,11 @@ def test_nonabelian_h1(L, expected_h1):
 def test_hom_module_dimension():
     g = build_sl(2)
     m = natural_module(g)
-    actions, dim = hom_module(g, m, m)
-    assert dim == 4
+    # Hom(V, V) with (x.T) = rho(x) T - T rho(x), flattened row-major
+    actions = [hom_action(a, a) for a in m.actions]
+    assert {(a.nrows, a.ncols) for a in actions} == {(4, 4)}
     # invariants of Hom(V, V) = scalars (Schur)
-    assert _h0_h1(g, actions, dim) == (1, 0)
+    assert _h0_h1(g, actions, 4) == (1, 0)
 
 
 def test_ext_ladder_weyl_extension():
@@ -142,6 +142,18 @@ def test_ext_ladder_trivial_trivial_vanishes():
     ladder = ext1_ladder(v0, v0, rungs=2)
     assert ladder.dims == [0, 0]
     assert ladder.hom_dim == 1
+
+
+def test_ext_ladder_takes_truncation_modules_and_a_rung():
+    # twisted modules are untwisted by the caller; no rung would leave Hom unread
+    g, group = z2_setup()
+    fld = g.field
+    psi = psi_gamma(group, _psi(fld, {1: (2,)}))
+    tw, w, _ = twisted_weyl(group, psi, [pt(fld, 1)])
+    with pytest.raises(ValueError, match="over truncations"):
+        ext1_ladder(tw, tw, rungs=1)
+    with pytest.raises(ValueError, match="at least one rung"):
+        ext1_ladder(w.module, w.module, rungs=0)
 
 
 def test_enumerate_phi_counts():

@@ -175,7 +175,7 @@ def _fixed_point_maximal_submodule(module):
     ],
 )
 def test_head_by_dual_saturation_matches_the_fixed_point_loop(n, mapping):
-    w = weyl_module(build_sl(n), _psi(QQ, mapping), certify=False)
+    w = weyl_module(build_sl(n), _psi(QQ, mapping))
     sub = _maximal_submodule(w.module)
     assert sub == _fixed_point_maximal_submodule(w.module)
     assert w.dim - sub.dim == prod(
