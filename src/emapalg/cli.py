@@ -25,7 +25,7 @@ from .scenario import (
     load_scenario,
     validation_passed,
 )
-from .weyl import twisted_weyl, weyl_dim_bound, weyl_module
+from .weyl import CertificationError, twisted_weyl, weyl_dim_bound, weyl_module
 
 DEFAULT_MAX_DIM = 4096
 
@@ -67,6 +67,8 @@ def fmt_psi(scn: Scenario, psi) -> str:
 def _resolve_psi(scn: Scenario, name):
     if name not in scn.psis:
         raise ScenarioError("unknown psi name %r" % name)
+    if scn.psis[name].is_zero():
+        raise ScenarioError("psi %r is zero at every point; commands need a nonzero psi" % name)
     return scn.psis[name]
 
 
@@ -264,10 +266,8 @@ def _battery_module(scn: Scenario, name):
 def cmd_ext(scn: Scenario, args):
     tw, psi = _battery_module(scn, args.psi)
     reps = sorted(tw.algebra.eta.support(), key=lambda p: p.sort_key())
-    rows = [
-        [fmt_psi(scn, phi), hd, dims]
-        for phi, hd, dims in lower_candidates(tw, psi, reps, args.bound, args.rungs)
-    ]
+    cands = lower_candidates(untwist(tw), scn.group, psi, reps, args.bound, args.rungs)
+    rows = [[fmt_psi(scn, phi), hd, dims] for phi, hd, dims in cands]
     rows.sort(key=lambda r: r[0])
     return {
         "psi": fmt_psi(scn, psi),
@@ -415,6 +415,11 @@ def main(argv=None):
         payload = exc.args[0] if exc.args else {}
         report["status"] = "check-failed"
         report["results"] = payload if isinstance(payload, dict) else {"error": str(payload)}
+        _emit(report, args)
+        return 1
+    except CertificationError as exc:
+        report["status"] = "check-failed"
+        report["results"] = {"error": str(exc)}
         _emit(report, args)
         return 1
     _emit(report, args)

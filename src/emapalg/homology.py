@@ -13,13 +13,15 @@ from .liealg import FiniteModule
 from .linalg import Matrix, Subspace, hom_action, joint_eigenspaces
 from .repmod import (
     PsiFunction,
+    equivariant_table,
     evaluation_module,
     extend_to,
     height_psi_orbits,
     hom_space,
-    is_maximal_weight,
+    multiplicities,
     psi_gamma,
     psi_restrict,
+    unique_top,
     untwist,
 )
 from .rootdata import Weight
@@ -211,7 +213,14 @@ def characterization_battery(
     alg = module.algebra
     if not isinstance(alg, InvariantAlgebra):
         raise ValueError("battery expects a module over an invariant algebra")
-    ok, top = is_maximal_weight(module, psi)
+    # untwisting is an isomorphism of categories: the module is untwisted
+    # once, and both the top constituent and the candidates are read there
+    plain = untwist(module)
+    ok, top = unique_top(
+        equivariant_table(alg.group, multiplicities(plain)),
+        lambda ps: height_psi_orbits(alg.group, ps),
+        psi,
+    )
     if not ok:
         raise ValueError("module is not maximal weight with top %r (found %r)" % (psi, top))
     if weight_bound is None:
@@ -223,7 +232,7 @@ def characterization_battery(
         if q not in reps:
             reps.append(q)
     report = BatteryReport(psi=psi)
-    for phi, hd, dims in lower_candidates(module, psi, reps, weight_bound, rungs):
+    for phi, hd, dims in lower_candidates(plain, alg.group, psi, reps, weight_bound, rungs):
         report.candidates.append((phi, hd, dims))
         if hd != 0 or any(d != 0 for d in dims):
             report.verdict = "FAIL"
@@ -234,22 +243,20 @@ def characterization_battery(
     return report
 
 
-def lower_candidates(module: FiniteModule, psi: PsiFunction, reps, bound, rungs):
+def lower_candidates(plain: FiniteModule, group, psi: PsiFunction, reps, bound, rungs):
     """(phi, hom dim, ladder dims) for every equivariant phi supported on the
     orbits of reps, with coordinates at most bound and height below psi;
     each Hom dimension is checked against its ladder's H^0.
 
-    Untwisting is an isomorphism of categories, so the module is untwisted
-    once and each candidate is built on that truncation from phi restricted
-    to its points."""
-    alg = module.algebra
-    plain = untwist(module)
+    `plain` is the untwist of the module under test (untwisting is an
+    isomorphism of categories); each candidate is built on its truncation
+    from phi restricted to its points."""
     trunc = plain.algebra
-    target_h = height_psi_orbits(alg.group, psi)
+    target_h = height_psi_orbits(group, psi)
     cache = {}
-    for phi in enumerate_phi(alg.group, reps, alg.g.rd.rank, bound):
-        if height_psi_orbits(alg.group, phi) < target_h:
-            n = evaluation_module(psi_restrict(phi, alg.group, trunc.points), trunc)
+    for phi in enumerate_phi(group, reps, trunc.g.rd.rank, bound):
+        if height_psi_orbits(group, phi) < target_h:
+            n = evaluation_module(psi_restrict(phi, group, trunc.points), trunc)
             hd = len(hom_space(plain, n))
             ladder = ext1_ladder(plain, n, rungs=rungs, algebras=cache)
             check_hom_dim(hd, ladder)

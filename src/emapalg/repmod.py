@@ -302,21 +302,26 @@ def support(module: FiniteModule):
 def is_maximal_weight(module: FiniteModule, psi: PsiFunction = None):
     """Unique top constituent by height, with multiplicity one."""
     alg = module.algebra
-    rd = alg.g.rd
-    table = multiplicities(module)
-    if not table:
-        return False, None
 
     def h(ps):
         if isinstance(alg, InvariantAlgebra):
             return height_psi_orbits(alg.group, ps)
-        return height_psi(rd, ps)
+        return height_psi(alg.g.rd, ps)
 
-    items = sorted(table.items(), key=lambda kv: -h(kv[0]))
+    return unique_top(multiplicities(module), h, psi)
+
+
+def unique_top(table, height, psi: PsiFunction = None):
+    """(True, top) when the multiplicity table has one constituent of
+    greatest height, with multiplicity one (and equal to psi, if given);
+    (False, top) otherwise, and (False, None) for an empty table."""
+    if not table:
+        return False, None
+    items = sorted(table.items(), key=lambda kv: -height(kv[0]))
     top, mult = items[0]
     if mult != 1:
         return False, top
-    if len(items) > 1 and h(items[1][0]) == h(top):
+    if len(items) > 1 and height(items[1][0]) == height(top):
         return False, top
     if psi is not None and top != psi:
         return False, top

@@ -6,6 +6,7 @@ evaluation isomorphism, and the structural checks that come with them
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import comb, prod
 
 from .coordalg import EtaFunction, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
@@ -188,16 +189,22 @@ def _dadd(d, k, v):
 
 def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
     """The truncation at exponent max(1, lam(h_theta)) + n_extra on the
-    support, its straightener with cap D + ht(theta) + buffer_extra, the
-    largest drop D = ht(lam - w0 lam) inside the weight interval, and the
-    number of normal monomials with drop <= D."""
+    support, its straightener with cap D + 1 + buffer_extra, the largest
+    drop D = ht(lam - w0 lam) inside the weight interval, and the number of
+    normal monomials with drop <= D.
+
+    act(x, m) and every call it makes only produce monomials of drop at most
+    max(drop m, drop m + shift x), so the cap cuts nothing off while every
+    top-level call stays at drop <= D + 1.  They do: the seeds are
+    e_i tensor 1 on drop D + 1, operator_matrix stops where an image would
+    pass the prefix, and the Weyl powers f_i^(lam_i + 1) w reach drop
+    lam_i + 1 <= D + 1."""
     rd = g.rd
     lam = psi.total_weight()
     n_trunc = max(1, rd.pairing_htheta(lam)) + n_extra
     alg = TruncatedAlgebra(g, EtaFunction.of({p: n_trunc for p in psi.support()}))
     big_d = int(rd.height(lam - rd.w0(lam)))
-    cap = big_d + int(rd.height(rd.theta)) + buffer_extra
-    st = _Straightener(alg, psi, cap, reverse_order=reverse_order)
+    st = _Straightener(alg, psi, big_d + 1 + buffer_extra, reverse_order=reverse_order)
     return alg, st, big_d, sum(1 for m in st.monomials if st.drop(m) <= big_d)
 
 
@@ -216,14 +223,18 @@ def _lowering_indices(alg: TruncatedAlgebra, i):
 def _generators(alg: TruncatedAlgebra):
     """Basis indices of a set that generates the truncation as a Lie algebra:
     e_i tensor 1 and f_i tensor 1 at each point for the simple roots i, and
-    h_j tensor u^beta for every jet monomial u^beta at each point.  The
-    brackets [h_i tensor u^beta, e_i tensor 1] = 2 e_i tensor u^beta (and the
-    same for f_i) give g tensor u^beta from there."""
+    h_j tensor u^beta for the jet monomials u^beta of degree at most 1 at
+    each point.  The brackets [h_j tensor u_k, e_i tensor u^beta] =
+    alpha_i(h_j) e_i tensor u^(beta + e_k) (and the same for f_i) give every
+    jet of the simple root vectors, and brackets of those give the rest."""
     g = alg.g
     out = []
     for i in range(g.rd.rank):
         out += _at_each_point(alg, g.e(i)) + _lowering_indices(alg, i)
-    out += [ai for ai, (_, g_idx, _) in enumerate(alg.basis) if g.labels[g_idx][0] == "h"]
+    out += [
+        ai for ai, (_, g_idx, mono) in enumerate(alg.basis)
+        if g.labels[g_idx][0] == "h" and sum(mono) <= 1
+    ]
     return out
 
 
@@ -258,7 +269,11 @@ def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, big_d, n_low):
 
 
 def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
-    rd = g.rd
+    """Straighten, seed and saturate: the truncation, its straightener, the
+    number n_low of monomials inside the weight interval, the relation space
+    R among them, and the generators' operator matrices {basis index:
+    matrix} that R is closed under.  W(psi) is the quotient of the first
+    n_low monomials by R, so its dimension is n_low - dim R."""
     fld = g.field
     lam = psi.total_weight()
     alg, st, big_d, n_low = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
@@ -271,7 +286,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     # powers f_i^(lam_i + 1) w.
     seeds = _push_down_seeds(alg, st, big_d, n_low)
     idx = st.mono_index
-    for i in range(rd.rank):
+    for i in range(g.rd.rank):
         state = {(): fld.one}
         fi_indices = _lowering_indices(alg, i)
         for _ in range(lam.coords[i] + 1):
@@ -285,23 +300,11 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
 
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
-    ops = [st.operator_matrix(ai, n_low) for ai in range(alg.dim)]
-    rel = saturate(Subspace(n_low, seeds, fld=fld), [ops[ai] for ai in _generators(alg)])
-
-    ambient = FiniteModule(alg, ops)
-    cyc = {idx[()]: fld.one}
-    if rel.contains(cyc):
+    gen_ops = {ai: st.operator_matrix(ai, n_low) for ai in _generators(alg)}
+    rel = saturate(Subspace(n_low, seeds, fld=fld), list(gen_ops.values()))
+    if rel.contains({idx[()]: fld.one}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
-    # rel + span(drop > D) is stable under a generating set, hence under every
-    # basis element (see _push_down_seeds), so rel is invariant under every
-    # induced operator and the check is skipped
-    mod = quotient_module(ambient, rel, cyclic=cyc, check=False)
-    pivots = set(rel.pivots)
-    keep = [j for j in range(n_low) if j not in pivots]
-    weights = [
-        lam - _drop_weight(rd, st, st.monomials[j]) for j in keep
-    ]
-    return mod, lam, weights, st
+    return alg, st, n_low, rel, gen_ops
 
 
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
@@ -320,16 +323,38 @@ def _drop_weight(rd, st, mono):
 
 def weyl_module(g, psi: PsiFunction) -> WeylModule:
     """The local Weyl module W(psi) over the truncation at exponent
-    max(1, lam(h_theta)) on the support."""
+    max(1, lam(h_theta)) on the support.
+
+    Its dimension is certified by three rebuilds (one more buffer degree,
+    one more truncation exponent, the reversed factor order), each of which
+    only computes its relation space, and, when every point has one
+    variable, by the Chari-Loktev closed form: the product over the points
+    of prod_i C(r + 1, i) ** lam_i."""
     if psi.is_zero():
         raise ValueError("psi must be nonzero")
     rd = g.rd
     fld = g.field
-    mod, lam, weights, st = _build_once(g, psi)
+    lam = psi.total_weight()
+    alg, st, n_low, rel, gen_ops = _build_once(g, psi)
+    # rel + span(drop > D) is stable under a generating set, hence under every
+    # basis element (see _push_down_seeds), so rel is invariant under every
+    # induced operator and the check is skipped
+    ops = [
+        gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, n_low)
+        for ai in range(alg.dim)
+    ]
+    mod = quotient_module(
+        FiniteModule(alg, ops), rel, cyclic={st.mono_index[()]: fld.one}, check=False
+    )
+    pivots = set(rel.pivots)
+    weights = [
+        lam - _drop_weight(rd, st, m)
+        for j, m in enumerate(st.monomials[:n_low])
+        if j not in pivots
+    ]
     cert = {}
 
     # defining relations in the quotient
-    alg = mod.algebra
     for idx, (p_idx, g_idx, mono) in enumerate(alg.basis):
         kind = g.labels[g_idx][0]
         v = mod.actions[idx].apply(mod.cyclic)
@@ -379,14 +404,27 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
         ("N+1", {"n_extra": 1}),
         ("reversed", {"reverse_order": True}),
     ):
-        other, _, _, _ = _build_once(g, psi, **kwargs)
-        if other.dim != mod.dim:
+        _, _, other_low, other_rel, _ = _build_once(g, psi, **kwargs)
+        other = other_low - other_rel.dim
+        if other != mod.dim:
             raise CertificationError(
                 "dimension not stable under recomputation (%s): %d vs %d"
-                % (tag, other.dim, mod.dim),
+                % (tag, other, mod.dim),
                 relation=("recompute", tag),
             )
-        cert[tag] = other.dim
+        cert[tag] = other
+
+    if all(p.nvars == 1 for p in psi.support()):
+        want = prod(
+            comb(rd.rank + 1, i) ** k
+            for _, w in psi.assignments
+            for i, k in enumerate(w.coords, start=1)
+        )
+        if mod.dim != want:
+            raise CertificationError(
+                "dimension %d is not the Chari-Loktev closed form %d" % (mod.dim, want),
+                relation="closed form",
+            )
     return WeylModule(mod, psi, lam, cert)
 
 

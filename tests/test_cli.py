@@ -148,6 +148,39 @@ def test_negative_bound_exit_2(tmp_path, argv):
     assert "--bound" in rep["results"]["error"]
 
 
+@pytest.mark.parametrize("argv", [["weyl", "zero"], ["mult", "V(zero)"]], ids=lambda a: a[0])
+def test_zero_psi_exit_2(tmp_path, argv):
+    # a psi whose values are all zero has no total weight to size a truncation
+    data = json.load(open(_fixture("sl2_z2.json")))
+    data["psi"]["zero"] = {"values": {"p1": [0]}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code, text = _run(argv[:1] + [str(path)] + argv[1:], tmp_path)
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert "zero" in rep["results"]["error"]
+
+
+def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
+    from emapalg import weyl
+
+    push_down_seeds = weyl._push_down_seeds
+
+    def one_relation_too_many(alg, st, big_d, n_low):
+        # (f x t) w = 0 cuts W(2 omega) down to V(2 omega) in every build alike
+        ai = alg.index[(0, alg.g.f(0), (1,))]
+        extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
+        return push_down_seeds(alg, st, big_d, n_low) + [extra]
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert "Chari-Loktev" in rep["results"]["error"]
+
+
 def test_cap_exceeded(tmp_path, monkeypatch):
     monkeypatch.setenv("EMA_WEYL_MAX_DIM", "3")
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)

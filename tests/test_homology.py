@@ -176,6 +176,26 @@ def test_battery_pass_on_twisted_weyl():
     assert len(rep.candidates) == 2
 
 
+def test_battery_untwists_its_module_once(monkeypatch):
+    # the top constituent and every candidate are read off one untwist
+    from emapalg import homology, repmod
+
+    calls = []
+
+    def counting(module, _untwist=repmod.untwist):
+        calls.append(module)
+        return _untwist(module)
+
+    monkeypatch.setattr(repmod, "untwist", counting)
+    monkeypatch.setattr(homology, "untwist", counting)
+    g, group = z2_setup()
+    fld = g.field
+    psi = psi_gamma(group, _psi(fld, {1: (2,)}))
+    tw, _, _ = twisted_weyl(group, psi, [pt(fld, 1)])
+    assert characterization_battery(tw, psi, weight_bound=2, rungs=2).verdict == "PASS"
+    assert len(calls) == 1
+
+
 def test_battery_fails_on_head_alone():
     g, group = z2_setup()
     fld = g.field

@@ -24,6 +24,7 @@ from emapalg.repmod import (
     untwist,
 )
 from emapalg.rootdata import Weight
+from emapalg.scenario import load_scenario
 from emapalg.weyl import (
     CertificationError,
     _Straightener,
@@ -43,6 +44,8 @@ from emapalg.weyl import (
 
 from sl2_oracle import weyl_dim_sl2, weyl_weight_dims_sl2
 from test_ema import flip_setup, pt, z2_setup
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _psi(fld, mapping):
@@ -297,31 +300,37 @@ def _two_variable_psi(lam):
     return PsiFunction.of({Point((QQ.scalar(1), QQ.scalar(2))): Weight(lam)})
 
 
-_SEED_CASES = pytest.mark.parametrize(
-    "n, psi",
-    [
-        (2, _psi(QQ, {1: (3,)})),
-        (3, _psi(QQ, {1: (1, 1)})),
-        (2, _psi(QQ, {1: (2,), 2: (1,)})),
-        (2, _two_variable_psi((2,))),
-    ],
-    ids=["A1-3w", "A2-w1+w2", "A1-2w@a+w@b", "A1-2w@(a,b)"],
-)
+_SEED_PSIS = [
+    pytest.param(2, _psi(QQ, {1: (3,)}), id="A1-3w"),
+    pytest.param(3, _psi(QQ, {1: (1, 1)}), id="A2-w1+w2"),
+    pytest.param(2, _psi(QQ, {1: (2,), 2: (1,)}), id="A1-2w@a+w@b"),
+    pytest.param(2, _two_variable_psi((2,)), id="A1-2w@(a,b)"),
+]
+_SEED_CASES = pytest.mark.parametrize("n, psi", _SEED_PSIS)
 
 
-def _assert_seeds_generate_the_relations(alg, st, big_d):
+def _wide_straightener(alg, psi, big_d, buffer_extra=0, reverse_order=False):
+    """A straightener at cap D + ht(theta) + buffer, past the D + 1 + buffer
+    that the builds enumerate, so that the exhaustive oracle also pushes
+    down from monomials the builds never see."""
+    cap = big_d + int(alg.g.rd.height(alg.g.rd.theta)) + buffer_extra
+    return _Straightener(alg, psi, cap, reverse_order=reverse_order)
+
+
+def _assert_seeds_generate_the_relations(alg, st, big_d, wide):
     # the seeds e_i x 1 on drop d + 1, closed under the generators, span the
-    # same relation space as every push-down closed under every basis
-    # element.  The argument holds for any cut d <= D; below D the space is
-    # no longer a Weyl module's relations, and there the h x u^beta
-    # generators are needed as well.
+    # same relation space as every push-down (from the wide straightener)
+    # closed under every basis element.  The argument holds for any cut
+    # d <= D; below D the space is no longer a Weyl module's relations, and
+    # there the h x u generators are needed as well.
+    assert wide.monomials[: len(st.monomials)] == st.monomials
     for d in (big_d, big_d - 1):
         n_d = sum(1 for m in st.monomials if st.drop(m) <= d)
         seeds = _push_down_seeds(alg, st, d, n_d)
-        exhaustive = _exhaustive_seeds(alg, st, n_d)
+        exhaustive = _exhaustive_seeds(alg, wide, n_d)
         assert all(seed in exhaustive for seed in seeds)
         gens = [st.operator_matrix(ai, n_d) for ai in _generators(alg)]
-        every = [_unpruned_operator_matrix(st, ai, n_d) for ai in range(alg.dim)]
+        every = [_unpruned_operator_matrix(wide, ai, n_d) for ai in range(alg.dim)]
         assert saturate(Subspace(n_d, seeds, fld=QQ), gens) == saturate(
             Subspace(n_d, exhaustive, fld=QQ), every
         )
@@ -335,7 +344,10 @@ def _assert_seeds_generate_the_relations(alg, st, big_d):
 )
 def test_push_down_seeds_match_exhaustive_loop(n, psi, kwargs):
     alg, st, big_d, _ = _straighten(build_sl(n), psi, **kwargs)
-    _assert_seeds_generate_the_relations(alg, st, big_d)
+    wide = _wide_straightener(
+        alg, psi, big_d, kwargs.get("buffer_extra", 0), kwargs.get("reverse_order", False)
+    )
+    _assert_seeds_generate_the_relations(alg, st, big_d, wide)
 
 
 @pytest.mark.parametrize("idle", [-1, 2], ids=["idle-first", "idle-last"])
@@ -347,7 +359,9 @@ def test_push_down_seeds_with_a_point_where_psi_vanishes(idle):
     psi = _psi(QQ, {1: (2,)})
     _, base, big_d, _ = _straighten(g, psi)
     alg = TruncatedAlgebra(g, EtaFunction.of({pt(QQ, 1): 2, pt(QQ, idle): 2}))
-    _assert_seeds_generate_the_relations(alg, _Straightener(alg, psi, base.cap), big_d)
+    _assert_seeds_generate_the_relations(
+        alg, _Straightener(alg, psi, base.cap), big_d, _wide_straightener(alg, psi, big_d)
+    )
 
 
 @_SEED_CASES
@@ -356,6 +370,102 @@ def test_operator_matrix_skips_only_images_past_the_prefix(n, psi):
     for size in (1, n_low - 1, n_low, n_low + 2, len(st.monomials)):
         for ai in range(alg.dim):
             assert st.operator_matrix(ai, size) == _unpruned_operator_matrix(st, ai, size)
+
+
+def _stress_psis():
+    """The plain psi of the stress scenario (the stress tier's weyl probes)."""
+    scn = load_scenario(str(FIXTURES / "sl3_stress.json"))
+    return [
+        pytest.param(3, psi, id=name)
+        for name, psi in sorted(scn.psis.items())
+        if not psi.equivariant
+    ]
+
+
+@pytest.mark.parametrize("n, psi", _SEED_PSIS + _stress_psis())
+def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch, n, psi):
+    # act(x, m) reaches drop at most max(drop m, drop m + shift x); if that
+    # stays at D + 1 in every call, the cap D + 1 + buffer never cuts a term
+    reach = {}
+    act = _Straightener.act
+
+    def recording(st, alg_idx, mono):
+        top = st.drop(mono) + max(0, st.shift[alg_idx])
+        reach[st] = max(reach.get(st, 0), top)
+        return act(st, alg_idx, mono)
+
+    monkeypatch.setattr(_Straightener, "act", recording)
+    g = build_sl(n)
+    weyl_module(g, psi)
+    lam = psi.total_weight()
+    big_d = int(g.rd.height(lam - g.rd.w0(lam)))
+    assert len(reach) == 4  # base, buffer+1, N+1, reversed
+    assert max(reach.values()) <= big_d + 1
+
+
+def _lie_closure(alg, indices):
+    """The span of the iterated brackets of the given basis elements."""
+    ad = [
+        Matrix.from_triples(
+            alg.field,
+            alg.dim,
+            alg.dim,
+            [(k, j, c) for j in range(alg.dim) for k, c in alg.bracket_terms(i, j)],
+        )
+        for i in indices
+    ]
+    return saturate(Subspace(alg.dim, [{i: alg.field.one} for i in indices], fld=alg.field), ad)
+
+
+@pytest.mark.parametrize(
+    "n, eta",
+    [
+        (2, {(1,): 3}),
+        (3, {(1,): 3}),
+        (2, {(1,): 3, (2,): 2}),
+        (2, {(1, 2): 3}),
+    ],
+    ids=["A1-one-point", "A2-one-point", "A1-two-points", "A1-two-variables"],
+)
+def test_generators_generate_the_truncation(n, eta):
+    from emapalg.coordalg import Point
+
+    points = {Point(tuple(QQ.scalar(c) for c in p)): k for p, k in eta.items()}
+    alg = TruncatedAlgebra(build_sl(n), EtaFunction.of(points))
+    gens = _generators(alg)
+    assert _lie_closure(alg, gens).dim == alg.dim
+    # without the degree-one jets of h the generated algebra is g tensor 1
+    degree_zero = [ai for ai in gens if sum(alg.basis[ai][2]) == 0]
+    assert _lie_closure(alg, degree_zero).dim == len(alg.points) * alg.g.dim
+
+
+@pytest.mark.parametrize("n, lam", [(2, (2,)), (3, (2, 0))], ids=["A1-2w", "A2-2w1"])
+def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
+    # one relation too many, (f_1 x t) w = 0, in every build cuts W(lam)
+    # down to a proper quotient that passes the relation, bracket, cyclic
+    # and rebuild checks; only the Chari-Loktev closed form sees it
+    from emapalg import weyl
+
+    push_down_seeds = weyl._push_down_seeds
+    build_once = weyl._build_once
+    dims = []
+
+    def one_relation_too_many(alg, st, big_d, n_low):
+        ai = alg.index[(0, alg.g.f(0), (1,))]
+        extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
+        return push_down_seeds(alg, st, big_d, n_low) + [extra]
+
+    def recording(*args, **kwargs):
+        out = build_once(*args, **kwargs)
+        dims.append(out[2] - out[3].dim)
+        return out
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)
+    monkeypatch.setattr(weyl, "_build_once", recording)
+    with pytest.raises(CertificationError, match="Chari-Loktev"):
+        weyl_module(build_sl(n), _psi(QQ, {1: lam}))
+    assert len(dims) == 4 and len(set(dims)) == 1
+    assert dims[0] < _chari_loktev_dim(n - 1, lam)
 
 
 def test_weyl_build_runs_under_a_low_recursion_limit():
