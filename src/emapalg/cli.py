@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 
@@ -196,6 +197,18 @@ def _parse_module_expr(scn: Scenario, expr):
     return atoms, ops
 
 
+def _fold(items, ops, mul, add):
+    """Combine `items` joined by `ops` left to right, * binding tighter than +."""
+    acc, pending_sum = items[0], None
+    for op, x in zip(ops, items[1:]):
+        if op == "*":
+            acc = mul(acc, x)
+        else:
+            pending_sum = acc if pending_sum is None else add(pending_sum, acc)
+            acc = x
+    return acc if pending_sum is None else add(pending_sum, acc)
+
+
 def cmd_mult(scn: Scenario, args):
     """Every atom is built on one truncation; equivariant psi are restricted
     to the orbit representatives (building over the invariant algebra would
@@ -216,21 +229,8 @@ def cmd_mult(scn: Scenario, args):
         else extend_to(weyl_module(scn.algebra, psi).module, common)
         for (kind, _), psi in zip(atoms, psis)
     ]
-    acc = mods[0]
-    # left-to-right with * binding tighter
-    pending_sum = None
-    for op, m in zip(ops, mods[1:]):
-        if op == "*":
-            acc = tensor_product(acc, m)
-        else:
-            if pending_sum is None:
-                pending_sum = acc
-            else:
-                pending_sum = direct_sum(pending_sum, acc)
-            acc = m
-    if pending_sum is not None:
-        acc = direct_sum(pending_sum, acc)
-    _check_cap(acc.dim)
+    _check_cap(_fold([m.dim for m in mods], ops, operator.mul, operator.add))
+    acc = _fold(mods, ops, tensor_product, direct_sum)
     table = multiplicities(acc)
     if flags == {True}:
         table = equivariant_table(scn.group, table)

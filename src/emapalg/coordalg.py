@@ -328,7 +328,9 @@ class GammaGroup:
         self._gmat = {}
         self._scaling = {}
         if check:
-            self.validate()
+            errors = self.axiom_errors()
+            if errors:
+                raise ValueError(errors[0])
 
     @property
     def identity(self):
@@ -395,19 +397,30 @@ class GammaGroup:
             acc = acc * gen.zeta ** (t * k)
         return acc
 
-    def validate(self):
-        for gen in self.generators:
+    def axiom_errors(self):
+        """The failed group axioms, one message each: every generator's
+        automorphism and zeta have an order dividing the declared one, and
+        the automorphisms commute."""
+        fld = self.algebra.field
+        one = Matrix.identity(fld, self.algebra.dim)
+        errors = []
+        for idx, gen in enumerate(self.generators):
             m = gen.automorphism.matrix
             acc = m
             for _ in range(gen.order - 1):
                 acc = acc.matmul(m)
-            if acc != Matrix.identity(self.algebra.field, self.algebra.dim):
-                raise ValueError("generator automorphism order does not divide declared order")
-            if (gen.zeta ** gen.order) != self.algebra.field.one:
-                raise ValueError("generator zeta is not a root of unity of the declared order")
-        for g1, g2 in itertools.combinations(self.generators, 2):
+            if acc != one:
+                errors.append(
+                    "generator %d: automorphism order does not divide %d" % (idx, gen.order)
+                )
+            if gen.zeta**gen.order != fld.one:
+                errors.append(
+                    "generator %d: zeta is not a root of unity of order %d" % (idx, gen.order)
+                )
+        for (i1, g1), (i2, g2) in itertools.combinations(enumerate(self.generators), 2):
             if not g1.automorphism.commutes_with(g2.automorphism):
-                raise ValueError("generator automorphisms do not commute")
+                errors.append("generators %d and %d do not commute" % (i1, i2))
+        return errors
 
 
 def acts_freely(group: GammaGroup):
@@ -431,19 +444,6 @@ def is_transversal_set(group: GammaGroup, points):
                     violations.append((p, q, gamma))
                     break
     return (not violations), violations
-
-
-def validate_free_and_Xstar(group: GammaGroup, points):
-    """Report on freeness of the action and on the orbit-disjointness of the
-    given point list."""
-    free, free_viol = acts_freely(group)
-    xok, x_viol = is_transversal_set(group, points)
-    return {
-        "free": free,
-        "non_free_elements": free_viol,
-        "x_star_ok": xok,
-        "x_star_violations": x_viol,
-    }
 
 
 def xi_component(group: GammaGroup, f: LaurentFunction, xi) -> LaurentFunction:

@@ -3,14 +3,12 @@
 Elements are dense rational coefficient vectors of length phi(m), taken
 modulo the m-th cyclotomic polynomial.  Inversion goes through the
 extended Euclidean algorithm on polynomials over Q.  All operations are
-exact; mixing elements of different orders promotes both operands to the
-least common order.
+exact.  A scenario works in one field, so every element lives in exactly
+one field: operands may be ints, rationals, "p/q" strings or elements of
+the same field, and an element of another field raises ValueError.
 """
 
 from __future__ import annotations
-
-import math
-from functools import reduce
 
 try:
     from gmpy2 import mpq as _Q
@@ -19,6 +17,7 @@ except ImportError:  # pragma: no cover
 
 _Q0 = _Q(0)
 _Q1 = _Q(1)
+_RATIONALS = ("mpq", "Fraction")  # the type names an element compares equal to
 
 
 def rational(value, den=None):
@@ -41,23 +40,6 @@ def _cyclotomic_poly(m):
 
 
 _CYCLO_CACHE = {}
-
-
-def _moebius_totient(n):
-    """The Moebius function mu(n) and Euler's totient phi(n)."""
-    mu, phi, p = 1, n, 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left is prime
-        if n % p == 0:
-            n //= p
-            mu, phi = -mu, phi // p * (p - 1)
-            if n % p == 0:
-                mu = 0
-            while n % p == 0:
-                n //= p
-        p += 1
-    return mu, phi
 
 
 def _polymul_int(a, b):
@@ -107,12 +89,6 @@ class CyclotomicField:
                 for i in range(self.degree):
                     cur[i] -= top * self.modulus[i]
         self._red.append(tuple(cur))
-        # Tr(zeta^k) / phi(m) = mu(m/g) / phi(m/g) with g = gcd(k, m) (a
-        # Ramanujan sum).  The normalised trace of an element is the same in
-        # every Q(zeta_M) that holds it, so it serves as the hash.
-        self._trace_weights = tuple(
-            _Q(*_moebius_totient(order // math.gcd(k, order))) for k in range(self.degree)
-        )
         self.zero = FieldElement(self, (_Q0,) * self.degree)
         one = [_Q0] * self.degree
         one[0] = _Q1
@@ -138,11 +114,12 @@ class CyclotomicField:
         return FieldElement(self, tuple(coeffs))
 
     def scalar(self, value):
-        """Embed an int, rational, or "p/q" string into the field."""
+        """An int, rational, "p/q" string or element of this field, as an
+        element of this field.  An element of another field raises ValueError."""
         if isinstance(value, FieldElement):
-            if value.field.order == self.order:
+            if value.field is self:
                 return value
-            return embed(value, self)
+            raise ValueError("%r lies in %r, not in %r" % (value, value.field, self))
         coeffs = [_Q0] * self.degree
         coeffs[0] = _Q(value)
         return FieldElement(self, tuple(coeffs))
@@ -182,27 +159,9 @@ def field(order):
     return f
 
 
-def embed(elt, target):
-    """Embed an element of Q(zeta_m) into Q(zeta_M) for m | M."""
-    m, M = elt.field.order, target.order
-    if M % m != 0:
-        raise ValueError("no embedding Q(zeta_%d) -> Q(zeta_%d)" % (m, M))
-    z = target.zeta ** (M // m)
-    acc = target.zero
-    p = target.one
-    for c in elt.coeffs:
-        if c:
-            acc = acc + FieldElement(target, tuple(c * x for x in p.coeffs))
-        p = p * z
-    return acc
-
-
-def common_field(a, b):
-    if a.field.order == b.field.order:
-        return a, b
-    m = (a.field.order * b.field.order) // math.gcd(a.field.order, b.field.order)
-    f = field(m)
-    return embed(a, f), embed(b, f)
+# the operand check of every operator: `field(order)` caches the fields, so
+# an element of the same field passes on one identity comparison
+_coerce = CyclotomicField.scalar
 
 
 class FieldElement:
@@ -215,10 +174,7 @@ class FieldElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        other = _coerce(other, self.field)
-        if other.field is not self.field and other.field.order != self.field.order:
-            a, b = common_field(self, other)
-            return a + b
+        other = _coerce(self.field, other)
         return FieldElement(
             self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
         )
@@ -229,16 +185,13 @@ class FieldElement:
         return FieldElement(self.field, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.field))
+        return self + (-_coerce(self.field, other))
 
     def __rsub__(self, other):
-        return _coerce(other, self.field) - self
+        return _coerce(self.field, other) - self
 
     def __mul__(self, other):
-        other = _coerce(other, self.field)
-        if other.field.order != self.field.order:
-            a, b = common_field(self, other)
-            return a * b
+        other = _coerce(self.field, other)
         a, b = self.coeffs, other.coeffs
         n = len(a)
         if n == 1:
@@ -254,11 +207,11 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other, self.field)
+        other = _coerce(self.field, other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other, self.field) / self
+        return _coerce(self.field, other) / self
 
     def __pow__(self, n):
         if n < 0:
@@ -306,21 +259,15 @@ class FieldElement:
         return self.coeffs[0]
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)) or type(other).__name__ in ("mpq", "Fraction"):
-            other = _coerce(other, self.field)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.field.order != self.field.order:
-            a, b = common_field(self, other)
-            return a == b
-        return self.coeffs == other.coeffs
+        if isinstance(other, (FieldElement, int, str)) or type(other).__name__ in _RATIONALS:
+            return self.coeffs == _coerce(self.field, other).coeffs
+        return NotImplemented
 
     def __hash__(self):
-        # equal elements of different fields hash alike (see _trace_weights),
-        # and a rational element hashes as its rational value
+        # a rational element hashes as its rational value
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash(sum(c * w for c, w in zip(self.coeffs, self.field._trace_weights) if c))
+        return hash(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
@@ -338,12 +285,6 @@ class FieldElement:
                 z = "z%d" % self.field.order + ("^%d" % k if k > 1 else "")
                 parts.append(("%s*" % c if c != 1 else "") + z)
         return " + ".join(parts) if parts else "0"
-
-
-def _coerce(value, fld):
-    if isinstance(value, FieldElement):
-        return value
-    return fld.scalar(value)
 
 
 def _polydivmod_q(num, den):
@@ -382,10 +323,6 @@ def _polysub_q(a, b):
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def lcm(values):
-    return reduce(lambda a, b: a * b // math.gcd(a, b), values, 1)
 
 
 QQ = field(1)

@@ -414,7 +414,10 @@ def exterior_power(mod, k):
     return FiniteModule(g, actions, cyclic={pos[tuple(range(k))]: fld.one})
 
 
-def irreducible_module(g, lam, max_ambient=20000, check=True):
+_MAX_AMBIENT = 20000  # the largest tensor product `irreducible_module` builds V(lam) in
+
+
+def irreducible_module(g, lam):
     """V(lam) as the cyclic closure of the top vector inside a tensor product
     of fundamental modules (exterior powers of the natural representation)."""
     if not lam.is_dominant():
@@ -429,9 +432,9 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
         return trivial_module(g)
     dims = [m.dim for m in factors]
     ambient = prod(dims)
-    if ambient > max_ambient:
+    if ambient > _MAX_AMBIENT:
         raise ValueError(
-            "ambient tensor dimension %d exceeds budget %d" % (ambient, max_ambient)
+            "ambient tensor dimension %d exceeds budget %d" % (ambient, _MAX_AMBIENT)
         )
     fld = g.field
     # the diagonal action on the tensor product of the factors
@@ -445,9 +448,7 @@ def irreducible_module(g, lam, max_ambient=20000, check=True):
     actions = [restrict_operator(a, space) for a in tens]
     # the basis is in reduced echelon form: coordinates are the pivot entries
     hw = {k: seedv[p] for k, p in enumerate(space.pivots) if p in seedv}
-    mod = FiniteModule(g, actions, cyclic=hw, check=check)
-    if check:
-        expected = g.rd.freudenthal_mults(lam)
-        if mod.character() != expected:
-            raise ValueError("constructed module has wrong character")
+    mod = FiniteModule(g, actions, cyclic=hw, check=True)
+    if mod.character() != g.rd.freudenthal_mults(lam):
+        raise ValueError("constructed module has wrong character")
     return mod

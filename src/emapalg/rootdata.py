@@ -84,7 +84,11 @@ class RootDatum:
             [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
             for i in range(n)
         ]
-        self.cartan_inverse = _invert_rational(self.cartan)
+        # (C^-1)_ij = min(i, j)(n + 1 - max(i, j)) / (n + 1), 1-based i, j
+        self.cartan_inverse = [
+            [rational((min(i, j) + 1) * (n - max(i, j)), n + 1) for j in range(n)]
+            for i in range(n)
+        ]
         # positive roots alpha_i + ... + alpha_j in simple-root coordinates
         self.positive_roots = []
         for i in range(n):
@@ -227,22 +231,3 @@ class RootDatum:
         if val.denominator != 1:
             raise AssertionError("Weyl dimension is not an integer")
         return int(val)
-
-
-def _invert_rational(mat):
-    n = len(mat)
-    aug = [
-        [rational(mat[i][j]) for j in range(n)]
-        + [rational(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]

@@ -4,21 +4,13 @@ parsing and full validation."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 
-from .coordalg import (
-    GammaGroup,
-    GroupGenerator,
-    Point,
-    PointAction,
-    validate_free_and_Xstar,
-)
+from .coordalg import GammaGroup, GroupGenerator, Point, PointAction, acts_freely
 from .fields import field
 from .liealg import GAutomorphism, build_sl
-from .linalg import Matrix
 from .repmod import PsiFunction, is_equivariant, psi_gamma
 from .rootdata import DiagramSymmetry, Weight
 
@@ -31,7 +23,7 @@ def parse_scalar(text, fld):
     """Exact scalar literals: integers, "p/q" rationals, "zeta^k" roots of
     unity (zeta is the primitive root of the scenario field), and products
     like "-zeta^3"."""
-    if isinstance(text, int):
+    if _is_int(text):
         return fld.scalar(text)
     if not isinstance(text, str):
         raise ScenarioError("scalar literal must be a string or integer: %r" % (text,))
@@ -89,10 +81,8 @@ class Scenario:
     field: object
     algebra: object
     group: GammaGroup
-    nvars: int
     points: dict  # name -> Point
     psis: dict  # name -> PsiFunction
-    raw: dict = dc_field(default_factory=dict)
     validation: dict = dc_field(default_factory=dict)
 
     def point_name(self, p: Point):
@@ -112,11 +102,24 @@ _AUTOMORPHISM_KEYS = {"tau", "a", "zeta"}
 _PSI_KEYS = {"equivariant", "values"}
 
 
-def _check_keys(spec, allowed, where):
-    """Reject anything but a mapping whose keys all lie in `allowed`."""
+def _is_int(x):
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value, length):
+    return isinstance(value, list) and len(value) == length and all(map(_is_int, value))
+
+
+def _mapping(spec, where):
     if not isinstance(spec, dict):
         raise ScenarioError("%s must be a mapping" % where)
-    unknown = sorted(set(spec) - allowed)
+    return spec
+
+
+def _check_keys(spec, allowed, where):
+    """Reject anything but a mapping whose keys all lie in `allowed`."""
+    unknown = sorted(set(_mapping(spec, where)) - allowed)
     if unknown:
         raise ScenarioError("%s has unknown keys %s" % (where, unknown))
 
@@ -134,10 +137,12 @@ def load_scenario(path=None, data=None) -> Scenario:
     if lie_type not in _LIE_TYPES:
         raise ScenarioError("lie_type must be one of %s" % sorted(_LIE_TYPES))
     nvars = data.get("num_variables")
-    if not isinstance(nvars, int) or nvars < 1:
+    if not _is_int(nvars) or nvars < 1:
         raise ScenarioError("num_variables must be a positive integer")
 
     gens_spec = data.get("generators", [])
+    if not isinstance(gens_spec, list):
+        raise ScenarioError("generators must be a list")
     for idx, spec in enumerate(gens_spec):
         _check_keys(spec, _GENERATOR_KEYS, "generator %d" % idx)
         _check_keys(
@@ -145,11 +150,11 @@ def load_scenario(path=None, data=None) -> Scenario:
         )
     orders = [g.get("order") for g in gens_spec]
     for o in orders:
-        if not isinstance(o, int) or o < 1:
+        if not _is_int(o) or o < 1:
             raise ScenarioError("generator order must be a positive integer")
     base_order = lcm(1, *orders) if orders else 1
     order = data.get("cyclotomic_order", base_order)
-    if not isinstance(order, int) or order % base_order != 0:
+    if not _is_int(order) or order < 1 or order % base_order != 0:
         raise ScenarioError(
             "cyclotomic_order must be a multiple of the generator order lcm %d"
             % base_order
@@ -173,11 +178,11 @@ def load_scenario(path=None, data=None) -> Scenario:
         else:
             raise ScenarioError("tau must be 'identity' or 'flip'")
         a = aut_spec.get("a", [0] * rank)
-        if not isinstance(a, list) or len(a) != rank:
-            raise ScenarioError("automorphism exponents must list %d entries" % rank)
+        if not _int_list(a, rank):
+            raise ScenarioError("automorphism exponents must list %d integers" % rank)
         zeta = parse_scalar(aut_spec.get("zeta", "zeta^0"), fld)
         try:
-            aut = GAutomorphism(g, tau, tuple(int(x) for x in a), zeta)
+            aut = GAutomorphism(g, tau, tuple(a), zeta)
         except ValueError as exc:
             raise ScenarioError("bad automorphism: %s" % exc)
         gen_order = spec["order"]
@@ -185,24 +190,10 @@ def load_scenario(path=None, data=None) -> Scenario:
         generators.append(GroupGenerator(gen_order, pa, aut, gen_zeta))
 
     group = GammaGroup(g, generators, check=False)
-    axiom_errors = []
-    for idx, gen in enumerate(generators):
-        m = gen.automorphism.matrix
-        acc = m
-        for _ in range(gen.order - 1):
-            acc = acc.matmul(m)
-        if acc != Matrix.identity(fld, g.dim):
-            axiom_errors.append(
-                "generator %d: automorphism order does not divide %d" % (idx, gen.order)
-            )
-    for (i1, g1), (i2, g2) in itertools.combinations(enumerate(generators), 2):
-        if not g1.automorphism.commutes_with(g2.automorphism):
-            axiom_errors.append(
-                "generators %d and %d do not commute" % (i1, i2)
-            )
+    axiom_errors = group.axiom_errors()
 
     points = {}
-    for name, coords in (data.get("points") or {}).items():
+    for name, coords in _mapping(data.get("points") or {}, "points").items():
         if not isinstance(coords, list) or len(coords) != nvars:
             raise ScenarioError("point %r must list %d coordinates" % (name, nvars))
         try:
@@ -212,18 +203,18 @@ def load_scenario(path=None, data=None) -> Scenario:
 
     psis = {}
     psi_checks = {}
-    for name, spec in (data.get("psi") or {}).items():
+    for name, spec in _mapping(data.get("psi") or {}, "psi").items():
         _check_keys(spec, _PSI_KEYS, "psi %r" % name)
-        values = spec.get("values", {})
+        values = _mapping(spec.get("values", {}), "psi %r values" % name)
         mapping = {}
         for pname, coords in values.items():
             if pname not in points:
                 raise ScenarioError("psi %r names unknown point %r" % (name, pname))
-            if not isinstance(coords, list) or len(coords) != rank:
+            if not _int_list(coords, rank):
                 raise ScenarioError(
-                    "psi %r weight at %r must list %d coordinates" % (name, pname, rank)
+                    "psi %r weight at %r must list %d integers" % (name, pname, rank)
                 )
-            mapping[points[pname]] = Weight(tuple(int(c) for c in coords))
+            mapping[points[pname]] = Weight(tuple(coords))
         try:
             psi = PsiFunction.of(mapping)
         except ValueError as exc:
@@ -238,7 +229,7 @@ def load_scenario(path=None, data=None) -> Scenario:
                 psi_checks[name] = False
         psis[name] = psi
 
-    report = validate_free_and_Xstar(group, [])
+    free, non_free = acts_freely(group)
     # Named points may share orbits (transversality is per-psi, enforced when
     # extending equivariantly); here we only ask that each one sits in the
     # free locus: nonzero coordinates and a trivial stabilizer.
@@ -251,8 +242,8 @@ def load_scenario(path=None, data=None) -> Scenario:
     validation = {
         "group_axioms_ok": not axiom_errors,
         "group_axiom_errors": axiom_errors,
-        "free_action": report["free"],
-        "non_free_elements": [list(x) for x in report["non_free_elements"]],
+        "free_action": free,
+        "non_free_elements": [list(x) for x in non_free],
         "x_star_ok": not bad_points,
         "x_star_violations": sorted(bad_points),
         "psi_equivariance": psi_checks,
@@ -264,10 +255,8 @@ def load_scenario(path=None, data=None) -> Scenario:
         field=fld,
         algebra=g,
         group=group,
-        nvars=nvars,
         points=points,
         psis=psis,
-        raw=data,
         validation=validation,
     )
 

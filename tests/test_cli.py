@@ -50,6 +50,24 @@ def test_malformed_scenario_exit_2(tmp_path):
     assert json.loads(text)["status"] == "input-error"
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(points=[1, 2]),
+        lambda d: d["psi"]["psiw"].update(values={"p1": [1.5]}),
+        lambda d: d["generators"][0].update(order=True),
+    ],
+)
+def test_ill_typed_scenario_exit_2(tmp_path, mutate):
+    data = json.load(open(_fixture("sl2_z2.json")))
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, text = _run(["validate", str(bad)], tmp_path)
+    assert code == 2
+    assert json.loads(text)["status"] == "input-error"
+
+
 def test_unknown_psi_exit_2(tmp_path):
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "nope"], tmp_path)
     assert code == 2
@@ -189,6 +207,30 @@ def test_cap_exceeded(tmp_path, monkeypatch):
     assert rep["status"] == "cap-exceeded"
     assert rep["results"]["size"] > 3
     assert str(rep["results"]["size"]) in rep["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "expr, size",
+    [
+        ("V(psi2w_plain)*V(psi2w_plain)*V(psi2w_plain)", 27),
+        ("V(psi2w_plain)+V(psi2w_plain)*V(psi2w_plain)", 12),
+        ("V(psi2w_plain)*V(psi2w_plain)+V(psi2w_plain)", 12),
+    ],
+)
+def test_mult_checks_the_cap_before_combining(tmp_path, monkeypatch, expr, size):
+    from emapalg import cli
+
+    def refused(*args):
+        raise AssertionError("modules combined before the cap check")
+
+    monkeypatch.setattr(cli, "tensor_product", refused)
+    monkeypatch.setattr(cli, "direct_sum", refused)
+    monkeypatch.setenv("EMA_WEYL_MAX_DIM", "10")
+    code, text = _run(["mult", _fixture("sl2_z2.json"), expr], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "cap-exceeded"
+    assert rep["results"]["size"] == size
 
 
 def test_human_format(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emapalg.fields import QQ, common_field, embed, field
+from emapalg.fields import QQ, field
 
 
 def test_field_is_cached():
@@ -53,18 +53,17 @@ def test_inverse_against_product():
         F.zero.inverse()
 
 
-def test_embed_roundtrip():
-    small, big = field(3), field(12)
-    x = small.zeta + small.scalar(5)
-    y = embed(x, big)
-    # zeta_3 = zeta_12^4
-    assert y == big.zeta**4 + big.scalar(5)
-
-
-def test_common_field():
-    a, b = common_field(field(4).zeta, field(6).zeta)
-    assert a.field.order == 12 and b.field.order == 12
-    assert a**4 == a.field.one and b**6 == b.field.one
+def test_mixing_fields_raises():
+    x, y = field(4).zeta, field(8).zeta
+    for op in (
+        lambda: x + y,
+        lambda: x * y,
+        lambda: x / y,
+        lambda: x == y,
+        lambda: field(4).scalar(y),
+    ):
+        with pytest.raises(ValueError):
+            op()
 
 
 _scalars = st.integers(min_value=-9, max_value=9)
@@ -109,30 +108,19 @@ def test_pow_matches_repeated_product(m, a):
         acc = acc * x
 
 
-# each order with the orders in the list that it divides
-_FIELD_TOWERS = [(m, M) for m in (3, 4, 6, 8, 12) for M in (3, 4, 6, 8, 12) if M % m == 0]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(_FIELD_TOWERS),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
     st.lists(_scalars, min_size=1, max_size=4),
     st.lists(_scalars, min_size=1, max_size=4),
 )
-def test_equal_elements_hash_alike_across_fields(tower, a, b):
-    m, M = tower
-    x = _elt(field(m), a)
-    y = embed(x, field(M))
-    z = _elt(field(M), b)
-    for u, v in ((x, y), (x, z), (y, z), (x, x.field.scalar(a[0]))):
+def test_equal_elements_hash_alike(m, a, b):
+    F = field(m)
+    x, y = _elt(F, a), _elt(F, b)
+    x2 = (x + y) - y  # the same value, reached another way
+    for u, v in ((x, x2), (x, y), (x, F.scalar(a[0]))):
         if u == v:
             assert hash(u) == hash(v)
-    assert x == y
-    assert {y: 1}.get(x) == 1
-    assert hash(x.field.scalar(a[0])) == hash(Fraction(a[0]))
-
-
-def test_zeta4_and_zeta8_squared_hash_alike():
-    assert field(4).zeta == field(8).zeta ** 2
-    assert hash(field(4).zeta) == hash(field(8).zeta ** 2)
-    assert hash(field(3).zeta) == hash(embed(field(3).zeta, field(12)))
+    assert x == x2 and {x2: 1}.get(x) == 1
+    assert hash(F.scalar(a[0])) == hash(Fraction(a[0]))
+    assert {F.scalar(a[0]): 1}.get(Fraction(a[0])) == 1

@@ -442,17 +442,6 @@ def test_diagonal_read_equals_the_scan(drawn, nops):
             joint_eigenspaces(conjugates, n)
 
 
-def test_diagonal_read_matches_candidates_of_another_field():
-    # zeta_8^2 = zeta_4: the diagonal is grouped by the elements of one field
-    # and looked up with those of another
-    F4, F8 = field(4), field(8)
-    i = F8.zeta**2
-    d = Matrix([[i, F8.zero], [F8.zero, -i]], ncols=2, fld=F8)
-    read = joint_eigenspaces([d], 2)
-    assert read[(F4.zeta,)] == [0] and read[(-F4.zeta,)] == [1]
-    assert _coordinate_spaces(F8, 2, read) == _scan_reference([d], 2, [F4.zeta, -F4.zeta])
-
-
 def test_diagonal_read_keeps_the_coverage_check():
     # every diagonal entry must be an integer weight: not 1/2, not zeta, and
     # not 2 on a module of dimension 2 (outside [1 - dim, dim - 1])

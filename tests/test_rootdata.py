@@ -32,6 +32,15 @@ def test_cartan_matrices():
     assert list(a3[0]) == [2, -1, 0] and list(a3[1]) == [-1, 2, -1]
 
 
+def test_cartan_inverse():
+    for rank in (1, 2, 3):
+        rd = RootDatum(rank)
+        for i in range(rank):
+            for j in range(rank):
+                entry = sum(rd.cartan[i][k] * rd.cartan_inverse[k][j] for k in range(rank))
+                assert entry == (1 if i == j else 0)
+
+
 def test_positive_roots_count_and_theta():
     for rank in (1, 2, 3):
         rd = RootDatum(rank)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emapalg.coordalg import GammaGroup
 from emapalg.fields import field
 from emapalg.scenario import (
     ScenarioError,
@@ -101,11 +102,45 @@ def test_malformed_inputs():
         lambda d: d["generators"][0].update(period=2),
         lambda d: d["generators"][0]["automorphism"].update(grading=[1]),
         lambda d: d["psi"]["psiw"].update(weights={"p1": [1]}),
+        # mappings must be objects, integers must be integers (not bool)
+        lambda d: d.update(points=[1, 2]),
+        lambda d: d.update(psi=[1]),
+        lambda d: d["psi"]["psiw"].update(values=[1]),
+        lambda d: d.update(generators=3),
+        lambda d: d["psi"]["psiw"].update(values={"p1": ["x"]}),
+        lambda d: d["psi"]["psiw"].update(values={"p1": [1.5]}),
+        lambda d: d["psi"]["psiw"].update(values={"p1": [True]}),
+        lambda d: d.update(num_variables=True),
+        lambda d: d.update(cyclotomic_order=-2),
+        lambda d: d["generators"][0].update(order=True),
+        lambda d: d["generators"][0]["automorphism"].update(a=[1.5]),
+        lambda d: d["generators"][0]["automorphism"].update(a=["1"]),
+        lambda d: d["points"].update(p1=[True]),
     ]:
         data = _data("sl2_z2.json")
         mutate(data)
         with pytest.raises(ScenarioError):
             load_scenario(data=data)
+
+
+def test_group_axiom_errors():
+    # generator 0 has order 2 but declares 1; generator 1 scales e_1 by -1
+    # and does not commute with the flip of generator 0
+    data = _data("sl3_flip.json")
+    data["generators"][0]["order"] = 1
+    data["generators"].append(
+        {"order": 2, "scaling": ["1"], "automorphism": {"a": [1, 0], "zeta": "-1"}}
+    )
+    data["psi"] = {}
+    scn = load_scenario(data=data)
+    errors = [
+        "generator 0: automorphism order does not divide 1",
+        "generators 0 and 1 do not commute",
+    ]
+    assert scn.validation["group_axiom_errors"] == errors
+    assert not validation_passed(scn)
+    with pytest.raises(ValueError, match=errors[0]):
+        GammaGroup(scn.algebra, scn.group.generators)
 
 
 def test_non_transversal_equivariant_psi_fails_validation():
