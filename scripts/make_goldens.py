@@ -29,6 +29,9 @@ PAIRS = [
     ("sl3_flip.json", "irreps_b1", ["irreps", "--bound", "1"]),
     ("sl2_z2.json", "mult_twisted", ["mult", "W(psi2w)*V(psiw)"]),
     ("sl3_flip.json", "mult_twisted", ["mult", "V(psi_w1)+W(psi_w1)*W(psi_w1)"]),
+    ("sl2_z2_two_orbits.json", "twist_psi_two_orbits", ["twist", "psi_two_orbits"]),
+    ("sl2_z2_two_orbits.json", "ext_psi_two_orbits", ["ext", "psi_two_orbits", "--rungs", "2", "--bound", "1"]),
+    ("sl2_z2_two_orbits.json", "battery_psi_two_orbits", ["battery", "psi_two_orbits", "--bound", "1"]),
 ]
 
 

@@ -43,6 +43,7 @@ PROBES = {
     "twist psi_w1w2_eq": ["twist", "psi_w1w2_eq"],
     "battery psi_w1w2_eq": ["battery", "psi_w1w2_eq", "--bound", "1"],
     "battery psi_2w1w2_eq": ["battery", "psi_2w1w2_eq", "--bound", "2"],
+    "battery psi_w1_w2_eq": ["battery", "psi_w1_w2_eq", "--bound", "1"],
 }
 TIMEOUT_S = 900
 
