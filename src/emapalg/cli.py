@@ -81,16 +81,7 @@ def _mult_table(scn: Scenario, table):
 
 
 def _orbit_reps(scn: Scenario):
-    reps = []
-    seen = set()
-    for name in sorted(scn.points):
-        p = scn.points[name]
-        if p in seen:
-            continue
-        for q in scn.group.orbit(p):
-            seen.add(q)
-        reps.append(p)
-    return reps
+    return [orb[0] for orb in scn.group.orbits(scn.points[n] for n in sorted(scn.points))]
 
 
 def _check_ranges(args):
@@ -115,7 +106,6 @@ def cmd_weyl(scn: Scenario, args):
     psi = _plain(scn, args.psi)
     _check_cap(weyl_dim_bound(scn.algebra, psi))
     w = weyl_module(scn.algebra, psi)
-    _check_cap(w.dim)
     return {
         "psi": fmt_psi(scn, psi),
         "dim": w.dim,
@@ -134,14 +124,13 @@ def cmd_twist(scn: Scenario, args):
         except KeyError as exc:
             raise ScenarioError("unknown point name %s" % exc)
     else:
-        points = [p for p in _orbit_reps(scn) if any(q in psi.support() for q in scn.group.orbit(p))]
+        points = [p for p in _orbit_reps(scn) if p in psi.support()]
     try:
         rest = psi_restrict(psi, scn.group, points)
     except ValueError as exc:
         raise ScenarioError("bad --transversal: %s" % exc)
     _check_cap(weyl_dim_bound(scn.algebra, rest))
-    tw, w, inv = twisted_weyl(scn.group, psi, points)
-    _check_cap(tw.dim)
+    tw, w, _ = twisted_weyl(scn.group, psi, points)
     back = untwist(tw)
     if back.actions != w.module.actions:
         raise MathCheckFailure("untwist of the twisted Weyl module is not the identity")
@@ -151,7 +140,7 @@ def cmd_twist(scn: Scenario, args):
         "dim": tw.dim,
         "untwisted_dim": w.dim,
         "untwist_roundtrip": "identity",
-        "multiplicities": _mult_table(scn, multiplicities(tw)),
+        "multiplicities": _mult_table(scn, equivariant_table(scn.group, multiplicities(back))),
     }
 
 
@@ -252,21 +241,15 @@ def _battery_module(scn: Scenario, name):
     psi = _resolve_psi(scn, name)
     if not psi.equivariant:
         raise ScenarioError("command needs an equivariant psi (%r is not)" % name)
-    reps = [
-        p
-        for p in _orbit_reps(scn)
-        if any(q in psi.support() for q in scn.group.orbit(p))
-    ]
+    reps = [p for p in _orbit_reps(scn) if p in psi.support()]
     _check_cap(weyl_dim_bound(scn.algebra, psi_restrict(psi, scn.group, reps)))
     tw, _, _ = twisted_weyl(scn.group, psi, reps)
-    _check_cap(tw.dim)
     return tw, psi
 
 
 def cmd_ext(scn: Scenario, args):
     tw, psi = _battery_module(scn, args.psi)
-    reps = sorted(tw.algebra.eta.support(), key=lambda p: p.sort_key())
-    cands = lower_candidates(untwist(tw), scn.group, psi, reps, args.bound, args.rungs)
+    cands = lower_candidates(untwist(tw), scn.group, psi, args.bound, args.rungs)
     rows = [[fmt_psi(scn, phi), hd, dims] for phi, hd, dims in cands]
     rows.sort(key=lambda r: r[0])
     return {

@@ -259,18 +259,6 @@ def jet_expand(f: LaurentFunction, x: Point, e: int):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-class QuotientAlgebra:
-    """The product of jet rings realizing A/I_eta through CRT."""
-
-    def __init__(self, eta: EtaFunction):
-        self.eta = eta
-        self.summands = [JetAlgebra(p, e) for p, e in eta.assignments]
-        self.dim = sum(j.dim for j in self.summands)
-
-    def project(self, f: LaurentFunction):
-        return [jet_expand(f, j.point, j.order) for j in self.summands]
-
-
 class PointAction:
     """Coordinate scaling of the torus: z_i -> s_i z_i."""
 
@@ -387,6 +375,16 @@ class GammaGroup:
             q = self.act_point(gamma, p)
             if q not in out:
                 out.append(q)
+        return out
+
+    def orbits(self, points):
+        """The orbits that meet `points`, each as orbit(p) for the first
+        listed point p in it (so orbit[0] is p), in the order of those p."""
+        out, seen = [], set()
+        for p in points:
+            if p not in seen:
+                out.append(self.orbit(p))
+                seen.update(out[-1])
         return out
 
     def character_value(self, xi, gamma):

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .coordalg import (
     EtaFunction,
+    JetAlgebra,
     LaurentFunction,
-    QuotientAlgebra,
     is_transversal_set,
     jet_expand,
     interpolate,
@@ -24,10 +24,10 @@ class TruncatedAlgebra(LieAlgebra):
         self.g = g
         self.eta = eta
         self.field = g.field
-        self.quotient = QuotientAlgebra(eta)
-        self.points = [j.point for j in self.quotient.summands]
+        self.jets = [JetAlgebra(p, e) for p, e in eta.assignments]
+        self.points = [j.point for j in self.jets]
         self.basis = []
-        for p_idx, jet in enumerate(self.quotient.summands):
+        for p_idx, jet in enumerate(self.jets):
             for g_idx in range(g.dim):
                 for mono in jet.monomials:
                     self.basis.append((p_idx, g_idx, mono))
@@ -44,7 +44,7 @@ class TruncatedAlgebra(LieAlgebra):
             if p != q:
                 out = ()
             else:
-                order = self.quotient.summands[p].order
+                order = self.jets[p].order
                 mono = tuple(a + b for a, b in zip(ma, mb))
                 if sum(mono) >= order:
                     out = ()
@@ -70,7 +70,7 @@ class TruncatedAlgebra(LieAlgebra):
     def project(self, g_vec, f: LaurentFunction):
         """Image of (g-element tensor function) in the truncation."""
         out = {}
-        for p_idx, jet in enumerate(self.quotient.summands):
+        for p_idx, jet in enumerate(self.jets):
             coeffs = jet_expand(f, jet.point, jet.order)
             for g_idx, c in g_vec.items():
                 for mono, jc in coeffs.items():
@@ -129,34 +129,10 @@ class MapElement:
         return isinstance(other, MapElement) and self.terms == other.terms
 
 
-class OrbitTruncation:
-    """A truncated algebra over an orbit-saturated exponent function, carrying
-    the group action matrices."""
-
-    def __init__(self, g, group, eta: EtaFunction):
-        self.g = g
-        self.group = group
-        self.eta_tilde = eta.orbit_saturation(group)
-        self.trunc = TruncatedAlgebra(g, self.eta_tilde)
-        self.field = g.field
-        self._gamma_mats = {}
-
-    @property
-    def dim(self):
-        return self.trunc.dim
-
-    def gamma_matrix(self, gamma):
-        m = self._gamma_mats.get(gamma)
-        if m is None:
-            t = self.trunc
-            m = gamma_truncation_matrix(self.group, gamma, t, t)
-            self._gamma_mats[gamma] = m
-        return m
-
-
 class InvariantAlgebra(LieAlgebra):
-    """The group-fixed subalgebra of an orbit truncation, with a character
-    grading label on every basis element.
+    """The group-fixed subalgebra of the truncation over the orbit saturation
+    of eta (the ambient algebra), with a character grading label on every
+    basis element.
 
     The group acts freely on the points, so evaluation at one point per orbit
     identifies the invariants with the truncations at those points.  The
@@ -171,9 +147,8 @@ class InvariantAlgebra(LieAlgebra):
         self.g = g
         self.group = group
         self.eta = eta  # representative exponent function (transversal side)
-        self.ambient = OrbitTruncation(g, group, eta)
+        self.ambient = t = TruncatedAlgebra(g, eta.orbit_saturation(group))
         self.field = fld = g.field
-        t = self.ambient.trunc
 
         # the g_xi, from the character projectors on g
         inv_n = fld.one / fld.scalar(group.size)
@@ -202,15 +177,10 @@ class InvariantAlgebra(LieAlgebra):
         }
 
         self._reps = []  # index of the first point of each orbit
-        covered = set()
-        for p_idx, p in enumerate(t.points):
-            if p in covered:
-                continue
-            orbit = group.orbit(p)
+        for orbit in group.orbits(t.points):
             if len(orbit) != group.size:
-                raise ValueError("the group does not act freely on the orbit of %r" % (p,))
-            covered.update(orbit)
-            self._reps.append(p_idx)
+                raise ValueError("the group does not act freely on the orbit of %r" % (orbit[0],))
+            self._reps.append(t.points.index(orbit[0]))
 
         # column k of `seed` is the k-th (x, v, u^beta)
         self.xi_labels = []
@@ -222,7 +192,7 @@ class InvariantAlgebra(LieAlgebra):
                 for e, (xi_v, v) in enumerate(eigen):
                     if xi_v != xi:
                         continue
-                    for mono in t.quotient.summands[p_idx].monomials:
+                    for mono in t.jets[p_idx].monomials:
                         k = len(self.xi_labels)
                         self.xi_labels.append(xi)
                         self._slot[(p_idx, e, mono)] = k
@@ -232,16 +202,16 @@ class InvariantAlgebra(LieAlgebra):
                         )
         self.dim = len(self.xi_labels)
         seed = Matrix.from_triples(fld, t.dim, self.dim, triples)
+        mats = {gamma: gamma_truncation_matrix(group, gamma, t, t) for gamma in group.elements}
         # column k of `span` is the k-th basis vector, the orbit sum of seed k
         span = Matrix.combination(
-            fld,
-            t.dim,
-            self.dim,
-            [(fld.one, self.ambient.gamma_matrix(gamma).matmul(seed)) for gamma in group.elements],
+            fld, t.dim, self.dim, [(fld.one, m.matmul(seed)) for m in mats.values()]
         )
         for gen_idx in range(len(group.generators)):
             gamma = tuple(int(i == gen_idx) for i in range(len(group.generators)))
-            if self.ambient.gamma_matrix(gamma).matmul(span) != span:
+            # a generator of order 1 is not among the elements
+            m = mats[gamma] if gamma in mats else gamma_truncation_matrix(group, gamma, t, t)
+            if m.matmul(span) != span:
                 raise AssertionError("an orbit sum is not fixed by generator %r" % (gamma,))
         self._span = span
         self.basis = [span.column(k) for k in range(self.dim)]
@@ -252,7 +222,7 @@ class InvariantAlgebra(LieAlgebra):
         """Coordinates of an ambient vector in the chosen basis: its g-vectors
         at the first points of the orbits, in the eigenbasis of g.  Raises
         ValueError unless the vector is the combination they give."""
-        t = self.ambient.trunc
+        t = self.ambient
         at_reps = {}  # (point index, monomial) -> g-vector
         for r, x in vec.items():
             p_idx, g_idx, mono = t.basis[r]
@@ -281,7 +251,7 @@ class InvariantAlgebra(LieAlgebra):
             p, a, ma = self._labels[i]
             q, b, mb = self._labels[j]
             mono = tuple(s + t for s, t in zip(ma, mb))
-            if p != q or sum(mono) >= self.ambient.trunc.quotient.summands[p].order:
+            if p != q or sum(mono) >= self.ambient.jets[p].order:
                 out = ()
             else:
                 out = tuple(
@@ -306,7 +276,7 @@ class InvariantAlgebra(LieAlgebra):
         cached = self._iso_cache.get(key)
         if cached is not None:
             return cached
-        if eta.orbit_saturation(self.group) != self.ambient.eta_tilde:
+        if eta.orbit_saturation(self.group) != self.ambient.eta:
             raise ValueError("exponent function does not match this invariant algebra")
         ok, viol = is_transversal_set(self.group, list(eta.support()))
         if not ok:
@@ -314,7 +284,7 @@ class InvariantAlgebra(LieAlgebra):
         target = TruncatedAlgebra(self.g, eta)
         if target.dim != self.dim:
             raise AssertionError("evaluation map is not square: %d vs %d" % (target.dim, self.dim))
-        amb = self.ambient.trunc
+        amb = self.ambient
         row_of = {
             amb.index[(amb.points.index(target.points[p_idx]), g_idx, mono)]: r
             for r, (p_idx, g_idx, mono) in enumerate(target.basis)
@@ -343,7 +313,7 @@ class InvariantAlgebra(LieAlgebra):
 
     def ideal_subspace(self, exponents: EtaFunction) -> Subspace:
         """Image of g tensor (product ideal) inside the ambient truncation."""
-        t = self.ambient.trunc
+        t = self.ambient
         vecs = []
         for i, (p_idx, g_idx, mono) in enumerate(t.basis):
             if sum(mono) >= exponents[t.points[p_idx]]:
@@ -374,14 +344,6 @@ def gamma_truncation_matrix(group, gamma, source: TruncatedAlgebra, target: Trun
         for g_tgt, c in gm.column(g_idx).items():
             triples.append((target.index[(q_idx, g_tgt, mono)], j, c * fac))
     return Matrix.from_triples(fld, target.dim, source.dim, triples)
-
-
-def ev_gamma_iso(g, group, eta: EtaFunction):
-    """Invariant algebra together with its evaluation isomorphism onto the
-    plain truncation at eta."""
-    inv = InvariantAlgebra(g, group, eta)
-    target, mat, matinv = inv.evaluation_iso(eta)
-    return inv, target, mat, matinv
 
 
 def constructive_lift(g, group, a_vec, f: LaurentFunction, x, eta: EtaFunction):
@@ -462,12 +424,9 @@ def ideal_equality_check(inv: InvariantAlgebra, eta: EtaFunction):
 def power_ideal_check(inv: InvariantAlgebra, ideal: EtaFunction, m: int):
     """Compare the m-th bracket power of the invariant ideal with the
     invariants of the m-th ideal power."""
-    amb_exps = {
-        p: inv.ambient.eta_tilde[p] for p in inv.ambient.eta_tilde.support()
-    }
-    if any(m * ideal[p] >= e for p, e in amb_exps.items() if ideal[p]):
+    if any(m * ideal[p] >= e for p, e in inv.ambient.eta.assignments if ideal[p]):
         raise ValueError("ambient truncation too small for this power check")
-    t = inv.ambient.trunc
+    t = inv.ambient
     base = inv.invariant_part_of(inv.ideal_subspace(ideal))
     cur = base
     for _ in range(m - 1):

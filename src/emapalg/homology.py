@@ -225,14 +225,8 @@ def characterization_battery(
         raise ValueError("module is not maximal weight with top %r (found %r)" % (psi, top))
     if weight_bound is None:
         weight_bound = max((c for _, w in psi.assignments for c in w.coords), default=1)
-    # one point per orbit that psi meets: the one that indexes the algebra
-    reps = []
-    for p in psi.support():
-        q = next((q for q in alg.group.orbit(p) if q in alg.eta.support()), p)
-        if q not in reps:
-            reps.append(q)
     report = BatteryReport(psi=psi)
-    for phi, hd, dims in lower_candidates(plain, alg.group, psi, reps, weight_bound, rungs):
+    for phi, hd, dims in lower_candidates(plain, alg.group, psi, weight_bound, rungs):
         report.candidates.append((phi, hd, dims))
         if hd != 0 or any(d != 0 for d in dims):
             report.verdict = "FAIL"
@@ -243,16 +237,18 @@ def characterization_battery(
     return report
 
 
-def lower_candidates(plain: FiniteModule, group, psi: PsiFunction, reps, bound, rungs):
+def lower_candidates(plain: FiniteModule, group, psi: PsiFunction, bound, rungs):
     """(phi, hom dim, ladder dims) for every equivariant phi supported on the
-    orbits of reps, with coordinates at most bound and height below psi;
-    each Hom dimension is checked against its ladder's H^0.
+    support orbits of psi, with coordinates at most bound and height below
+    psi; each Hom dimension is checked against its ladder's H^0.
 
     `plain` is the untwist of the module under test (untwisting is an
-    isomorphism of categories); each candidate is built on its truncation
-    from phi restricted to its points."""
+    isomorphism of categories), so its truncation points meeting the support
+    of psi are a transversal of those orbits; each candidate is built on that
+    truncation from phi restricted to its points."""
     trunc = plain.algebra
     target_h = height_psi_orbits(group, psi)
+    reps = [p for p in trunc.points if p in psi.support()]
     cache = {}
     for phi in enumerate_phi(group, reps, trunc.g.rd.rank, bound):
         if height_psi_orbits(group, phi) < target_h:

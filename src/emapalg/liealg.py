@@ -19,7 +19,7 @@ from .linalg import (
     restrict_operator,
     saturate,
 )
-from .rootdata import DiagramSymmetry, RootDatum, Weight
+from .rootdata import RootDatum, Weight
 
 
 class LieAlgebra:
@@ -260,9 +260,6 @@ class GAutomorphism:
             matrix=self.matrix.matmul(other.matrix),
         )
 
-    def inverse_matrix(self):
-        return self.matrix.inverse()
-
     def commutes_with(self, other):
         return self.matrix.matmul(other.matrix) == other.matrix.matmul(self.matrix)
 
@@ -270,12 +267,6 @@ class GAutomorphism:
 def _simple_index(g, i):
     return g.rd.positive_roots.index(
         tuple(1 if j == i else 0 for j in range(g.rd.rank))
-    )
-
-
-def identity_automorphism(g):
-    return GAutomorphism(
-        g, DiagramSymmetry.identity(g.rd.rank), (0,) * g.rd.rank, g.field.one
     )
 
 
@@ -340,12 +331,6 @@ def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule
         raise ValueError("transport matrix shape mismatch")
     actions = [module.operator(phi.column(j)) for j in range(source_algebra.dim)]
     return FiniteModule(source_algebra, actions, cyclic=module.cyclic)
-
-
-def pullback(mod, aut):
-    """The module with action twisted by an automorphism: u acts as
-    rho(aut^{-1}(u))."""
-    return transport(mod, aut.inverse_matrix(), mod.algebra)
 
 
 def integer_weight(x, dim):

@@ -86,14 +86,9 @@ def height_psi(rd, psi: PsiFunction):
 def height_psi_orbits(group, psi: PsiFunction):
     """Height of an equivariant psi: one term per support orbit."""
     rd = group.algebra.rd
-    done = set()
     total = rd.height(Weight((0,) * rd.rank))
-    for p, w in psi.assignments:
-        if p in done:
-            continue
-        for q in group.orbit(p):
-            done.add(q)
-        total = total + rd.height(w)
+    for orbit in group.orbits(psi.support()):
+        total = total + rd.height(psi[orbit[0]])
     return total
 
 
@@ -119,18 +114,11 @@ def psi_restrict(psi: PsiFunction, group, points) -> PsiFunction:
     ok, viol = is_transversal_set(group, list(points))
     if not ok:
         raise ValueError("not a transversal: %r" % (viol,))
-    done = set()
-    out = {}
-    for p in points:
-        w = psi[p]
-        if not w.is_zero():
-            out[p] = w
-        for q in group.orbit(p):
-            done.add(q)
-    for p, _ in psi.assignments:
-        if p not in done:
+    covered = {q for orbit in group.orbits(points) for q in orbit}
+    for p in psi.support():
+        if p not in covered:
             raise ValueError("transversal misses the support orbit of %r" % (p,))
-    return PsiFunction.of(out, equivariant=False)
+    return PsiFunction.of({p: psi[p] for p in points}, equivariant=False)
 
 
 def is_equivariant(group, psi: PsiFunction) -> bool:
@@ -287,16 +275,10 @@ def support(module: FiniteModule):
     """Union of support orbits (orbits for invariant modules, points else)."""
     table = multiplicities(module)
     alg = module.algebra
-    pts = set()
-    for psi in table:
-        pts.update(psi.support())
+    pts = sorted({p for psi in table for p in psi.support()}, key=lambda q: q.sort_key())
     if isinstance(alg, InvariantAlgebra):
-        orbits = []
-        for p in sorted(pts, key=lambda q: q.sort_key()):
-            if not any(p in orb for orb in orbits):
-                orbits.append(tuple(alg.group.orbit(p)))
-        return tuple(orbits)
-    return tuple(sorted(pts, key=lambda q: q.sort_key()))
+        return tuple(tuple(orbit) for orbit in alg.group.orbits(pts))
+    return tuple(pts)
 
 
 def is_maximal_weight(module: FiniteModule, psi: PsiFunction = None):
@@ -344,7 +326,7 @@ def _same_algebra(a, b):
         return (
             a.g is b.g
             and a.group is b.group
-            and a.ambient.eta_tilde == b.ambient.eta_tilde
+            and a.ambient.eta == b.ambient.eta
         )
     return False
 

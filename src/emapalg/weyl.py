@@ -5,6 +5,7 @@ evaluation isomorphism, and the structural checks that come with them
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb, prod
 
@@ -62,7 +63,7 @@ class _Straightener:
         factors = []
         for k, rc in enumerate(rd.positive_roots):
             for p_idx in range(len(alg.points)):
-                order = alg.quotient.summands[p_idx].order
+                order = alg.jets[p_idx].order
                 for mono in jet_monomials(alg.points[p_idx].nvars, order):
                     factors.append((sum(rc), k, p_idx, mono))
         factors.sort(key=lambda f: (f[0], f[1], f[2], (sum(f[3]), f[3])))
@@ -438,7 +439,7 @@ def twisted_weyl(group, psi: PsiFunction, points, inv: InvariantAlgebra = None):
     if inv is None:
         inv = InvariantAlgebra(g, group, w.module.algebra.eta)
     else:
-        if inv.ambient.eta_tilde != w.module.algebra.eta.orbit_saturation(group):
+        if inv.ambient.eta != w.module.algebra.eta.orbit_saturation(group):
             raise ValueError("supplied invariant algebra does not match")
     return twist(w.module, inv), w, inv
 
@@ -454,18 +455,7 @@ def _isomorphic(m1, m2):
 def check_choice_independence(group, psi: PsiFunction):
     """Twisted Weyl modules over all transversals of the support orbits are
     isomorphic."""
-    orbits = []
-    done = set()
-    for p in psi.support():
-        if p in done:
-            continue
-        orb = group.orbit(p)
-        for q in orb:
-            done.add(q)
-        orbits.append(orb)
-    import itertools
-
-    choices = list(itertools.product(*orbits))
+    choices = list(itertools.product(*group.orbits(psi.support())))
     first, _, inv = twisted_weyl(group, psi, list(choices[0]))
     for choice in choices[1:]:
         other, _, _ = twisted_weyl(group, psi, list(choice), inv=inv)

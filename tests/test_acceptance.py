@@ -20,7 +20,6 @@ from emapalg.ema import (
     InvariantAlgebra,
     TruncatedAlgebra,
     constructive_lift,
-    ev_gamma_iso,
     ideal_equality_check,
     power_ideal_check,
     verify_lift,
@@ -85,7 +84,8 @@ def test_criterion_01_evaluation_isomorphism():
                 eta = EtaFunction.of(
                     {pt(fld, k + 1): e for k, e in enumerate(exps)}
                 )
-                inv, target, mat, matinv = ev_gamma_iso(g, group, eta)
+                inv = InvariantAlgebra(g, group, eta)
+                target, mat, matinv = inv.evaluation_iso(eta)
                 assert inv.dim == target.dim
                 assert mat.matmul(matinv) == Matrix.identity(fld, inv.dim)
                 assert inv.check_iso_is_homomorphism(eta)

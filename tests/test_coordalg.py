@@ -142,6 +142,17 @@ def test_group_free_action_and_transversal():
     assert ok
 
 
+def test_group_orbits_follow_the_listed_points():
+    group = _z2_group()
+    fld = group.algebra.field
+    p1, m1, p2, m2 = (Point((fld.scalar(c),)) for c in (1, -1, 2, -2))
+    # each orbit starts at its first listed point, in listed order; m1 comes
+    # after its orbit-mate p1 and adds nothing; the unlisted -2 is in its orbit
+    assert group.orbits([p2, p1, m1]) == [[p2, m2], [p1, m1]]
+    assert group.orbits([m1, p1]) == [[m1, p1]]
+    assert group.orbits([]) == []
+
+
 def test_non_free_action():
     fld = field(2)
     g = build_sl(2, fld)

@@ -17,11 +17,9 @@ from emapalg.coordalg import (
 from emapalg.ema import (
     InvariantAlgebra,
     MapElement,
-    OrbitTruncation,
     TruncatedAlgebra,
     annihilator_eta,
     constructive_lift,
-    ev_gamma_iso,
     gamma_truncation_matrix,
     ideal_equality_check,
     power_ideal_check,
@@ -109,22 +107,24 @@ def test_orbit_truncation_and_gamma_order():
     g, group = z2_setup()
     fld = g.field
     eta = EtaFunction.of({pt(fld, 1): 2})
-    orb = OrbitTruncation(g, group, eta)
-    assert orb.dim == 12
-    m = orb.gamma_matrix((1,))
-    assert m.matmul(m) == Matrix.identity(fld, orb.dim)
+    t = TruncatedAlgebra(g, eta.orbit_saturation(group))
+    assert t.dim == 12
+    m = gamma_truncation_matrix(group, (1,), t, t)
+    assert m.matmul(m) == Matrix.identity(fld, t.dim)
 
 
 def _reference_components(g, group, eta):
     """The xi-graded invariants of the orbit truncation, built without orbit
     sums: average over the whole group, project the g factor onto each
     character over the whole truncation, and take the reduced basis."""
-    orb = OrbitTruncation(g, group, eta)
-    t = orb.trunc
+    t = TruncatedAlgebra(g, eta.orbit_saturation(group))
     fld = g.field
     inv_n = fld.one / fld.scalar(group.size)
     avg = Matrix.combination(
-        fld, t.dim, t.dim, [(inv_n, orb.gamma_matrix(gamma)) for gamma in group.elements]
+        fld,
+        t.dim,
+        t.dim,
+        [(inv_n, gamma_truncation_matrix(group, gamma, t, t)) for gamma in group.elements],
     )
     assert avg.matmul(avg) == avg
     components = {}
@@ -159,6 +159,25 @@ def test_orbit_sum_basis_matches_reference(setup, exps):
         assert mine == ref[xi].basis
 
 
+def test_invariant_algebra_rejects_a_non_free_orbit():
+    # sl3 with the flip and the trivial scaling: every point is fixed
+    fld = field(4)
+    g = build_sl(3, fld)
+    aut = GAutomorphism(g, DiagramSymmetry.flip(2), (0, 0), fld.one)
+    group = GammaGroup(g, [GroupGenerator(2, PointAction((fld.one,)), aut, -fld.one)])
+    with pytest.raises(ValueError, match="does not act freely"):
+        InvariantAlgebra(g, group, EtaFunction.of({pt(fld, 1): 1}))
+
+
+def test_order_one_generator_gives_the_whole_truncation():
+    fld = field(4)
+    g = build_sl(2, fld)
+    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (0,), fld.one)
+    group = GammaGroup(g, [GroupGenerator(1, PointAction((fld.one,)), aut, fld.one)])
+    eta = EtaFunction.of({pt(fld, 1): 2})
+    assert InvariantAlgebra(g, group, eta).dim == TruncatedAlgebra(g, eta).dim
+
+
 def test_invariant_dims_and_labels():
     g, group = z2_setup()
     fld = g.field
@@ -172,7 +191,7 @@ def test_invariant_dims_and_labels():
 def test_coords_rejects_non_invariant_vectors():
     g, group = z2_setup()
     inv = InvariantAlgebra(g, group, EtaFunction.of({pt(g.field, 1): 2}))
-    t = inv.ambient.trunc
+    t = inv.ambient
     assert inv.coords(inv.basis[1]) == inv.basis_vector(1)
     # a single ambient basis vector lives at one point of a two-point orbit
     with pytest.raises(ValueError):
@@ -193,7 +212,7 @@ def test_structure_constants_match_ambient_bracket(name, exponent):
     # the label-read structure constants against the bracket of the orbit
     # sums in the ambient truncation, read back through coords
     inv = _fixture_invariant(name, exponent)
-    t = inv.ambient.trunc
+    t = inv.ambient
     for i in range(inv.dim):
         for j in range(inv.dim):
             ref = tuple(sorted(inv.coords(t.bracket(inv.basis[i], inv.basis[j])).items()))
@@ -229,7 +248,8 @@ def test_ev_iso_sl2(exps):
     g, group = z2_setup()
     fld = g.field
     eta = EtaFunction.of({pt(fld, k + 1): e for k, e in enumerate(exps)})
-    inv, target, mat, matinv = ev_gamma_iso(g, group, eta)
+    inv = InvariantAlgebra(g, group, eta)
+    target, mat, matinv = inv.evaluation_iso(eta)
     assert inv.dim == target.dim
     assert mat.matmul(matinv) == Matrix.identity(fld, inv.dim)
     assert inv.check_iso_is_homomorphism(eta)
@@ -240,7 +260,8 @@ def test_ev_iso_sl3_flip(exps):
     g, group = flip_setup()
     fld = g.field
     eta = EtaFunction.of({pt(fld, k + 1): e for k, e in enumerate(exps)})
-    inv, target, mat, matinv = ev_gamma_iso(g, group, eta)
+    inv = InvariantAlgebra(g, group, eta)
+    target, _, _ = inv.evaluation_iso(eta)
     assert inv.dim == target.dim
     assert inv.check_iso_is_homomorphism(eta)
 
