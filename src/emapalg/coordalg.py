@@ -397,8 +397,8 @@ class GammaGroup:
 
     def axiom_errors(self):
         """The failed group axioms, one message each: every generator's
-        automorphism and zeta have an order dividing the declared one, and
-        the automorphisms commute."""
+        automorphism, point scaling and zeta have an order dividing the
+        declared one, and the automorphisms commute."""
         fld = self.algebra.field
         one = Matrix.identity(fld, self.algebra.dim)
         errors = []
@@ -410,6 +410,10 @@ class GammaGroup:
             if acc != one:
                 errors.append(
                     "generator %d: automorphism order does not divide %d" % (idx, gen.order)
+                )
+            if any(c**gen.order != fld.one for c in gen.point_action.scalings):
+                errors.append(
+                    "generator %d: point scaling order does not divide %d" % (idx, gen.order)
                 )
             if gen.zeta**gen.order != fld.one:
                 errors.append(

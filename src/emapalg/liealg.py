@@ -276,8 +276,8 @@ class FiniteModule:
     and optionally a cyclic vector (a sparse vector).
 
     Every module the system builds has a weight basis: the Cartan elements act
-    by diagonal matrices, whose diagonals are the weights.  weight_spaces
-    checks that on every read."""
+    by diagonal matrices, whose diagonals are the weights.  weights() is the
+    one place they are read, and it checks that on every read."""
 
     def __init__(self, algebra, actions, cyclic=None, check=False):
         self.algebra = algebra
@@ -317,11 +317,16 @@ class FiniteModule:
         space = saturate(Subspace(self.dim, [vec], fld=self.field), self.actions)
         return space.dim == self.dim
 
+    def weights(self):
+        """The weight spaces: {integer weight: coordinates}, a weight being the
+        tuple of diagonal entries of the Cartan actions (the basis elements
+        algebra.levi_split()[0], in that order) at each of its coordinates."""
+        ops = [self.actions[i] for i in self.algebra.levi_split()[0]]
+        return weight_spaces(ops, self.dim)
+
     def character(self):
         """Weight multiplicities of a module over g."""
-        g = self.algebra
-        hops = [self.actions[g.h(i)] for i in range(g.rd.rank)]
-        return {Weight(key): dim for key, dim in weight_spaces(hops, self.dim).items()}
+        return {Weight(key): len(coords) for key, coords in self.weights().items()}
 
 
 def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule:
@@ -346,13 +351,13 @@ def integer_weight(x, dim):
 
 
 def weight_spaces(ops, dim):
-    """Dimensions of the joint eigenspaces of commuting Cartan operators on a
-    module of dimension `dim`, keyed by tuples of integer eigenvalues.
+    """The joint eigenspaces of commuting Cartan operators on a module of
+    dimension `dim`, as {tuple of integer eigenvalues: coordinate indices}.
 
     The operators must be diagonal on the module's basis (joint_eigenspaces
     raises otherwise), and every diagonal entry must pass integer_weight."""
     return {
-        tuple(integer_weight(x, dim) for x in key): len(coords)
+        tuple(integer_weight(x, dim) for x in key): coords
         for key, coords in joint_eigenspaces(ops, dim).items()
     }
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .coordalg import is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
-from .liealg import FiniteModule, irreducible_module, transport, weight_spaces
+from .liealg import FiniteModule, irreducible_module, transport
 from .linalg import (
     Matrix,
     Subspace,
@@ -84,12 +84,10 @@ def height_psi(rd, psi: PsiFunction):
 
 
 def height_psi_orbits(group, psi: PsiFunction):
-    """Height of an equivariant psi: one term per support orbit."""
-    rd = group.algebra.rd
-    total = rd.height(Weight((0,) * rd.rank))
-    for orbit in group.orbits(psi.support()):
-        total = total + rd.height(psi[orbit[0]])
-    return total
+    """Height of an equivariant psi: one term per support orbit, read at the
+    orbit's leader."""
+    leaders = [orbit[0] for orbit in group.orbits(psi.support())]
+    return height_psi(group.algebra.rd, PsiFunction.of({p: psi[p] for p in leaders}))
 
 
 def psi_gamma(group, psi: PsiFunction) -> PsiFunction:
@@ -188,19 +186,20 @@ def untwist(module: FiniteModule) -> FiniteModule:
     return transport(module, matinv, target)
 
 
+def point_weights(alg: TruncatedAlgebra, key):
+    """A weight of a module over the truncation (a key of weights()), split
+    into one Weight per truncation point."""
+    rank = alg.g.rd.rank
+    return tuple(Weight(key[p * rank : (p + 1) * rank]) for p in range(len(alg.points)))
+
+
 def joint_weights(module: FiniteModule):
     """Joint Cartan weights per support point, as a dict mapping tuples of
     Weights (one per truncation point) to dimensions."""
     alg = module.algebra
     if not isinstance(alg, TruncatedAlgebra):
         raise ValueError("joint weights need a truncated-algebra module")
-    ops = [module.actions[i] for i in alg.levi_split()[0]]
-    rank = alg.g.rd.rank
-    npts = len(alg.points)
-    return {
-        tuple(Weight(ints[p * rank : (p + 1) * rank]) for p in range(npts)): dim
-        for ints, dim in weight_spaces(ops, module.dim).items()
-    }
+    return {point_weights(alg, key): len(coords) for key, coords in module.weights().items()}
 
 
 def multiplicities(module: FiniteModule):
@@ -218,13 +217,7 @@ def multiplicities(module: FiniteModule):
         if all(w.is_dominant() for w in wkey)
     ]
 
-    def total_height(wkey):
-        acc = rd.height(Weight((0,) * rd.rank))
-        for w in wkey:
-            acc = acc + rd.height(w)
-        return acc
-
-    candidates.sort(key=lambda wk: (-total_height(wk), tuple(w.coords for w in wk)))
+    candidates.sort(key=lambda wk: (-sum(map(rd.height, wk)), tuple(w.coords for w in wk)))
     table = {}
     for wkey in candidates:
         m = counts.get(wkey, 0)

@@ -232,13 +232,10 @@ def load_scenario(path=None, data=None) -> Scenario:
     free, non_free = acts_freely(group)
     # Named points may share orbits (transversality is per-psi, enforced when
     # extending equivariantly); here we only ask that each one sits in the
-    # free locus: nonzero coordinates and a trivial stabilizer.
-    bad_points = []
-    for name, p in points.items():
-        for gamma in group.elements:
-            if any(gamma) and group.act_point(gamma, p) == p:
-                bad_points.append(name)
-                break
+    # free locus.  Points have nonzero coordinates, so gamma fixes a point
+    # exactly when it scales every coordinate by 1: every named point has a
+    # nontrivial stabilizer when the action is not free, and none otherwise.
+    bad_points = [] if free else list(points)
     validation = {
         "group_axioms_ok": not axiom_errors,
         "group_axiom_errors": axiom_errors,

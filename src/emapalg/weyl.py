@@ -11,13 +11,15 @@ from math import comb, prod
 
 from .coordalg import EtaFunction, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
-from .liealg import FiniteModule, integer_weight
+from .liealg import FiniteModule
 from .linalg import Matrix, Subspace, linear_combination, saturate
 from .repmod import (
     PsiFunction,
     extend_to,
     hom_space,
     is_isomorphic,
+    joint_weights,
+    point_weights,
     psi_restrict,
     quotient_module,
     tensor_product,
@@ -314,14 +316,6 @@ def weyl_dim_bound(g, psi: PsiFunction) -> int:
     return _straighten(g, psi)[3]
 
 
-def _drop_weight(rd, st, mono):
-    acc = Weight((0,) * rd.rank)
-    for f in mono:
-        _, k, _, _ = st.factors[f]
-        acc = acc + Weight(rd._root_to_fundamental(rd.positive_roots[k]))
-    return acc
-
-
 def weyl_module(g, psi: PsiFunction) -> WeylModule:
     """The local Weyl module W(psi) over the truncation at exponent
     max(1, lam(h_theta)) on the support.
@@ -347,12 +341,6 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     mod = quotient_module(
         FiniteModule(alg, ops), rel, cyclic={st.mono_index[()]: fld.one}, check=False
     )
-    pivots = set(rel.pivots)
-    weights = [
-        lam - _drop_weight(rd, st, m)
-        for j, m in enumerate(st.monomials[:n_low])
-        if j not in pivots
-    ]
     cert = {}
 
     # defining relations in the quotient
@@ -386,11 +374,16 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
             )
     cert["relations"] = "verified"
 
-    for w in weights:
-        if not (rd.dominance_leq(rd.w0(lam), w) and rd.dominance_leq(w, lam)):
-            raise CertificationError(
-                "weight escapes the interval", relation=("weight", w.coords)
-            )
+    # g tensor 1_p acts on W(psi) with highest weight psi(p), so the weights
+    # at p lie in [w0 psi(p), psi(p)]; summed over p this bounds the total
+    # weight by the interval of lam
+    for key in joint_weights(mod):
+        for p, w in zip(alg.points, key):
+            top = psi[p]
+            if not (rd.dominance_leq(rd.w0(top), w) and rd.dominance_leq(w, top)):
+                raise CertificationError(
+                    "weight escapes the interval", relation=("weight", w.coords)
+                )
     cert["weights_in_interval"] = True
 
     mod.check_bracket()
@@ -508,44 +501,35 @@ def head(module: FiniteModule) -> FiniteModule:
     return quotient_module(module, _maximal_submodule(module))
 
 
+def _top_weight(module: FiniteModule):
+    """The cyclic vector's weight (a key of module.weights()) and the
+    coordinates of its weight space."""
+    for key, coords in module.weights().items():
+        if module.cyclic.keys() <= set(coords):
+            return key, coords
+    raise ValueError("cyclic vector is not a joint weight vector")
+
+
 def _maximal_submodule(module: FiniteModule):
-    """The greatest submodule inside the span of the weight layers other than
+    """The greatest submodule inside the span of the weight spaces other than
     the cyclic vector's."""
     if module.cyclic is None:
         raise ValueError("head needs a cyclic module")
-    fld = module.field
-    cart = [module.actions[i] for i in module.algebra.levi_split()[0]]
-    if not cart:
+    if not module.algebra.levi_split()[0]:
         raise ValueError("head needs an algebra that names its Cartan elements")
-    # top character values on the cyclic vector
-    scalars = [_ratio(op.apply(module.cyclic), module.cyclic, fld) for op in cart]
-    # complement: the span of images of (op_k - c_k) over all k, which misses
-    # the top line
-    comp = Subspace(module.dim, (), fld=fld)
-    ident = Matrix.identity(fld, module.dim)
-    for op, c in zip(cart, scalars):
-        shifted = Matrix.combination(
-            fld, module.dim, module.dim, [(fld.one, op), (-c, ident)]
-        )
-        for j in range(module.dim):
-            comp.add_vector(shifted.column(j))
-    # a subspace is a submodule iff its annihilator is stable under the
-    # transposed actions, so the greatest submodule inside comp is the
-    # annihilator of the smallest such subspace holding comp's annihilator
-    stable = saturate(comp.annihilator(), [op.transpose() for op in module.actions])
-    return stable.annihilator()
-
-
-def _ratio(v, w, fld):
-    """v[k] / w[k] at the first nonzero coordinate k of w (zero if w is)."""
-    if not w:
-        return fld.zero
-    k = min(w)
-    return v[k] * w[k].inverse() if k in v else fld.zero
+    # the Cartan actions are diagonal, so the images of the (op - c), c the
+    # cyclic vector's eigenvalue, span the unit vectors outside its weight
+    # space, whose annihilator is spanned by the unit vectors inside it.  A
+    # subspace is a submodule iff its annihilator is stable under the
+    # transposed actions, so the greatest submodule inside that span is the
+    # annihilator of the smallest such subspace holding those unit vectors
+    fld = module.field
+    top = Subspace(module.dim, [{j: fld.one} for j in _top_weight(module)[1]], fld=fld)
+    return saturate(top, [op.transpose() for op in module.actions]).annihilator()
 
 
 def hw_quotient_check(module: FiniteModule):
-    """Reads psi off the Cartan character of the cyclic vector, rebuilds
+    """Reads psi off the cyclic vector's weight, split per point, rebuilds
     W(psi), and exhibits a surjection onto the module."""
     if module.cyclic is None:
         raise ValueError("needs a cyclic module")
@@ -554,20 +538,7 @@ def hw_quotient_check(module: FiniteModule):
         raise ValueError("expects a truncated-algebra module")
     g = alg.g
     fld = module.field
-    rank = g.rd.rank
-    values = {}
-    for p_idx, p in enumerate(alg.points):
-        coords = []
-        nvars = p.nvars
-        for i in range(rank):
-            idx = alg.index[(p_idx, g.h(i), (0,) * nvars)]
-            v = module.actions[idx].apply(module.cyclic)
-            c = _ratio(v, module.cyclic, fld)
-            if linear_combination([(c, module.cyclic)]) != v:
-                raise ValueError("cyclic vector is not a joint weight vector")
-            coords.append(integer_weight(c, module.dim))
-        values[p] = Weight(tuple(coords))
-    psi = PsiFunction.of(values)
+    psi = PsiFunction.of(dict(zip(alg.points, point_weights(alg, _top_weight(module)[0]))))
     w = weyl_module(g, psi)
     # common truncation
     eta_c = EtaFunction.of(

@@ -42,6 +42,33 @@ def test_validate_failure_exit_1(tmp_path):
     assert json.loads(text)["status"] == "check-failed"
 
 
+def _bad_scaling(tmp_path):
+    # the point scaling z -> zeta z of Q(zeta_4) has order 4, not 2
+    data = json.load(open(_fixture("sl2_z2.json")))
+    data["cyclotomic_order"] = 4
+    data["generators"][0]["scaling"] = ["zeta"]
+    bad = tmp_path / "bad_scaling.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
+def test_validate_reports_a_point_scaling_of_wrong_order(tmp_path):
+    code, text = _run(["validate", _bad_scaling(tmp_path)], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert rep["results"]["group_axiom_errors"] == [
+        "generator 0: point scaling order does not divide 2"
+    ]
+
+
+def test_twist_with_a_point_scaling_of_wrong_order_exit_2(tmp_path):
+    # the failed axiom skips the equivariant extension, so psi2w is plain
+    code, text = _run(["twist", _bad_scaling(tmp_path), "psi2w"], tmp_path)
+    assert code == 2
+    assert json.loads(text)["status"] == "input-error"
+
+
 def test_malformed_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

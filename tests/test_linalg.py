@@ -431,7 +431,7 @@ def test_diagonal_read_equals_the_scan(drawn, nops):
     assert _coordinate_spaces(QQ, n, read) == scanned
     assert sum(len(idx) for idx in read.values()) == n
     assert weight_spaces(diags, n) == {
-        tuple(int(x.as_rational()) for x in key): len(idx) for key, idx in read.items()
+        tuple(int(x.as_rational()) for x in key): idx for key, idx in read.items()
     }
     # a unitriangular conjugate of a diagonal matrix is either that matrix or
     # not diagonal, and then it is refused

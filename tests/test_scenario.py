@@ -124,10 +124,12 @@ def test_malformed_inputs():
 
 
 def test_group_axiom_errors():
-    # generator 0 has order 2 but declares 1; generator 1 scales e_1 by -1
-    # and does not commute with the flip of generator 0
+    # generator 0 has order 2 but declares 1 (its point scaling is made
+    # trivial, so only the automorphism breaks the order); generator 1 scales
+    # e_1 by -1 and does not commute with the flip of generator 0
     data = _data("sl3_flip.json")
     data["generators"][0]["order"] = 1
+    data["generators"][0]["scaling"] = ["1"]
     data["generators"].append(
         {"order": 2, "scaling": ["1"], "automorphism": {"a": [1, 0], "zeta": "-1"}}
     )
@@ -140,6 +142,22 @@ def test_group_axiom_errors():
     assert scn.validation["group_axiom_errors"] == errors
     assert not validation_passed(scn)
     with pytest.raises(ValueError, match=errors[0]):
+        GammaGroup(scn.algebra, scn.group.generators)
+
+
+def test_point_scaling_order_error():
+    # in Q(zeta_4) the scaling z -> zeta z has order 4, not the declared 2;
+    # the automorphism and zeta still have order 2
+    data = _data("sl2_z2.json")
+    data["cyclotomic_order"] = 4
+    data["generators"][0]["scaling"] = ["zeta"]
+    scn = load_scenario(data=data)
+    error = "generator 0: point scaling order does not divide 2"
+    assert scn.validation["group_axiom_errors"] == [error]
+    assert not validation_passed(scn)
+    # the equivariant extension is skipped, so psi2w stays plain
+    assert not scn.psis["psi2w"].equivariant
+    with pytest.raises(ValueError, match=error):
         GammaGroup(scn.algebra, scn.group.generators)
 
 
@@ -158,6 +176,10 @@ def test_non_free_action_fails_validation():
     scn = load_scenario(data=data)
     assert not validation_passed(scn)
     assert not scn.validation["free_action"]
+    # the identity scaling fixes every point, so every named point is off
+    # the free locus
+    assert not scn.validation["x_star_ok"]
+    assert scn.validation["x_star_violations"] == ["m1", "p1", "p2"]
 
 
 def test_cyclotomic_override():

@@ -468,6 +468,32 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
     assert dims[0] < _chari_loktev_dim(n - 1, lam)
 
 
+@pytest.mark.parametrize("mapping", [{1: (1,), 2: (1,)}, {1: (2,), 2: (1,)}], ids=["w+w", "2w+w"])
+def test_interval_check_is_per_point(monkeypatch, mapping):
+    # without the push-down seeds (f x 1_p)^2 w survives at the point p with
+    # psi(p) = w: its weight at p is 1 - 4 = -3, outside [-1, 1], while its
+    # total weight lam - 4 stays inside the interval of lam
+    from emapalg import weyl
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, big_d, n_low: [])
+    with pytest.raises(CertificationError, match="weight escapes the interval") as err:
+        weyl_module(build_sl(2), _psi(QQ, mapping))
+    assert err.value.relation == ("weight", (-3,))
+
+
+@pytest.mark.parametrize("n, mapping", [(2, {1: (2,)}), (3, {1: (1, 0), 2: (0, 1)})])
+def test_head_and_hw_quotient_refuse_a_cyclic_vector_of_two_weights(n, mapping):
+    # w plus the last kept monomial, which has a lower weight
+    w = weyl_module(build_sl(n), _psi(QQ, mapping))
+    (k,) = w.module.cyclic
+    module = FiniteModule(
+        w.module.algebra, w.module.actions, cyclic={k: QQ.one, w.dim - 1: QQ.one}
+    )
+    for read in (head, hw_quotient_check):
+        with pytest.raises(ValueError, match="cyclic vector is not a joint weight vector"):
+            read(module)
+
+
 def test_weyl_build_runs_under_a_low_recursion_limit():
     code = (
         "import sys\n"
