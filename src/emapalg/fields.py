@@ -6,6 +6,12 @@ extended Euclidean algorithm on polynomials over Q.  All operations are
 exact.  A scenario works in one field, so every element lives in exactly
 one field: operands may be ints, rationals, "p/q" strings or elements of
 the same field, and an element of another field raises ValueError.
+
+Coefficients are canonical: an integral value is a Python int, whichever
+backend runs (gmpy2's mpq or the fractions.Fraction fallback), and any
+other value is an mpq/Fraction whose denominator is not 1.  No float ever
+appears.  Almost every scalar the Lie-theoretic code touches is integral,
+so most arithmetic runs on ints and skips the rational gcd.
 """
 
 from __future__ import annotations
@@ -15,16 +21,26 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _Q
 
-_Q0 = _Q(0)
-_Q1 = _Q(1)
 _RATIONALS = ("mpq", "Fraction")  # the type names an element compares equal to
 
 
 def rational(value, den=None):
-    """Build the internal rational scalar from an int, a "p/q" string, or a pair."""
+    """Build the internal rational scalar from an int, a "p/q" string, or a pair.
+    The result is always a _Q, also when it is integral: callers divide it by
+    ints and read `.denominator` off the quotient."""
     if den is not None:
         return _Q(value, den)
     return _Q(value)
+
+
+def _canon(q):
+    # the canonical coefficient: an int when q is integral, else q itself
+    return int(q) if q.denominator == 1 else q
+
+
+def _div(a, b):
+    # a / b on raw coefficients; _Q(a) keeps int / int from making a float
+    return _canon(_Q(a) / b)
 
 
 def _cyclotomic_poly(m):
@@ -76,23 +92,21 @@ class CyclotomicField:
             raise ValueError("cyclotomic order must be positive")
         self.order = order
         phi = _CYCLO_CACHE.setdefault(order, _cyclotomic_poly(order))
-        self.modulus = [_Q(c) for c in phi]
+        self.modulus = list(phi)
         self.degree = len(phi) - 1
         # x^k mod Phi_m for k = degree .. 2*degree - 2, used during multiplication
         self._red = []
         cur = [-c for c in self.modulus[:-1]]  # x^degree (Phi_m is monic)
         for _ in range(self.degree - 1):
             self._red.append(tuple(cur))
-            cur = [_Q0] + cur
+            cur = [0] + cur
             top = cur.pop()
             if top:
                 for i in range(self.degree):
                     cur[i] -= top * self.modulus[i]
         self._red.append(tuple(cur))
-        self.zero = FieldElement(self, (_Q0,) * self.degree)
-        one = [_Q0] * self.degree
-        one[0] = _Q1
-        self.one = FieldElement(self, tuple(one))
+        self.zero = FieldElement(self, (0,) * self.degree)
+        self.one = FieldElement(self, (1,) + (0,) * (self.degree - 1))
 
     def __repr__(self):
         return "CyclotomicField(%d)" % self.order
@@ -109,9 +123,7 @@ class CyclotomicField:
         if self.degree == 1:
             # zeta_1 = 1, zeta_2 = -1
             return self.one if self.order == 1 else -self.one
-        coeffs = [_Q0] * self.degree
-        coeffs[1] = _Q1
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def scalar(self, value):
         """An int, rational, "p/q" string or element of this field, as an
@@ -120,9 +132,9 @@ class CyclotomicField:
             if value.field is self:
                 return value
             raise ValueError("%r lies in %r, not in %r" % (value, value.field, self))
-        coeffs = [_Q0] * self.degree
-        coeffs[0] = _Q(value)
-        return FieldElement(self, tuple(coeffs))
+        if type(value) is not int:
+            value = _canon(_Q(value))
+        return FieldElement(self, (value,) + (0,) * (self.degree - 1))
 
     def root_of_unity(self, order, power=1):
         """zeta_order ** power; requires order | m."""
@@ -133,7 +145,7 @@ class CyclotomicField:
         return self.zeta ** ((self.order // order) * power)
 
     def element(self, coeffs):
-        coeffs = tuple(_Q(c) for c in coeffs)
+        coeffs = tuple(_canon(_Q(c)) for c in coeffs)
         if len(coeffs) != self.degree:
             raise ValueError("expected %d coefficients" % self.degree)
         return FieldElement(self, coeffs)
@@ -141,7 +153,7 @@ class CyclotomicField:
     def _reduce(self, prod):
         # prod has length <= 2*degree - 1
         d = self.degree
-        out = list(prod[:d]) + [_Q0] * (d - len(prod[:d]))
+        out = list(prod[:d]) + [0] * (d - len(prod[:d]))
         for k in range(d, len(prod)):
             c = prod[k]
             if c:
@@ -149,7 +161,7 @@ class CyclotomicField:
                 for i in range(d):
                     if row[i]:
                         out[i] += c * row[i]
-        return tuple(out)
+        return tuple(_canon(c) for c in out)
 
 
 def field(order):
@@ -175,14 +187,20 @@ class FieldElement:
 
     def __add__(self, other):
         other = _coerce(self.field, other)
-        return FieldElement(
-            self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            # an int result is canonical already, and it is the common case
+            c = a[0] + b[0]
+            return FieldElement(self.field, (c if type(c) is int else _canon(c),))
+        return FieldElement(self.field, tuple(_canon(x + y) for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-x for x in self.coeffs))
+        a = self.coeffs
+        if len(a) == 1:
+            return FieldElement(self.field, (-a[0],))
+        return FieldElement(self.field, tuple(-x for x in a))
 
     def __sub__(self, other):
         return self + (-_coerce(self.field, other))
@@ -195,8 +213,9 @@ class FieldElement:
         a, b = self.coeffs, other.coeffs
         n = len(a)
         if n == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        prod = [_Q0] * (2 * n - 1)
+            c = a[0] * b[0]
+            return FieldElement(self.field, (c if type(c) is int else _canon(c),))
+        prod = [0] * (2 * n - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -229,17 +248,16 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
         if self.field.degree == 1:
-            return FieldElement(self.field, (_Q1 / self.coeffs[0],))
+            return FieldElement(self.field, (_div(1, self.coeffs[0]),))
         # extended Euclid on (self, Phi_m) over Q[x]
         r0 = list(self.field.modulus)
         r1 = list(self.coeffs)
         while r1 and not r1[-1]:
             r1.pop()
-        s0, s1 = [], [_Q1]
+        s0, s1 = [], [1]
         while True:
             if len(r1) == 1:
-                inv = _Q1 / r1[0]
-                coeffs = [c * inv for c in s1] + [_Q0] * (self.field.degree - len(s1))
+                coeffs = [_div(c, r1[0]) for c in s1] + [0] * (self.field.degree - len(s1))
                 return FieldElement(self.field, tuple(coeffs[: self.field.degree]))
             q, r = _polydivmod_q(r0, r1)
             s0, s1 = s1, _polysub_q(s0, _polymul_q(q, s1))
@@ -290,13 +308,14 @@ class FieldElement:
 def _polydivmod_q(num, den):
     num = list(num)
     dd = len(den) - 1
-    q = [_Q0] * max(len(num) - dd, 0)
+    q = [0] * max(len(num) - dd, 0)
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd] / den[-1]
+        c = _div(num[i + dd], den[-1])
         q[i] = c
         if c:
             for j, y in enumerate(den):
                 num[i + j] -= c * y
+    num = [_canon(c) for c in num]
     while num and not num[-1]:
         num.pop()
     return q, num
@@ -305,21 +324,22 @@ def _polydivmod_q(num, den):
 def _polymul_q(a, b):
     if not a or not b:
         return []
-    out = [_Q0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
+    return [_canon(c) for c in out]
 
 
 def _polysub_q(a, b):
     n = max(len(a), len(b))
-    out = [_Q0] * n
+    out = [0] * n
     for i, x in enumerate(a):
         out[i] += x
     for i, x in enumerate(b):
         out[i] -= x
+    out = [_canon(c) for c in out]
     while out and not out[-1]:
         out.pop()
     return out

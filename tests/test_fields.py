@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emapalg import fields
 from emapalg.fields import QQ, field
 
 
@@ -124,3 +125,89 @@ def test_equal_elements_hash_alike(m, a, b):
     assert x == x2 and {x2: 1}.get(x) == 1
     assert hash(F.scalar(a[0])) == hash(Fraction(a[0]))
     assert {F.scalar(a[0]): 1}.get(Fraction(a[0])) == 1
+
+
+# Canonical coefficients: an integral value is a Python int, any other value
+# a _Q with denominator != 1; never a float or a bool.
+
+_ORDERS = [1, 2, 3, 4, 5, 8, 12]
+_values = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+def _is_canonical(x):
+    return all(
+        type(c) is int or (type(c) is fields._Q and c.denominator != 1)
+        for c in x.coeffs
+    )
+
+
+def _ref_mul(a, b, modulus):
+    # product of two Fraction coefficient vectors, reduced mod the monic Phi_m
+    d = len(modulus) - 1
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i, y in enumerate(modulus):
+            prod[k - d + i] -= c * y
+    return tuple(prod[:d])
+
+
+def _fracs(x):
+    return tuple(Fraction(c) for c in x.coeffs)
+
+
+def _vec(F, data):
+    return [data.draw(_values) for _ in range(F.degree)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_ORDERS), st.data())
+def test_results_have_canonical_coefficients(m, data):
+    F = field(m)
+    a, b = _vec(F, data), _vec(F, data)
+    x, y = F.element(a), F.element(b)
+    one = tuple(Fraction(int(i == 0)) for i in range(F.degree))
+    results = [
+        (x + y, tuple(Fraction(p) + Fraction(q) for p, q in zip(a, b))),
+        (x - y, tuple(Fraction(p) - Fraction(q) for p, q in zip(a, b))),
+        (x * y, _ref_mul(a, b, F.modulus)),
+        (x ** 2, _ref_mul(a, a, F.modulus)),
+        (x, tuple(Fraction(c) for c in a)),
+    ]
+    if not y.is_zero():
+        # x / y and y^-1 are checked through the product that defines them
+        q, inv = x / y, y.inverse()
+        results += [(q, None), (inv, None), (y ** -2, None)]
+        assert _ref_mul(_fracs(q), b, F.modulus) == tuple(Fraction(c) for c in a)
+        assert _ref_mul(_fracs(inv), b, F.modulus) == one
+        assert _ref_mul(_fracs(y ** -2), _ref_mul(b, b, F.modulus), F.modulus) == one
+    for r, ref in results:
+        assert _is_canonical(r), r.coeffs
+        if ref is not None:
+            assert _fracs(r) == ref
+    v = data.draw(_values)
+    for form in (v, Fraction(v), "%d/%d" % (v.numerator, v.denominator)):
+        s = F.scalar(form)
+        assert _is_canonical(s)
+        assert _fracs(s) == (Fraction(v),) + (Fraction(0),) * (F.degree - 1)
+
+
+@pytest.mark.parametrize("m", _ORDERS)
+def test_equal_integral_forms_compare_and_hash_alike(m):
+    F = field(m)
+    forms = (2, Fraction(4, 2), "6/3")
+    pad = [0] * (F.degree - 1)
+    elts = [F.scalar(f) for f in forms] + [F.element([f] + pad) for f in forms]
+    for x in elts:
+        assert type(x.coeffs[0]) is int and _is_canonical(x)
+        assert {y: 1 for y in elts} == {x: 1}
+        for f in forms:
+            assert x == f and x == F.scalar(f)
+        assert hash(x) == hash(2) == hash(Fraction(2))
+        assert {2: "a"}.get(x) == "a" and {x: "b"}.get(Fraction(4, 2)) == "b"

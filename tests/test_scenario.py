@@ -3,12 +3,15 @@
 import json
 import os
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emapalg.coordalg import GammaGroup
-from emapalg.fields import field
+from emapalg.coordalg import GammaGroup, Point
+from emapalg.fields import QQ, field
+from emapalg.liealg import integer_weight
 from emapalg.scenario import (
     ScenarioError,
     format_scalar,
@@ -86,6 +89,25 @@ def test_format_parse_roundtrip_roots(m, k):
     F = field(m)
     x = F.zeta**k
     assert parse_scalar(format_scalar(x), F) == x
+
+
+def test_integral_values_report_alike_whatever_form_they_arrived_in():
+    # the report code reads .numerator and .denominator off raw coefficients
+    F = field(4)
+    for form in (2, Fraction(4, 2), "6/3"):
+        assert format_scalar(F.scalar(form)) == "2"
+    assert format_scalar(parse_scalar("4/2", F)) == "2"
+    assert format_scalar(parse_scalar("-6/4", F)) == "-3/2"
+    assert format_scalar(F.element(["4/2", Fraction(1, 2)])) == "[2/1,1/2]"
+    assert format_scalar((F.scalar(2) + F.zeta * 4) / 2) == "[1/1,2/1]"
+    twos = (QQ.scalar("2"), QQ.scalar("4/2"), parse_scalar("4/2", QQ))
+    keys = {Point((s,)).sort_key() for s in twos}
+    assert keys == {((1, ((2, 1),)),)}
+    assert Point((F.scalar("4/2"),)).sort_key() == ((4, ((2, 1), (0, 1))),)
+    w = integer_weight(QQ.scalar("6/3"), 5)
+    assert w == 2 and type(w) is int
+    with pytest.raises(ValueError):
+        integer_weight(QQ.scalar("5/2"), 5)
 
 
 def test_malformed_inputs():
