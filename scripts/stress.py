@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json.
+"""Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json
+and fixtures/sl2_stress.json.
 
     python3 scripts/stress.py --out BENCH.json [--src DIR]
 
@@ -30,20 +31,21 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FIXTURE = os.path.join(ROOT, "fixtures", "sl3_stress.json")
+FIXTURES = os.path.join(ROOT, "fixtures")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from checks import chari_loktev_dim  # noqa: E402
 
-# name -> CLI arguments after the scenario path
+# name -> (scenario file, CLI arguments after the scenario path)
 PROBES = {
-    "weyl psi_2w1": ["weyl", "psi_2w1"],
-    "weyl psi_w1w2": ["weyl", "psi_w1w2"],
-    "weyl psi_two_point": ["weyl", "psi_two_point"],
-    "twist psi_w1w2_eq": ["twist", "psi_w1w2_eq"],
-    "battery psi_w1w2_eq": ["battery", "psi_w1w2_eq", "--bound", "1"],
-    "battery psi_2w1w2_eq": ["battery", "psi_2w1w2_eq", "--bound", "2"],
-    "battery psi_w1_w2_eq": ["battery", "psi_w1_w2_eq", "--bound", "1"],
+    "weyl psi_2w1": ("sl3_stress.json", ["weyl", "psi_2w1"]),
+    "weyl psi_w1w2": ("sl3_stress.json", ["weyl", "psi_w1w2"]),
+    "weyl psi_two_point": ("sl3_stress.json", ["weyl", "psi_two_point"]),
+    "twist psi_w1w2_eq": ("sl3_stress.json", ["twist", "psi_w1w2_eq"]),
+    "battery psi_w1w2_eq": ("sl3_stress.json", ["battery", "psi_w1w2_eq", "--bound", "1"]),
+    "battery psi_2w1w2_eq": ("sl3_stress.json", ["battery", "psi_2w1w2_eq", "--bound", "2"]),
+    "battery psi_w1_w2_eq": ("sl3_stress.json", ["battery", "psi_w1_w2_eq", "--bound", "1"]),
+    "weyl psi_3w_3w": ("sl2_stress.json", ["weyl", "psi_3w_3w"]),
 }
 TIMEOUT_S = 900
 
@@ -95,12 +97,15 @@ def child(src, argv):
     }))
 
 
-def run_probe(src, scenario, name):
-    args = PROBES[name]
-    argv = [args[0], FIXTURE] + args[1:] + ["--format", "machine"]
+def run_probe(src, name):
+    fixture, args = PROBES[name]
+    path = os.path.join(FIXTURES, fixture)
+    with open(path) as fh:
+        scenario = json.load(fh)
+    argv = [args[0], path] + args[1:] + ["--format", "machine"]
     entry = {
         "probe": name,
-        "argv": argv[:1] + [os.path.relpath(FIXTURE, ROOT)] + argv[2:],
+        "argv": argv[:1] + [os.path.relpath(path, ROOT)] + argv[2:],
         "python": platform.python_version(),
         "cores": os.cpu_count(),
     }
@@ -139,11 +144,9 @@ def main(argv=None):
     if args.child is not None:
         child(src, json.loads(args.child))
         return 0
-    with open(FIXTURE) as fh:
-        scenario = json.load(fh)
-    probes = [run_probe(src, scenario, name) for name in PROBES]
+    probes = [run_probe(src, name) for name in PROBES]
     result = {
-        "fixture": os.path.relpath(FIXTURE, ROOT),
+        "fixtures": sorted({"fixtures/" + fixture for fixture, _ in PROBES.values()}),
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "machine": platform.machine(),

@@ -51,20 +51,25 @@ class WeylModule:
 
 class _Straightener:
     """Realizes the action of a truncated algebra on the span of normal PBW
-    monomials in the negative part, with a drop-height cap."""
+    monomials in the negative part, with an excess cap.  The content of a
+    monomial is the sum of its factors' positive roots, per (simple root,
+    point); its weight at p lies in [w0 psi(p), psi(p)] exactly when its
+    content is at most top (see _interval_top) there, that is, when its
+    excess sum max(0, content - top) is 0.  Those n_low monomials come first."""
 
     def __init__(self, alg: TruncatedAlgebra, psi: PsiFunction, cap, reverse_order=False):
         self.alg = alg
         self.psi = psi
         self.cap = cap
+        self.top = _interval_top(alg, psi)
         g = alg.g
         rd = g.rd
-        fld = alg.field
-        self.field = fld
+        npts = len(alg.points)
+        self.field = alg.field
         # ordered factor list: lowering basis elements of the truncation
         factors = []
         for k, rc in enumerate(rd.positive_roots):
-            for p_idx in range(len(alg.points)):
+            for p_idx in range(npts):
                 order = alg.jets[p_idx].order
                 for mono in jet_monomials(alg.points[p_idx].nvars, order):
                     factors.append((sum(rc), k, p_idx, mono))
@@ -72,47 +77,51 @@ class _Straightener:
         if reverse_order:
             factors.reverse()
         self.factors = factors
-        self.factor_height = [f[0] for f in factors]
-        self.factor_alg_index = [
-            alg.index[(p_idx, g.index[("f", k)], mono)]
-            for (_, k, p_idx, mono) in factors
+        # the content coordinates a factor raises by one (type A roots have
+        # simple-root coefficients 0 and 1)
+        self.factor_coords = [
+            tuple(i * npts + p_idx for i, c in enumerate(rd.positive_roots[k]) if c)
+            for (_, k, p_idx, _) in factors
         ]
-        self.alg_index_to_factor = {
-            ai: fi for fi, ai in enumerate(self.factor_alg_index)
-        }
-        # classify algebra basis elements; act by one of them moves the drop
-        # by its shift (+ht alpha for f_alpha, 0 for h, -ht alpha for e_alpha)
-        self.kind = []
-        self.shift = []
-        for p_idx, g_idx, mono in alg.basis:
-            kind, k = g.labels[g_idx]
-            self.kind.append(kind)
-            ht = 0 if kind == "h" else sum(rd.positive_roots[k])
-            self.shift.append(-ht if kind == "e" else ht)
+        self.factor_alg_index = [
+            alg.index[(p_idx, g.index[("f", k)], mono)] for (_, k, p_idx, mono) in factors
+        ]
+        self.alg_index_to_factor = {ai: fi for fi, ai in enumerate(self.factor_alg_index)}
+        self.kind = [g.labels[g_idx][0] for _, g_idx, _ in alg.basis]
         self._memo = {}
         self.monomials = self._enumerate()
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
+        self.n_low = sum(1 for m in self.monomials if not self.excess(self.content[m]))
 
     def drop(self, mono):
-        return sum(self.factor_height[f] for f in mono)
+        return sum(self.factors[f][0] for f in mono)
+
+    def excess(self, content):
+        return sum(max(0, c - t) for c, t in zip(content, self.top))
 
     def _enumerate(self):
-        """All normal (weakly decreasing) factor monomials with drop <= cap,
-        sorted by drop then lexicographically."""
-        out = []
+        """All normal (weakly decreasing) factor monomials of excess at most
+        cap, inside the interval first, each part sorted by drop then
+        lexicographically; excess only grows as factors are added.  Their
+        contents go to self.content."""
+        content = [0] * len(self.top)
+        self.content = {}
 
-        def rec(prefix, start, budget):
-            out.append(tuple(prefix))
+        def rec(prefix, start):
+            self.content[tuple(prefix)] = tuple(content)
             for f in range(start, -1, -1):
-                h = self.factor_height[f]
-                if h <= budget:
+                for k in self.factor_coords[f]:
+                    content[k] += 1
+                if self.excess(content) <= self.cap:
                     prefix.append(f)
-                    rec(prefix, f, budget - h)
+                    rec(prefix, f)
                     prefix.pop()
+                for k in self.factor_coords[f]:
+                    content[k] -= 1
 
-        rec([], len(self.factors) - 1, self.cap)
-        out.sort(key=lambda m: (self.drop(m), m))
-        return out
+        rec([], len(self.factors) - 1)
+        excess = {m: self.excess(c) for m, c in self.content.items()}
+        return sorted(excess, key=lambda m: (excess[m] > 0, self.drop(m), m))
 
     def _char_scalar(self, p_idx, g_idx, mono):
         """Action of h tensor u^beta on the cyclic vector."""
@@ -124,65 +133,46 @@ class _Straightener:
 
     def act(self, alg_idx, mono):
         """Action of an algebra basis element on a normal monomial, as a dict
-        {normal monomial: coefficient}."""
+        {enumerated normal monomial: coefficient}."""
         key = (alg_idx, mono)
         out = self._memo.get(key)
         if out is not None:
             return out
         kind = self.kind[alg_idx]
-        fld = self.field
-        if not mono:
-            if kind == "f":
-                f = self.alg_index_to_factor[alg_idx]
-                out = {} if self.factor_height[f] > self.cap else {(f,): fld.one}
-            elif kind == "h":
-                p_idx, g_idx, jm = self.alg.basis[alg_idx]
-                c = self._char_scalar(p_idx, g_idx, jm)
-                out = {} if c.is_zero() else {(): c}
-            else:
-                out = {}
-            self._memo[key] = out
-            return out
-
-        if kind == "f":
-            f = self.alg_index_to_factor[alg_idx]
-            if f >= mono[0]:
-                cand = (f,) + mono
-                out = {} if self.drop(cand) > self.cap else {cand: fld.one}
-                self._memo[key] = out
-                return out
-        m0 = mono[0]
-        rest = mono[1:]
-        acc = {}
-        inner = self.act(alg_idx, rest)
-        m0_alg = self.factor_alg_index[m0]
-        for m, c in inner.items():
-            for m2, c2 in self.act(m0_alg, m).items():
-                _dadd(acc, m2, c * c2)
-        for k, s in self.alg.bracket_terms(alg_idx, m0_alg):
-            for m2, c2 in self.act(k, rest).items():
-                _dadd(acc, m2, s * c2)
-        out = {m: c for m, c in acc.items() if not c.is_zero()}
+        f = self.alg_index_to_factor.get(alg_idx)
+        if kind == "f" and (not mono or f >= mono[0]):
+            cand = (f,) + mono
+            out = {cand: self.field.one} if cand in self.mono_index else {}
+        elif not mono:
+            c = self._char_scalar(*self.alg.basis[alg_idx]) if kind == "h" else self.field.zero
+            out = {} if c.is_zero() else {(): c}
+        else:
+            m0 = mono[0]
+            rest = mono[1:]
+            acc = {}
+            m0_alg = self.factor_alg_index[m0]
+            for m, c in self.act(alg_idx, rest).items():
+                for m2, c2 in self.act(m0_alg, m).items():
+                    _dadd(acc, m2, c * c2)
+            for k, s in self.alg.bracket_terms(alg_idx, m0_alg):
+                for m2, c2 in self.act(k, rest).items():
+                    _dadd(acc, m2, s * c2)
+            out = {m: c for m, c in acc.items() if not c.is_zero()}
         self._memo[key] = out
         return out
 
-    def operator_matrix(self, alg_idx, n):
-        """Matrix of a basis element on the span of the first n normal
-        monomials, modulo the span of the others.
-
-        act moves the drop by shift[alg_idx], and the monomials are sorted by
-        drop, so from the first monomial whose image would lie past the
-        largest drop among the first n, every image lies among the others."""
+    def operator_matrix(self, alg_idx):
+        """Matrix of a basis element on the span of the n_low monomials inside
+        the interval, modulo the span of the others.  act is homogeneous in
+        content, so only a lowering element can push an image past top, and
+        then the whole image lies outside and the monomial is skipped."""
+        f = self.alg_index_to_factor.get(alg_idx)
+        up = () if f is None else self.factor_coords[f]
         triples = []
-        limit = self.drop(self.monomials[n - 1]) - self.shift[alg_idx]
-        for j, m in enumerate(self.monomials[:n]):
-            if self.drop(m) > limit:
-                break
-            for m2, c in self.act(alg_idx, m).items():
-                k = self.mono_index[m2]
-                if k < n:
-                    triples.append((k, j, c))
-        return Matrix.from_triples(self.field, n, n, triples)
+        for j, m in enumerate(self.monomials[: self.n_low]):
+            if all(self.content[m][k] < self.top[k] for k in up):
+                triples += [(self.mono_index[m2], j, c) for m2, c in self.act(alg_idx, m).items()]
+        return Matrix.from_triples(self.field, self.n_low, self.n_low, triples)
 
 
 def _dadd(d, k, v):
@@ -190,25 +180,27 @@ def _dadd(d, k, v):
     d[k] = v if cur is None else cur + v
 
 
-def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
-    """The truncation at exponent max(1, lam(h_theta)) + n_extra on the
-    support, its straightener with cap D + 1 + buffer_extra, the largest
-    drop D = ht(lam - w0 lam) inside the weight interval, and the number of
-    normal monomials with drop <= D.
+def _interval_top(alg: TruncatedAlgebra, psi: PsiFunction):
+    """The content bound of the weight intervals: the simple-root coordinates
+    of psi(p) - w0 psi(p), for (simple root i, point p) at i * #points + p."""
+    rd = alg.g.rd
+    tops = [rd.root_coords(psi[p] - rd.w0(psi[p])) for p in alg.points]
+    return [int(t[i]) for i in range(rd.rank) for t in tops]
 
-    act(x, m) and every call it makes only produce monomials of drop at most
-    max(drop m, drop m + shift x), so the cap cuts nothing off while every
-    top-level call stays at drop <= D + 1.  They do: the seeds are
-    e_i tensor 1 on drop D + 1, operator_matrix stops where an image would
-    pass the prefix, and the Weyl powers f_i^(lam_i + 1) w reach drop
-    lam_i + 1 <= D + 1."""
+
+def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
+    """The truncation at exponent max(1, psi(p)(h_theta)) + n_extra at each
+    support point p, and its straightener with excess cap 1 + buffer_extra.
+
+    act(x, m) only produces content c(m) + root(x), and every call it makes
+    stays coordinatewise below max(c(m), c(m) + root(x)), so the cap cuts
+    nothing off while every top-level call stays at excess <= 1.  They do:
+    the seeds push down from excess 1, operator_matrix skips every image
+    outside the interval, and the Weyl powers step only from inside it."""
     rd = g.rd
-    lam = psi.total_weight()
-    n_trunc = max(1, rd.pairing_htheta(lam)) + n_extra
-    alg = TruncatedAlgebra(g, EtaFunction.of({p: n_trunc for p in psi.support()}))
-    big_d = int(rd.height(lam - rd.w0(lam)))
-    st = _Straightener(alg, psi, big_d + 1 + buffer_extra, reverse_order=reverse_order)
-    return alg, st, big_d, sum(1 for m in st.monomials if st.drop(m) <= big_d)
+    eta = {p: max(1, rd.pairing_htheta(psi[p])) + n_extra for p in psi.support()}
+    alg = TruncatedAlgebra(g, EtaFunction.of(eta))
+    return alg, _Straightener(alg, psi, 1 + buffer_extra, reverse_order=reverse_order)
 
 
 def _at_each_point(alg: TruncatedAlgebra, x):
@@ -224,48 +216,50 @@ def _lowering_indices(alg: TruncatedAlgebra, i):
 
 
 def _generators(alg: TruncatedAlgebra):
-    """Basis indices of a set that generates the truncation as a Lie algebra:
-    e_i tensor 1 and f_i tensor 1 at each point for the simple roots i, and
-    h_j tensor u^beta for the jet monomials u^beta of degree at most 1 at
-    each point.  The brackets [h_j tensor u_k, e_i tensor u^beta] =
-    alpha_i(h_j) e_i tensor u^(beta + e_k) (and the same for f_i) give every
-    jet of the simple root vectors, and brackets of those give the rest."""
+    """Basis indices of a minimal set that generates the truncation as a Lie
+    algebra: e_i tensor 1_p and f_i tensor 1_p for the simple roots i, and
+    h_1 tensor u_k for each variable u_k, at each point p.  The e_i and f_i
+    generate g tensor 1_p, which holds h_j tensor 1_p = [e_j, f_j]; under it
+    g tensor u_k is the adjoint module, irreducible, so h_1 tensor u_k
+    generates it; and [g tensor u_k, g tensor u^beta] = g tensor
+    u^(beta + e_k) gives every higher jet."""
     g = alg.g
     out = []
     for i in range(g.rd.rank):
         out += _at_each_point(alg, g.e(i)) + _lowering_indices(alg, i)
     out += [
         ai for ai, (_, g_idx, mono) in enumerate(alg.basis)
-        if g.labels[g_idx][0] == "h" and sum(mono) <= 1
+        if g_idx == g.h(0) and sum(mono) == 1
     ]
     return out
 
 
-def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, big_d, n_low):
-    """The push-downs into the weight interval (drop <= D) by e_i tensor 1
-    at each point, for the simple roots i, of the normal monomials with drop
-    D + 1, as sparse rows over the first n_low monomials.
+def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
+    """The push-downs into the weight interval of the monomials of excess 1,
+    as sparse rows over the first n_low monomials: such a monomial is one past
+    top in a single coordinate (i, p), and e_i tensor 1_p is the one raising
+    generator that brings it back inside.
 
     Together with saturation under _generators these give the same relation
-    space as the push-downs of every monomial beyond the interval by every
-    basis element.  act is weight-homogeneous and drop is a function of
-    weight, so f tensor u and h tensor u never lower the drop, and e_i tensor
-    1 lowers it by exactly 1.  Hence R + span(drop > D) is stable under the
-    generators once R holds these seeds and is stable under their induced
-    operators; the elements that keep a subspace stable form a Lie
-    subalgebra, so it is then stable under the whole truncation."""
+    space as the push-downs of every monomial outside the interval by every
+    basis element.  act is homogeneous in content; f tensor u and h tensor u
+    never lower a coordinate of it, and e_i tensor 1_p lowers only (i, p), by
+    one.  Hence R + span(excess > 0) is stable under the generators once R
+    holds these seeds and is stable under their induced operators; the
+    elements that keep a subspace stable form a Lie subalgebra, so it is then
+    stable under the whole truncation."""
     g = alg.g
+    # raising[k] is e_i tensor 1_p for the content coordinate k of (i, p)
     raising = [ai for i in range(g.rd.rank) for ai in _at_each_point(alg, g.e(i))]
     idx = st.mono_index
     seeds = []
-    # monomials are sorted by drop, so those with drop D + 1 come first
-    for m in st.monomials[n_low:]:
-        if st.drop(m) > big_d + 1:
-            break
-        for ai in raising:
+    for m in st.monomials[st.n_low:]:
+        content = st.content[m]
+        if st.excess(content) == 1:
+            k = next(k for k, t in enumerate(st.top) if content[k] > t)
             # act never returns a zero coefficient, so a nonempty image is a
             # nonzero seed
-            state = st.act(ai, m)
+            state = st.act(raising[k], m)
             if state:
                 seeds.append({idx[m2]: c for m2, c in state.items()})
     return seeds
@@ -279,15 +273,15 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     n_low monomials by R, so its dimension is n_low - dim R."""
     fld = g.field
     lam = psi.total_weight()
-    alg, st, big_d, n_low = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
+    alg, st = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
+    n_low = st.n_low
 
-    # monomials are sorted by drop, so the weight-interval part is a prefix
-    # of n_low monomials; everything beyond drop D is a relation seed, so the
-    # whole computation lives in the quotient by the beyond-interval span.
-    # The relation seeds inside the low part are the push-downs of the
-    # monomials just past the interval (see _push_down_seeds), plus the Weyl
-    # powers f_i^(lam_i + 1) w.
-    seeds = _push_down_seeds(alg, st, big_d, n_low)
+    # every monomial outside the interval is a relation, so the whole
+    # computation lives in the quotient by their span.  The relation seeds
+    # inside the interval are the push-downs of the monomials just past it
+    # (see _push_down_seeds), plus the Weyl powers f_i^(lam_i + 1) w; f never
+    # lowers the content, so each power only steps from inside the interval
+    seeds = _push_down_seeds(alg, st)
     idx = st.mono_index
     for i in range(g.rd.rank):
         state = {(): fld.one}
@@ -298,12 +292,12 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
                 for ai in fi_indices:
                     for m2, c2 in st.act(ai, m).items():
                         _dadd(nxt, m2, c * c2)
-            state = {m: c for m, c in nxt.items() if not c.is_zero()}
-        seeds.append({idx[m]: c for m, c in state.items() if idx[m] < n_low})
+            state = {m: c for m, c in nxt.items() if idx[m] < n_low and not c.is_zero()}
+        seeds.append({idx[m]: c for m, c in state.items()})
 
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
-    gen_ops = {ai: st.operator_matrix(ai, n_low) for ai in _generators(alg)}
+    gen_ops = {ai: st.operator_matrix(ai) for ai in _generators(alg)}
     rel = saturate(Subspace(n_low, seeds, fld=fld), list(gen_ops.values()))
     if rel.contains({idx[()]: fld.one}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
@@ -311,33 +305,33 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
 
 
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
-    """Upper bound on dim W(psi): the number of normal PBW monomials inside
-    the weight interval, from the enumeration alone (no matrices built)."""
-    return _straighten(g, psi)[3]
+    """Upper bound on dim W(psi): the number of normal PBW monomials whose
+    weight lies in the interval at every point, from the enumeration alone
+    (no matrices built)."""
+    return _straighten(g, psi)[1].n_low
 
 
 def weyl_module(g, psi: PsiFunction) -> WeylModule:
     """The local Weyl module W(psi) over the truncation at exponent
-    max(1, lam(h_theta)) on the support.
+    max(1, psi(p)(h_theta)) at each support point p, built on the monomials
+    whose weight lies in the interval [w0 psi(p), psi(p)] at every point.
 
-    Its dimension is certified by three rebuilds (one more buffer degree,
-    one more truncation exponent, the reversed factor order), each of which
-    only computes its relation space, and, when every point has one
+    Its dimension is certified by three rebuilds (excess cap one higher,
+    every truncation exponent one higher, the reversed factor order), each
+    of which only computes its relation space, and, when every point has one
     variable, by the Chari-Loktev closed form: the product over the points
-    of prod_i C(r + 1, i) ** lam_i."""
+    of prod_i C(r + 1, i) ** lam_i.  Every failed check raises
+    CertificationError."""
     if psi.is_zero():
         raise ValueError("psi must be nonzero")
     rd = g.rd
     fld = g.field
     lam = psi.total_weight()
     alg, st, n_low, rel, gen_ops = _build_once(g, psi)
-    # rel + span(drop > D) is stable under a generating set, hence under every
-    # basis element (see _push_down_seeds), so rel is invariant under every
-    # induced operator and the check is skipped
-    ops = [
-        gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, n_low)
-        for ai in range(alg.dim)
-    ]
+    # rel + span(excess > 0) is stable under a generating set, hence under
+    # every basis element (see _push_down_seeds), so rel is invariant under
+    # every induced operator and the check is skipped
+    ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai) for ai in range(alg.dim)]
     mod = quotient_module(
         FiniteModule(alg, ops), rel, cyclic={st.mono_index[()]: fld.one}, check=False
     )
@@ -386,7 +380,10 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
                 )
     cert["weights_in_interval"] = True
 
-    mod.check_bracket()
+    try:
+        mod.check_bracket()
+    except ValueError as err:
+        raise CertificationError(str(err), relation="bracket") from err
     cert["bracket"] = "verified"
 
     if not mod.is_cyclic_from(mod.cyclic):

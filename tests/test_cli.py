@@ -212,11 +212,11 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def one_relation_too_many(alg, st, big_d, n_low):
+    def one_relation_too_many(alg, st):
         # (f x t) w = 0 cuts W(2 omega) down to V(2 omega) in every build alike
         ai = alg.index[(0, alg.g.f(0), (1,))]
         extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
-        return push_down_seeds(alg, st, big_d, n_low) + [extra]
+        return push_down_seeds(alg, st) + [extra]
 
     monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
@@ -224,6 +224,20 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
     rep = json.loads(text)
     assert rep["status"] == "check-failed"
     assert "Chari-Loktev" in rep["results"]["error"]
+
+
+def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
+    # without the push-down seeds nothing cuts the span of the monomials in
+    # the weight interval of 2 omega down to W(2 omega), and that span is no
+    # module: the bracket check fails, and the CLI reports it as a failed check
+    from emapalg import weyl
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert "action does not represent the bracket" in rep["results"]["error"]
 
 
 def test_cap_exceeded(tmp_path, monkeypatch):

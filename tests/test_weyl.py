@@ -269,16 +269,16 @@ def test_certificate_structure():
     assert w.certificate["weights_in_interval"] is True
 
 
-def _exhaustive_seeds(alg, st, n_low):
-    """Push-downs of every beyond-interval monomial by every basis element
-    that reach the interval, restricted to it."""
+def _exhaustive_seeds(alg, st):
+    """Push-downs of every monomial outside the interval by every basis
+    element that reach the interval, restricted to it."""
     idx = st.mono_index
     seeds = []
-    for m in st.monomials[n_low:]:
+    for m in st.monomials[st.n_low:]:
         for ai in range(alg.dim):
             state = st.act(ai, m)
-            if any(idx[m2] < n_low for m2 in state):
-                seeds.append({idx[m2]: c for m2, c in state.items() if idx[m2] < n_low})
+            if any(idx[m2] < st.n_low for m2 in state):
+                seeds.append({idx[m2]: c for m2, c in state.items() if idx[m2] < st.n_low})
     return seeds
 
 
@@ -309,31 +309,26 @@ _SEED_PSIS = [
 _SEED_CASES = pytest.mark.parametrize("n, psi", _SEED_PSIS)
 
 
-def _wide_straightener(alg, psi, big_d, buffer_extra=0, reverse_order=False):
-    """A straightener at cap D + ht(theta) + buffer, past the D + 1 + buffer
-    that the builds enumerate, so that the exhaustive oracle also pushes
-    down from monomials the builds never see."""
-    cap = big_d + int(alg.g.rd.height(alg.g.rd.theta)) + buffer_extra
-    return _Straightener(alg, psi, cap, reverse_order=reverse_order)
-
-
-def _assert_seeds_generate_the_relations(alg, st, big_d, wide):
-    # the seeds e_i x 1 on drop d + 1, closed under the generators, span the
-    # same relation space as every push-down (from the wide straightener)
-    # closed under every basis element.  The argument holds for any cut
-    # d <= D; below D the space is no longer a Weyl module's relations, and
-    # there the h x u generators are needed as well.
-    assert wide.monomials[: len(st.monomials)] == st.monomials
-    for d in (big_d, big_d - 1):
-        n_d = sum(1 for m in st.monomials if st.drop(m) <= d)
-        seeds = _push_down_seeds(alg, st, d, n_d)
-        exhaustive = _exhaustive_seeds(alg, wide, n_d)
-        assert all(seed in exhaustive for seed in seeds)
-        gens = [st.operator_matrix(ai, n_d) for ai in _generators(alg)]
-        every = [_unpruned_operator_matrix(wide, ai, n_d) for ai in range(alg.dim)]
-        assert saturate(Subspace(n_d, seeds, fld=QQ), gens) == saturate(
-            Subspace(n_d, exhaustive, fld=QQ), every
-        )
+def _assert_seeds_generate_the_relations(alg, st, reverse_order=False):
+    # the seeds e_i x 1_p on excess 1, closed under the generators, span the
+    # same relation space as every push-down closed under every basis
+    # element.  The push-downs come from a straightener at excess cap
+    # + ht(theta), so that they also start from monomials the builds never
+    # see: no basis element lowers the excess by more than ht(theta)
+    rd = alg.g.rd
+    wide = _Straightener(
+        alg, st.psi, st.cap + int(rd.height(rd.theta)), reverse_order=reverse_order
+    )
+    n = st.n_low
+    assert wide.n_low == n and wide.monomials[:n] == st.monomials[:n]
+    seeds = _push_down_seeds(alg, st)
+    exhaustive = _exhaustive_seeds(alg, wide)
+    assert all(seed in exhaustive for seed in seeds)
+    gens = [st.operator_matrix(ai) for ai in _generators(alg)]
+    every = [_unpruned_operator_matrix(wide, ai, n) for ai in range(alg.dim)]
+    assert saturate(Subspace(n, seeds, fld=QQ), gens) == saturate(
+        Subspace(n, exhaustive, fld=QQ), every
+    )
 
 
 @_SEED_CASES
@@ -342,34 +337,40 @@ def _assert_seeds_generate_the_relations(alg, st, big_d, wide):
     [{}, {"buffer_extra": 1}, {"n_extra": 1}, {"reverse_order": True}],
     ids=["base", "buffer+1", "N+1", "reversed"],
 )
-def test_push_down_seeds_match_exhaustive_loop(n, psi, kwargs):
-    alg, st, big_d, _ = _straighten(build_sl(n), psi, **kwargs)
-    wide = _wide_straightener(
-        alg, psi, big_d, kwargs.get("buffer_extra", 0), kwargs.get("reverse_order", False)
-    )
-    _assert_seeds_generate_the_relations(alg, st, big_d, wide)
+def test_push_down_seeds_match_exhaustive_loop(monkeypatch, n, psi, kwargs):
+    # the argument holds for any box of contents, so it is checked on the
+    # interval's box and on the box one lower in every positive coordinate,
+    # where the space is no longer a Weyl module's relations
+    from emapalg import weyl
+
+    interval_top = weyl._interval_top
+    for lower in (0, 1):
+        monkeypatch.setattr(
+            weyl,
+            "_interval_top",
+            lambda alg, psi, lower=lower: [max(0, t - lower) for t in interval_top(alg, psi)],
+        )
+        alg, st = _straighten(build_sl(n), psi, **kwargs)
+        _assert_seeds_generate_the_relations(alg, st, kwargs.get("reverse_order", False))
 
 
 @pytest.mark.parametrize("idle", [-1, 2], ids=["idle-first", "idle-last"])
 def test_push_down_seeds_with_a_point_where_psi_vanishes(idle):
     # where psi is nonzero at every point, e_i x 1 at one point already
     # pushes the other points' relations down (through the scalar psi(h_i));
-    # at a truncation point where psi vanishes only that point's seeds do
+    # at a truncation point where psi vanishes (top 0) only that point's
+    # seeds do
     g = build_sl(2)
     psi = _psi(QQ, {1: (2,)})
-    _, base, big_d, _ = _straighten(g, psi)
     alg = TruncatedAlgebra(g, EtaFunction.of({pt(QQ, 1): 2, pt(QQ, idle): 2}))
-    _assert_seeds_generate_the_relations(
-        alg, _Straightener(alg, psi, base.cap), big_d, _wide_straightener(alg, psi, big_d)
-    )
+    _assert_seeds_generate_the_relations(alg, _Straightener(alg, psi, 1))
 
 
 @_SEED_CASES
 def test_operator_matrix_skips_only_images_past_the_prefix(n, psi):
-    alg, st, _, n_low = _straighten(build_sl(n), psi)
-    for size in (1, n_low - 1, n_low, n_low + 2, len(st.monomials)):
-        for ai in range(alg.dim):
-            assert st.operator_matrix(ai, size) == _unpruned_operator_matrix(st, ai, size)
+    alg, st = _straighten(build_sl(n), psi)
+    for ai in range(alg.dim):
+        assert st.operator_matrix(ai) == _unpruned_operator_matrix(st, ai, st.n_low)
 
 
 def _stress_psis():
@@ -382,25 +383,37 @@ def _stress_psis():
     ]
 
 
+def _root_content(st, ai):
+    """The content that basis element ai adds: its root at its point,
+    negated for a raising element, zero for a Cartan one."""
+    p_idx, g_idx, _ = st.alg.basis[ai]
+    kind, k = st.alg.g.labels[g_idx]
+    out = [0] * len(st.top)
+    if kind != "h":
+        npts = len(st.alg.points)
+        for i, c in enumerate(st.alg.g.rd.positive_roots[k]):
+            out[i * npts + p_idx] = -c if kind == "e" else c
+    return out
+
+
 @pytest.mark.parametrize("n, psi", _SEED_PSIS + _stress_psis())
 def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch, n, psi):
-    # act(x, m) reaches drop at most max(drop m, drop m + shift x); if that
-    # stays at D + 1 in every call, the cap D + 1 + buffer never cuts a term
+    # act(x, m) reaches content at most max(c(m), c(m) + root x) in every
+    # (simple root, point) coordinate; if that stays at excess 1 in every
+    # call, the cap 1 + buffer never cuts a term
     reach = {}
     act = _Straightener.act
 
     def recording(st, alg_idx, mono):
-        top = st.drop(mono) + max(0, st.shift[alg_idx])
-        reach[st] = max(reach.get(st, 0), top)
+        c = st.content[mono]
+        top = [max(a, a + d) for a, d in zip(c, _root_content(st, alg_idx))]
+        reach[st] = max(reach.get(st, 0), st.excess(top))
         return act(st, alg_idx, mono)
 
     monkeypatch.setattr(_Straightener, "act", recording)
-    g = build_sl(n)
-    weyl_module(g, psi)
-    lam = psi.total_weight()
-    big_d = int(g.rd.height(lam - g.rd.w0(lam)))
+    weyl_module(build_sl(n), psi)
     assert len(reach) == 4  # base, buffer+1, N+1, reversed
-    assert max(reach.values()) <= big_d + 1
+    assert max(reach.values()) <= 1
 
 
 def _lie_closure(alg, indices):
@@ -434,6 +447,9 @@ def test_generators_generate_the_truncation(n, eta):
     alg = TruncatedAlgebra(build_sl(n), EtaFunction.of(points))
     gens = _generators(alg)
     assert _lie_closure(alg, gens).dim == alg.dim
+    # the set is minimal: without any one element it generates less
+    for ai in gens:
+        assert _lie_closure(alg, [x for x in gens if x != ai]).dim < alg.dim
     # without the degree-one jets of h the generated algebra is g tensor 1
     degree_zero = [ai for ai in gens if sum(alg.basis[ai][2]) == 0]
     assert _lie_closure(alg, degree_zero).dim == len(alg.points) * alg.g.dim
@@ -450,10 +466,10 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
     build_once = weyl._build_once
     dims = []
 
-    def one_relation_too_many(alg, st, big_d, n_low):
+    def one_relation_too_many(alg, st):
         ai = alg.index[(0, alg.g.f(0), (1,))]
         extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
-        return push_down_seeds(alg, st, big_d, n_low) + [extra]
+        return push_down_seeds(alg, st) + [extra]
 
     def recording(*args, **kwargs):
         out = build_once(*args, **kwargs)
@@ -470,12 +486,21 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
 
 @pytest.mark.parametrize("mapping", [{1: (1,), 2: (1,)}, {1: (2,), 2: (1,)}], ids=["w+w", "2w+w"])
 def test_interval_check_is_per_point(monkeypatch, mapping):
-    # without the push-down seeds (f x 1_p)^2 w survives at the point p with
-    # psi(p) = w: its weight at p is 1 - 4 = -3, outside [-1, 1], while its
-    # total weight lam - 4 stays inside the interval of lam
+    # a build on a box off the interval: nothing at the first point and one
+    # step past the interval at the second, where psi = w, without the
+    # push-down seeds, and at one more truncation exponent, so that the box
+    # spans enough monomials for weights() to read their weights.  The Weyl
+    # power has no term in the box, so (f x 1_p)^2 w survives: its weight at
+    # p is 1 - 4 = -3, outside [-1, 1], while its total weight lam - 4 stays
+    # inside the interval of lam
     from emapalg import weyl
 
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, big_d, n_low: [])
+    build_once = weyl._build_once
+    monkeypatch.setattr(
+        weyl, "_build_once", lambda g, psi, **kw: build_once(g, psi, **{"n_extra": 1, **kw})
+    )
+    monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
     with pytest.raises(CertificationError, match="weight escapes the interval") as err:
         weyl_module(build_sl(2), _psi(QQ, mapping))
     assert err.value.relation == ("weight", (-3,))
