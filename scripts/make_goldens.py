@@ -32,6 +32,7 @@ PAIRS = [
     ("sl2_z2_two_orbits.json", "twist_psi_two_orbits", ["twist", "psi_two_orbits"]),
     ("sl2_z2_two_orbits.json", "ext_psi_two_orbits", ["ext", "psi_two_orbits", "--rungs", "2", "--bound", "1"]),
     ("sl2_z2_two_orbits.json", "battery_psi_two_orbits", ["battery", "psi_two_orbits", "--bound", "1"]),
+    ("sl2_z2.json", "mult_weyl_two_points", ["mult", "W(psi2w_plain)*V(psi_two_pt)"]),
 ]
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 mathematical-check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import operator
@@ -199,7 +200,8 @@ def _fold(items, ops, mul, add):
 
 
 def cmd_mult(scn: Scenario, args):
-    """Every atom is built on one truncation; equivariant psi are restricted
+    """The atoms meet on the join of their own truncations: each W atom's,
+    and exponent 1 at each V atom's support.  Equivariant psi are restricted
     to the orbit representatives (building over the invariant algebra would
     untwist to the same modules) and the table is keyed by psi^Gamma."""
     atoms, ops = _parse_module_expr(scn, args.expr)
@@ -210,13 +212,18 @@ def cmd_mult(scn: Scenario, args):
     for (kind, _), psi in zip(atoms, psis):
         if kind == "W":
             _check_cap(weyl_dim_bound(scn.algebra, psi))
-    pts = sorted({p for psi in psis for p in psi.support()}, key=lambda p: p.sort_key())
-    exp = max(max(1, scn.algebra.rd.pairing_htheta(psi.total_weight())) for psi in psis)
-    common = TruncatedAlgebra(scn.algebra, EtaFunction.of({p: exp for p in pts}))
-    mods = [
-        evaluation_module(psi, common) if kind == "V"
-        else extend_to(weyl_module(scn.algebra, psi).module, common)
+    weyls = [
+        weyl_module(scn.algebra, psi).module if kind == "W" else None
         for (kind, _), psi in zip(atoms, psis)
+    ]
+    eta = functools.reduce(operator.or_, (
+        EtaFunction.of(dict.fromkeys(psi.support(), 1)) if w is None else w.algebra.eta
+        for w, psi in zip(weyls, psis)
+    ))
+    common = TruncatedAlgebra(scn.algebra, eta)
+    mods = [
+        evaluation_module(psi, common) if w is None else extend_to(w, common)
+        for w, psi in zip(weyls, psis)
     ]
     _check_cap(_fold([m.dim for m in mods], ops, operator.mul, operator.add))
     acc = _fold(mods, ops, tensor_product, direct_sum)

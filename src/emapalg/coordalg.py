@@ -162,11 +162,11 @@ class EtaFunction:
     def __le__(self, other):
         return all(e <= other[p] for p, e in self.assignments)
 
-    def __add__(self, other):
-        out = {p: e for p, e in self.assignments}
-        for p, e in other.assignments:
-            out[p] = out.get(p, 0) + e
-        return EtaFunction.of(out)
+    def __or__(self, other):
+        """The join: the pointwise max, the least upper bound for <=, and so
+        the least truncation that modules over either truncation factor
+        through."""
+        return EtaFunction.of({p: max(self[p], other[p]) for p in self.support() + other.support()})
 
     def scale(self, n):
         return EtaFunction.of({p: n * e for p, e in self.assignments})

@@ -165,16 +165,10 @@ class InvariantAlgebra(LieAlgebra):
             )
             comp = Subspace(g.dim, [proj.column(j) for j in range(g.dim)], fld=fld)
             eigen.extend((xi, v) for v in comp.basis)
-        change = Matrix.from_columns(fld, g.dim, [v for _, v in eigen])
-        self._eigen_inv = change.inverse()
+        self._eigen = [v for _, v in eigen]
+        self._eigen_inv = Matrix.from_columns(fld, g.dim, self._eigen).inverse()
         if self._eigen_inv is None:
             raise AssertionError("the character components g_xi do not form a basis of g")
-        # [v_a, v_b] in the eigenbasis, as (eigenvector index, coefficient) pairs
-        self._eigen_bracket = {
-            (a, b): tuple(self._eigen_inv.apply(g.bracket(va, vb)).items())
-            for a, (_, va) in enumerate(eigen)
-            for b, (_, vb) in enumerate(eigen)
-        }
 
         self._reps = []  # index of the first point of each orbit
         for orbit in group.orbits(t.points):
@@ -242,9 +236,8 @@ class InvariantAlgebra(LieAlgebra):
         The group acts freely, so the orbit sums of (x, v_a, u^alpha) and
         (y, v_b, u^beta) bracket to zero unless x = y, and then to the orbit
         sum of (x, [v_a, v_b], u^(alpha + beta)), which is zero once
-        |alpha + beta| reaches the order at x.  [v_a, v_b] comes from the
-        eigenbasis bracket table.  Raises AssertionError unless every term
-        carries the character label xi_i + xi_j."""
+        |alpha + beta| reaches the order at x.  Raises AssertionError unless
+        every term carries the character label xi_i + xi_j."""
         key = (i, j)
         out = self._bracket_cache.get(key)
         if out is None:
@@ -254,9 +247,9 @@ class InvariantAlgebra(LieAlgebra):
             if p != q or sum(mono) >= self.ambient.jets[p].order:
                 out = ()
             else:
-                out = tuple(
-                    sorted((self._slot[(p, e, mono)], c) for e, c in self._eigen_bracket[(a, b)])
-                )
+                # [v_a, v_b] in the eigenbasis of g
+                terms = self._eigen_inv.apply(self.g.bracket(self._eigen[a], self._eigen[b]))
+                out = tuple(sorted((self._slot[(p, e, mono)], c) for e, c in terms.items()))
                 xi = tuple(
                     (s + t) % gen.order
                     for s, t, gen in zip(self.xi_labels[i], self.xi_labels[j], self.group.generators)

@@ -151,21 +151,21 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
     truncations so that genuinely new extensions can appear on the ladder.
 
     Both modules live over truncations (twisted modules are untwisted
-    first); each rung is the truncation at the union of their points, and
-    Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x)."""
+    first); each rung is the truncation at the support of the join of
+    theirs, and Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x)."""
     alg1, alg2 = m1.algebra, m2.algebra
     if not (isinstance(alg1, TruncatedAlgebra) and isinstance(alg2, TruncatedAlgebra)):
         raise ValueError("ext1_ladder expects modules over truncations")
     if rungs < 1:
         raise ValueError("the ladder needs at least one rung")
+    join = alg1.eta | alg2.eta
     if base is None:
-        base = max(alg1.eta.max_exponent(), alg2.eta.max_exponent()) + 1
-    pts = sorted(set(alg1.points) | set(alg2.points), key=lambda p: p.sort_key())
+        base = join.max_exponent() + 1
     algebras = {} if algebras is None else algebras
     out, homd = [], None
     for e in range(base, base + rungs):
         if e not in algebras:
-            algebras[e] = TruncatedAlgebra(alg1.g, EtaFunction.of({p: e for p in pts}))
+            algebras[e] = TruncatedAlgebra(alg1.g, EtaFunction.of(dict.fromkeys(join.support(), e)))
         L = algebras[e]
         a1, a2 = extend_to(m1, L).actions, extend_to(m2, L).actions
         actions = [hom_action(x, y) for x, y in zip(a1, a2)]

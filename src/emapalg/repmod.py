@@ -135,9 +135,7 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
         if not psi.equivariant:
             raise ValueError("invariant targets need an equivariant psi")
         rest = psi_restrict(psi, target.group, target.eta.support())
-        trunc, mat, _ = target.evaluation_iso()
-        plain = evaluation_module(rest, trunc)
-        return transport(plain, mat, target)
+        return twist(evaluation_module(rest, target.evaluation_iso()[0]), target)
 
     alg = target
     g = alg.g
@@ -324,7 +322,7 @@ def _same_algebra(a, b):
     return False
 
 
-def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True) -> FiniteModule:
+def quotient_module(module: FiniteModule, sub: Subspace, check=True) -> FiniteModule:
     """Quotient by an invariant subspace; basis = classes of the non-pivot
     coordinates.  `check=False` skips the invariance check (for subspaces
     stable under a generating set of the algebra, hence invariant)."""
@@ -346,8 +344,7 @@ def quotient_module(module: FiniteModule, sub: Subspace, cyclic=None, check=True
         Matrix.from_columns(fld, len(keep), [image(op.column(j)) for j in keep])
         for op in module.actions
     ]
-    cyc = cyclic if cyclic is not None else module.cyclic
-    qcyc = None if cyc is None else image(cyc)
+    qcyc = None if module.cyclic is None else image(module.cyclic)
     return FiniteModule(module.algebra, actions, cyclic=qcyc)
 
 

@@ -333,7 +333,7 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     # every induced operator and the check is skipped
     ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai) for ai in range(alg.dim)]
     mod = quotient_module(
-        FiniteModule(alg, ops), rel, cyclic={st.mono_index[()]: fld.one}, check=False
+        FiniteModule(alg, ops, cyclic={st.mono_index[()]: fld.one}), rel, check=False
     )
     cert = {}
 
@@ -370,8 +370,14 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
 
     # g tensor 1_p acts on W(psi) with highest weight psi(p), so the weights
     # at p lie in [w0 psi(p), psi(p)]; summed over p this bounds the total
-    # weight by the interval of lam
-    for key in joint_weights(mod):
+    # weight by the interval of lam.  A weight that cannot be read at all (a
+    # Cartan action off the diagonal, or an eigenvalue that is no integer
+    # weight) fails the same check
+    try:
+        weights = joint_weights(mod)
+    except ValueError as err:
+        raise CertificationError(str(err), relation="weight") from err
+    for key in weights:
         for p, w in zip(alg.points, key):
             top = psi[p]
             if not (rd.dominance_leq(rd.w0(top), w) and rd.dominance_leq(w, top)):
@@ -469,25 +475,24 @@ def check_gamma_twist(group, psi: PsiFunction, points, gamma):
 
 
 def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):
-    """W(psi1+psi2) against W(psi1) tensor W(psi2) over a common truncation;
-    with a group, also the twisted version."""
+    """W(psi1+psi2) against W(psi1) tensor W(psi2) over the join of the three
+    modules' truncations; with a group, also the twisted version."""
     if set(psi1.support()) & set(psi2.support()):
         raise ValueError("supports overlap")
-    w12 = weyl_module(g, psi1 + psi2)
-    common = w12.module.algebra
-    w1 = weyl_module(g, psi1)
-    w2 = weyl_module(g, psi2)
-    m1 = extend_to(w1.module, common)
-    m2 = extend_to(w2.module, common)
+    w12, w1, w2 = (weyl_module(g, psi) for psi in (psi1 + psi2, psi1, psi2))
+    common = TruncatedAlgebra(
+        g, w12.module.algebra.eta | w1.module.algebra.eta | w2.module.algebra.eta
+    )
+    m12, m1, m2 = (extend_to(w.module, common) for w in (w12, w1, w2))
     prod = tensor_product(m1, m2)
     result = {
-        "untwisted": _isomorphic(w12.module, prod),
+        "untwisted": _isomorphic(m12, prod),
         "dim_product": w1.dim * w2.dim,
         "dim_joint": w12.dim,
     }
     if group is not None:
         inv = InvariantAlgebra(g, group, common.eta)
-        t12 = twist(w12.module, inv)
+        t12 = twist(m12, inv)
         tp = twist(prod, inv)
         result["twisted"] = _isomorphic(t12, tp)
     return result
@@ -537,14 +542,7 @@ def hw_quotient_check(module: FiniteModule):
     fld = module.field
     psi = PsiFunction.of(dict(zip(alg.points, point_weights(alg, _top_weight(module)[0]))))
     w = weyl_module(g, psi)
-    # common truncation
-    eta_c = EtaFunction.of(
-        {
-            p: max(alg.eta[p], w.module.algebra.eta[p])
-            for p in set(alg.points) | set(w.module.algebra.points)
-        }
-    )
-    common = TruncatedAlgebra(g, eta_c)
+    common = TruncatedAlgebra(g, alg.eta | w.module.algebra.eta)
     wc = extend_to(w.module, common)
     mc = extend_to(module, common)
     homs = hom_space(wc, mc)

@@ -240,6 +240,20 @@ def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
     assert "action does not represent the bracket" in rep["results"]["error"]
 
 
+def test_weyl_weight_read_failure_exit_1(tmp_path, monkeypatch):
+    # a build on a box off the weight interval whose Cartan actions carry an
+    # eigenvalue that is no integer weight of a module of its dimension
+    from emapalg import weyl
+
+    monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi_two_pt"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert "is not an integer weight" in rep["results"]["error"]
+
+
 def test_cap_exceeded(tmp_path, monkeypatch):
     monkeypatch.setenv("EMA_WEYL_MAX_DIM", "3")
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)

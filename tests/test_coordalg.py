@@ -116,9 +116,23 @@ def test_eta_function_basics():
     eta = EtaFunction.of({p: 2, q: 1})
     assert eta[p] == 2 and eta[q] == 1 and eta[_pt(3)] == 0
     assert eta.max_exponent() == 2
-    assert eta <= eta + eta
     assert eta.scale(3)[p] == 6
     assert eta.restrict([p]).support() == (p,)
+
+
+_eta = st.dictionaries(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_eta, _eta)
+def test_eta_join_is_the_pointwise_max(m1, m2):
+    eta1 = EtaFunction.of({_pt(c): e for c, e in m1.items()})
+    eta2 = EtaFunction.of({_pt(c): e for c, e in m2.items()})
+    join = eta1 | eta2
+    assert eta1 <= join and eta2 <= join
+    for c in range(1, 6):
+        assert join[_pt(c)] == max(m1.get(c, 0), m2.get(c, 0))
+    assert eta1 | eta1 == eta1
 
 
 def test_eta_orbit_saturation():

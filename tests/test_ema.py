@@ -223,14 +223,15 @@ def test_invariant_jacobi_all_triples_sl3():
     _fixture_invariant("sl3_flip", 2).check_jacobi(samples=None)
 
 
-def test_corrupted_eigen_bracket_fails_the_grading_check():
+def test_corrupted_eigen_bracket_fails_the_grading_check(monkeypatch):
     inv = _fixture_invariant("sl3_flip", 1)
     x = inv._reps[0]
     label = {e: inv.xi_labels[inv._slot[(x, e, (0,))]] for e in range(inv.g.dim)}
-    (a, b), terms = next(kv for kv in inv._eigen_bracket.items() if kv[1])
+    a, b = next((a, b) for a in label for b in label if inv.g.bracket(inv._eigen[a], inv._eigen[b]))
+    (e0, _), *_ = inv._eigen_inv.apply(inv.g.bracket(inv._eigen[a], inv._eigen[b])).items()
     # put [v_a, v_b] on an eigenvector of another character
-    wrong = next(e for e in label if label[e] != label[terms[0][0]])
-    inv._eigen_bracket[(a, b)] = ((wrong, inv.field.one),)
+    wrong = next(e for e in label if label[e] != label[e0])
+    monkeypatch.setattr(inv.g, "bracket", lambda u, v: dict(inv._eigen[wrong]))
     with pytest.raises(AssertionError):
         inv.bracket_terms(inv._slot[(x, a, (0,))], inv._slot[(x, b, (0,))])
 

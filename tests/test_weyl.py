@@ -506,6 +506,18 @@ def test_interval_check_is_per_point(monkeypatch, mapping):
     assert err.value.relation == ("weight", (-3,))
 
 
+def test_unreadable_weight_fails_the_interval_check(monkeypatch):
+    # the box above at the exponents of psi = 2w@1 + w@2: it spans too few
+    # monomials for weights() to read the weight -3 at the second point
+    from emapalg import weyl
+
+    monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    with pytest.raises(CertificationError, match="-3 is not an integer weight") as err:
+        weyl_module(build_sl(2), _psi(QQ, {1: (2,), 2: (1,)}))
+    assert err.value.relation == "weight"
+
+
 @pytest.mark.parametrize("n, mapping", [(2, {1: (2,)}), (3, {1: (1, 0), 2: (0, 1)})])
 def test_head_and_hw_quotient_refuse_a_cyclic_vector_of_two_weights(n, mapping):
     # w plus the last kept monomial, which has a lower weight
