@@ -209,13 +209,12 @@ def cmd_mult(scn: Scenario, args):
     if len(flags) > 1:
         raise ScenarioError("module expression mixes equivariant and plain psi")
     psis = [_plain(scn, name) for _, name in atoms]
-    for (kind, _), psi in zip(atoms, psis):
-        if kind == "W":
-            _check_cap(weyl_dim_bound(scn.algebra, psi))
-    weyls = [
-        weyl_module(scn.algebra, psi).module if kind == "W" else None
-        for (kind, _), psi in zip(atoms, psis)
-    ]
+    # each distinct W atom is cap-checked, built and certified once
+    w_psis = list(dict.fromkeys(psi for (kind, _), psi in zip(atoms, psis) if kind == "W"))
+    for psi in w_psis:
+        _check_cap(weyl_dim_bound(scn.algebra, psi))
+    built = {psi: weyl_module(scn.algebra, psi).module for psi in w_psis}
+    weyls = [built[psi] if kind == "W" else None for (kind, _), psi in zip(atoms, psis)]
     eta = functools.reduce(operator.or_, (
         EtaFunction.of(dict.fromkeys(psi.support(), 1)) if w is None else w.algebra.eta
         for w, psi in zip(weyls, psis)

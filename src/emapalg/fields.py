@@ -171,8 +171,9 @@ def field(order):
     return f
 
 
-# the operand check of every operator: `field(order)` caches the fields, so
-# an element of the same field passes on one identity comparison
+# the operand check of the operators: `field(order)` caches the fields, so
+# an element of the same field passes on one identity comparison, which
+# __add__, __sub__, __mul__ and __eq__ make inline before calling it
 _coerce = CyclotomicField.scalar
 
 
@@ -186,7 +187,8 @@ class FieldElement:
         self.coeffs = coeffs
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = _coerce(self.field, other)
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             # an int result is canonical already, and it is the common case
@@ -203,13 +205,16 @@ class FieldElement:
         return FieldElement(self.field, tuple(-x for x in a))
 
     def __sub__(self, other):
-        return self + (-_coerce(self.field, other))
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = _coerce(self.field, other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return _coerce(self.field, other) - self
 
     def __mul__(self, other):
-        other = _coerce(self.field, other)
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = _coerce(self.field, other)
         a, b = self.coeffs, other.coeffs
         n = len(a)
         if n == 1:
@@ -277,6 +282,8 @@ class FieldElement:
         return self.coeffs[0]
 
     def __eq__(self, other):
+        if type(other) is FieldElement and other.field is self.field:
+            return self.coeffs == other.coeffs
         if isinstance(other, (FieldElement, int, str)) or type(other).__name__ in _RATIONALS:
             return self.coeffs == _coerce(self.field, other).coeffs
         return NotImplemented

@@ -104,48 +104,48 @@ class ChevalleyAlgebra(LieAlgebra):
             + [("f", k) for k in range(len(self.rd.positive_roots))]
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.basis_matrices = [self._realize(lab) for lab in self.labels]
-
-        self._table = {}
-        for i, a in enumerate(self.basis_matrices):
-            for j, b in enumerate(self.basis_matrices):
-                m = Matrix.combination(
-                    fld,
-                    n_plus_1,
-                    n_plus_1,
-                    [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))],
-                )
-                self._table[(i, j)] = self._decompose(m)
+        # each basis element as ((matrix unit (r, c), int coefficient), ...);
+        # brackets come from those of the units and are read back below
+        units = [self._units(lab) for lab in self.labels]
+        self.basis_matrices = [
+            Matrix.from_triples(fld, n_plus_1, n_plus_1, [(r, c, fld.scalar(x)) for (r, c), x in u])
+            for u in units
+        ]
+        # the root vectors and their matrix units, in the order _decompose
+        # lists them
+        self._root_units = [
+            (i, units[i][0][0])
+            for k in range(len(self.rd.positive_roots))
+            for i in (self.index[("e", k)], self.index[("f", k)])
+        ]
+        self._table = {
+            (i, j): self._decompose(_commutator(a, b))
+            for i, a in enumerate(units)
+            for j, b in enumerate(units)
+        }
         self._check_axioms()
 
-    def _realize(self, lab):
-        fld = self.field
+    def _units(self, lab):
+        """e_beta is the matrix unit E_(lo, hi + 1) and f_beta its transpose,
+        for beta = alpha_lo + ... + alpha_hi; h_i is E_(i, i) - E_(i+1, i+1)."""
         if lab[0] == "h":
             i = lab[1]
-            triples = [(i, i, fld.one), (i + 1, i + 1, -fld.one)]
-        else:
-            rc = self.rd.positive_roots[lab[1]]
-            lo = rc.index(1)
-            hi = len(rc) - 1 - rc[::-1].index(1)
-            triples = [(lo, hi + 1, fld.one) if lab[0] == "e" else (hi + 1, lo, fld.one)]
-        return Matrix.from_triples(fld, self.n, self.n, triples)
+            return (((i, i), 1), ((i + 1, i + 1), -1))
+        rc = self.rd.positive_roots[lab[1]]
+        lo = rc.index(1)
+        hi = len(rc) - 1 - rc[::-1].index(1)
+        return (((lo, hi + 1) if lab[0] == "e" else (hi + 1, lo), 1),)
 
-    def _decompose(self, m):
-        """Coefficients of a traceless matrix in the Chevalley basis (sparse)."""
-        entry = {(r, c): x for r, c, x in m.nonzeros()}
-        out = []
-        for k, rc in enumerate(self.rd.positive_roots):
-            lo = rc.index(1)
-            hi = len(rc) - 1 - rc[::-1].index(1)
-            if (lo, hi + 1) in entry:
-                out.append((self.index[("e", k)], entry[(lo, hi + 1)]))
-            if (hi + 1, lo) in entry:
-                out.append((self.index[("f", k)], entry[(hi + 1, lo)]))
-        acc = self.field.zero
+    def _decompose(self, entry):
+        """Coefficients in the Chevalley basis (sparse) of the traceless matrix
+        with int entries {(r, c): x}."""
+        fld = self.field
+        out = [(i, fld.scalar(entry[u])) for i, u in self._root_units if entry.get(u)]
+        acc = 0
         for i in range(self.n - 1):
-            acc = acc + entry.get((i, i), self.field.zero)
-            if not acc.is_zero():
-                out.append((self.index[("h", i)], acc))
+            acc += entry.get((i, i), 0)
+            if acc:
+                out.append((self.index[("h", i)], fld.scalar(acc)))
         return tuple(out)
 
     def bracket_terms(self, i, j):
@@ -184,6 +184,19 @@ class ChevalleyAlgebra(LieAlgebra):
                 if br != ({} if a_ji.is_zero() else {ej: a_ji}):
                     raise AssertionError("[h_i, e_j] != a_ji e_j")
         self.check_jacobi(samples=None)
+
+
+def _commutator(a, b):
+    """[A, B] as {(r, c): int} for A and B given as ((matrix unit, int), ...),
+    by [E_pq, E_rs] = delta_qr E_ps - delta_sp E_rq."""
+    out = {}
+    for (p, q), x in a:
+        for (r, s), y in b:
+            if q == r:
+                out[(p, s)] = out.get((p, s), 0) + x * y
+            if s == p:
+                out[(r, q)] = out.get((r, q), 0) - x * y
+    return out
 
 
 def build_sl(n_plus_1, fld=QQ):

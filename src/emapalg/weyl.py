@@ -91,7 +91,7 @@ class _Straightener:
         self._memo = {}
         self.monomials = self._enumerate()
         self.mono_index = {m: i for i, m in enumerate(self.monomials)}
-        self.n_low = sum(1 for m in self.monomials if not self.excess(self.content[m]))
+        self.n_low = sum(1 for e in self.mono_excess.values() if not e)
 
     def drop(self, mono):
         return sum(self.factors[f][0] for f in mono)
@@ -102,25 +102,32 @@ class _Straightener:
     def _enumerate(self):
         """All normal (weakly decreasing) factor monomials of excess at most
         cap, inside the interval first, each part sorted by drop then
-        lexicographically; excess only grows as factors are added.  Their
-        contents go to self.content."""
+        lexicographically; excess only grows as factors are added, by one for
+        each coordinate a factor raises past top.  Their contents go to
+        self.content and their excesses to self.mono_excess."""
         content = [0] * len(self.top)
+        top = self.top
         self.content = {}
+        excess = self.mono_excess = {}
 
-        def rec(prefix, start):
-            self.content[tuple(prefix)] = tuple(content)
+        def rec(prefix, start, ex):
+            key = tuple(prefix)
+            self.content[key] = tuple(content)
+            excess[key] = ex
             for f in range(start, -1, -1):
+                up = ex
                 for k in self.factor_coords[f]:
                     content[k] += 1
-                if self.excess(content) <= self.cap:
+                    if content[k] > top[k]:
+                        up += 1
+                if up <= self.cap:
                     prefix.append(f)
-                    rec(prefix, f)
+                    rec(prefix, f, up)
                     prefix.pop()
                 for k in self.factor_coords[f]:
                     content[k] -= 1
 
-        rec([], len(self.factors) - 1)
-        excess = {m: self.excess(c) for m, c in self.content.items()}
+        rec([], len(self.factors) - 1, 0)
         return sorted(excess, key=lambda m: (excess[m] > 0, self.drop(m), m))
 
     def _char_scalar(self, p_idx, g_idx, mono):
@@ -161,15 +168,17 @@ class _Straightener:
         self._memo[key] = out
         return out
 
-    def operator_matrix(self, alg_idx):
+    def operator_matrix(self, alg_idx, cols=None):
         """Matrix of a basis element on the span of the n_low monomials inside
-        the interval, modulo the span of the others.  act is homogeneous in
-        content, so only a lowering element can push an image past top, and
-        then the whole image lies outside and the monomial is skipped."""
+        the interval, modulo the span of the others; with cols, only those
+        columns are built and the others are left zero.  act is homogeneous
+        in content, so only a lowering element can push an image past top,
+        and then the whole image lies outside and the monomial is skipped."""
         f = self.alg_index_to_factor.get(alg_idx)
         up = () if f is None else self.factor_coords[f]
         triples = []
-        for j, m in enumerate(self.monomials[: self.n_low]):
+        for j in range(self.n_low) if cols is None else cols:
+            m = self.monomials[j]
             if all(self.content[m][k] < self.top[k] for k in up):
                 triples += [(self.mono_index[m2], j, c) for m2, c in self.act(alg_idx, m).items()]
         return Matrix.from_triples(self.field, self.n_low, self.n_low, triples)
@@ -254,8 +263,8 @@ def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
     idx = st.mono_index
     seeds = []
     for m in st.monomials[st.n_low:]:
-        content = st.content[m]
-        if st.excess(content) == 1:
+        if st.mono_excess[m] == 1:
+            content = st.content[m]
             k = next(k for k, t in enumerate(st.top) if content[k] > t)
             # act never returns a zero coefficient, so a nonempty image is a
             # nonzero seed
@@ -330,8 +339,12 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     alg, st, n_low, rel, gen_ops = _build_once(g, psi)
     # rel + span(excess > 0) is stable under a generating set, hence under
     # every basis element (see _push_down_seeds), so rel is invariant under
-    # every induced operator and the check is skipped
-    ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai) for ai in range(alg.dim)]
+    # every induced operator and the check is skipped.  The quotient reads
+    # only the columns off rel's pivots, so the other operators are built on
+    # those alone
+    pivots = set(rel.pivots)
+    keep = [j for j in range(n_low) if j not in pivots]
+    ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
     mod = quotient_module(
         FiniteModule(alg, ops, cyclic={st.mono_index[()]: fld.one}), rel, check=False
     )

@@ -288,6 +288,19 @@ def test_mult_checks_the_cap_before_combining(tmp_path, monkeypatch, expr, size)
     assert rep["results"]["size"] == size
 
 
+def test_mult_builds_each_distinct_weyl_atom_once(tmp_path, monkeypatch):
+    from emapalg import cli
+
+    calls = []
+    build = cli.weyl_module
+    monkeypatch.setattr(cli, "weyl_module", lambda g, psi: calls.append(psi) or build(g, psi))
+    code, text = _run(
+        ["mult", _fixture("sl3_flip.json"), "V(psi_w1)+W(psi_w1)*W(psi_w1)"], tmp_path
+    )
+    assert code == 0 and json.loads(text)["status"] == "ok"
+    assert len(calls) == 1
+
+
 def test_human_format(tmp_path):
     code, text = _run(
         ["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path, fmt="human"

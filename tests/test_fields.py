@@ -67,6 +67,32 @@ def test_mixing_fields_raises():
             op()
 
 
+def test_operators_coerce_only_foreign_operands(monkeypatch):
+    # an element of the same field skips the operand check; an element of
+    # another field still raises, and ints, Fractions and "p/q" strings
+    # still coerce
+    calls = []
+    coerce = fields._coerce
+    monkeypatch.setattr(
+        fields, "_coerce", lambda fld, value: calls.append(value) or coerce(fld, value)
+    )
+    F = field(4)
+    x, y = F.zeta, F.scalar(3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x == y):
+        op()
+    assert calls == []
+    z8 = field(8).zeta
+    for op in (lambda: x + z8, lambda: x - z8, lambda: x * z8, lambda: x == z8):
+        with pytest.raises(ValueError):
+            op()
+    values = (2, Fraction(1, 2), "-3/4")
+    for value in values:
+        q = F.scalar(value)
+        assert x + value == x + q and x - value == x - q and x * value == x * q
+        assert q == value
+    assert calls == [z8] * 4 + [v for v in values for _ in range(4)]
+
+
 _scalars = st.integers(min_value=-9, max_value=9)
 
 

@@ -52,6 +52,42 @@ def test_jacobi_and_antisymmetry(n, a, b, c):
     assert jac == zero
 
 
+def _matmul_table(g):
+    """The bracket table by commutators of the basis matrices, read back in
+    the Chevalley basis from the matrix entries."""
+    fld = g.field
+    units = {}
+    for k, rc in enumerate(g.rd.positive_roots):
+        lo = rc.index(1)
+        hi = len(rc) - 1 - rc[::-1].index(1)
+        units[(lo, hi + 1)] = g.index[("e", k)]
+        units[(hi + 1, lo)] = g.index[("f", k)]
+    order = [g.index[(kind, k)] for k in range(len(g.rd.positive_roots)) for kind in "ef"]
+    table = {}
+    for i, a in enumerate(g.basis_matrices):
+        for j, b in enumerate(g.basis_matrices):
+            m = Matrix.combination(
+                fld, g.n, g.n, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
+            )
+            entry = {(r, c): x for r, c, x in m.nonzeros()}
+            coeff = {units[rc]: x for rc, x in entry.items() if rc in units}
+            out = [(ai, coeff[ai]) for ai in order if ai in coeff]
+            acc = fld.zero
+            for h in range(g.n - 1):
+                acc = acc + entry.get((h, h), fld.zero)
+                if not acc.is_zero():
+                    out.append((g.index[("h", h)], acc))
+            table[(i, j)] = tuple(out)
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 4], ids=["QQ", "Q(zeta4)"])
+def test_matrix_unit_table_equals_the_matmul_table(n, order):
+    g = build_sl(n, field(order))
+    assert g._table == _matmul_table(g)
+
+
 def test_sl2_relations():
     g = build_sl(2)
     e, f, h = (g.basis_vector(g.e(0)), g.basis_vector(g.f(0)), g.basis_vector(g.h(0)))

@@ -21,6 +21,7 @@ from emapalg.repmod import (
     joint_weights,
     multiplicities,
     psi_gamma,
+    quotient_module,
     untwist,
 )
 from emapalg.rootdata import Weight
@@ -28,6 +29,7 @@ from emapalg.scenario import load_scenario
 from emapalg.weyl import (
     CertificationError,
     _Straightener,
+    _build_once,
     _generators,
     _maximal_submodule,
     _push_down_seeds,
@@ -381,6 +383,34 @@ def _stress_psis():
         for name, psi in sorted(scn.psis.items())
         if not psi.equivariant
     ]
+
+
+@pytest.mark.parametrize("n, psi", _SEED_PSIS + _stress_psis())
+def test_kept_column_quotient_equals_the_full_quotient(n, psi):
+    # weyl_module builds the non-generator actions on the columns off R's
+    # pivots only; the quotient of the full matrices is the same module
+    g = build_sl(n)
+    w = weyl_module(g, psi)
+    alg, st, n_low, rel, _ = _build_once(g, psi)
+    full = [_unpruned_operator_matrix(st, ai, n_low) for ai in range(alg.dim)]
+    cyclic = {st.mono_index[()]: QQ.one}
+    want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
+    assert w.module.actions == want.actions
+    assert w.module.cyclic == want.cyclic
+
+
+@_SEED_CASES
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"buffer_extra": 1}, {"n_extra": 1}, {"reverse_order": True}],
+    ids=["base", "buffer+1", "N+1", "reversed"],
+)
+def test_stored_excess_equals_the_excess_of_the_content(n, psi, kwargs):
+    _, st = _straighten(build_sl(n), psi, **kwargs)
+    assert set(st.mono_excess) == set(st.monomials)
+    for m in st.monomials:
+        assert st.mono_excess[m] == st.excess(st.content[m])
+    assert st.n_low == sum(1 for m in st.monomials if not st.excess(st.content[m]))
 
 
 def _root_content(st, ai):
