@@ -6,12 +6,19 @@ and fixtures/sl2_stress.json.
 
 Each probe runs ``emapalg.cli.main`` once, in a fresh child process, and
 records its wall time (the ``main`` call only, not interpreter start-up),
-the child's peak RSS, the Python version, the core count and the scalar
-backend (gmpy2 or fractions).  Every answer is checked against a closed
+its time at reference host speed, the child's peak RSS, the Python
+version, the core count and the scalar backend (gmpy2 or fractions).  Every answer is checked against a closed
 form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
 points, and the battery against PASS over at least one candidate, each
 with Hom 0 and every ladder rung 0.
+
+The reference-speed time ``ref_s`` is the one ``perfbench`` reports as
+``run_s``: a calibration kernel (``perfbench/speed.py``) is timed every
+50 ms during the call and just before and after it, ``wall_s`` is the call's
+wall time less the kernel's, and ``ref_s`` is ``wall_s`` times the mean host
+speed over the call.  The shared host's speed drifts by up to 2x, so
+``ref_s`` is the figure to compare between runs.
 
 --src imports emapalg from another checkout's ``src`` directory, so the
 same harness measures two versions on the same machine.  The result goes
@@ -28,12 +35,12 @@ import platform
 import resource
 import subprocess
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import speed  # noqa: E402
 from checks import chari_loktev_dim  # noqa: E402
 
 # name -> (scenario file, CLI arguments after the scenario path)
@@ -85,13 +92,17 @@ def child(src, argv):
     from emapalg import cli, fields
 
     out = io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
-        cli.main(argv)
-    wall = time.perf_counter() - start
+    sampler = speed.Sampler()
+    sampler.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            _, wall, ref = sampler.timed(lambda: cli.main(argv))
+    finally:
+        sampler.stop()
     print(json.dumps({
         "report": json.loads(out.getvalue()),
         "wall_s": round(wall, 3),
+        "ref_s": round(ref, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "backend": fields._Q.__module__.split(".")[0],
     }))
@@ -123,6 +134,7 @@ def run_probe(src, name):
     reason = check(scenario, args, res["report"])
     entry.update(
         wall_s=res["wall_s"],
+        ref_s=res["ref_s"],
         peak_rss_mb=res["peak_rss_mb"],
         backend=res["backend"],
         answer=res["report"]["results"].get("verdict", res["report"]["results"].get("dim")),

@@ -371,10 +371,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first main call and reused by every later
+    call in the process (parse_args leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     report = {

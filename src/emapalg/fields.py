@@ -39,7 +39,10 @@ def _canon(q):
 
 
 def _div(a, b):
-    # a / b on raw coefficients; _Q(a) keeps int / int from making a float
+    # a / b on raw coefficients; an exact int quotient skips the rationals,
+    # and _Q(a) keeps any other int / int from making a float
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
     return _canon(_Q(a) / b)
 
 
@@ -295,7 +298,7 @@ class FieldElement:
         return hash(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __repr__(self):
         if self.is_rational():

@@ -118,10 +118,16 @@ class ChevalleyAlgebra(LieAlgebra):
             for k in range(len(self.rd.positive_roots))
             for i in (self.index[("e", k)], self.index[("f", k)])
         ]
-        self._table = {
+        # the structure constants are integers in a Chevalley basis; the
+        # field's table lifts the int one
+        self._int_table = {
             (i, j): self._decompose(_commutator(a, b))
             for i, a in enumerate(units)
             for j, b in enumerate(units)
+        }
+        self._table = {
+            key: tuple((k, fld.scalar(c)) for k, c in terms)
+            for key, terms in self._int_table.items()
         }
         self._check_axioms()
 
@@ -137,20 +143,23 @@ class ChevalleyAlgebra(LieAlgebra):
         return (((lo, hi + 1) if lab[0] == "e" else (hi + 1, lo), 1),)
 
     def _decompose(self, entry):
-        """Coefficients in the Chevalley basis (sparse) of the traceless matrix
-        with int entries {(r, c): x}."""
-        fld = self.field
-        out = [(i, fld.scalar(entry[u])) for i, u in self._root_units if entry.get(u)]
+        """Int coefficients in the Chevalley basis (sparse) of the traceless
+        matrix with int entries {(r, c): x}."""
+        out = [(i, entry[u]) for i, u in self._root_units if entry.get(u)]
         acc = 0
         for i in range(self.n - 1):
             acc += entry.get((i, i), 0)
             if acc:
-                out.append((self.index[("h", i)], fld.scalar(acc)))
+                out.append((self.index[("h", i)], acc))
         return tuple(out)
 
     def bracket_terms(self, i, j):
         """[x_i, x_j] as a tuple of (basis index, nonzero coefficient)."""
         return self._table[(i, j)]
+
+    def int_bracket_terms(self, i, j):
+        """bracket_terms with the coefficients as Python ints."""
+        return self._int_table[(i, j)]
 
     def levi_split(self):
         """s = g and n = 0."""

@@ -3,23 +3,31 @@ subspaces in reduced echelon form, and closure of a subspace under a set of
 operators.
 
 Matrices, subspace bases and vectors are sparse rows: dicts from index to a
-nonzero FieldElement, never holding a zero.  Every vector that crosses the
+nonzero scalar, never holding a zero.  Every vector that crosses the
 module's interface (columns, images, solutions, bases, residues) is such a
-dict; only literal input (the Matrix constructor, rref) may be dense rows."""
+dict; only literal input (the Matrix constructor, rref) may be dense rows.
+
+A scalar is a FieldElement or a raw rational of `fields` (an int, or a
+rational whose denominator is not 1, never a float); one computation uses
+one kind.  The row kernel (sparse rows, reduction, products with vectors,
+subspaces and saturation) takes either: it tests zero by truthiness, it
+divides only where it normalises a row at its pivot, through fields._div for
+a raw pivot, and it stores every raw value in canonical form, so integral
+input is worked on as Python ints."""
 
 from __future__ import annotations
 
 from bisect import insort
 from math import prod
 
-from .fields import QQ
+from .fields import QQ, FieldElement, _canon, _div, _Q
 
 
 def _sparse(row):
     """A fresh sparse copy of a dense row or of a sparse row."""
     if isinstance(row, dict):
         return dict(row)
-    return {c: x for c, x in enumerate(row) if not x.is_zero()}
+    return {c: x for c, x in enumerate(row) if x}
 
 
 def _axpy(row, c, other):
@@ -28,13 +36,13 @@ def _axpy(row, c, other):
     for j, y in other.items():
         x = row.get(j)
         if x is None:
-            row[j] = c * y
+            x = c * y
         else:
             x = x + c * y
-            if x.is_zero():
+            if not x:
                 del row[j]
-            else:
-                row[j] = x
+                continue
+        row[j] = _canon(x) if type(x) is _Q else x
 
 
 def _reduce(echelon, row):
@@ -54,8 +62,13 @@ def _insert(echelon, row):
     if not row:
         return None
     p = min(row)
-    inv = row[p].inverse()
-    row = {c: x * inv for c, x in row.items()}
+    x = row[p]
+    if type(x) is FieldElement:
+        inv = x.inverse()
+        row = {c: y * inv for c, y in row.items()}
+    else:
+        # an int entry that the pivot divides stays an int
+        row = {c: _div(y, x) for c, y in row.items()}
     for other in echelon.values():
         c = other.get(p)
         if c is not None:
@@ -85,7 +98,7 @@ def linear_combination(terms):
     """The sparse vector sum c * v over the pairs (c, v) in terms."""
     out = {}
     for c, v in terms:
-        if not c.is_zero():
+        if c:
             _axpy(out, c, v)
     return out
 
@@ -132,7 +145,7 @@ class Matrix:
             row[c] = x if y is None else y + x
         return cls._of(
             fld,
-            [{c: x for c, x in row.items() if not x.is_zero()} for row in rows],
+            [{c: x for c, x in row.items() if x} for row in rows],
             ncols,
         )
 
@@ -141,7 +154,7 @@ class Matrix:
         """The linear combination sum c * m over the pairs (c, m) in terms."""
         rows = [{} for _ in range(nrows)]
         for c, m in terms:
-            if not c.is_zero():
+            if c:
                 for row, mrow in zip(rows, m.entries):
                     _axpy(row, c, mrow)
         return cls._of(fld, rows, ncols)

@@ -55,7 +55,11 @@ class _Straightener:
     monomial is the sum of its factors' positive roots, per (simple root,
     point); its weight at p lies in [w0 psi(p), psi(p)] exactly when its
     content is at most top (see _interval_top) there, that is, when its
-    excess sum max(0, content - top) is 0.  Those n_low monomials come first."""
+    excess sum max(0, content - top) is 0.  Those n_low monomials come first.
+
+    The relations of W(psi) and the structure constants of a Chevalley basis
+    are integral, so every coefficient is a Python int: act and
+    operator_matrix never touch the field."""
 
     def __init__(self, alg: TruncatedAlgebra, psi: PsiFunction, cap, reverse_order=False):
         self.alg = alg
@@ -131,16 +135,15 @@ class _Straightener:
         return sorted(excess, key=lambda m: (excess[m] > 0, self.drop(m), m))
 
     def _char_scalar(self, p_idx, g_idx, mono):
-        """Action of h tensor u^beta on the cyclic vector."""
+        """Action of h tensor u^beta on the cyclic vector, an int."""
         if sum(mono) != 0:
-            return self.field.zero
+            return 0
         i = self.alg.g.labels[g_idx][1]
-        w = self.psi[self.alg.points[p_idx]]
-        return self.field.scalar(w.coords[i])
+        return self.psi[self.alg.points[p_idx]].coords[i]
 
     def act(self, alg_idx, mono):
         """Action of an algebra basis element on a normal monomial, as a dict
-        {enumerated normal monomial: coefficient}."""
+        {enumerated normal monomial: nonzero int}."""
         key = (alg_idx, mono)
         out = self._memo.get(key)
         if out is not None:
@@ -149,10 +152,10 @@ class _Straightener:
         f = self.alg_index_to_factor.get(alg_idx)
         if kind == "f" and (not mono or f >= mono[0]):
             cand = (f,) + mono
-            out = {cand: self.field.one} if cand in self.mono_index else {}
+            out = {cand: 1} if cand in self.mono_index else {}
         elif not mono:
-            c = self._char_scalar(*self.alg.basis[alg_idx]) if kind == "h" else self.field.zero
-            out = {} if c.is_zero() else {(): c}
+            c = self._char_scalar(*self.alg.basis[alg_idx]) if kind == "h" else 0
+            out = {(): c} if c else {}
         else:
             m0 = mono[0]
             rest = mono[1:]
@@ -160,20 +163,21 @@ class _Straightener:
             m0_alg = self.factor_alg_index[m0]
             for m, c in self.act(alg_idx, rest).items():
                 for m2, c2 in self.act(m0_alg, m).items():
-                    _dadd(acc, m2, c * c2)
-            for k, s in self.alg.bracket_terms(alg_idx, m0_alg):
+                    acc[m2] = acc.get(m2, 0) + c * c2
+            for k, s in self.alg.int_bracket_terms(alg_idx, m0_alg):
                 for m2, c2 in self.act(k, rest).items():
-                    _dadd(acc, m2, s * c2)
-            out = {m: c for m, c in acc.items() if not c.is_zero()}
+                    acc[m2] = acc.get(m2, 0) + s * c2
+            out = {m: c for m, c in acc.items() if c}
         self._memo[key] = out
         return out
 
     def operator_matrix(self, alg_idx, cols=None):
-        """Matrix of a basis element on the span of the n_low monomials inside
-        the interval, modulo the span of the others; with cols, only those
-        columns are built and the others are left zero.  act is homogeneous
-        in content, so only a lowering element can push an image past top,
-        and then the whole image lies outside and the monomial is skipped."""
+        """Matrix of a basis element, with int entries, on the span of the
+        n_low monomials inside the interval, modulo the span of the others;
+        with cols, only those columns are built and the others are left
+        zero.  act is homogeneous in content, so only a lowering element can
+        push an image past top, and then the whole image lies outside and
+        the monomial is skipped."""
         f = self.alg_index_to_factor.get(alg_idx)
         up = () if f is None else self.factor_coords[f]
         triples = []
@@ -182,11 +186,6 @@ class _Straightener:
             if all(self.content[m][k] < self.top[k] for k in up):
                 triples += [(self.mono_index[m2], j, c) for m2, c in self.act(alg_idx, m).items()]
         return Matrix.from_triples(self.field, self.n_low, self.n_low, triples)
-
-
-def _dadd(d, k, v):
-    cur = d.get(k)
-    d[k] = v if cur is None else cur + v
 
 
 def _interval_top(alg: TruncatedAlgebra, psi: PsiFunction):
@@ -279,7 +278,9 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     number n_low of monomials inside the weight interval, the relation space
     R among them, and the generators' operator matrices {basis index:
     matrix} that R is closed under.  W(psi) is the quotient of the first
-    n_low monomials by R, so its dimension is n_low - dim R."""
+    n_low monomials by R, so its dimension is n_low - dim R.  The relations
+    are integral, so all of it is raw rationals (see linalg), no field
+    element: ints, and the fractions that R's pivots bring in."""
     fld = g.field
     lam = psi.total_weight()
     alg, st = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
@@ -293,24 +294,31 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     seeds = _push_down_seeds(alg, st)
     idx = st.mono_index
     for i in range(g.rd.rank):
-        state = {(): fld.one}
+        state = {(): 1}
         fi_indices = _lowering_indices(alg, i)
         for _ in range(lam.coords[i] + 1):
             nxt = {}
             for m, c in state.items():
                 for ai in fi_indices:
                     for m2, c2 in st.act(ai, m).items():
-                        _dadd(nxt, m2, c * c2)
-            state = {m: c for m, c in nxt.items() if idx[m] < n_low and not c.is_zero()}
+                        nxt[m2] = nxt.get(m2, 0) + c * c2
+            state = {m: c for m, c in nxt.items() if idx[m] < n_low and c}
         seeds.append({idx[m]: c for m, c in state.items()})
 
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
     gen_ops = {ai: st.operator_matrix(ai) for ai in _generators(alg)}
     rel = saturate(Subspace(n_low, seeds, fld=fld), list(gen_ops.values()))
-    if rel.contains({idx[()]: fld.one}):
+    if rel.contains({idx[()]: 1}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
     return alg, st, n_low, rel, gen_ops
+
+
+def _lift_matrix(fld, m):
+    """A matrix of raw rationals as one over the field fld."""
+    return Matrix.from_triples(
+        fld, m.nrows, m.ncols, ((r, c, fld.scalar(x)) for r, c, x in m.nonzeros())
+    )
 
 
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
@@ -345,8 +353,12 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     pivots = set(rel.pivots)
     keep = [j for j in range(n_low) if j not in pivots]
     ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
-    mod = quotient_module(
-        FiniteModule(alg, ops, cyclic={st.mono_index[()]: fld.one}), rel, check=False
+    raw = quotient_module(FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1}), rel, check=False)
+    # only the quotient is lifted to the field, before any check reads it
+    mod = FiniteModule(
+        alg,
+        [_lift_matrix(fld, op) for op in raw.actions],
+        cyclic={k: fld.scalar(x) for k, x in raw.cyclic.items()},
     )
     cert = {}
 
@@ -361,7 +373,7 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
                     relation=("e", alg.basis[idx]),
                 )
         elif kind == "h":
-            c = st._char_scalar(p_idx, g_idx, mono)
+            c = fld.scalar(st._char_scalar(p_idx, g_idx, mono))
             if linear_combination([(c, mod.cyclic)]) != v:
                 raise CertificationError(
                     "h does not act by the psi character",

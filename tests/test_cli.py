@@ -336,6 +336,35 @@ def test_golden_reports_byte_identical(tmp_path):
         assert a == g, "golden mismatch for %s %s" % (scenario, slug)
 
 
+def test_main_builds_one_parser_for_many_calls(tmp_path, monkeypatch):
+    # the parser is built on the first main call, not at import, and reused
+    # by every later call, whatever its subcommand; the reports stay golden
+    from emapalg import cli
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        mg = _golden_pairs()
+        picked = {"validate", "weyl_psi2w_plain", "twist_psi2w", "mult_sum", "ext_psiw"}
+        pairs = [p for p in mg.PAIRS if p[0] == "sl2_z2.json" and p[1] in picked]
+        assert not built
+        for scenario, slug, argv in pairs:
+            out = str(tmp_path / slug)
+            mg.run_pair(scenario, slug, argv, out)
+            assert open(out, "rb").read() == open(mg.golden_path(scenario, slug), "rb").read()
+        assert main(["battery", "--rungs"]) == 2  # an argparse error reuses it too
+        assert len(pairs) == len(picked) and len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "emapalg.cli", "validate", _fixture("sl3_flip.json")],

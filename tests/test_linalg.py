@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emapalg
-from emapalg.fields import QQ, field
+from emapalg.fields import QQ, _Q, field
 from emapalg.liealg import FiniteModule, build_sl, natural_module, weight_spaces
 from emapalg.linalg import (
     Matrix,
@@ -577,3 +577,77 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _lift(vec):
+    return {c: QQ.scalar(x) for c, x in vec.items()}
+
+
+def _assert_raw(vec):
+    """Every value of a raw sparse vector is canonical: a nonzero int, or a
+    rational whose denominator is not 1; never a float."""
+    for x in vec.values():
+        assert x and type(x) is not float
+        assert type(x) is int or (type(x) is _Q and x.denominator != 1)
+
+
+@st.composite
+def _int_problems(draw):
+    """(rows, ncols, probes, square operators): small integer matrices, about
+    half of their entries zero, as dense rows of ints."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just(0), st.integers(min_value=-4, max_value=4))
+    vec = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vec, min_size=1, max_size=5))
+    probes = draw(st.lists(vec, min_size=1, max_size=3))
+    ops = draw(st.lists(st.lists(vec, min_size=ncols, max_size=ncols), max_size=2))
+    return rows, ncols, probes, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_problems())
+def test_raw_rationals_give_the_field_answers(problem):
+    # the row kernel on ints and fractions, lifted with QQ.scalar, equals the
+    # same kernel on FieldElements, and keeps every raw value canonical
+    rows, ncols, probes, ops = problem
+    raw = [{c: x for c, x in enumerate(r) if x} for r in rows]
+    lifted = [_lift(r) for r in raw]
+
+    raw_rows, raw_pivots = rref(raw, ncols)
+    fe_rows, fe_pivots = rref(lifted, ncols)
+    assert raw_pivots == fe_pivots
+    assert [_lift(r) for r in raw_rows] == fe_rows
+    for r, p in zip(raw_rows, raw_pivots):
+        _assert_raw(r)
+        assert type(r[p]) is int and r[p] == 1
+
+    raw_sub = Subspace(ncols, raw, fld=QQ)
+    fe_sub = Subspace(ncols, lifted, fld=QQ)
+    for probe in probes:
+        v = {c: x for c, x in enumerate(probe) if x}
+        residue = raw_sub.reduce(v)
+        _assert_raw(residue)
+        assert _lift(residue) == fe_sub.reduce(_lift(v))
+        assert raw_sub.contains(v) == fe_sub.contains(_lift(v))
+
+    def matrix(op, scalar):
+        triples = [(r, c, scalar(x)) for r, row in enumerate(op) for c, x in enumerate(row)]
+        return Matrix.from_triples(QQ, ncols, ncols, triples)
+
+    raw_ops = [matrix(op, int) for op in ops]
+    fe_ops = [matrix(op, QQ.scalar) for op in ops]
+    for m, fm in zip(raw_ops, fe_ops):
+        for row, frow in zip(m.entries, fm.entries):
+            _assert_raw(row)
+            assert _lift(row) == frow
+        for v in raw:
+            image = m.apply(v)
+            _assert_raw(image)
+            assert _lift(image) == fm.apply(_lift(v))
+
+    raw_sat = saturate(raw_sub, raw_ops)
+    fe_sat = saturate(fe_sub, fe_ops)
+    assert raw_sat.pivots == fe_sat.pivots
+    assert [_lift(b) for b in raw_sat.basis] == fe_sat.basis
+    for b in raw_sat.basis:
+        _assert_raw(b)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
 from emapalg.ema import TruncatedAlgebra
-from emapalg.fields import QQ, field
+from emapalg.fields import QQ, FieldElement, field
 from emapalg.liealg import FiniteModule, build_sl, irreducible_module
 from emapalg.linalg import Matrix, Subspace, linear_combination, saturate
 from emapalg.repmod import (
@@ -31,6 +31,7 @@ from emapalg.weyl import (
     _Straightener,
     _build_once,
     _generators,
+    _lift_matrix,
     _maximal_submodule,
     _push_down_seeds,
     _straighten,
@@ -388,15 +389,52 @@ def _stress_psis():
 @pytest.mark.parametrize("n, psi", _SEED_PSIS + _stress_psis())
 def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     # weyl_module builds the non-generator actions on the columns off R's
-    # pivots only; the quotient of the full matrices is the same module
+    # pivots only; the quotient of the full matrices is the same module.
+    # The build is over the integers, so that quotient is taken on ints and
+    # lifted to QQ, as weyl_module lifts its own
     g = build_sl(n)
     w = weyl_module(g, psi)
     alg, st, n_low, rel, _ = _build_once(g, psi)
     full = [_unpruned_operator_matrix(st, ai, n_low) for ai in range(alg.dim)]
-    cyclic = {st.mono_index[()]: QQ.one}
+    cyclic = {st.mono_index[()]: 1}
     want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
-    assert w.module.actions == want.actions
-    assert w.module.cyclic == want.cyclic
+    assert w.module.actions == [_lift_matrix(QQ, op) for op in want.actions]
+    assert w.module.cyclic == {k: QQ.scalar(x) for k, x in want.cyclic.items()}
+
+
+def _over(fld, psi):
+    """psi with its points' rational coordinates read in the field fld."""
+    from emapalg.coordalg import Point
+
+    return PsiFunction.of(
+        {
+            Point(tuple(fld.scalar(c.as_rational()) for c in p.coords)): w
+            for p, w in psi.assignments
+        }
+    )
+
+
+@_SEED_CASES
+@pytest.mark.parametrize("order", [4, 3])
+def test_weyl_module_over_a_cyclotomic_field_lifts_the_rational_module(n, psi, order):
+    # the build runs on ints whatever the field, and only the quotient is
+    # lifted: over Q(zeta_4) and Q(zeta_3) every action entry and the cyclic
+    # vector are elements of that field, equal to the rational module's
+    fld = field(order)
+    w_qq = weyl_module(build_sl(n), psi)
+    w = weyl_module(build_sl(n, fld), _over(fld, psi))
+    assert w.dim == w_qq.dim
+    assert w.certificate == w_qq.certificate
+    pairs = [(w.module.cyclic, w_qq.module.cyclic)] + [
+        (row, row_qq)
+        for op, op_qq in zip(w.module.actions, w_qq.module.actions, strict=True)
+        for row, row_qq in zip(op.entries, op_qq.entries, strict=True)
+    ]
+    for vec, vec_qq in pairs:
+        assert vec.keys() == vec_qq.keys()
+        for k, x in vec.items():
+            assert type(x) is FieldElement and x.field is fld
+            assert x.is_rational() and x.as_rational() == vec_qq[k].as_rational()
 
 
 @_SEED_CASES
