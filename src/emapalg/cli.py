@@ -45,9 +45,12 @@ class MathCheckFailure(Exception):
 def _max_dim():
     raw = os.environ.get("EMA_WEYL_MAX_DIM", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_DIM
+        cap = int(raw) if raw else DEFAULT_MAX_DIM
     except ValueError:
-        raise ScenarioError("EMA_WEYL_MAX_DIM must be an integer: %r" % raw)
+        cap = None
+    if cap is None or cap < 1:
+        raise ScenarioError("EMA_WEYL_MAX_DIM must be a positive integer: %r" % raw)
+    return cap
 
 
 def _check_cap(size):

@@ -34,31 +34,22 @@ class TruncatedAlgebra(LieAlgebra):
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._bracket_cache = {}
-        self._int_bracket_cache = {}
 
     def bracket_terms(self, i, j):
+        # [x tensor u^a, y tensor u^b] = [x, y] tensor u^(a + b) at one point,
+        # with g's int structure constants
         out = self._bracket_cache.get((i, j))
         if out is None:
-            out = self._bracket_cache[(i, j)] = self._bracket(i, j, self.g.bracket_terms)
+            p, gi, ma = self.basis[i]
+            q, gj, mb = self.basis[j]
+            mono = tuple(a + b for a, b in zip(ma, mb))
+            if p != q or sum(mono) >= self.jets[p].order:
+                out = ()
+            else:
+                terms = self.g.bracket_terms(gi, gj)
+                out = tuple((self.index[(p, gk, mono)], c) for gk, c in terms)
+            self._bracket_cache[(i, j)] = out
         return out
-
-    def int_bracket_terms(self, i, j):
-        """bracket_terms with g's int structure constants."""
-        out = self._int_bracket_cache.get((i, j))
-        if out is None:
-            out = self._int_bracket_cache[(i, j)] = self._bracket(i, j, self.g.int_bracket_terms)
-        return out
-
-    def _bracket(self, i, j, g_terms):
-        # [x tensor u^a, y tensor u^b] = [x, y] tensor u^(a + b) at one point
-        p, gi, ma = self.basis[i]
-        q, gj, mb = self.basis[j]
-        if p != q:
-            return ()
-        mono = tuple(a + b for a, b in zip(ma, mb))
-        if sum(mono) >= self.jets[p].order:
-            return ()
-        return tuple((self.index[(p, gk, mono)], c) for gk, c in g_terms(gi, gj))
 
     def levi_split(self):
         """s = g tensor 1 at each point, split as g is; n = the basis elements

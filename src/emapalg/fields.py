@@ -54,34 +54,14 @@ def _cyclotomic_poly(m):
     den = [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _polymul_int(den, _CYCLO_CACHE.setdefault(d, _cyclotomic_poly(d)))
-    return _polydiv_exact_int(num, den)
+            den = _polymul_q(den, _CYCLO_CACHE.setdefault(d, _cyclotomic_poly(d)))
+    q, r = _polydivmod_q(num, den)
+    if r:
+        raise AssertionError("non-exact polynomial division")
+    return q
 
 
 _CYCLO_CACHE = {}
-
-
-def _polymul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polydiv_exact_int(num, den):
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        q[i] = c
-        if c:
-            for j, y in enumerate(den):
-                num[i + j] -= c * y
-    if any(num):
-        raise AssertionError("non-exact polynomial division")
-    return q
 
 
 _FIELD_CACHE = {}
@@ -231,7 +211,16 @@ class FieldElement:
                         prod[i + j] += x * y
         return FieldElement(self.field, self.field._reduce(prod))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if type(other) is not int:
+            return self * other
+        # an int on the left, such as a structure constant, scales the
+        # coefficients without being made an element first
+        a = self.coeffs
+        if len(a) == 1:
+            c = a[0] * other
+            return FieldElement(self.field, (c if type(c) is int else _canon(c),))
+        return FieldElement(self.field, tuple(_canon(x * other) for x in a))
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)

@@ -108,11 +108,12 @@ def _weight(L, cartan, i):
 
 
 def _brackets_by_term(L, pairs):
-    """{k: [(x, y, c), ...]} over the pairs (x, y) with [x, y] = c x_k + ..."""
+    """{k: [(x, y, c), ...]} over the pairs (x, y) with [x, y] = c x_k + ...,
+    each c an element of L.field."""
     out = {}
     for x, y in pairs:
         for k, c in L.bracket_terms(x, y):
-            out.setdefault(k, []).append((x, y, c))
+            out.setdefault(k, []).append((x, y, L.field.scalar(c)))
     return out
 
 

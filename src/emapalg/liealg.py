@@ -47,27 +47,28 @@ class LieAlgebra:
         for i, a in u:
             for j, b in v:
                 c = a * b
+                # s on the left: an int structure constant scales a field
+                # element without being lifted (FieldElement.__rmul__)
                 for k, s in self.bracket_terms(i, j):
                     x = out.get(k)
-                    out[k] = c * s if x is None else x + c * s
+                    out[k] = s * c if x is None else x + s * c
         return out
 
     def bracket(self, u, v):
         """Bracket of two coefficient vectors over the basis."""
         out = self.bracket_sparse(u.items(), v.items())
-        return {k: x for k, x in out.items() if not x.is_zero()}
+        return {k: x for k, x in out.items() if x}
 
     def check_jacobi(self, samples=60):
         """Raise unless [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
         vanishes on the first `samples` basis triples i < j < k (on all of
         them if samples is None)."""
-        one = self.field.one
         triples = itertools.combinations(range(self.dim), 3)
         for i, j, k in itertools.islice(triples, samples):
             s = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                self.bracket_sparse([(a, one)], self.bracket_terms(b, c), s)
-            if any(not x.is_zero() for x in s.values()):
+                self.bracket_sparse([(a, 1)], self.bracket_terms(b, c), s)
+            if any(s.values()):
                 raise AssertionError(
                     "Jacobi identity failed at basis triple (%d, %d, %d)" % (i, j, k)
                 )
@@ -93,45 +94,47 @@ class ChevalleyAlgebra(LieAlgebra):
             raise ValueError("rank out of supported range (sl_2 .. sl_4)")
         self.n = n_plus_1
         self.field = fld
-        self.rd = RootDatum(n_plus_1 - 1)
-        rank = self.rd.rank
         self.dim = n_plus_1 * n_plus_1 - 1
+        # the structure constants are integers in a Chevalley basis, so the
+        # table depends on the rank alone: it is built and checked once
+        shared = _RANKS.get(n_plus_1)
+        if shared is None:
+            self._build_table()
+            shared = _RANKS[n_plus_1] = (self.rd, self.labels, self.index, self._units, self._table)
+        self.rd, self.labels, self.index, self._units, self._table = shared
+        self.basis_matrices = [
+            Matrix.from_triples(fld, n_plus_1, n_plus_1, [(r, c, fld.scalar(x)) for (r, c), x in u])
+            for u in self._units
+        ]
 
+    def _build_table(self):
+        self.rd = RootDatum(self.n - 1)
+        roots = range(len(self.rd.positive_roots))
         # basis labels: ('e', k) / ('f', k) index into rd.positive_roots, ('h', i)
         self.labels = (
-            [("e", k) for k in range(len(self.rd.positive_roots))]
-            + [("h", i) for i in range(rank)]
-            + [("f", k) for k in range(len(self.rd.positive_roots))]
+            [("e", k) for k in roots]
+            + [("h", i) for i in range(self.rd.rank)]
+            + [("f", k) for k in roots]
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         # each basis element as ((matrix unit (r, c), int coefficient), ...);
         # brackets come from those of the units and are read back below
-        units = [self._units(lab) for lab in self.labels]
-        self.basis_matrices = [
-            Matrix.from_triples(fld, n_plus_1, n_plus_1, [(r, c, fld.scalar(x)) for (r, c), x in u])
-            for u in units
-        ]
+        self._units = [self._matrix_units(lab) for lab in self.labels]
         # the root vectors and their matrix units, in the order _decompose
         # lists them
-        self._root_units = [
-            (i, units[i][0][0])
-            for k in range(len(self.rd.positive_roots))
+        root_units = [
+            (i, self._units[i][0][0])
+            for k in roots
             for i in (self.index[("e", k)], self.index[("f", k)])
         ]
-        # the structure constants are integers in a Chevalley basis; the
-        # field's table lifts the int one
-        self._int_table = {
-            (i, j): self._decompose(_commutator(a, b))
-            for i, a in enumerate(units)
-            for j, b in enumerate(units)
-        }
         self._table = {
-            key: tuple((k, fld.scalar(c)) for k, c in terms)
-            for key, terms in self._int_table.items()
+            (i, j): self._decompose(_commutator(a, b), root_units)
+            for i, a in enumerate(self._units)
+            for j, b in enumerate(self._units)
         }
         self._check_axioms()
 
-    def _units(self, lab):
+    def _matrix_units(self, lab):
         """e_beta is the matrix unit E_(lo, hi + 1) and f_beta its transpose,
         for beta = alpha_lo + ... + alpha_hi; h_i is E_(i, i) - E_(i+1, i+1)."""
         if lab[0] == "h":
@@ -142,10 +145,11 @@ class ChevalleyAlgebra(LieAlgebra):
         hi = len(rc) - 1 - rc[::-1].index(1)
         return (((lo, hi + 1) if lab[0] == "e" else (hi + 1, lo), 1),)
 
-    def _decompose(self, entry):
+    def _decompose(self, entry, root_units):
         """Int coefficients in the Chevalley basis (sparse) of the traceless
-        matrix with int entries {(r, c): x}."""
-        out = [(i, entry[u]) for i, u in self._root_units if entry.get(u)]
+        matrix with int entries {(r, c): x}, given the (basis index, matrix
+        unit) pairs of the root vectors."""
+        out = [(i, entry[u]) for i, u in root_units if entry.get(u)]
         acc = 0
         for i in range(self.n - 1):
             acc += entry.get((i, i), 0)
@@ -154,12 +158,8 @@ class ChevalleyAlgebra(LieAlgebra):
         return tuple(out)
 
     def bracket_terms(self, i, j):
-        """[x_i, x_j] as a tuple of (basis index, nonzero coefficient)."""
+        """[x_i, x_j] as a tuple of (basis index, nonzero int coefficient)."""
         return self._table[(i, j)]
-
-    def int_bracket_terms(self, i, j):
-        """bracket_terms with the coefficients as Python ints."""
-        return self._int_table[(i, j)]
 
     def levi_split(self):
         """s = g and n = 0."""
@@ -179,20 +179,22 @@ class ChevalleyAlgebra(LieAlgebra):
         return self.index[("h", i)]
 
     def _check_axioms(self):
-        fld = self.field
+        """Raise unless the int table satisfies [e_i, f_i] = h_i,
+        [h_i, e_j] = a_ji e_j and the Jacobi identity on every basis triple."""
         rank = self.rd.rank
         for i in range(rank):
             ei, fi, hi = self.e(i), self.f(i), self.h(i)
-            br = self.bracket(self.basis_vector(ei), self.basis_vector(fi))
-            if br != self.basis_vector(hi):
+            if self.bracket({ei: 1}, {fi: 1}) != {hi: 1}:
                 raise AssertionError("[e_i, f_i] != h_i")
             for j in range(rank):
                 ej = self.e(j)
-                br = self.bracket(self.basis_vector(hi), self.basis_vector(ej))
-                a_ji = fld.scalar(self.rd.cartan[j][i])
-                if br != ({} if a_ji.is_zero() else {ej: a_ji}):
+                a_ji = self.rd.cartan[j][i]
+                if self.bracket({hi: 1}, {ej: 1}) != ({ej: a_ji} if a_ji else {}):
                     raise AssertionError("[h_i, e_j] != a_ji e_j")
         self.check_jacobi(samples=None)
+
+
+_RANKS = {}  # n + 1 -> the field-independent attributes of sl_{n+1}
 
 
 def _commutator(a, b):

@@ -164,7 +164,7 @@ class _Straightener:
             for m, c in self.act(alg_idx, rest).items():
                 for m2, c2 in self.act(m0_alg, m).items():
                     acc[m2] = acc.get(m2, 0) + c * c2
-            for k, s in self.alg.int_bracket_terms(alg_idx, m0_alg):
+            for k, s in self.alg.bracket_terms(alg_idx, m0_alg):
                 for m2, c2 in self.act(k, rest).items():
                     acc[m2] = acc.get(m2, 0) + s * c2
             out = {m: c for m, c in acc.items() if c}

@@ -33,7 +33,7 @@ class FullComplex:
             d1.extend((row + a, i1 * v + b, -x) for a, b, x in nonzeros[i2])
             # - f([x1, x2])
             for k, c in L.bracket_terms(i1, i2):
-                d1.extend((row + a, k * v + a, -c) for a in range(v))
+                d1.extend((row + a, k * v + a, -fld.scalar(c)) for a in range(v))
         self.d1 = Matrix.from_triples(fld, len(pairs) * v, l * v, d1)
         if not self.d1.matmul(self.d0).is_zero():
             raise AssertionError("d1 after d0 is not zero")

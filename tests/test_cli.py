@@ -264,6 +264,16 @@ def test_cap_exceeded(tmp_path, monkeypatch):
     assert str(rep["results"]["size"]) in rep["results"]["error"]
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_bad_cap_is_an_input_error(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("EMA_WEYL_MAX_DIM", cap)
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert "EMA_WEYL_MAX_DIM" in rep["results"]["error"]
+
+
 @pytest.mark.parametrize(
     "expr, size",
     [

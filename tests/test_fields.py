@@ -93,6 +93,23 @@ def test_operators_coerce_only_foreign_operands(monkeypatch):
     assert calls == [z8] * 4 + [v for v in values for _ in range(4)]
 
 
+def test_int_times_element_scales_without_coercion(monkeypatch):
+    # a structure constant on the left multiplies without being lifted, and
+    # the product's coefficients stay canonical
+    calls = []
+    coerce = fields._coerce
+    monkeypatch.setattr(
+        fields, "_coerce", lambda fld, value: calls.append(value) or coerce(fld, value)
+    )
+    F = field(8)
+    x = F.element([Fraction(1, 2), 3, 0, Fraction(-3, 4)])
+    for c in (4, -8, 0):
+        y = c * x
+        assert y == x * F.scalar(c)
+        assert all(type(v) is int for v in y.coeffs)
+    assert calls == []
+
+
 _scalars = st.integers(min_value=-9, max_value=9)
 
 

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emapalg import liealg
+from emapalg.coordalg import EtaFunction, Point
+from emapalg.ema import TruncatedAlgebra
 from emapalg.fields import QQ, field
 from emapalg.linalg import Matrix, linear_combination
 from emapalg.liealg import (
@@ -86,6 +89,31 @@ def _matmul_table(g):
 def test_matrix_unit_table_equals_the_matmul_table(n, order):
     g = build_sl(n, field(order))
     assert g._table == _matmul_table(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 4], ids=["QQ", "Q(zeta4)"])
+def test_structure_constants_are_ints_in_one_table_per_rank(n, order):
+    fld = field(order)
+    g = build_sl(n, fld)
+    assert build_sl(n, QQ)._table is build_sl(n, field(4))._table
+    t = TruncatedAlgebra(g, EtaFunction.of({Point((fld.one,)): 2, Point((-fld.one,)): 1}))
+    for alg in (g, t):
+        pairs = itertools.product(range(alg.dim), repeat=2)
+        coeffs = [c for i, j in pairs for _, c in alg.bracket_terms(i, j)]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_a_wrong_table_fails_the_axiom_check(monkeypatch):
+    # the table is built once per rank, so the check runs on a fresh one
+    monkeypatch.setattr(liealg, "_RANKS", {})
+    commutator = liealg._commutator
+    monkeypatch.setattr(
+        liealg, "_commutator", lambda a, b: {k: -x for k, x in commutator(a, b).items()}
+    )
+    for n in (2, 3, 4):
+        with pytest.raises(AssertionError):
+            build_sl(n)
 
 
 def test_sl2_relations():

@@ -15,7 +15,7 @@ from emapalg import homology
 from emapalg.cli import main
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import TruncatedAlgebra
-from emapalg.fields import QQ
+from emapalg.fields import QQ, FieldElement
 from emapalg.homology import CEComplex, characterization_battery, ext1_ladder
 from emapalg.liealg import FiniteModule, build_sl
 from emapalg.linalg import Matrix
@@ -79,6 +79,31 @@ def test_cli_rungs_match_the_full_complex(fixture, argv, tmp_path):
     with against_oracle() as seen:
         code = main(argv[:1] + [os.path.join(FIXTURES, fixture)] + argv[1:] + ["--output", out])
     assert code == 0 and seen
+
+
+def test_ladder_rungs_hold_field_elements(tmp_path):
+    # the structure constants are ints; the complex lifts them to the field,
+    # so no matrix it row-reduces mixes ints with field elements
+    built = []
+
+    class Recorded(CEComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    out = ["--output", str(tmp_path / "out.json")]
+    with mock.patch.object(homology, "CEComplex", Recorded):
+        for fixture, psi in (("sl3_flip.json", "psi_w1"), ("sl2_z2.json", "psi2w")):
+            assert main(["battery", os.path.join(FIXTURES, fixture), psi] + out) == 0
+    entries = [x for c in built for _, _, x in c.d1.nonzeros()]
+    entries += [
+        x
+        for c in built
+        for terms in (c._e_brackets, c._n_brackets)
+        for triples in terms.values()
+        for _, _, x in triples
+    ]
+    assert entries and all(type(x) is FieldElement for x in entries)
 
 
 def _pt(c):
