@@ -33,6 +33,8 @@ PAIRS = [
     ("sl2_z2_two_orbits.json", "ext_psi_two_orbits", ["ext", "psi_two_orbits", "--rungs", "2", "--bound", "1"]),
     ("sl2_z2_two_orbits.json", "battery_psi_two_orbits", ["battery", "psi_two_orbits", "--bound", "1"]),
     ("sl2_z2.json", "mult_weyl_two_points", ["mult", "W(psi2w_plain)*V(psi_two_pt)"]),
+    ("sl2_z2.json", "mult_repeated_atoms",
+     ["mult", "V(psi2w_plain)*V(psi2w_plain)+W(psi2w_plain)*V(psi_two_pt)+W(psi2w_plain)"]),
 ]
 
 

@@ -10,8 +10,9 @@ its time at reference host speed, the child's peak RSS, the Python
 version, the core count and the scalar backend (gmpy2 or fractions).  Every answer is checked against a closed
 form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
-points, and the battery against PASS over at least one candidate, each
-with Hom 0 and every ladder rung 0.
+points, the battery against PASS over at least one candidate, each
+with Hom 0 and every ladder rung 0, and a mult table against its
+hand-computed decomposition.
 
 The reference-speed time ``ref_s`` is the one ``perfbench`` reports as
 ``run_s``: a calibration kernel (``perfbench/speed.py``) is timed every
@@ -53,6 +54,14 @@ PROBES = {
     "battery psi_2w1w2_eq": ("sl3_stress.json", ["battery", "psi_2w1w2_eq", "--bound", "2"]),
     "battery psi_w1_w2_eq": ("sl3_stress.json", ["battery", "psi_w1_w2_eq", "--bound", "1"]),
     "weyl psi_3w_3w": ("sl2_stress.json", ["weyl", "psi_3w_3w"]),
+    "mult psi_w1w2^3": ("sl3_stress.json", ["mult", "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)"]),
+}
+# mult expression -> its table, by hand: the sl3 tensor cube 8 (x) 8 (x) 8 at p1
+MULT_TABLES = {
+    "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)": {
+        "0": 2, "{p1: (0,3)}": 4, "{p1: (1,1)}": 8, "{p1: (1,4)}": 2,
+        "{p1: (2,2)}": 6, "{p1: (3,0)}": 4, "{p1: (3,3)}": 1, "{p1: (4,1)}": 2,
+    },
 }
 TIMEOUT_S = 900
 
@@ -82,6 +91,10 @@ def check(scenario, args, report):
             if hom != 0 or any(rungs):
                 return "PASS with Hom %d, Ext %s at %s" % (hom, rungs, phi)
         return None
+    if args[0] == "mult":
+        table = {key: m for key, m in results["multiplicities"]}
+        want = MULT_TABLES[args[1]]
+        return None if table == want else "table %s, expected %s" % (table, want)
     want = expected_dim(scenario, args[1])
     return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
 

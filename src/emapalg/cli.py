@@ -17,6 +17,7 @@ import sys
 from .coordalg import EtaFunction
 from .ema import TruncatedAlgebra
 from .homology import characterization_battery, enumerate_phi, lower_candidates
+from .liealg import AmbientOverBudget
 from .repmod import (
     direct_sum, equivariant_table, evaluation_module, extend_to, multiplicities, psi_restrict,
     tensor_product, untwist,
@@ -206,27 +207,30 @@ def cmd_mult(scn: Scenario, args):
     """The atoms meet on the join of their own truncations: each W atom's,
     and exponent 1 at each V atom's support.  Equivariant psi are restricted
     to the orbit representatives (building over the invariant algebra would
-    untwist to the same modules) and the table is keyed by psi^Gamma."""
+    untwist to the same modules) and the table is keyed by psi^Gamma.  Each
+    distinct atom, keyed by its kind and restricted psi, is built once."""
     atoms, ops = _parse_module_expr(scn, args.expr)
     flags = {_resolve_psi(scn, name).equivariant for _, name in atoms}
     if len(flags) > 1:
         raise ScenarioError("module expression mixes equivariant and plain psi")
-    psis = [_plain(scn, name) for _, name in atoms]
+    keys = [(kind, _plain(scn, name)) for kind, name in atoms]
+    distinct = list(dict.fromkeys(keys))
     # each distinct W atom is cap-checked, built and certified once
-    w_psis = list(dict.fromkeys(psi for (kind, _), psi in zip(atoms, psis) if kind == "W"))
+    w_psis = [psi for kind, psi in distinct if kind == "W"]
     for psi in w_psis:
         _check_cap(weyl_dim_bound(scn.algebra, psi))
-    built = {psi: weyl_module(scn.algebra, psi).module for psi in w_psis}
-    weyls = [built[psi] if kind == "W" else None for (kind, _), psi in zip(atoms, psis)]
+    weyls = {psi: weyl_module(scn.algebra, psi).module for psi in w_psis}
     eta = functools.reduce(operator.or_, (
-        EtaFunction.of(dict.fromkeys(psi.support(), 1)) if w is None else w.algebra.eta
-        for w, psi in zip(weyls, psis)
+        weyls[psi].algebra.eta if kind == "W" else EtaFunction.of(dict.fromkeys(psi.support(), 1))
+        for kind, psi in distinct
     ))
     common = TruncatedAlgebra(scn.algebra, eta)
-    mods = [
-        evaluation_module(psi, common) if w is None else extend_to(w, common)
-        for w, psi in zip(weyls, psis)
-    ]
+    built = {
+        (kind, psi): (extend_to(weyls[psi], common) if kind == "W"
+                      else evaluation_module(psi, common))
+        for kind, psi in distinct
+    }
+    mods = [built[key] for key in keys]
     _check_cap(_fold([m.dim for m in mods], ops, operator.mul, operator.add))
     acc = _fold(mods, ops, tensor_product, direct_sum)
     table = multiplicities(acc)
@@ -404,7 +408,7 @@ def main(argv=None):
         report["results"] = {"error": str(exc)}
         _emit(report, args)
         return 2
-    except CapExceeded as exc:
+    except (CapExceeded, AmbientOverBudget) as exc:
         report["status"] = "cap-exceeded"
         report["results"] = {"error": str(exc), "size": exc.size}
         _emit(report, args)

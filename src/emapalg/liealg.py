@@ -431,6 +431,14 @@ def exterior_power(mod, k):
 _MAX_AMBIENT = 20000  # the largest tensor product `irreducible_module` builds V(lam) in
 
 
+class AmbientOverBudget(ValueError):
+    """V(lam) would be cut out of a tensor product larger than _MAX_AMBIENT."""
+
+    def __init__(self, size):
+        super().__init__("ambient tensor dimension %d exceeds budget %d" % (size, _MAX_AMBIENT))
+        self.size = size
+
+
 def irreducible_module(g, lam):
     """V(lam) as the cyclic closure of the top vector inside a tensor product
     of fundamental modules (exterior powers of the natural representation)."""
@@ -447,9 +455,7 @@ def irreducible_module(g, lam):
     dims = [m.dim for m in factors]
     ambient = prod(dims)
     if ambient > _MAX_AMBIENT:
-        raise ValueError(
-            "ambient tensor dimension %d exceeds budget %d" % (ambient, _MAX_AMBIENT)
-        )
+        raise AmbientOverBudget(ambient)
     fld = g.field
     # the diagonal action on the tensor product of the factors
     tens = [

@@ -217,6 +217,7 @@ def multiplicities(module: FiniteModule):
 
     candidates.sort(key=lambda wk: (-sum(map(rd.height, wk)), tuple(w.coords for w in wk)))
     table = {}
+    chars = {}  # the Freudenthal character of each weight, computed once
     for wkey in candidates:
         m = counts.get(wkey, 0)
         if m <= 0:
@@ -225,11 +226,10 @@ def multiplicities(module: FiniteModule):
             {p: w for p, w in zip(alg.points, wkey) if not w.is_zero()}
         )
         table[psi] = table.get(psi, 0) + m
-        chars = [
-            rd.freudenthal_mults(w) if not w.is_zero() else {Weight((0,) * rd.rank): 1}
-            for w in wkey
-        ]
-        for combo in itertools.product(*(c.items() for c in chars)):
+        for w in wkey:
+            if w not in chars:
+                chars[w] = rd.freudenthal_mults(w)
+        for combo in itertools.product(*(chars[w].items() for w in wkey)):
             jk = tuple(w for w, _ in combo)
             cm = m
             for _, k in combo:

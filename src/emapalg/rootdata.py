@@ -84,11 +84,11 @@ class RootDatum:
             [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
             for i in range(n)
         ]
-        # (C^-1)_ij = min(i, j)(n + 1 - max(i, j)) / (n + 1), 1-based i, j
-        self.cartan_inverse = [
-            [rational((min(i, j) + 1) * (n - max(i, j)), n + 1) for j in range(n)]
-            for i in range(n)
-        ]
+        # (n + 1) C^-1 = [min(i, j)(n + 1 - max(i, j))], 1-based i, j: the
+        # root lattice is worked in ints, scaled by n + 1
+        self._scale = n + 1
+        self._cinv = [[(min(i, j) + 1) * (n - max(i, j)) for j in range(n)] for i in range(n)]
+        self.cartan_inverse = [[rational(c, self._scale) for c in row] for row in self._cinv]
         # positive roots alpha_i + ... + alpha_j in simple-root coordinates
         self.positive_roots = []
         for i in range(n):
@@ -113,18 +113,17 @@ class RootDatum:
             for i in range(self.rank)
         )
 
+    def _scaled_coords(self, w: Weight):
+        """(n + 1) times the simple-root coordinates of a weight, as ints."""
+        return tuple(sum(c * k for c, k in zip(row, w.coords)) for row in self._cinv)
+
     def root_coords(self, w: Weight):
         """Simple-root coordinates of a weight, as exact rationals."""
-        return tuple(
-            sum(
-                self.cartan_inverse[i][j] * w.coords[j] for j in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
+        return tuple(rational(k, self._scale) for k in self._scaled_coords(w))
 
     def height(self, w: Weight):
         """Sum of the simple-root coefficients of w."""
-        return sum(self.root_coords(w), rational(0))
+        return rational(sum(self._scaled_coords(w)), self._scale)
 
     def pairing_htheta(self, w: Weight):
         """w(h_theta); for type A this is the sum of fundamental coordinates."""
@@ -132,8 +131,7 @@ class RootDatum:
 
     def inner(self, v: Weight, w: Weight):
         """Invariant form with (alpha, alpha) = 2 on all roots."""
-        rc = self.root_coords(w)
-        return sum((rational(c) * k for c, k in zip(v.coords, rc)), rational(0))
+        return rational(_pair(v, self._scaled_coords(w)), self._scale)
 
     def w0(self, w: Weight) -> Weight:
         """Action of the longest Weyl group element: w0(w) = -flip(w)."""
@@ -141,17 +139,16 @@ class RootDatum:
 
     def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer root combination."""
-        rc = self.root_coords(lam - mu)
-        return all(k >= 0 and k.denominator == 1 for k in rc)
+        return all(k >= 0 and k % self._scale == 0 for k in self._scaled_coords(lam - mu))
 
     def weight_interval(self, lam: Weight):
         """All mu with w0(lam) <= mu <= lam in dominance order."""
         if not lam.is_dominant():
             raise ValueError("weight_interval requires a dominant weight")
-        d = self.root_coords(lam - self.w0(lam))
-        if any(k.denominator != 1 for k in d):
+        d = self._scaled_coords(lam - self.w0(lam))
+        if any(k % self._scale for k in d):
             raise AssertionError("lam - w0(lam) is not in the root lattice")
-        box = [range(int(k) + 1) for k in d]
+        box = [range(k // self._scale + 1) for k in d]
         out = []
         for drops in itertools.product(*box):
             mu = lam
@@ -175,42 +172,34 @@ class RootDatum:
                 coords[j] -= ci * self.cartan[i][j]
 
     def freudenthal_mults(self, lam: Weight):
-        """Weight multiplicities of the irreducible module V(lam)."""
+        """Weight multiplicities of the irreducible module V(lam), by
+        Freudenthal's formula with the form scaled by n + 1, all in ints."""
         if not lam.is_dominant():
             raise ValueError("freudenthal_mults requires a dominant weight")
         interval = self.weight_interval(lam)
         dominants = sorted(
             (mu for mu in interval if mu.is_dominant()),
-            key=lambda mu: -self.height(mu),
+            key=lambda mu: -sum(self._scaled_coords(mu)),
         )
+        roots = [(rc, Weight(self._root_to_fundamental(rc))) for rc in self.positive_roots]
         lam_rho = lam + self.rho
-        nlr = self.inner(lam_rho, lam_rho)
+        nlr = _pair(lam_rho, self._scaled_coords(lam_rho))
         mults = {}
         for mu in dominants:
             if mu == lam:
                 mults[lam] = 1
                 continue
-            num = rational(0)
-            for rc in self.positive_roots:
-                alpha = Weight(self._root_to_fundamental(rc))
-                j = 1
-                while True:
-                    nu = mu + Weight(tuple(j * c for c in alpha.coords))
-                    if not self.dominance_leq(nu, lam):
-                        break
-                    m = mults.get(self.dominant_representative(nu), 0)
-                    if m:
-                        num += 2 * m * self.inner(nu, alpha)
-                    j += 1
+            num = 0
+            for rc, alpha in roots:
+                nu = mu + alpha
+                while self.dominance_leq(nu, lam):
+                    num += 2 * mults.get(self.dominant_representative(nu), 0) * _pair(nu, rc)
+                    nu = nu + alpha
             mu_rho = mu + self.rho
-            den = nlr - self.inner(mu_rho, mu_rho)
-            if num == 0:
-                mults[mu] = 0
-                continue
-            val = num / den
-            if val.denominator != 1 or val < 0:
+            val, rem = divmod(self._scale * num, nlr - _pair(mu_rho, self._scaled_coords(mu_rho)))
+            if rem or val < 0:
                 raise AssertionError("Freudenthal multiplicity is not a nonnegative integer")
-            mults[mu] = int(val)
+            mults[mu] = val
         out = {}
         for mu in interval:
             m = mults.get(self.dominant_representative(mu), 0)
@@ -219,15 +208,20 @@ class RootDatum:
         return out
 
     def weyl_dim(self, lam: Weight):
-        """Dimension of V(lam) by the Weyl dimension formula."""
+        """Dimension of V(lam) by the Weyl dimension formula; (v, alpha) of a
+        positive root alpha is the int pairing of v with its root coordinates."""
         num = 1
         den = 1
         lr = lam + self.rho
         for rc in self.positive_roots:
-            alpha = Weight(self._root_to_fundamental(rc))
-            num *= self.inner(lr, alpha)
-            den *= self.inner(self.rho, alpha)
-        val = num / den
-        if val.denominator != 1:
+            num *= _pair(lr, rc)
+            den *= _pair(self.rho, rc)
+        val, rem = divmod(num, den)
+        if rem:
             raise AssertionError("Weyl dimension is not an integer")
-        return int(val)
+        return val
+
+
+def _pair(v: Weight, rc):
+    """The invariant form of v with the element of simple-root coordinates rc."""
+    return sum(c * k for c, k in zip(v.coords, rc))

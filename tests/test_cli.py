@@ -311,6 +311,38 @@ def test_mult_builds_each_distinct_weyl_atom_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mult_builds_each_distinct_atom_once(tmp_path, monkeypatch):
+    from emapalg import cli
+
+    built = {"V": [], "W": []}
+    evaluate, extend = cli.evaluation_module, cli.extend_to
+    monkeypatch.setattr(
+        cli, "evaluation_module", lambda psi, alg: built["V"].append(psi) or evaluate(psi, alg)
+    )
+    monkeypatch.setattr(cli, "extend_to", lambda m, alg: built["W"].append(m) or extend(m, alg))
+    expr = "V(psi2w_plain)*V(psi2w_plain)+W(psi2w_plain)*V(psi_two_pt)+W(psi2w_plain)"
+    code, text = _run(["mult", _fixture("sl2_z2.json"), expr], tmp_path)
+    assert code == 0 and json.loads(text)["results"]["dim"] == 37
+    # V(psi2w_plain) and V(psi_two_pt) once each, W(psi2w_plain) extended once
+    assert len(built["V"]) == len(set(built["V"])) == 2
+    assert len(built["W"]) == 1
+
+
+def test_mult_over_budget_irreducible_is_cap_exceeded(tmp_path):
+    # V((6, 6)) of sl3 is cut out of a tensor product of twelve 3-dimensional
+    # fundamental modules, 3^12 = 531441 > liealg._MAX_AMBIENT
+    data = json.load(open(_fixture("sl3_stress.json")))
+    data["psi"]["big"] = {"equivariant": False, "values": {"p1": [6, 6]}}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    code, text = _run(["mult", str(big), "V(big)"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "cap-exceeded"
+    assert rep["results"]["size"] == 3 ** 12
+    assert str(3 ** 12) in rep["results"]["error"]
+
+
 def test_human_format(tmp_path):
     code, text = _run(
         ["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path, fmt="human"

@@ -31,10 +31,11 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 
 
 @contextlib.contextmanager
-def against_oracle():
+def against_oracle(checked=None):
     """Every CEComplex built inside the block checks its H^0 and H^1 against
     the full complex on the same algebra and module.  Yields the list of the
-    (H^0, H^1) pairs checked."""
+    (H^0, H^1) pairs checked; each checked complex is also appended to
+    `checked` when it is given."""
     seen = []
 
     class Checked(CEComplex):
@@ -43,6 +44,8 @@ def against_oracle():
             full = FullComplex(self.L, self.actions, self.vdim, self.field)
             assert dims == (full.h0_dim(), full.h1())
             seen.append(dims)
+            if checked is not None:
+                checked.append(self)
             return dims[1]
 
     with mock.patch.object(homology, "CEComplex", Checked):
@@ -71,14 +74,23 @@ def test_battery_demo_rungs_match_the_full_complex():
         ("sl2_z2.json", ["ext", "psiw", "--rungs", "2", "--bound", "1"]),
         ("sl2_z2.json", ["battery", "psi2w", "--bound", "2"]),
         ("sl3_flip.json", ["battery", "psi_w1"]),
+        ("sl3_stress.json", ["battery", "psi_w1w2_eq", "--bound", "1"]),
     ],
-    ids=["sl2_z2-ext-psiw", "sl2_z2-battery-psi2w", "sl3_flip-battery-psi_w1"],
+    ids=[
+        "sl2_z2-ext-psiw", "sl2_z2-battery-psi2w", "sl3_flip-battery-psi_w1",
+        "sl3_stress-battery-psi_w1w2_eq",
+    ],
 )
 def test_cli_rungs_match_the_full_complex(fixture, argv, tmp_path):
     out = str(tmp_path / "out.json")
-    with against_oracle() as seen:
+    checked = []
+    with against_oracle(checked) as seen:
         code = main(argv[:1] + [os.path.join(FIXTURES, fixture)] + argv[1:] + ["--output", out])
     assert code == 0 and seen
+    if fixture == "sl3_stress.json":
+        # the sl3_flip rungs have no weight-zero cochain; these reach a
+        # nonempty Levi-relative d1
+        assert any(c.d1.nrows and c.d1.ncols for c in checked)
 
 
 def test_ladder_rungs_hold_field_elements(tmp_path):

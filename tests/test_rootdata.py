@@ -1,5 +1,6 @@
 """Type A root data: Cartan data, weight combinatorics, Freudenthal, Weyl dim."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -85,6 +86,95 @@ def test_freudenthal_sums_to_weyl_dim(rank, coords):
     mults = rd.freudenthal_mults(lam)
     assert sum(mults.values()) == rd.weyl_dim(lam)
     assert mults[lam] == 1
+
+
+class _RationalReference:
+    """The root-lattice formulas of RootDatum on Fractions, through the
+    closed-form Cartan inverse (C^-1)_ij = min(i, j)(n + 1 - max(i, j)) / (n + 1);
+    the int parts (roots, rho, w0, dominant representative) are read off rd."""
+
+    def __init__(self, rd):
+        n = rd.rank
+        self.rd = rd
+        self.cinv = [
+            [Fraction((min(i, j) + 1) * (n - max(i, j)), n + 1) for j in range(n)]
+            for i in range(n)
+        ]
+        self.roots = [Weight(rd._root_to_fundamental(rc)) for rc in rd.positive_roots]
+
+    def root_coords(self, w):
+        return tuple(sum((x * c for x, c in zip(row, w.coords)), Fraction(0)) for row in self.cinv)
+
+    def height(self, w):
+        return sum(self.root_coords(w), Fraction(0))
+
+    def inner(self, v, w):
+        return sum((c * k for c, k in zip(v.coords, self.root_coords(w))), Fraction(0))
+
+    def dominance_leq(self, mu, lam):
+        return all(k >= 0 and k.denominator == 1 for k in self.root_coords(lam - mu))
+
+    def weight_interval(self, lam):
+        rd = self.rd
+        box = [range(int(k) + 1) for k in self.root_coords(lam - rd.w0(lam))]
+        out = set()
+        for drops in itertools.product(*box):
+            mu = lam
+            for c, alpha in zip(drops, rd.simple_roots):
+                mu = mu - Weight(tuple(c * x for x in alpha.coords))
+            out.add(mu)
+        return out
+
+    def freudenthal_mults(self, lam):
+        rd = self.rd
+        interval = self.weight_interval(lam)
+        dominants = sorted((mu for mu in interval if mu.is_dominant()), key=self.height, reverse=True)
+        norm = lambda w: self.inner(w + rd.rho, w + rd.rho)  # noqa: E731
+        mults = {}
+        for mu in dominants:
+            num = Fraction(0)
+            for alpha in self.roots:
+                nu = mu + alpha
+                while self.dominance_leq(nu, lam):
+                    num += 2 * mults.get(rd.dominant_representative(nu), 0) * self.inner(nu, alpha)
+                    nu = nu + alpha
+            mults[mu] = Fraction(1) if mu == lam else num / (norm(lam) - norm(mu))
+        out = {mu: mults.get(rd.dominant_representative(mu), 0) for mu in interval}
+        return {mu: m for mu, m in out.items() if m}
+
+    def weyl_dim(self, lam):
+        num = den = Fraction(1)
+        for alpha in self.roots:
+            num *= self.inner(lam + self.rd.rho, alpha)
+            den *= self.inner(self.rd.rho, alpha)
+        return num / den
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.tuples(_coords, _coords, _coords, _coords),
+    st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4),
+)
+def test_integer_root_datum_matches_a_rational_reference(rank, coords, other):
+    rd = RootDatum(rank)
+    ref = _RationalReference(rd)
+    lam, v = Weight(coords[:rank]), Weight(other[:rank])
+    for w in (lam, v, lam - v, rd.w0(v)):
+        assert rd.root_coords(w) == ref.root_coords(w)
+        assert rd.height(w) == ref.height(w)
+        assert rd.inner(v, w) == ref.inner(v, w) and rd.inner(w, lam) == ref.inner(w, lam)
+        assert rd.dominance_leq(w, lam) == ref.dominance_leq(w, lam)
+        assert rd.dominance_leq(lam, w) == ref.dominance_leq(lam, w)
+    interval = rd.weight_interval(lam)
+    assert interval == ref.weight_interval(lam)
+    for mu in sorted(interval, key=lambda w: w.coords)[:40]:
+        assert rd.dominance_leq(mu, v) == ref.dominance_leq(mu, v)
+    mults = rd.freudenthal_mults(lam)
+    assert mults == ref.freudenthal_mults(lam)
+    assert all(type(m) is int for m in mults.values())
+    dim = rd.weyl_dim(lam)
+    assert type(dim) is int and dim == ref.weyl_dim(lam) == sum(mults.values())
 
 
 def test_freudenthal_adjoint():
