@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json
-and fixtures/sl2_stress.json.
+"""Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json,
+fixtures/sl2_stress.json and fixtures/sl3_irreducible.json.
 
     python3 scripts/stress.py --out BENCH.json [--src DIR]
 
@@ -12,7 +12,7 @@ form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
 points, the battery against PASS over at least one candidate, each
 with Hom 0 and every ladder rung 0, and a mult table against its
-hand-computed decomposition.
+hand-computed decomposition and its dimension.
 
 The reference-speed time ``ref_s`` is the one ``perfbench`` reports as
 ``run_s``: a calibration kernel (``perfbench/speed.py``) is timed every
@@ -55,6 +55,7 @@ PROBES = {
     "battery psi_w1_w2_eq": ("sl3_stress.json", ["battery", "psi_w1_w2_eq", "--bound", "1"]),
     "weyl psi_3w_3w": ("sl2_stress.json", ["weyl", "psi_3w_3w"]),
     "mult psi_w1w2^3": ("sl3_stress.json", ["mult", "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)"]),
+    "mult V(psi_6w1_6w2)": ("sl3_irreducible.json", ["mult", "V(psi_6w1_6w2)"]),
 }
 # mult expression -> its table, by hand: the sl3 tensor cube 8 (x) 8 (x) 8 at p1
 MULT_TABLES = {
@@ -62,6 +63,13 @@ MULT_TABLES = {
         "0": 2, "{p1: (0,3)}": 4, "{p1: (1,1)}": 8, "{p1: (1,4)}": 2,
         "{p1: (2,2)}": 6, "{p1: (3,0)}": 4, "{p1: (3,3)}": 1, "{p1: (4,1)}": 2,
     },
+    "V(psi_6w1_6w2)": {"{p1: (6,6)}": 1},
+}
+# mult expression -> its dimension: 8 ** 3, and the Weyl dimension
+# (a + 1)(b + 1)(a + b + 2) / 2 of the sl3 irreducible V(a, b) at (6, 6)
+MULT_DIMS = {
+    "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)": 512,
+    "V(psi_6w1_6w2)": 343,
 }
 TIMEOUT_S = 900
 
@@ -94,7 +102,10 @@ def check(scenario, args, report):
     if args[0] == "mult":
         table = {key: m for key, m in results["multiplicities"]}
         want = MULT_TABLES[args[1]]
-        return None if table == want else "table %s, expected %s" % (table, want)
+        if table != want:
+            return "table %s, expected %s" % (table, want)
+        want = MULT_DIMS[args[1]]
+        return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
     want = expected_dim(scenario, args[1])
     return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
 

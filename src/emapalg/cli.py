@@ -17,10 +17,9 @@ import sys
 from .coordalg import EtaFunction
 from .ema import TruncatedAlgebra
 from .homology import characterization_battery, enumerate_phi, lower_candidates
-from .liealg import AmbientOverBudget
 from .repmod import (
-    direct_sum, equivariant_table, evaluation_module, extend_to, multiplicities, psi_restrict,
-    tensor_product, untwist,
+    direct_sum, equivariant_table, evaluation_module, extend_to, multiplicities, psi_dim,
+    psi_restrict, tensor_product, untwist,
 )
 from .scenario import (
     Scenario,
@@ -215,16 +214,19 @@ def cmd_mult(scn: Scenario, args):
         raise ScenarioError("module expression mixes equivariant and plain psi")
     keys = [(kind, _plain(scn, name)) for kind, name in atoms]
     distinct = list(dict.fromkeys(keys))
-    # each distinct W atom is cap-checked, built and certified once
+    # each distinct atom is cap-checked before anything is built: a W atom
+    # against its monomial bound, a V atom against its exact Weyl dimension
+    g = scn.algebra
+    for kind, psi in distinct:
+        _check_cap(weyl_dim_bound(g, psi) if kind == "W" else psi_dim(g.rd, psi))
+    # each distinct W atom is built and certified once
     w_psis = [psi for kind, psi in distinct if kind == "W"]
-    for psi in w_psis:
-        _check_cap(weyl_dim_bound(scn.algebra, psi))
-    weyls = {psi: weyl_module(scn.algebra, psi).module for psi in w_psis}
+    weyls = {psi: weyl_module(g, psi).module for psi in w_psis}
     eta = functools.reduce(operator.or_, (
         weyls[psi].algebra.eta if kind == "W" else EtaFunction.of(dict.fromkeys(psi.support(), 1))
         for kind, psi in distinct
     ))
-    common = TruncatedAlgebra(scn.algebra, eta)
+    common = TruncatedAlgebra(g, eta)
     built = {
         (kind, psi): (extend_to(weyls[psi], common) if kind == "W"
                       else evaluation_module(psi, common))
@@ -408,7 +410,7 @@ def main(argv=None):
         report["results"] = {"error": str(exc)}
         _emit(report, args)
         return 2
-    except (CapExceeded, AmbientOverBudget) as exc:
+    except CapExceeded as exc:
         report["status"] = "cap-exceeded"
         report["results"] = {"error": str(exc), "size": exc.size}
         _emit(report, args)

@@ -260,12 +260,15 @@ def jet_expand(f: LaurentFunction, x: Point, e: int):
 
 
 class PointAction:
-    """Coordinate scaling of the torus: z_i -> s_i z_i."""
+    """Coordinate scaling of the torus: z_i -> s_i z_i.  With no scalings (the
+    group with no generators) it fixes every point and every function."""
 
     def __init__(self, scalings):
         self.scalings = tuple(scalings)
 
     def act_point(self, p: Point) -> Point:
+        if not self.scalings:
+            return p
         return Point(tuple(s * c for s, c in zip(self.scalings, p.coords)))
 
     def act_function(self, f: LaurentFunction) -> LaurentFunction:
@@ -280,14 +283,13 @@ class PointAction:
 
     def jet_transport_factor(self, beta):
         """Scalar relating the u^beta coefficient at y to the one at gamma.y."""
-        fac = self.scalings[0].field.one
+        fac = 1
         for s, b in zip(self.scalings, beta):
             fac = fac * s ** (-b)
         return fac
 
     def is_trivial(self):
-        one = self.scalings[0].field.one
-        return all(s == one for s in self.scalings)
+        return all(s == s.field.one for s in self.scalings)
 
     def compose(self, other):
         return PointAction(tuple(a * b for a, b in zip(self.scalings, other.scalings)))

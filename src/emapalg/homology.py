@@ -207,7 +207,7 @@ class BatteryReport:
 
 
 def characterization_battery(
-    module: FiniteModule, psi: PsiFunction, weight_bound=None, rungs=3, early_stop=False
+    module: FiniteModule, psi: PsiFunction, weight_bound=None, rungs=3
 ) -> BatteryReport:
     """The Hom/Ext vanishing test against all lower-height candidates: PASS
     exactly when every Hom and every ladder rung vanishes."""
@@ -233,8 +233,6 @@ def characterization_battery(
             report.verdict = "FAIL"
             if report.witness is None:
                 report.witness = (phi, hd, dims)
-            if early_stop:
-                return report
     return report
 
 

@@ -1,24 +1,15 @@
 """The concrete semisimple Lie algebra sl_{n+1} with Chevalley basis and
 matrix realization, finite-order automorphisms of torus-scaling x diagram
 form, the one module class (exact action matrices over any of the Lie
-algebras, weights read off the diagonal Cartan actions), and explicit
-irreducible highest weight modules."""
+algebras, weights read off the diagonal Cartan actions), and the irreducible
+highest weight modules, built as local Weyl modules of g."""
 
 from __future__ import annotations
 
 import itertools
-from math import prod
 
 from .fields import QQ
-from .linalg import (
-    Matrix,
-    Subspace,
-    joint_eigenspaces,
-    kron_slots,
-    kron_vector,
-    restrict_operator,
-    saturate,
-)
+from .linalg import Matrix, Subspace, joint_eigenspaces, saturate
 from .rootdata import RootDatum, Weight
 
 
@@ -100,8 +91,10 @@ class ChevalleyAlgebra(LieAlgebra):
         shared = _RANKS.get(n_plus_1)
         if shared is None:
             self._build_table()
-            shared = _RANKS[n_plus_1] = (self.rd, self.labels, self.index, self._units, self._table)
-        self.rd, self.labels, self.index, self._units, self._table = shared
+            shared = _RANKS[n_plus_1] = (
+                self.rd, self.labels, self.index, self._units, self._table, self._e, self._f
+            )
+        self.rd, self.labels, self.index, self._units, self._table, self._e, self._f = shared
         self.basis_matrices = [
             Matrix.from_triples(fld, n_plus_1, n_plus_1, [(r, c, fld.scalar(x)) for (r, c), x in u])
             for u in self._units
@@ -117,6 +110,13 @@ class ChevalleyAlgebra(LieAlgebra):
             + [("f", k) for k in roots]
         )
         self.index = {lab: i for i, lab in enumerate(self.labels)}
+        # the basis indices of the simple e_i and f_i
+        simple = [
+            self.rd.positive_roots.index(tuple(int(j == i) for j in range(self.rd.rank)))
+            for i in range(self.rd.rank)
+        ]
+        self._e = [self.index[("e", k)] for k in simple]
+        self._f = [self.index[("f", k)] for k in simple]
         # each basis element as ((matrix unit (r, c), int coefficient), ...);
         # brackets come from those of the units and are read back below
         self._units = [self._matrix_units(lab) for lab in self.labels]
@@ -168,12 +168,10 @@ class ChevalleyAlgebra(LieAlgebra):
 
     def e(self, i):
         """Chevalley generator e_i (simple root index, 0-based)."""
-        return self.index[("e", self.rd.positive_roots.index(
-            tuple(1 if j == i else 0 for j in range(self.rd.rank))))]
+        return self._e[i]
 
     def f(self, i):
-        return self.index[("f", self.rd.positive_roots.index(
-            tuple(1 if j == i else 0 for j in range(self.rd.rank))))]
+        return self._f[i]
 
     def h(self, i):
         return self.index[("h", i)]
@@ -232,15 +230,13 @@ class GAutomorphism:
         g = self.algebra
         fld = g.field
         rank = g.rd.rank
-        images = {}
+        images = {}  # basis index -> image
         for i in range(rank):
             zp = self.zeta ** self.exponents[i]
             ti = self.out_part.perm[i]
-            images[("e", _simple_index(g, i))] = {g.index[("e", _simple_index(g, ti))]: zp}
-            images[("f", _simple_index(g, i))] = {
-                g.index[("f", _simple_index(g, ti))]: zp.inverse()
-            }
-            images[("h", i)] = g.basis_vector(g.index[("h", ti)])
+            images[g.e(i)] = {g.e(ti): zp}
+            images[g.f(i)] = {g.f(ti): zp.inverse()}
+            images[g.h(i)] = g.basis_vector(g.h(ti))
         # extend to non-simple root vectors by bracket words, in height order
         for k, rc in enumerate(g.rd.positive_roots):
             if sum(rc) == 1:
@@ -248,16 +244,15 @@ class GAutomorphism:
             i = rc.index(1)
             rest = tuple(0 if j == i else rc[j] for j in range(len(rc)))
             krest = g.rd.positive_roots.index(rest)
-            for kind in ("e", "f"):
-                a = g.basis_vector(g.index[(kind, _simple_index(g, i))])
-                b = g.basis_vector(g.index[(kind, krest)])
-                c = g.bracket(a, b).get(g.index[(kind, k)])
+            for kind, simple in (("e", g.e(i)), ("f", g.f(i))):
+                b, target = g.index[(kind, krest)], g.index[(kind, k)]
+                c = g.bracket(g.basis_vector(simple), g.basis_vector(b)).get(target)
                 if c is None:
                     raise AssertionError("zero bracket coefficient for root vector %d" % k)
-                img = g.bracket(images[(kind, _simple_index(g, i))], images[(kind, krest)])
+                img = g.bracket(images[simple], images[b])
                 inv = c.inverse()
-                images[(kind, k)] = {r: x * inv for r, x in img.items()}
-        return Matrix.from_columns(fld, g.dim, [images[lab] for lab in g.labels])
+                images[target] = {r: x * inv for r, x in img.items()}
+        return Matrix.from_columns(fld, g.dim, [images[j] for j in range(g.dim)])
 
     def _verify(self):
         if not preserves_bracket(self.matrix, self.algebra, self.algebra):
@@ -288,12 +283,6 @@ class GAutomorphism:
         return self.matrix.matmul(other.matrix) == other.matrix.matmul(self.matrix)
 
 
-def _simple_index(g, i):
-    return g.rd.positive_roots.index(
-        tuple(1 if j == i else 0 for j in range(g.rd.rank))
-    )
-
-
 class FiniteModule:
     """A module over a Lie algebra with a basis (g, a truncation or an
     invariant algebra): one exact action matrix per algebra basis element,
@@ -303,14 +292,12 @@ class FiniteModule:
     by diagonal matrices, whose diagonals are the weights.  weights() is the
     one place they are read, and it checks that on every read."""
 
-    def __init__(self, algebra, actions, cyclic=None, check=False):
+    def __init__(self, algebra, actions, cyclic=None):
         self.algebra = algebra
         self.actions = actions
         self.field = algebra.field
         self.dim = actions[0].ncols if actions else 0
         self.cyclic = cyclic
-        if check:
-            self.check_bracket()
 
     def operator(self, coeffs) -> Matrix:
         """The action of the algebra element with sparse coordinates coeffs."""
@@ -398,77 +385,20 @@ def natural_module(g):
     return FiniteModule(g, list(g.basis_matrices), cyclic={0: g.field.one})
 
 
-def exterior_power(mod, k):
-    """Wedge power of a module, with action extended by the Leibniz rule."""
-    g = mod.algebra
-    fld = g.field
-    subsets = list(itertools.combinations(range(mod.dim), k))
-    pos = {s: i for i, s in enumerate(subsets)}
-    dim = len(subsets)
-    actions = []
-    for m in mod.actions:
-        cols = [m.column(j) for j in range(mod.dim)]
-        triples = []
-        for j, s in enumerate(subsets):
-            for slot in range(k):
-                for tgt, c in cols[s[slot]].items():  # image of e_{s[slot]}
-                    if tgt in s and tgt != s[slot]:
-                        continue
-                    new = list(s)
-                    new[slot] = tgt
-                    inv_count = sum(
-                        1
-                        for a in range(k)
-                        for b in range(a + 1, k)
-                        if new[a] > new[b]
-                    )
-                    perm = tuple(sorted(new))
-                    triples.append((pos[perm], j, c if inv_count % 2 == 0 else -c))
-        actions.append(Matrix.from_triples(fld, dim, dim, triples))
-    return FiniteModule(g, actions, cyclic={pos[tuple(range(k))]: fld.one})
-
-
-_MAX_AMBIENT = 20000  # the largest tensor product `irreducible_module` builds V(lam) in
-
-
-class AmbientOverBudget(ValueError):
-    """V(lam) would be cut out of a tensor product larger than _MAX_AMBIENT."""
-
-    def __init__(self, size):
-        super().__init__("ambient tensor dimension %d exceeds budget %d" % (size, _MAX_AMBIENT))
-        self.size = size
-
-
 def irreducible_module(g, lam):
-    """V(lam) as the cyclic closure of the top vector inside a tensor product
-    of fundamental modules (exterior powers of the natural representation)."""
+    """V(lam), the universal finite-dimensional highest weight module of g
+    (Chari-Pressley 2001): the local Weyl module of lam at one point over the
+    truncation at exponent 1, g tensor A/m = g, read back over g."""
     if not lam.is_dominant():
         raise ValueError("highest weight must be dominant")
-    nat = natural_module(g)
-    factors = []
-    for i, c in enumerate(lam.coords):
-        if c:
-            wedge = exterior_power(nat, i + 1)
-            factors.extend([wedge] * c)
-    if not factors:
+    if lam.is_zero():
         return trivial_module(g)
-    dims = [m.dim for m in factors]
-    ambient = prod(dims)
-    if ambient > _MAX_AMBIENT:
-        raise AmbientOverBudget(ambient)
-    fld = g.field
-    # the diagonal action on the tensor product of the factors
-    tens = [
-        kron_slots(fld, dims, [(fld.one, slot, m.actions[bi]) for slot, m in enumerate(factors)])
-        for bi in range(g.dim)
-    ]
-    seedv = kron_vector(fld, dims, [m.cyclic for m in factors])
-    lowering = [tens[g.index[("f", k)]] for k in range(len(g.rd.positive_roots))]
-    space = saturate(Subspace(ambient, [seedv], fld=fld), lowering)
-    actions = [restrict_operator(a, space) for a in tens]
-    # the basis is in reduced echelon form: coordinates are the pivot entries
-    hw = {k: seedv[p] for k, p in enumerate(space.pivots) if p in seedv}
-    mod = FiniteModule(g, actions, cyclic=hw, check=True)
+    from .weyl import one_point_weyl_module  # weyl imports this module
+
+    w = one_point_weyl_module(g, lam)
+    # one point and one jet monomial: the truncation's basis is g's, in order
+    mod = FiniteModule(g, w.actions, cyclic=w.cyclic)
+    mod.check_bracket()
     if mod.character() != g.rd.freudenthal_mults(lam):
         raise ValueError("constructed module has wrong character")
     return mod

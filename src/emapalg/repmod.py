@@ -76,11 +76,9 @@ class PsiFunction:
 
 
 def height_psi(rd, psi: PsiFunction):
-    """Sum of the heights of the values over the support points."""
-    total = rd.height(Weight((0,) * rd.rank))
-    for _, w in psi.assignments:
-        total = total + rd.height(w)
-    return total
+    """Sum of the heights of the values over the support points, scaled by
+    n + 1 (rd.scaled_height), so an int that orders psi as the height does."""
+    return sum(rd.scaled_height(w) for _, w in psi.assignments)
 
 
 def height_psi_orbits(group, psi: PsiFunction):
@@ -215,7 +213,9 @@ def multiplicities(module: FiniteModule):
         if all(w.is_dominant() for w in wkey)
     ]
 
-    candidates.sort(key=lambda wk: (-sum(map(rd.height, wk)), tuple(w.coords for w in wk)))
+    candidates.sort(
+        key=lambda wk: (-sum(map(rd.scaled_height, wk)), tuple(w.coords for w in wk))
+    )
     table = {}
     chars = {}  # the Freudenthal character of each weight, computed once
     for wkey in candidates:
@@ -238,7 +238,7 @@ def multiplicities(module: FiniteModule):
     if any(v != 0 for v in counts.values()):
         raise ValueError("character solve did not resolve: %r" % (counts,))
     total = sum(
-        m * _psi_dim(rd, psi) for psi, m in table.items()
+        m * psi_dim(rd, psi) for psi, m in table.items()
     )
     if total != module.dim:
         raise AssertionError("multiplicity table fails the dimension sum")
@@ -255,7 +255,9 @@ def equivariant_table(group, table):
     return out
 
 
-def _psi_dim(rd, psi: PsiFunction):
+def psi_dim(rd, psi: PsiFunction):
+    """The dimension of the evaluation module of psi: the product of the Weyl
+    dimensions of its values."""
     d = 1
     for _, w in psi.assignments:
         d *= rd.weyl_dim(w)

@@ -123,7 +123,12 @@ class RootDatum:
 
     def height(self, w: Weight):
         """Sum of the simple-root coefficients of w."""
-        return rational(sum(self._scaled_coords(w)), self._scale)
+        return rational(self.scaled_height(w), self._scale)
+
+    def scaled_height(self, w: Weight):
+        """(n + 1) times the height of w, an int: it orders weights as the
+        height does."""
+        return sum(self._scaled_coords(w))
 
     def pairing_htheta(self, w: Weight):
         """w(h_theta); for type A this is the sum of fundamental coordinates."""
@@ -179,7 +184,7 @@ class RootDatum:
         interval = self.weight_interval(lam)
         dominants = sorted(
             (mu for mu in interval if mu.is_dominant()),
-            key=lambda mu: -sum(self._scaled_coords(mu)),
+            key=lambda mu: -self.scaled_height(mu),
         )
         roots = [(rc, Weight(self._root_to_fundamental(rc))) for rc in self.positive_roots]
         lam_rho = lam + self.rho

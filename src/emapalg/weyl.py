@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb, prod
 
-from .coordalg import EtaFunction, jet_monomials
+from .coordalg import EtaFunction, Point, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
 from .liealg import FiniteModule
 from .linalg import Matrix, Subspace, linear_combination, saturate
@@ -196,19 +196,12 @@ def _interval_top(alg: TruncatedAlgebra, psi: PsiFunction):
     return [int(t[i]) for i in range(rd.rank) for t in tops]
 
 
-def _straighten(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
+def _truncation(g, psi: PsiFunction, n_extra=0):
     """The truncation at exponent max(1, psi(p)(h_theta)) + n_extra at each
-    support point p, and its straightener with excess cap 1 + buffer_extra.
-
-    act(x, m) only produces content c(m) + root(x), and every call it makes
-    stays coordinatewise below max(c(m), c(m) + root(x)), so the cap cuts
-    nothing off while every top-level call stays at excess <= 1.  They do:
-    the seeds push down from excess 1, operator_matrix skips every image
-    outside the interval, and the Weyl powers step only from inside it."""
+    support point p."""
     rd = g.rd
     eta = {p: max(1, rd.pairing_htheta(psi[p])) + n_extra for p in psi.support()}
-    alg = TruncatedAlgebra(g, EtaFunction.of(eta))
-    return alg, _Straightener(alg, psi, 1 + buffer_extra, reverse_order=reverse_order)
+    return TruncatedAlgebra(g, EtaFunction.of(eta))
 
 
 def _at_each_point(alg: TruncatedAlgebra, x):
@@ -273,17 +266,23 @@ def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
     return seeds
 
 
-def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=False):
-    """Straighten, seed and saturate: the truncation, its straightener, the
-    number n_low of monomials inside the weight interval, the relation space
-    R among them, and the generators' operator matrices {basis index:
-    matrix} that R is closed under.  W(psi) is the quotient of the first
-    n_low monomials by R, so its dimension is n_low - dim R.  The relations
-    are integral, so all of it is raw rationals (see linalg), no field
-    element: ints, and the fractions that R's pivots bring in."""
-    fld = g.field
+def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse_order=False):
+    """Straighten, seed and saturate over the truncation alg: the
+    straightener (excess cap 1 + buffer_extra) with its number n_low of
+    monomials inside the weight interval, the relation space R among them,
+    and the generators' operator matrices {basis index: matrix} that R is
+    closed under.  W(psi) is the quotient of the first n_low monomials by R,
+    so its dimension is n_low - dim R.  The relations are integral, so all of
+    it is raw rationals (see linalg), no field element: ints, and the
+    fractions that R's pivots bring in.
+
+    act(x, m) only produces content c(m) + root(x), and every call it makes
+    stays coordinatewise below max(c(m), c(m) + root(x)), so the cap cuts
+    nothing off while every top-level call stays at excess <= 1.  They do:
+    the seeds push down from excess 1, operator_matrix skips every image
+    outside the interval, and the Weyl powers step only from inside it."""
     lam = psi.total_weight()
-    alg, st = _straighten(g, psi, buffer_extra, n_extra, reverse_order)
+    st = _Straightener(alg, psi, 1 + buffer_extra, reverse_order=reverse_order)
     n_low = st.n_low
 
     # every monomial outside the interval is a relation, so the whole
@@ -293,7 +292,7 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     # lowers the content, so each power only steps from inside the interval
     seeds = _push_down_seeds(alg, st)
     idx = st.mono_index
-    for i in range(g.rd.rank):
+    for i in range(alg.g.rd.rank):
         state = {(): 1}
         fi_indices = _lowering_indices(alg, i)
         for _ in range(lam.coords[i] + 1):
@@ -308,10 +307,10 @@ def _build_once(g, psi: PsiFunction, buffer_extra=0, n_extra=0, reverse_order=Fa
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
     gen_ops = {ai: st.operator_matrix(ai) for ai in _generators(alg)}
-    rel = saturate(Subspace(n_low, seeds, fld=fld), list(gen_ops.values()))
+    rel = saturate(Subspace(n_low, seeds, fld=alg.field), list(gen_ops.values()))
     if rel.contains({idx[()]: 1}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
-    return alg, st, n_low, rel, gen_ops
+    return st, rel, gen_ops
 
 
 def _lift_matrix(fld, m):
@@ -321,11 +320,43 @@ def _lift_matrix(fld, m):
     )
 
 
+def _quotient(alg: TruncatedAlgebra, psi: PsiFunction):
+    """W(psi) over the truncation alg, over the field, and its straightener.
+
+    R + span(excess > 0) is stable under a generating set, hence under every
+    basis element (see _push_down_seeds), so R is invariant under every
+    induced operator and the quotient skips the check.  The quotient reads
+    only the columns off R's pivots, so the actions other than the
+    generators' are built on those alone.  Only the quotient is lifted to
+    the field, before any check reads it."""
+    fld = alg.field
+    st, rel, gen_ops = _build_once(alg, psi)
+    pivots = set(rel.pivots)
+    keep = [j for j in range(st.n_low) if j not in pivots]
+    ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
+    raw = quotient_module(FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1}), rel, check=False)
+    mod = FiniteModule(
+        alg,
+        [_lift_matrix(fld, op) for op in raw.actions],
+        cyclic={k: fld.scalar(x) for k, x in raw.cyclic.items()},
+    )
+    return mod, st
+
+
+def one_point_weyl_module(g, lam: Weight) -> FiniteModule:
+    """The local Weyl module of lam at the point 1 over the truncation at
+    exponent 1, g tensor A/m = g, uncertified: liealg.irreducible_module
+    reads it back over g as V(lam) and checks it there."""
+    point = Point((g.field.one,))
+    alg = TruncatedAlgebra(g, EtaFunction.of({point: 1}))
+    return _quotient(alg, PsiFunction.of({point: lam}))[0]
+
+
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
     """Upper bound on dim W(psi): the number of normal PBW monomials whose
     weight lies in the interval at every point, from the enumeration alone
     (no matrices built)."""
-    return _straighten(g, psi)[1].n_low
+    return _Straightener(_truncation(g, psi), psi, 1).n_low
 
 
 def weyl_module(g, psi: PsiFunction) -> WeylModule:
@@ -344,22 +375,8 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     rd = g.rd
     fld = g.field
     lam = psi.total_weight()
-    alg, st, n_low, rel, gen_ops = _build_once(g, psi)
-    # rel + span(excess > 0) is stable under a generating set, hence under
-    # every basis element (see _push_down_seeds), so rel is invariant under
-    # every induced operator and the check is skipped.  The quotient reads
-    # only the columns off rel's pivots, so the other operators are built on
-    # those alone
-    pivots = set(rel.pivots)
-    keep = [j for j in range(n_low) if j not in pivots]
-    ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
-    raw = quotient_module(FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1}), rel, check=False)
-    # only the quotient is lifted to the field, before any check reads it
-    mod = FiniteModule(
-        alg,
-        [_lift_matrix(fld, op) for op in raw.actions],
-        cyclic={k: fld.scalar(x) for k, x in raw.cyclic.items()},
-    )
+    alg = _truncation(g, psi)
+    mod, st = _quotient(alg, psi)
     cert = {}
 
     # defining relations in the quotient
@@ -421,13 +438,13 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
         raise CertificationError("module is not cyclic on w", relation="cyclic")
     cert["cyclic"] = True
 
-    for tag, kwargs in (
-        ("buffer+1", {"buffer_extra": 1}),
-        ("N+1", {"n_extra": 1}),
-        ("reversed", {"reverse_order": True}),
+    for tag, other_alg, kwargs in (
+        ("buffer+1", alg, {"buffer_extra": 1}),
+        ("N+1", _truncation(g, psi, n_extra=1), {}),
+        ("reversed", alg, {"reverse_order": True}),
     ):
-        _, _, other_low, other_rel, _ = _build_once(g, psi, **kwargs)
-        other = other_low - other_rel.dim
+        other_st, other_rel, _ = _build_once(other_alg, psi, **kwargs)
+        other = other_st.n_low - other_rel.dim
         if other != mod.dim:
             raise CertificationError(
                 "dimension not stable under recomputation (%s): %d vs %d"

@@ -239,16 +239,12 @@ def test_criterion_09_homological_battery():
         rep = characterization_battery(tw, psi, weight_bound=2, rungs=3)
         assert rep.verdict == "PASS"
         hd = evaluation_module(psi, tw.algebra)
-        rep_hd = characterization_battery(
-            hd, psi, weight_bound=2, rungs=3, early_stop=True
-        )
+        rep_hd = characterization_battery(hd, psi, weight_bound=2, rungs=3)
         assert rep_hd.verdict == "FAIL" and rep_hd.witness is not None
         padded = direct_sum(
             tw, evaluation_module(psi_gamma(group, _psi(fld, {1: (1,)})), tw.algebra)
         )
-        rep_pad = characterization_battery(
-            padded, psi, weight_bound=2, rungs=3, early_stop=True
-        )
+        rep_pad = characterization_battery(padded, psi, weight_bound=2, rungs=3)
         assert rep_pad.verdict == "FAIL" and rep_pad.witness is not None
         # the W-extension cocycle forces Ext^1(V(2w), V(0)) > 0 on every rung
         from emapalg.liealg import build_sl

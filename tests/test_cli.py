@@ -328,19 +328,74 @@ def test_mult_builds_each_distinct_atom_once(tmp_path, monkeypatch):
     assert len(built["W"]) == 1
 
 
-def test_mult_over_budget_irreducible_is_cap_exceeded(tmp_path):
-    # V((6, 6)) of sl3 is cut out of a tensor product of twelve 3-dimensional
-    # fundamental modules, 3^12 = 531441 > liealg._MAX_AMBIENT
-    data = json.load(open(_fixture("sl3_stress.json")))
-    data["psi"]["big"] = {"equivariant": False, "values": {"p1": [6, 6]}}
-    big = tmp_path / "big.json"
-    big.write_text(json.dumps(data))
-    code, text = _run(["mult", str(big), "V(big)"], tmp_path)
+def test_mult_builds_a_large_irreducible(tmp_path):
+    # V((6, 6)) of sl3, the local Weyl module of the one-point truncation at
+    # exponent 1, of Weyl dimension 7 * 7 * 14 / 2 = 343
+    code, text = _run(["mult", _fixture("sl3_irreducible.json"), "V(psi_6w1_6w2)"], tmp_path)
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["status"] == "ok" and rep["results"]["dim"] == 343
+    assert rep["results"]["multiplicities"] == [["{p1: (6,6)}", 1]]
+
+
+def test_mult_checks_an_irreducible_against_the_cap_before_building(tmp_path, monkeypatch):
+    from emapalg import liealg, repmod
+
+    def refused(*args):
+        raise AssertionError("irreducible built before the cap check")
+
+    monkeypatch.setattr(liealg, "irreducible_module", refused)
+    monkeypatch.setattr(repmod, "irreducible_module", refused)
+    monkeypatch.setenv("EMA_WEYL_MAX_DIM", "100")
+    code, text = _run(["mult", _fixture("sl3_irreducible.json"), "V(psi_6w1_6w2)"], tmp_path)
     assert code == 1
     rep = json.loads(text)
     assert rep["status"] == "cap-exceeded"
-    assert rep["results"]["size"] == 3 ** 12
-    assert str(3 ** 12) in rep["results"]["error"]
+    assert rep["results"]["size"] == 343
+    assert "343" in rep["results"]["error"]
+
+
+def _trivial_group_scenario(tmp_path):
+    # no generators: the untwisted current algebra, whose group fixes every point
+    data = {
+        "name": "sl2_trivial_group",
+        "lie_type": "A1",
+        "num_variables": 1,
+        "generators": [],
+        "points": {"p1": ["2"], "p2": ["3"]},
+        "psi": {
+            "psi2w": {"equivariant": True, "values": {"p1": [2]}},
+            "psi2w_plain": {"values": {"p1": [2]}},
+        },
+    }
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_trivial_group_fixes_every_point(tmp_path):
+    path = _trivial_group_scenario(tmp_path)
+    reports = {}
+    for argv in (
+        ["validate"],
+        ["weyl", "psi2w"],
+        ["weyl", "psi2w_plain"],
+        ["twist", "psi2w"],
+        ["irreps", "--bound", "1"],
+        ["mult", "V(psi2w)*W(psi2w)"],
+        ["mult", "V(psi2w_plain)+W(psi2w_plain)"],
+        ["ext", "psi2w"],
+        ["battery", "psi2w"],
+    ):
+        code, text = _run(argv[:1] + [path] + argv[1:], tmp_path)
+        assert code == 0, (argv, text)
+        reports[" ".join(argv)] = json.loads(text)["results"]
+    eq, plain = reports["weyl psi2w"], reports["weyl psi2w_plain"]
+    assert eq["dim"] == plain["dim"] == 4
+    assert eq["certificate"] == plain["certificate"]
+    assert reports["irreps --bound 1"]["classes"] == [
+        ["0", 1], ["{p1: (1); p2: (1)}", 4], ["{p1: (1)}", 2], ["{p2: (1)}", 2]
+    ]
 
 
 def test_human_format(tmp_path):

@@ -202,7 +202,7 @@ def test_battery_fails_on_head_alone():
     psi = psi_gamma(group, _psi(fld, {1: (2,)}))
     tw, _, _ = twisted_weyl(group, psi, [pt(fld, 1)])
     hd = evaluation_module(psi, tw.algebra)
-    rep = characterization_battery(hd, psi, weight_bound=2, rungs=3, early_stop=True)
+    rep = characterization_battery(hd, psi, weight_bound=2, rungs=3)
     assert rep.verdict == "FAIL"
     assert rep.witness is not None
 

@@ -14,7 +14,6 @@ from emapalg.linalg import Matrix, linear_combination
 from emapalg.liealg import (
     GAutomorphism,
     build_sl,
-    exterior_power,
     irreducible_module,
     natural_module,
     transport,
@@ -104,6 +103,15 @@ def test_structure_constants_are_ints_in_one_table_per_rank(n, order):
         assert coeffs and all(type(c) is int for c in coeffs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simple_root_indices_are_shared_per_rank(n):
+    g = build_sl(n)
+    assert g._e is build_sl(n, field(4))._e and g._f is build_sl(n, field(4))._f
+    for i in range(g.rd.rank):
+        k = g.rd.positive_roots.index(tuple(int(j == i) for j in range(g.rd.rank)))
+        assert (g.e(i), g.f(i)) == (g.index[("e", k)], g.index[("f", k)])
+
+
 def test_a_wrong_table_fails_the_axiom_check(monkeypatch):
     # the table is built once per rank, so the check runs on a fresh one
     monkeypatch.setattr(liealg, "_RANKS", {})
@@ -128,13 +136,6 @@ def test_natural_module_character():
     g = build_sl(3)
     nat = natural_module(g)
     assert nat.character() == g.rd.freudenthal_mults(Weight((1, 0)))
-
-
-def test_exterior_square_of_natural():
-    g = build_sl(3)
-    wedge = exterior_power(natural_module(g), 2)
-    assert wedge.dim == 3
-    assert wedge.character() == g.rd.freudenthal_mults(Weight((0, 1)))
 
 
 def test_tensor_product_of_g_modules():
@@ -167,7 +168,7 @@ def test_irreducible_dims(n, coords, dim):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_highest_is_a_highest_weight_vector(n):
-    """For the natural module, an exterior power and the irreducibles,
+    """For the natural module and the irreducibles,
     `cyclic` is a sparse vector killed by every e and an h-eigenvector with
     the eigenvalues lam."""
     g = build_sl(n)
@@ -176,7 +177,6 @@ def test_highest_is_a_highest_weight_vector(n):
     unit = lambda i: Weight(tuple(int(j == i) for j in range(rank)))
     cases = [
         (nat, unit(0)),
-        (exterior_power(nat, 2), unit(1)),
         (irreducible_module(g, Weight((1,) * rank)), Weight((1,) * rank)),
         (irreducible_module(g, Weight((2,) + (0,) * (rank - 1))), Weight((2,) + (0,) * (rank - 1))),
         (irreducible_module(g, Weight((0,) * rank)), Weight((0,) * rank)),

@@ -356,7 +356,8 @@ def test_off_diagonal_cartan_action_raises():
     nat = natural_module(g)
     p = _mat([[1, 1], [0, 1]])
     p_inv = p.inverse()
-    moved = FiniteModule(g, [p.matmul(a).matmul(p_inv) for a in nat.actions], check=True)
+    moved = FiniteModule(g, [p.matmul(a).matmul(p_inv) for a in nat.actions])
+    moved.check_bracket()
     with pytest.raises(ValueError, match="not diagonal"):
         moved.character()
 

@@ -167,7 +167,8 @@ def test_off_diagonal_cartan_action_raises_in_the_ladder():
     alg = TruncatedAlgebra(g, EtaFunction.of({_pt(1): 1}))
     nat = evaluation_module(PsiFunction.of({_pt(1): Weight((1,))}), alg)
     p = Matrix([[QQ.one, QQ.one], [QQ.zero, QQ.one]])
-    conj = FiniteModule(alg, [p.matmul(a).matmul(p.inverse()) for a in nat.actions], check=True)
+    conj = FiniteModule(alg, [p.matmul(a).matmul(p.inverse()) for a in nat.actions])
+    conj.check_bracket()
     with pytest.raises(ValueError, match="not diagonal"):
         ext1_ladder(conj, conj, rungs=1)
 

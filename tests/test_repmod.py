@@ -1,10 +1,12 @@
 """Evaluation modules, twisting transports, multiplicities, Hom spaces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
-from emapalg.fields import field
+from emapalg.fields import QQ, field
 from emapalg.liealg import natural_module
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
@@ -26,9 +28,10 @@ from emapalg.repmod import (
     support,
     tensor_product,
     twist,
+    unique_top,
     untwist,
 )
-from emapalg.rootdata import Weight
+from emapalg.rootdata import RootDatum, Weight
 
 from test_ema import flip_setup, pt, z2_setup
 
@@ -52,11 +55,39 @@ def test_height_psi():
     fld = g.field
     psi = _psi(fld, {1: (2,), 2: (1,)})
     rd = g.rd
-    assert height_psi(rd, psi) == rd.height(Weight((2,))) + rd.height(Weight((1,)))
+    # heights are scaled by n + 1 = 2, so they are ints
+    assert height_psi(rd, psi) == 2 * (rd.height(Weight((2,))) + rd.height(Weight((1,))))
     e = psi_gamma(group, _psi(fld, {1: (2,)}))
     # orbit-aware height counts one term per orbit
-    assert height_psi_orbits(group, e) == rd.height(Weight((2,)))
-    assert height_psi(rd, e) == 2 * rd.height(Weight((2,)))
+    assert height_psi_orbits(group, e) == 2 * rd.height(Weight((2,)))
+    assert height_psi(rd, e) == 2 * 2 * rd.height(Weight((2,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int_heights_order_psi_as_the_rational_sum(data):
+    # A1-A3 psi at one and two points: the int height_psi is n + 1 times the
+    # sum of the rational heights, so sorting and unique_top read the same
+    rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+    rd = RootDatum(rank)
+    weight = st.tuples(*[st.integers(min_value=0, max_value=3)] * rank)
+    values = data.draw(
+        st.lists(st.lists(weight, min_size=1, max_size=2), min_size=2, max_size=6), label="psi"
+    )
+    psis = [_psi(QQ, {c + 1: w for c, w in enumerate(ws)}) for ws in values]
+
+    def rational(psi):
+        return sum((rd.height(w) for _, w in psi.assignments), rd.height(Weight((0,) * rank)))
+
+    ints = [height_psi(rd, psi) for psi in psis]
+    assert all(type(h) is int for h in ints)
+    assert ints == [(rank + 1) * rational(psi) for psi in psis]
+    order = range(len(psis))
+    assert sorted(order, key=lambda i: (-ints[i], i)) == sorted(
+        order, key=lambda i: (-rational(psis[i]), i)
+    )
+    table = dict.fromkeys(psis, 1)
+    assert unique_top(table, lambda ps: height_psi(rd, ps)) == unique_top(table, rational)
 
 
 def test_psi_gamma_z2():
@@ -106,7 +137,7 @@ def test_bracket_check_rejects_perturbed_action(finite):
         algebra, actions = g, natural_module(g).actions
 
     def build(acts):
-        return FiniteModule(algebra, acts, check=True)
+        return FiniteModule(algebra, acts).check_bracket()
 
     build(actions)
     doubled = [Matrix.combination(fld, 2, 2, [(fld.scalar(2), actions[0])])]

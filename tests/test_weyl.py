@@ -34,7 +34,7 @@ from emapalg.weyl import (
     _lift_matrix,
     _maximal_submodule,
     _push_down_seeds,
-    _straighten,
+    _truncation,
     check_choice_independence,
     check_gamma_twist,
     head,
@@ -312,6 +312,13 @@ _SEED_PSIS = [
 _SEED_CASES = pytest.mark.parametrize("n, psi", _SEED_PSIS)
 
 
+def _straighten(g, psi, buffer_extra=0, n_extra=0, reverse_order=False):
+    """The truncation of a build and its straightener, as weyl_module and its
+    rebuilds make them."""
+    alg = _truncation(g, psi, n_extra)
+    return alg, _Straightener(alg, psi, 1 + buffer_extra, reverse_order=reverse_order)
+
+
 def _assert_seeds_generate_the_relations(alg, st, reverse_order=False):
     # the seeds e_i x 1_p on excess 1, closed under the generators, span the
     # same relation space as every push-down closed under every basis
@@ -394,7 +401,9 @@ def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     # lifted to QQ, as weyl_module lifts its own
     g = build_sl(n)
     w = weyl_module(g, psi)
-    alg, st, n_low, rel, _ = _build_once(g, psi)
+    alg = _truncation(g, psi)
+    st, rel, _ = _build_once(alg, psi)
+    n_low = st.n_low
     full = [_unpruned_operator_matrix(st, ai, n_low) for ai in range(alg.dim)]
     cyclic = {st.mono_index[()]: 1}
     want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
@@ -541,7 +550,7 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
 
     def recording(*args, **kwargs):
         out = build_once(*args, **kwargs)
-        dims.append(out[2] - out[3].dim)
+        dims.append(out[0].n_low - out[1].dim)
         return out
 
     monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)
@@ -563,9 +572,9 @@ def test_interval_check_is_per_point(monkeypatch, mapping):
     # inside the interval of lam
     from emapalg import weyl
 
-    build_once = weyl._build_once
+    truncation = weyl._truncation
     monkeypatch.setattr(
-        weyl, "_build_once", lambda g, psi, **kw: build_once(g, psi, **{"n_extra": 1, **kw})
+        weyl, "_truncation", lambda g, psi, n_extra=0: truncation(g, psi, n_extra + 1)
     )
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
     monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
