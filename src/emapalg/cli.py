@@ -150,16 +150,12 @@ def cmd_twist(scn: Scenario, args):
 
 def cmd_irreps(scn: Scenario, args):
     reps = _orbit_reps(scn)
-    rank = scn.algebra.rd.rank
-    out = []
-    for phi in enumerate_phi(scn.group, reps, rank, args.bound):
-        # one tensor factor per support orbit
-        dim = 1
-        for p in reps:
-            if p in phi.support():
-                dim *= scn.algebra.rd.weyl_dim(phi[p])
-        out.append([fmt_psi(scn, phi), dim])
-    out.sort()
+    rd = scn.algebra.rd
+    # one tensor factor per support orbit
+    out = sorted(
+        [fmt_psi(scn, phi), psi_dim(rd, psi_restrict(phi, scn.group, reps))]
+        for phi in enumerate_phi(scn.group, reps, rd.rank, args.bound)
+    )
     return {"bound": args.bound, "count": len(out), "classes": out}
 
 

@@ -179,9 +179,6 @@ class EtaFunction:
                 out[q] = max(out.get(q, 0), e)
         return EtaFunction.of(out)
 
-    def restrict(self, points):
-        return EtaFunction.of({p: e for p, e in self.assignments if p in set(points)})
-
 
 def jet_monomials(nvars, order):
     """Monomials u^beta with total degree < order, sorted by degree then lex."""
@@ -381,7 +378,9 @@ class GammaGroup:
 
     def orbits(self, points):
         """The orbits that meet `points`, each as orbit(p) for the first
-        listed point p in it (so orbit[0] is p), in the order of those p."""
+        listed point p in it (so orbit[0] is p), in the order of those p.
+        The points form a transversal set (no two share an orbit, a repeated
+        point counting as two) exactly when len(orbits(points)) == len(points)."""
         out, seen = [], set()
         for p in points:
             if p not in seen:
@@ -435,18 +434,6 @@ def acts_freely(group: GammaGroup):
             continue
         if group.point_action(gamma).is_trivial():
             violations.append(gamma)
-    return (not violations), violations
-
-
-def is_transversal_set(group: GammaGroup, points):
-    """Checks the support condition: no two listed points share an orbit."""
-    violations = []
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            for gamma in group.elements:
-                if group.act_point(gamma, p) == q:
-                    violations.append((p, q, gamma))
-                    break
     return (not violations), violations
 
 

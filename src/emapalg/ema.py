@@ -9,7 +9,6 @@ from .coordalg import (
     EtaFunction,
     JetAlgebra,
     LaurentFunction,
-    is_transversal_set,
     jet_expand,
     interpolate,
 )
@@ -266,9 +265,9 @@ class InvariantAlgebra(LieAlgebra):
             return cached
         if eta.orbit_saturation(self.group) != self.ambient.eta:
             raise ValueError("exponent function does not match this invariant algebra")
-        ok, viol = is_transversal_set(self.group, list(eta.support()))
-        if not ok:
-            raise ValueError("support contains two points of one orbit: %r" % (viol,))
+        points = eta.support()
+        if len(self.group.orbits(points)) != len(points):
+            raise ValueError("support contains two points of one orbit: %r" % (points,))
         target = TruncatedAlgebra(self.g, eta)
         if target.dim != self.dim:
             raise AssertionError("evaluation map is not square: %d vs %d" % (target.dim, self.dim))
@@ -340,9 +339,9 @@ def constructive_lift(g, group, a_vec, f: LaurentFunction, x, eta: EtaFunction):
     other support points."""
     if eta[x] == 0:
         raise ValueError("x must lie in the support of eta")
-    ok, viol = is_transversal_set(group, list(eta.support()))
-    if not ok:
-        raise ValueError("support contains two points of one orbit: %r" % (viol,))
+    points = eta.support()
+    if len(group.orbits(points)) != len(points):
+        raise ValueError("support contains two points of one orbit: %r" % (points,))
     fld = g.field
     n = eta.max_exponent()
     # need xi with xi^n = -1

@@ -8,7 +8,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .coordalg import is_transversal_set
 from .ema import InvariantAlgebra, TruncatedAlgebra
 from .liealg import FiniteModule, irreducible_module, transport
 from .linalg import (
@@ -91,9 +90,9 @@ def height_psi_orbits(group, psi: PsiFunction):
 def psi_gamma(group, psi: PsiFunction) -> PsiFunction:
     """Equivariant extension: (psi^Gamma)(x) = sum over gamma of the diagram
     action applied to psi(inverse(gamma) . x)."""
-    ok, viol = is_transversal_set(group, list(psi.support()))
-    if not ok:
-        raise ValueError("support contains two points of one orbit: %r" % (viol,))
+    points = psi.support()
+    if len(group.orbits(points)) != len(points):
+        raise ValueError("support contains two points of one orbit: %r" % (points,))
     out = {}
     for p, w in psi.assignments:
         for gamma in group.elements:
@@ -107,10 +106,10 @@ def psi_gamma(group, psi: PsiFunction) -> PsiFunction:
 
 def psi_restrict(psi: PsiFunction, group, points) -> PsiFunction:
     """Restriction of an equivariant psi to a transversal of its support."""
-    ok, viol = is_transversal_set(group, list(points))
-    if not ok:
-        raise ValueError("not a transversal: %r" % (viol,))
-    covered = {q for orbit in group.orbits(points) for q in orbit}
+    orbits = group.orbits(points)
+    if len(orbits) != len(points):
+        raise ValueError("not a transversal: %r" % (points,))
+    covered = {q for orbit in orbits for q in orbit}
     for p in psi.support():
         if p not in covered:
             raise ValueError("transversal misses the support orbit of %r" % (p,))
@@ -350,26 +349,25 @@ def quotient_module(module: FiniteModule, sub: Subspace, check=True) -> FiniteMo
     return FiniteModule(module.algebra, actions, cyclic=qcyc)
 
 
-def projection_matrix(big: TruncatedAlgebra, small: TruncatedAlgebra) -> Matrix:
-    """Matrix of the quotient Lie map from a finer truncation onto a coarser
-    one (more points / higher exponents to fewer / lower)."""
+def extend_to(module: FiniteModule, big: TruncatedAlgebra) -> FiniteModule:
+    """View a module over a coarser truncation as one over a finer one
+    through the quotient map, which keeps x tensor u^beta while |beta| is
+    below the coarser exponent at its point and kills it past that: the
+    pulled-back actions are the module's own matrices and one zero matrix."""
+    small = module.algebra
     if big.g is not small.g:
         raise ValueError("truncations over different Lie algebras")
     if not small.eta <= big.eta:
         raise ValueError("target truncation is not dominated by the source")
-    fld = big.field
-    triples = []
-    for j, (p_idx, g_idx, mono) in enumerate(big.basis):
-        p = big.points[p_idx]
-        if p in small.points and sum(mono) < small.eta[p]:
-            triples.append((small.index[(small.points.index(p), g_idx, mono)], j, fld.one))
-    return Matrix.from_triples(fld, small.dim, big.dim, triples)
-
-
-def extend_to(module: FiniteModule, big: TruncatedAlgebra) -> FiniteModule:
-    """View a module over a coarser truncation as one over a finer one
-    through the quotient map."""
-    return transport(module, projection_matrix(big, module.algebra), big)
+    zero = Matrix.from_triples(module.field, module.dim, module.dim, ())
+    slot = {p: k for k, p in enumerate(small.points)}
+    cut = [small.eta[p] for p in big.points]
+    actions = [
+        module.actions[small.index[(slot[big.points[p_idx]], g_idx, mono)]]
+        if sum(mono) < cut[p_idx] else zero
+        for p_idx, g_idx, mono in big.basis
+    ]
+    return FiniteModule(big, actions, cyclic=module.cyclic)
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule):

@@ -61,10 +61,6 @@ class DiagramSymmetry:
         if self.perm not in (tuple(range(n)), tuple(range(n - 1, -1, -1))):
             raise ValueError("not a diagram symmetry of A_%d" % n)
 
-    @property
-    def is_identity(self):
-        return self.perm == tuple(range(len(self.perm)))
-
     def compose(self, other):
         return DiagramSymmetry(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
 

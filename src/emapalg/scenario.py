@@ -169,6 +169,9 @@ def load_scenario(path=None, data=None) -> Scenario:
         if not isinstance(scaling, list) or len(scaling) != nvars:
             raise ScenarioError("generator scaling must list %d entries" % nvars)
         pa = PointAction(tuple(parse_scalar(s, fld) for s in scaling))
+        if any(s.is_zero() for s in pa.scalings):
+            # a zero scaling would send points off the torus
+            raise ScenarioError("generator scaling entries must be nonzero")
         aut_spec = spec.get("automorphism", {})
         tau_name = aut_spec.get("tau", "identity")
         if tau_name == "identity":

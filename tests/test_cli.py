@@ -69,6 +69,26 @@ def test_twist_with_a_point_scaling_of_wrong_order_exit_2(tmp_path):
     assert json.loads(text)["status"] == "input-error"
 
 
+def test_zero_scaling_is_an_input_error(tmp_path):
+    # a zero scaling sends points off the torus, like a zero point coordinate
+    data = json.load(open(_fixture("sl2_z2.json")))
+    data["generators"][0]["scaling"] = ["0"]
+    path = tmp_path / "zero_scaling.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ["validate"],
+        ["weyl", "psi2w"],
+        ["twist", "psi2w"],
+        ["irreps"],
+        ["mult", "W(psi2w)"],
+        ["ext", "psi2w"],
+        ["battery", "psi2w"],
+    ):
+        code, text = _run(argv[:1] + [str(path)] + argv[1:], tmp_path)
+        assert code == 2, (argv, text)
+        assert json.loads(text)["status"] == "input-error"
+
+
 def test_malformed_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emapalg.coordalg import EtaFunction, Point
-from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
+from emapalg.coordalg import (
+    EtaFunction,
+    GammaGroup,
+    GroupGenerator,
+    LaurentFunction,
+    Point,
+    PointAction,
+)
+from emapalg.ema import InvariantAlgebra, TruncatedAlgebra, constructive_lift
 from emapalg.fields import QQ, field
-from emapalg.liealg import natural_module
+from emapalg.liealg import GAutomorphism, build_sl, natural_module, transport
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
     FiniteModule,
@@ -31,7 +38,8 @@ from emapalg.repmod import (
     unique_top,
     untwist,
 )
-from emapalg.rootdata import RootDatum, Weight
+from emapalg.rootdata import DiagramSymmetry, RootDatum, Weight
+from emapalg.weyl import weyl_module
 
 from test_ema import flip_setup, pt, z2_setup
 
@@ -296,6 +304,117 @@ def test_extend_to_finer_truncation():
     assert ext.dim == mod.dim
     ext.check_bracket()
     assert multiplicities(ext) == multiplicities(mod)
+
+
+def _quotient_matrix(big, small):
+    """The quotient Lie map from a finer truncation onto a coarser one:
+    x tensor u^beta at p goes to itself while |beta| < small.eta[p], else
+    to zero."""
+    fld = big.field
+    triples = [
+        (small.index[(small.points.index(big.points[p_idx]), g_idx, mono)], j, fld.one)
+        for j, (p_idx, g_idx, mono) in enumerate(big.basis)
+        if sum(mono) < small.eta[big.points[p_idx]]
+    ]
+    return Matrix.from_triples(fld, small.dim, big.dim, triples)
+
+
+_sl2_values = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 2), min_size=1, max_size=2)
+_bumps = st.dictionaries(st.sampled_from([1, 2, 3, 4]), st.integers(0, 2), max_size=3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_sl2_values, _bumps)
+def test_extend_to_is_the_transport_through_the_quotient_map(values, bumps):
+    g, _ = z2_setup()
+    fld = g.field
+    w = weyl_module(g, _psi(fld, {c: (k,) for c, k in values.items()})).module
+    small = w.algebra
+    bump = EtaFunction.of({pt(fld, c): e for c, e in bumps.items()})
+    finer = EtaFunction.of({p: small.eta[p] + bump[p] for p in small.points + list(bump.support())})
+    big = TruncatedAlgebra(g, finer)
+    ext = extend_to(w, big)
+    ref = transport(w, _quotient_matrix(big, small), big)
+    assert ext.algebra is big and ext.actions == ref.actions and ext.cyclic == w.cyclic
+
+
+def test_extend_to_rejects_a_coarser_or_foreign_target():
+    g, _ = z2_setup()
+    fld = g.field
+    x = pt(fld, 1)
+    mod = evaluation_module(_psi(fld, {1: (2,)}), TruncatedAlgebra(g, EtaFunction.of({x: 2})))
+    with pytest.raises(ValueError, match="not dominated"):
+        extend_to(mod, TruncatedAlgebra(g, EtaFunction.of({x: 1})))
+    other = build_sl(2, fld)
+    with pytest.raises(ValueError, match="different Lie algebras"):
+        extend_to(mod, TruncatedAlgebra(other, EtaFunction.of({x: 2})))
+
+
+def _z4_setup():
+    """sl2 with Z/4 acting by t -> i t and e -> i e, f -> -i f."""
+    fld = field(4)
+    g = build_sl(2, fld)
+    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (1,), fld.zeta)
+    return g, GammaGroup(g, [GroupGenerator(4, PointAction((fld.zeta,)), aut, fld.zeta)])
+
+
+def _shares_an_orbit(group, points):
+    """Brute-force reference: some gamma carries a listed point onto a later
+    one (a repeated point counting as two points of its orbit)."""
+    return any(
+        group.act_point(gamma, p) == q
+        for i, p in enumerate(points)
+        for q in points[i + 1 :]
+        for gamma in group.elements
+    )
+
+
+_SETUPS = {"z2": z2_setup, "z4": _z4_setup}
+# one-variable points c * zeta^k; Z/2 acts by -1 and Z/4 by zeta = i
+_POOL = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 2), (2, 3), (3, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_SETUPS)), st.lists(st.sampled_from(_POOL), min_size=1, max_size=3))
+def test_transversal_checks_agree_with_a_pairwise_orbit_scan(setup, picks):
+    g, group = _SETUPS[setup]()
+    fld = g.field
+    points = [Point((fld.scalar(c) * fld.zeta**k,)) for c, k in picks]
+    distinct = list(dict.fromkeys(points))
+    one = Weight((1,))
+
+    def raises(call, prefix):
+        try:
+            call()
+        except ValueError as exc:
+            assert str(exc).startswith(prefix), exc
+            return True
+        return False
+
+    clash = _shares_an_orbit(group, distinct)
+    psi = PsiFunction.of(dict.fromkeys(distinct, one))
+    assert raises(lambda: psi_gamma(group, psi), "support contains two points of one orbit") == clash
+    # the repeats stay in the list handed to psi_restrict
+    lead = psi_gamma(group, PsiFunction.of({points[0]: one}))
+    assert raises(
+        lambda: psi_restrict(lead, group, points), "not a transversal"
+    ) == _shares_an_orbit(group, points)
+    eta = EtaFunction.of(dict.fromkeys(distinct, 1))
+    inv = InvariantAlgebra(g, group, EtaFunction.of({o[0]: 1 for o in group.orbits(distinct)}))
+    assert raises(lambda: inv.evaluation_iso(eta), "support contains two points of one orbit") == clash
+    f = LaurentFunction.variable(1, 0, fld=fld)
+    lift = lambda: constructive_lift(g, group, g.basis_vector(g.e(0)), f, distinct[0], eta)
+    assert raises(lift, "support contains two points of one orbit") == clash
+
+
+@pytest.mark.parametrize("setup", sorted(_SETUPS))
+def test_psi_restrict_rejects_a_transversal_missing_a_support_orbit(setup):
+    g, group = _SETUPS[setup]()
+    fld = g.field
+    psi = psi_gamma(group, _psi(fld, {1: (1,), 2: (2,)}))
+    assert psi_restrict(psi, group, [pt(fld, 1), pt(fld, 2)]) == _psi(fld, {1: (1,), 2: (2,)})
+    with pytest.raises(ValueError, match="transversal misses the support orbit"):
+        psi_restrict(psi, group, [pt(fld, 1), pt(fld, 3)])
 
 
 def test_transport_preserves_bracket_via_iso():

@@ -223,7 +223,7 @@ def test_inner_normalization():
 def test_diagram_symmetry():
     tau = DiagramSymmetry.flip(2)
     assert tau(Weight((1, 0))) == Weight((0, 1))
-    assert tau.compose(tau).is_identity
+    assert tau.compose(tau) == DiagramSymmetry.identity(2)
     assert DiagramSymmetry.identity(3)(Weight((1, 2, 3))) == Weight((1, 2, 3))
 
 
