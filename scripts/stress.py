@@ -12,7 +12,9 @@ form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
 points, the battery against PASS over at least one candidate, each
 with Hom 0 and every ladder rung 0, and a mult table against its
-hand-computed decomposition and its dimension.
+hand-computed decomposition and its dimension.  A cap probe's only right
+answer is a ``cap-exceeded`` report with exit code 1, reached under a 1 GB
+address-space limit on its child.
 
 The reference-speed time ``ref_s`` is the one ``perfbench`` reports as
 ``run_s``: a calibration kernel (``perfbench/speed.py``) is timed every
@@ -36,6 +38,7 @@ import platform
 import resource
 import subprocess
 import sys
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -56,7 +59,12 @@ PROBES = {
     "weyl psi_3w_3w": ("sl2_stress.json", ["weyl", "psi_3w_3w"]),
     "mult psi_w1w2^3": ("sl3_stress.json", ["mult", "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)"]),
     "mult V(psi_6w1_6w2)": ("sl3_irreducible.json", ["mult", "V(psi_6w1_6w2)"]),
+    "weyl psi_6w1_6w2": ("sl3_irreducible.json", ["weyl", "psi_6w1_6w2"]),
 }
+# W((6, 6)) of sl3 has dim 3^12, far over EMA_WEYL_MAX_DIM: its bound must be
+# compared with the cap without listing the module
+CAP_PROBES = {"weyl psi_6w1_6w2"}
+CAP_PROBE_AS_BYTES = 1 << 30
 # mult expression -> its table, by hand: the sl3 tensor cube 8 (x) 8 (x) 8 at p1
 MULT_TABLES = {
     "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)": {
@@ -84,8 +92,13 @@ def expected_dim(scenario, psi_name):
     return dim
 
 
-def check(scenario, args, report):
-    """None when the CLI report is right, else a one-line reason."""
+def check(name, scenario, args, report, code):
+    """None when the CLI report and exit code are right, else a one-line
+    reason."""
+    if name in CAP_PROBES:
+        if code == 1 and report["status"] == "cap-exceeded":
+            return None
+        return "exit %s, status %s, expected cap-exceeded" % (code, report["status"])
     results = report["results"]
     if report["status"] != "ok":
         return "status %s" % report["status"]
@@ -120,16 +133,21 @@ def child(src, argv):
     sampler.start()
     try:
         with contextlib.redirect_stdout(out):
-            _, wall, ref = sampler.timed(lambda: cli.main(argv))
+            code, wall, ref = sampler.timed(lambda: cli.main(argv))
     finally:
         sampler.stop()
     print(json.dumps({
         "report": json.loads(out.getvalue()),
+        "exit": code,
         "wall_s": round(wall, 3),
         "ref_s": round(ref, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "backend": fields._Q.__module__.split(".")[0],
     }))
+
+
+def _limit_address_space(nbytes):
+    resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
 
 
 def run_probe(src, name):
@@ -148,6 +166,8 @@ def run_probe(src, name):
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", json.dumps(argv), "--src", src],
             capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
+            preexec_fn=partial(_limit_address_space, CAP_PROBE_AS_BYTES)
+            if name in CAP_PROBES else None,
         )
     except subprocess.TimeoutExpired:
         return dict(entry, correct=False, error="timed out after %d s" % TIMEOUT_S)
@@ -155,13 +175,14 @@ def run_probe(src, name):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return dict(entry, correct=False, error="child exit %d: %s" % (proc.returncode, tail))
     res = json.loads(proc.stdout.strip().splitlines()[-1])
-    reason = check(scenario, args, res["report"])
+    reason = check(name, scenario, args, res["report"], res["exit"])
     entry.update(
         wall_s=res["wall_s"],
         ref_s=res["ref_s"],
         peak_rss_mb=res["peak_rss_mb"],
         backend=res["backend"],
-        answer=res["report"]["results"].get("verdict", res["report"]["results"].get("dim")),
+        answer=res["report"]["results"].get(
+            "verdict", res["report"]["results"].get("dim", res["report"]["status"])),
         correct=reason is None,
     )
     if reason is not None:

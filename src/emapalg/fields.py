@@ -345,3 +345,17 @@ def _polysub_q(a, b):
 
 
 QQ = field(1)
+
+
+class _RawRationals:
+    """The raw rationals (ints and canonical mpq/Fraction values) as a scalar
+    kind beside the fields: the kind of the untwisted side (see linalg)."""
+
+    zero, one = 0, 1
+
+    def scalar(self, value):
+        """An int, rational or "p/q" string as a canonical raw rational."""
+        return value if type(value) is int else _canon(_Q(value))
+
+
+RAW = _RawRationals()

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .coordalg import EtaFunction
 from .ema import InvariantAlgebra, TruncatedAlgebra
+from .fields import RAW
 from .liealg import FiniteModule
 from .linalg import Matrix, Subspace, hom_action, joint_eigenspaces
 from .repmod import (
@@ -36,10 +37,11 @@ class CEComplex:
     V^s -> Hom_s(n, V) -> Hom_s(L^2 n, V).  The Cartan elements of s must act
     diagonally on V and on n (ValueError otherwise); Hom_s(n, V) is the
     weight-zero part of Hom(n, V) killed by the simple raising elements.
-    With s = 0 this is the full complex."""
+    With s = 0 this is the full complex.  Only the raw actions at the indices
+    of L.levi_split() are read (a dict or a list)."""
 
-    def __init__(self, L, actions, vdim, fld):
-        self.L, self.actions, self.vdim, self.field = L, actions, vdim, fld
+    def __init__(self, L, actions, vdim):
+        self.L, self.actions, self.vdim = L, actions, vdim
         cartan, self.raising, self.nil = L.levi_split()
         by_weight = joint_eigenspaces([actions[h] for h in cartan], vdim)
         # the weight-zero coordinates (i, a) of Hom(n, V)
@@ -48,22 +50,21 @@ class CEComplex:
         self._e_brackets = _brackets_by_term(L, ((e, j) for e in self.raising for j in self.nil))
         self._n_brackets = _brackets_by_term(L, itertools.combinations(self.nil, 2))
         invariants = _kernel(  # V^s
-            fld,
-            by_weight.get(tuple(fld.zero for _ in cartan), []),
+            by_weight.get((0,) * len(cartan), []),
             lambda a: (((e, b), x) for e in self.raising for b, x in actions[e].column(a).items()),
         )
-        relative = _kernel(fld, range(len(index)), self._raise)  # Hom_s(n, V)
-        self.d1 = _keyed_matrix(fld, len(relative), self._d1_terms(relative))
-        c1_rel = Subspace(len(index), relative, fld=fld)
+        relative = _kernel(range(len(index)), self._raise)  # Hom_s(n, V)
+        self.d1 = _keyed_matrix(len(relative), self._d1_terms(relative))
+        c1_rel = Subspace(len(index), relative, fld=RAW)
         d0 = []  # (d0 v)(x_i) = x_i . v on V^s
         for v in invariants:
             image = {(i, b): y for i in self.nil for b, y in actions[i].apply(v).items()}
             d0.append({index[key]: y for key, y in image.items() if key in index})
             if len(d0[-1]) < len(image) or not c1_rel.contains(d0[-1]):
                 raise AssertionError("d0(V^s) is not inside Hom_s(n, V)")
-        if not _keyed_matrix(fld, len(d0), self._d1_terms(d0)).is_zero():
+        if not _keyed_matrix(len(d0), self._d1_terms(d0)).is_zero():
             raise AssertionError("d1 after d0 is not zero")
-        self.b1_dim = Subspace(len(index), d0, fld=fld).dim
+        self.b1_dim = Subspace(len(index), d0, fld=RAW).dim
         self._h0 = len(invariants) - self.b1_dim
 
     def _raise(self, k):
@@ -104,33 +105,33 @@ def _weight(L, cartan, i):
     terms = [L.bracket_terms(h, i) for h in cartan]
     if any(k != i for t in terms for k, _ in t):
         raise ValueError("a Cartan element is not diagonal on n")
-    return tuple(t[0][1] if t else L.field.zero for t in terms)
+    return tuple(t[0][1] if t else 0 for t in terms)
 
 
 def _brackets_by_term(L, pairs):
     """{k: [(x, y, c), ...]} over the pairs (x, y) with [x, y] = c x_k + ...,
-    each c an element of L.field."""
+    each c a raw structure constant of L."""
     out = {}
     for x, y in pairs:
         for k, c in L.bracket_terms(x, y):
-            out.setdefault(k, []).append((x, y, L.field.scalar(c)))
+            out.setdefault(k, []).append((x, y, c))
     return out
 
 
-def _keyed_matrix(fld, ncols, triples):
-    """The matrix summing (row key, column, x) triples, rows numbered by the
-    first appearance of their key."""
+def _keyed_matrix(ncols, triples):
+    """The raw matrix summing (row key, column, x) triples, rows numbered by
+    the first appearance of their key."""
     rows = {}
     triples = [(rows.setdefault(key, len(rows)), c, x) for key, c, x in triples]
-    return Matrix.from_triples(fld, len(rows), ncols, triples)
+    return Matrix.from_triples(RAW, len(rows), ncols, triples)
 
 
-def _kernel(fld, coords, image):
+def _kernel(coords, image):
     """The kernel of a linear map on the span of the coordinate vectors at
     coords, as sparse vectors; image(a) yields (row key, x) pairs that sum to
     the image of coordinate vector a."""
     triples = ((key, k, x) for k, a in enumerate(coords) for key, x in image(a))
-    kernel = _keyed_matrix(fld, len(coords), triples).nullspace()
+    kernel = _keyed_matrix(len(coords), triples).nullspace()
     return [{coords[k]: c for k, c in z.items()} for z in kernel.basis]
 
 
@@ -152,8 +153,9 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
     truncations so that genuinely new extensions can appear on the ladder.
 
     Both modules live over truncations (twisted modules are untwisted
-    first); each rung is the truncation at the support of the join of
-    theirs, and Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x)."""
+    first) and are raw; each rung is the truncation at the support of the
+    join of theirs, and Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x),
+    built at the basis elements the complex reads (see CEComplex)."""
     alg1, alg2 = m1.algebra, m2.algebra
     if not (isinstance(alg1, TruncatedAlgebra) and isinstance(alg2, TruncatedAlgebra)):
         raise ValueError("ext1_ladder expects modules over truncations")
@@ -169,8 +171,8 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
             algebras[e] = TruncatedAlgebra(alg1.g, EtaFunction.of(dict.fromkeys(join.support(), e)))
         L = algebras[e]
         a1, a2 = extend_to(m1, L).actions, extend_to(m2, L).actions
-        actions = [hom_action(x, y) for x, y in zip(a1, a2)]
-        cx = CEComplex(L, actions, m1.dim * m2.dim, m1.field)
+        read = itertools.chain.from_iterable(L.levi_split())
+        cx = CEComplex(L, {i: hom_action(a1[i], a2[i]) for i in read}, m1.dim * m2.dim)
         if homd is None:
             homd = cx.h0_dim()  # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2)
         out.append((e, cx.h1()))

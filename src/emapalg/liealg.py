@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import QQ
+from .fields import QQ, RAW
 from .linalg import Matrix, Subspace, joint_eigenspaces, saturate
 from .rootdata import RootDatum, Weight
 
@@ -86,19 +86,16 @@ class ChevalleyAlgebra(LieAlgebra):
         self.n = n_plus_1
         self.field = fld
         self.dim = n_plus_1 * n_plus_1 - 1
-        # the structure constants are integers in a Chevalley basis, so the
-        # table depends on the rank alone: it is built and checked once
+        # the structure constants and the basis matrices are integers in a
+        # Chevalley basis, so they depend on the rank alone: built and checked once
         shared = _RANKS.get(n_plus_1)
         if shared is None:
             self._build_table()
             shared = _RANKS[n_plus_1] = (
-                self.rd, self.labels, self.index, self._units, self._table, self._e, self._f
+                self.rd, self.labels, self.index, self._table, self._e, self._f, self.basis_matrices
             )
-        self.rd, self.labels, self.index, self._units, self._table, self._e, self._f = shared
-        self.basis_matrices = [
-            Matrix.from_triples(fld, n_plus_1, n_plus_1, [(r, c, fld.scalar(x)) for (r, c), x in u])
-            for u in self._units
-        ]
+        self.rd, self.labels, self.index, self._table, self._e, self._f, self.basis_matrices = shared
+        self._irreducibles = {}  # lam -> V(lam), see irreducible_module
 
     def _build_table(self):
         self.rd = RootDatum(self.n - 1)
@@ -119,20 +116,23 @@ class ChevalleyAlgebra(LieAlgebra):
         self._f = [self.index[("f", k)] for k in simple]
         # each basis element as ((matrix unit (r, c), int coefficient), ...);
         # brackets come from those of the units and are read back below
-        self._units = [self._matrix_units(lab) for lab in self.labels]
+        units = [self._matrix_units(lab) for lab in self.labels]
         # the root vectors and their matrix units, in the order _decompose
         # lists them
         root_units = [
-            (i, self._units[i][0][0])
+            (i, units[i][0][0])
             for k in roots
             for i in (self.index[("e", k)], self.index[("f", k)])
         ]
         self._table = {
             (i, j): self._decompose(_commutator(a, b), root_units)
-            for i, a in enumerate(self._units)
-            for j, b in enumerate(self._units)
+            for i, a in enumerate(units)
+            for j, b in enumerate(units)
         }
         self._check_axioms()
+        self.basis_matrices = [
+            Matrix.from_triples(RAW, self.n, self.n, [(r, c, x) for (r, c), x in u]) for u in units
+        ]
 
     def _matrix_units(self, lab):
         """e_beta is the matrix unit E_(lo, hi + 1) and f_beta its transpose,
@@ -286,7 +286,9 @@ class GAutomorphism:
 class FiniteModule:
     """A module over a Lie algebra with a basis (g, a truncation or an
     invariant algebra): one exact action matrix per algebra basis element,
-    and optionally a cyclic vector (a sparse vector).
+    and optionally a cyclic vector (a sparse vector).  Its scalar kind,
+    `field`, is that of its matrices (see linalg): raw over g and the
+    truncations, the scenario field over an invariant algebra.
 
     Every module the system builds has a weight basis: the Cartan elements act
     by diagonal matrices, whose diagonals are the weights.  weights() is the
@@ -295,7 +297,7 @@ class FiniteModule:
     def __init__(self, algebra, actions, cyclic=None):
         self.algebra = algebra
         self.actions = actions
-        self.field = algebra.field
+        self.field = actions[0].field if actions else RAW
         self.dim = actions[0].ncols if actions else 0
         self.cyclic = cyclic
 
@@ -350,15 +352,14 @@ def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule
 
 
 def integer_weight(x, dim):
-    """x as an int, for an eigenvalue of an h in an sl2-triple on a module of
-    dimension dim; raises ValueError unless x is an integer in
-    [1 - dim, dim - 1], the range such an eigenvalue must lie in."""
-    q = x.as_rational() if x.is_rational() else None
-    if q is None or q.denominator != 1 or not 1 - dim <= q <= dim - 1:
+    """x, a raw eigenvalue of an h in an sl2-triple on a module of dimension
+    dim; raises ValueError unless x is an int in [1 - dim, dim - 1], the
+    range such an eigenvalue must lie in."""
+    if type(x) is not int or not 1 - dim <= x <= dim - 1:
         raise ValueError(
             "%r is not an integer weight in [%d, %d]" % (x, 1 - dim, dim - 1)
         )
-    return int(q)
+    return x
 
 
 def weight_spaces(ops, dim):
@@ -375,24 +376,28 @@ def weight_spaces(ops, dim):
 
 def trivial_module(algebra):
     """The one-dimensional module on which every element acts by zero."""
-    fld = algebra.field
-    zero = Matrix.from_triples(fld, 1, 1, ())
-    return FiniteModule(algebra, [zero] * algebra.dim, cyclic={0: fld.one})
+    zero = Matrix.from_triples(RAW, 1, 1, ())
+    return FiniteModule(algebra, [zero] * algebra.dim, cyclic={0: 1})
 
 
 def natural_module(g):
     """The natural (n+1)-dimensional representation of sl_{n+1}."""
-    return FiniteModule(g, list(g.basis_matrices), cyclic={0: g.field.one})
+    return FiniteModule(g, list(g.basis_matrices), cyclic={0: 1})
 
 
 def irreducible_module(g, lam):
     """V(lam), the universal finite-dimensional highest weight module of g
     (Chari-Pressley 2001): the local Weyl module of lam at one point over the
-    truncation at exponent 1, g tensor A/m = g, read back over g."""
+    truncation at exponent 1, g tensor A/m = g, read back over g.  It is raw,
+    so it does not depend on g's field: each is built once per g, and no
+    caller changes the module it is handed."""
     if not lam.is_dominant():
         raise ValueError("highest weight must be dominant")
     if lam.is_zero():
         return trivial_module(g)
+    mod = g._irreducibles.get(lam)
+    if mod is not None:
+        return mod
     from .weyl import one_point_weyl_module  # weyl imports this module
 
     w = one_point_weyl_module(g, lam)
@@ -401,4 +406,5 @@ def irreducible_module(g, lam):
     mod.check_bracket()
     if mod.character() != g.rd.freudenthal_mults(lam):
         raise ValueError("constructed module has wrong character")
+    g._irreducibles[lam] = mod
     return mod

@@ -7,20 +7,21 @@ nonzero scalar, never holding a zero.  Every vector that crosses the
 module's interface (columns, images, solutions, bases, residues) is such a
 dict; only literal input (the Matrix constructor, rref) may be dense rows.
 
-A scalar is a FieldElement or a raw rational of `fields` (an int, or a
-rational whose denominator is not 1, never a float); one computation uses
-one kind.  The row kernel (sparse rows, reduction, products with vectors,
-subspaces and saturation) takes either: it tests zero by truthiness, it
-divides only where it normalises a row at its pivot, through fields._div for
-a raw pivot, and it stores every raw value in canonical form, so integral
-input is worked on as Python ints."""
+A matrix holds one scalar kind, its `field`: raw rationals (fields.RAW: an
+int, or a rational whose denominator is not 1, never a float) on the
+untwisted side, where the modules over g and its truncations are rational,
+and FieldElements from twist on; only lift and lower cross between them.
+The row kernel (sparse rows, reduction, products with vectors, subspaces and
+saturation) takes either: it tests zero by truthiness, it divides only where
+it normalises a row at its pivot, through fields._div for a raw pivot, and it
+stores every raw value in canonical form, so integral input stays on ints."""
 
 from __future__ import annotations
 
 from bisect import insort
 from math import prod
 
-from .fields import QQ, FieldElement, _canon, _div, _Q
+from .fields import QQ, RAW, FieldElement, _canon, _div, _Q
 
 
 def _sparse(row):
@@ -261,6 +262,19 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%dx%d)" % (self.nrows, self.ncols)
+
+
+def lift(fld, m):
+    """A raw matrix as one over the field fld."""
+    rows = [{c: fld.scalar(x) for c, x in row.items()} for row in m.entries]
+    return Matrix._of(fld, rows, m.ncols)
+
+
+def lower(m):
+    """A matrix over a field as a raw one; raises ValueError on an entry that
+    is not rational."""
+    rows = [{c: x.as_rational() for c, x in row.items()} for row in m.entries]
+    return Matrix._of(RAW, rows, m.ncols)
 
 
 class Subspace:

@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 
 from .ema import InvariantAlgebra, TruncatedAlgebra
+from .fields import RAW
 from .liealg import FiniteModule, irreducible_module, transport
 from .linalg import (
     Matrix,
@@ -16,6 +17,8 @@ from .linalg import (
     intertwiners,
     kron_slots,
     kron_vector,
+    lift,
+    lower,
 )
 from .rootdata import Weight
 
@@ -136,7 +139,6 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
 
     alg = target
     g = alg.g
-    fld = alg.field
     for p in psi.support():
         if alg.eta[p] < 1:
             raise ValueError("truncation does not cover the support point %r" % (p,))
@@ -153,32 +155,41 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
         terms = []
         if sum(mono) == 0 and p_idx in slot_of:
             slot = slot_of[p_idx]
-            terms.append((fld.one, slot, factors[slot][1].actions[g_idx]))
-        actions.append(kron_slots(fld, dims, terms))
+            terms.append((1, slot, factors[slot][1].actions[g_idx]))
+        actions.append(kron_slots(RAW, dims, terms))
     # highest vector: tensor of the factor highest vectors
-    hw = kron_vector(fld, dims, [m.cyclic for _, m in factors])
+    hw = kron_vector(RAW, dims, [m.cyclic for _, m in factors])
     return FiniteModule(alg, actions, cyclic=hw)
 
 
+def lift_module(module: FiniteModule, fld) -> FiniteModule:
+    """A raw module as one over the field fld."""
+    cyclic = module.cyclic and {k: fld.scalar(x) for k, x in module.cyclic.items()}
+    return FiniteModule(module.algebra, [lift(fld, a) for a in module.actions], cyclic=cyclic)
+
+
 def twist(module: FiniteModule, inv: InvariantAlgebra) -> FiniteModule:
-    """Restriction of a truncated-algebra module to the invariants, through
-    the stored evaluation isomorphism."""
+    """Restriction of a raw truncated-algebra module to the invariants,
+    through the stored evaluation isomorphism, over the scenario field."""
     if not isinstance(module.algebra, TruncatedAlgebra):
         raise ValueError("twist expects a module over a truncated algebra")
     target, mat, _ = inv.evaluation_iso(module.algebra.eta)
     if target.basis != module.algebra.basis:
         raise ValueError("module algebra does not match the evaluation target")
-    return transport(module, mat, inv)
+    return transport(lift_module(module, inv.field), mat, inv)
 
 
 def untwist(module: FiniteModule) -> FiniteModule:
     """Inverse transport through the stored inverse of the evaluation iso at
-    the algebra's representative points."""
+    the algebra's representative points, lowered to a raw module; raises
+    ValueError on an entry that is not rational."""
     inv = module.algebra
     if not isinstance(inv, InvariantAlgebra):
         raise ValueError("untwist expects a module over an invariant algebra")
     target, _, matinv = inv.evaluation_iso()
-    return transport(module, matinv, target)
+    back = transport(module, matinv, target)
+    cyclic = back.cyclic and {k: x.as_rational() for k, x in back.cyclic.items()}
+    return FiniteModule(target, [lower(a) for a in back.actions], cyclic=cyclic)
 
 
 def point_weights(alg: TruncatedAlgebra, key):

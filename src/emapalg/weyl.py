@@ -11,14 +11,16 @@ from math import comb, prod
 
 from .coordalg import EtaFunction, Point, jet_monomials
 from .ema import InvariantAlgebra, TruncatedAlgebra, gamma_truncation_matrix
+from .fields import RAW
 from .liealg import FiniteModule
-from .linalg import Matrix, Subspace, linear_combination, saturate
+from .linalg import Matrix, Subspace, linear_combination, saturate, tensor_strides
 from .repmod import (
     PsiFunction,
     extend_to,
     hom_space,
     is_isomorphic,
     joint_weights,
+    lift_module,
     point_weights,
     psi_restrict,
     quotient_module,
@@ -59,7 +61,7 @@ class _Straightener:
 
     The relations of W(psi) and the structure constants of a Chevalley basis
     are integral, so every coefficient is a Python int: act and
-    operator_matrix never touch the field."""
+    operator_matrix are raw, whatever the scenario field."""
 
     def __init__(self, alg: TruncatedAlgebra, psi: PsiFunction, cap, reverse_order=False):
         self.alg = alg
@@ -69,7 +71,7 @@ class _Straightener:
         g = alg.g
         rd = g.rd
         npts = len(alg.points)
-        self.field = alg.field
+        self.field = RAW
         # ordered factor list: lowering basis elements of the truncation
         factors = []
         for k, rc in enumerate(rd.positive_roots):
@@ -307,40 +309,26 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
     gen_ops = {ai: st.operator_matrix(ai) for ai in _generators(alg)}
-    rel = saturate(Subspace(n_low, seeds, fld=alg.field), list(gen_ops.values()))
+    rel = saturate(Subspace(n_low, seeds, fld=RAW), list(gen_ops.values()))
     if rel.contains({idx[()]: 1}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
     return st, rel, gen_ops
 
 
-def _lift_matrix(fld, m):
-    """A matrix of raw rationals as one over the field fld."""
-    return Matrix.from_triples(
-        fld, m.nrows, m.ncols, ((r, c, fld.scalar(x)) for r, c, x in m.nonzeros())
-    )
-
-
 def _quotient(alg: TruncatedAlgebra, psi: PsiFunction):
-    """W(psi) over the truncation alg, over the field, and its straightener.
+    """W(psi) over the truncation alg, raw, and its straightener.
 
     R + span(excess > 0) is stable under a generating set, hence under every
     basis element (see _push_down_seeds), so R is invariant under every
     induced operator and the quotient skips the check.  The quotient reads
     only the columns off R's pivots, so the actions other than the
-    generators' are built on those alone.  Only the quotient is lifted to
-    the field, before any check reads it."""
-    fld = alg.field
+    generators' are built on those alone."""
     st, rel, gen_ops = _build_once(alg, psi)
     pivots = set(rel.pivots)
     keep = [j for j in range(st.n_low) if j not in pivots]
     ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
-    raw = quotient_module(FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1}), rel, check=False)
-    mod = FiniteModule(
-        alg,
-        [_lift_matrix(fld, op) for op in raw.actions],
-        cyclic={k: fld.scalar(x) for k, x in raw.cyclic.items()},
-    )
-    return mod, st
+    mod = FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1})
+    return quotient_module(mod, rel, check=False), st
 
 
 def one_point_weyl_module(g, lam: Weight) -> FiniteModule:
@@ -353,10 +341,34 @@ def one_point_weyl_module(g, lam: Weight) -> FiniteModule:
 
 
 def weyl_dim_bound(g, psi: PsiFunction) -> int:
-    """Upper bound on dim W(psi): the number of normal PBW monomials whose
-    weight lies in the interval at every point, from the enumeration alone
-    (no matrices built)."""
-    return _Straightener(_truncation(g, psi), psi, 1).n_low
+    """Upper bound on dim W(psi): the number n_low of normal PBW monomials
+    whose weight lies in the interval at every point, counted without listing
+    them.  Such a monomial is a multiset of lowering factors with content at
+    most top, and a factor at p raises only p's coordinates, so n_low is the
+    product over the points of the number of multisets at each.  A dynamic
+    program counts those: count[c] is the number of multisets of the factors
+    passed so far with content c <= top, and the pass of a factor adds
+    count[c] into count[c + its content] in increasing order of c, which
+    allows the factor every multiplicity."""
+    alg = _truncation(g, psi)
+    top = _interval_top(alg, psi)
+    npts = len(alg.points)
+    bound = 1
+    for p_idx, jet in enumerate(alg.jets):
+        ptop = top[p_idx::npts]
+        shape = [t + 1 for t in ptop]
+        step = tensor_strides(shape)
+        states = list(itertools.product(*map(range, shape)))
+        count = [1] + [0] * (len(states) - 1)
+        for rc in g.rd.positive_roots:
+            up = [i for i, c in enumerate(rc) if c]
+            shift = sum(step[i] for i in up)
+            inside = [k for k, c in enumerate(states) if all(c[i] < ptop[i] for i in up)]
+            for _ in jet.monomials:  # one factor per jet monomial at p
+                for k in inside:
+                    count[k + shift] += count[k]
+        bound *= sum(count)
+    return bound
 
 
 def weyl_module(g, psi: PsiFunction) -> WeylModule:
@@ -373,7 +385,6 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     if psi.is_zero():
         raise ValueError("psi must be nonzero")
     rd = g.rd
-    fld = g.field
     lam = psi.total_weight()
     alg = _truncation(g, psi)
     mod, st = _quotient(alg, psi)
@@ -390,7 +401,7 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
                     relation=("e", alg.basis[idx]),
                 )
         elif kind == "h":
-            c = fld.scalar(st._char_scalar(p_idx, g_idx, mono))
+            c = st._char_scalar(p_idx, g_idx, mono)
             if linear_combination([(c, mod.cyclic)]) != v:
                 raise CertificationError(
                     "h does not act by the psi character",
@@ -398,9 +409,7 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
                 )
     for i in range(rd.rank):
         # f_i tensor 1 summed over the points
-        f_i = Matrix.combination(
-            fld, mod.dim, mod.dim, [(fld.one, mod.actions[ai]) for ai in _lowering_indices(alg, i)]
-        )
+        f_i = mod.operator(dict.fromkeys(_lowering_indices(alg, i), 1))
         v = mod.cyclic
         for _ in range(lam.coords[i] + 1):
             v = f_i.apply(v)
@@ -504,7 +513,8 @@ def check_choice_independence(group, psi: PsiFunction):
 
 def check_gamma_twist(group, psi: PsiFunction, points, gamma):
     """rho_{W(psi_x)} composed with gamma^{-1} is isomorphic to
-    W(psi_{gamma.x})."""
+    W(psi_{gamma.x}).  gamma^{-1} has zeta entries, so the pullback is over
+    the field, and W(psi_{gamma.x}) is lifted to it before the comparison."""
     g = group.algebra
     w1 = weyl_module(g, psi_restrict(psi, group, points))
     moved = [group.act_point(gamma, p) for p in points]
@@ -512,8 +522,8 @@ def check_gamma_twist(group, psi: PsiFunction, points, gamma):
     phi = gamma_truncation_matrix(
         group, group.inverse(gamma), w2.module.algebra, w1.module.algebra
     )
-    pulled = transport(w1.module, phi, w2.module.algebra)
-    return _isomorphic(pulled, w2.module)
+    pulled = transport(lift_module(w1.module, g.field), phi, w2.module.algebra)
+    return _isomorphic(pulled, lift_module(w2.module, g.field))
 
 
 def tensor_check(g, psi1: PsiFunction, psi2: PsiFunction, group=None):

@@ -375,6 +375,58 @@ def test_mult_checks_an_irreducible_against_the_cap_before_building(tmp_path, mo
     assert "343" in rep["results"]["error"]
 
 
+@pytest.mark.parametrize(
+    "command, psi",
+    [
+        ("weyl", "psi_6w1_6w2"),
+        ("mult", "W(psi_6w1_6w2)"),
+        ("twist", "psi_6w1_6w2_eq"),
+        ("ext", "psi_6w1_6w2_eq"),
+        ("battery", "psi_6w1_6w2_eq"),
+    ],
+)
+def test_a_weyl_module_far_over_the_cap_reports_it(tmp_path, command, psi):
+    # W((6, 6)) of sl3 has dim 3^12; its bound is counted, never listed, so
+    # under a 1 GB address-space limit every command still reaches its
+    # cap-exceeded report.  The twisted commands run on the equivariant
+    # extension of the same psi, added to a copy of the scenario
+    import resource
+
+    data = json.load(open(_fixture("sl3_irreducible.json")))
+    data["psi"]["psi_6w1_6w2_eq"] = {"equivariant": True, "values": {"p1": [6, 6]}}
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(data))
+    env = {k: v for k, v in os.environ.items() if k != "EMA_WEYL_MAX_DIM"}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.abspath(ROOT), "src")] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "emapalg.cli", command, str(scn), psi, "--format", "machine"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "cap-exceeded"
+    assert rep["results"]["size"] == 131835699822918
+
+
+def test_mult_builds_each_irreducible_once(tmp_path, monkeypatch):
+    # V((2)) at p1 is a factor of both atoms; it is built once per algebra
+    from emapalg import weyl
+
+    built = []
+    build = weyl.one_point_weyl_module
+    monkeypatch.setattr(
+        weyl, "one_point_weyl_module", lambda g, lam: built.append(lam) or build(g, lam)
+    )
+    code, text = _run(["mult", _fixture("sl2_z2.json"), "V(psi2w_plain)*V(psi_two_pt)"], tmp_path)
+    assert code == 0 and json.loads(text)["results"]["dim"] == 18
+    assert sorted(lam.coords for lam in built) == [(1,), (2,)]
+
+
 def _trivial_group_scenario(tmp_path):
     # no generators: the untwisted current algebra, whose group fixes every point
     data = {

@@ -4,7 +4,7 @@ import pytest
 
 from emapalg.coordalg import EtaFunction
 from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
-from emapalg.fields import QQ
+from emapalg.fields import QQ, RAW
 from emapalg.homology import (
     CEComplex,
     characterization_battery,
@@ -37,8 +37,8 @@ def _psi(fld, mapping):
 def _h0_h1(L, actions, vdim):
     """(H^0, H^1) of the Levi-relative complex, checked against the full
     complex of ce_oracle."""
-    cx = CEComplex(L, actions, vdim, QQ)
-    full = FullComplex(L, actions, vdim, QQ)
+    cx = CEComplex(L, actions, vdim)
+    full = FullComplex(L, actions, vdim)
     assert (cx.h0_dim(), cx.h1()) == (full.h0_dim(), full.h1())
     return cx.h0_dim(), cx.h1()
 
@@ -51,7 +51,8 @@ def test_whitehead_vanishing_semisimple():
 
 
 class _TableAlgebra(LieAlgebra):
-    """A Lie algebra over QQ given by its nonzero brackets [x_i, x_j], i < j."""
+    """A Lie algebra over QQ given by its nonzero brackets [x_i, x_j], i < j,
+    with raw structure constants."""
 
     field = QQ
 
@@ -68,7 +69,7 @@ class _TableAlgebra(LieAlgebra):
 
 def _trivial_h(L):
     """(H^0, H^1) of L on the one-dimensional trivial module."""
-    zero = Matrix.from_triples(QQ, 1, 1, ())
+    zero = Matrix.from_triples(RAW, 1, 1, ())
     return _h0_h1(L, [zero] * L.dim, 1)
 
 
@@ -84,9 +85,9 @@ def test_abelian_h1():
     [
         # [x, y] = y: [L, L] = ky, so H^1 = 1; without the bracket term of
         # d1 it would read 2
-        (_TableAlgebra(2, {(0, 1): [(1, QQ.one)]}), 1),
+        (_TableAlgebra(2, {(0, 1): [(1, 1)]}), 1),
         # Heisenberg [x, y] = z: H^1 = (L / kz)^*
-        (_TableAlgebra(3, {(0, 1): [(2, QQ.one)]}), 2),
+        (_TableAlgebra(3, {(0, 1): [(2, 1)]}), 2),
         # sl2 is perfect
         (build_sl(2), 0),
     ],

@@ -15,7 +15,7 @@ from emapalg import homology
 from emapalg.cli import main
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import TruncatedAlgebra
-from emapalg.fields import QQ, FieldElement
+from emapalg.fields import QQ, RAW, _Q
 from emapalg.homology import CEComplex, characterization_battery, ext1_ladder
 from emapalg.liealg import FiniteModule, build_sl
 from emapalg.linalg import Matrix
@@ -24,7 +24,7 @@ from emapalg.rootdata import Weight
 from emapalg.scenario import load_scenario
 from emapalg.weyl import twisted_weyl, weyl_module
 
-from ce_oracle import FullComplex
+from ce_oracle import FullComplex, full_hom_actions
 from test_homology import _TableAlgebra
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
@@ -33,22 +33,35 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 @contextlib.contextmanager
 def against_oracle(checked=None):
     """Every CEComplex built inside the block checks its H^0 and H^1 against
-    the full complex on the same algebra and module.  Yields the list of the
-    (H^0, H^1) pairs checked; each checked complex is also appended to
-    `checked` when it is given."""
+    the full complex on the same algebra and module, whose actions the oracle
+    builds at every basis element from the two modules the ladder extended
+    to the rung.  Yields the list of the (H^0, H^1) pairs checked; each
+    checked complex is also appended to `checked` when it is given."""
     seen = []
+    extended = []  # every module the ladder extends to a rung, in order
+    extend_to = homology.extend_to
+
+    def recorded_extend_to(module, big):
+        extended.append(extend_to(module, big))
+        return extended[-1]
 
     class Checked(CEComplex):
         def h1(self):
             dims = (self.h0_dim(), super().h1())
-            full = FullComplex(self.L, self.actions, self.vdim, self.field)
+            m1, m2 = extended[-2:]
+            assert m1.algebra is m2.algebra is self.L
+            actions = full_hom_actions(m1, m2)
+            assert all(actions[i] == a for i, a in self.actions.items())
+            full = FullComplex(self.L, actions, self.vdim)
             assert dims == (full.h0_dim(), full.h1())
             seen.append(dims)
             if checked is not None:
                 checked.append(self)
             return dims[1]
 
-    with mock.patch.object(homology, "CEComplex", Checked):
+    with mock.patch.object(homology, "CEComplex", Checked), mock.patch.object(
+        homology, "extend_to", recorded_extend_to
+    ):
         yield seen
 
 
@@ -93,9 +106,10 @@ def test_cli_rungs_match_the_full_complex(fixture, argv, tmp_path):
         assert any(c.d1.nrows and c.d1.ncols for c in checked)
 
 
-def test_ladder_rungs_hold_field_elements(tmp_path):
-    # the structure constants are ints; the complex lifts them to the field,
-    # so no matrix it row-reduces mixes ints with field elements
+def test_ladder_rungs_hold_raw_rationals(tmp_path):
+    # the untwisted modules and the structure constants are rational, so the
+    # battery's rungs are raw: no matrix the complex row-reduces holds a
+    # field element, and none mixes the two kinds
     built = []
 
     class Recorded(CEComplex):
@@ -115,7 +129,9 @@ def test_ladder_rungs_hold_field_elements(tmp_path):
         for triples in terms.values()
         for _, _, x in triples
     ]
-    assert entries and all(type(x) is FieldElement for x in entries)
+    entries += [x for c in built for a in c.actions.values() for _, _, x in a.nonzeros()]
+    assert entries and all(type(x) is int or type(x) is _Q for x in entries)
+    assert all(c.d1.field is RAW for c in built)
 
 
 def _pt(c):
@@ -175,11 +191,11 @@ def test_off_diagonal_cartan_action_raises_in_the_ladder():
 
 def test_off_diagonal_cartan_bracket_on_n_raises():
     # x0 as a "Cartan element" with [x0, x1] = x2: not diagonal on n
-    L = _TableAlgebra(3, {(0, 1): [(2, QQ.one)]})
+    L = _TableAlgebra(3, {(0, 1): [(2, 1)]})
     L.levi_split = lambda: ([0], [], [1, 2])
-    zero = Matrix.from_triples(QQ, 1, 1, ())
+    zero = Matrix.from_triples(RAW, 1, 1, ())
     with pytest.raises(ValueError, match="not diagonal on n"):
-        CEComplex(L, [zero] * 3, 1, QQ)
+        CEComplex(L, [zero] * 3, 1)
 
 
 def test_truncation_levi_split():

@@ -13,7 +13,7 @@ from emapalg.coordalg import (
     PointAction,
 )
 from emapalg.ema import InvariantAlgebra, TruncatedAlgebra, constructive_lift
-from emapalg.fields import QQ, field
+from emapalg.fields import QQ, RAW, FieldElement, _Q, field
 from emapalg.liealg import GAutomorphism, build_sl, natural_module, transport
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
@@ -39,7 +39,7 @@ from emapalg.repmod import (
     untwist,
 )
 from emapalg.rootdata import DiagramSymmetry, RootDatum, Weight
-from emapalg.weyl import weyl_module
+from emapalg.weyl import check_gamma_twist, twisted_weyl, weyl_module
 
 from test_ema import flip_setup, pt, z2_setup
 
@@ -426,3 +426,57 @@ def test_transport_preserves_bracket_via_iso():
     mod = evaluation_module(psi_e, inv)
     mod.check_bracket()
     assert mod.dim == 3
+
+
+def _z4_twisted_weyl():
+    """W(2w) at the point i, a transversal of the orbit {1, i, -1, -i} of
+    sl2 with Z/4 acting by t -> i t, and its twist: the orbit sums are
+    read at -1, so evaluation at i brings in powers of zeta."""
+    g, group = _z4_setup()
+    fld = g.field
+    psi = psi_gamma(group, _psi(fld, {1: (2,)}))
+    tw, w, _ = twisted_weyl(group, psi, [Point((fld.zeta,))])
+    return g, group, psi, tw, w.module
+
+
+def _entries(module):
+    return [x for a in module.actions for _, _, x in a.nonzeros()]
+
+
+def test_twist_over_z4_lifts_to_the_field():
+    g, _, _, tw, w = _z4_twisted_weyl()
+    assert w.field is RAW and tw.field is g.field
+    assert all(type(x) is int or type(x) is _Q for x in _entries(w))
+    entries = _entries(tw)
+    assert all(type(x) is FieldElement and x.field is g.field for x in entries)
+    assert any(not x.is_rational() for x in entries)
+
+
+def test_untwist_of_the_z4_twist_is_the_raw_module():
+    _, _, _, tw, w = _z4_twisted_weyl()
+    back = untwist(tw)
+    assert back.field is RAW
+    assert back.actions == w.actions and back.cyclic == w.cyclic
+    assert all(type(x) is int or type(x) is _Q for x in _entries(back))
+
+
+def test_untwist_refuses_an_entry_off_the_rationals():
+    g, _, _, tw, _ = _z4_twisted_weyl()
+    fld = g.field
+    # zeta times each action: its untwist is zeta times the raw module
+    scaled = [Matrix.combination(fld, tw.dim, tw.dim, [(fld.zeta, a)]) for a in tw.actions]
+    with pytest.raises(ValueError, match="not rational"):
+        untwist(FiniteModule(tw.algebra, scaled, cyclic=tw.cyclic))
+    # a zeta in the cyclic vector alone is refused too
+    with pytest.raises(ValueError, match="not rational"):
+        untwist(FiniteModule(tw.algebra, tw.actions, cyclic={0: fld.zeta}))
+
+
+def test_gamma_twist_over_z4():
+    # the pullback along gamma^-1 has zeta entries; W(psi_{gamma.x}) is lifted
+    # to the field before the two are compared
+    g, group, psi, _, _ = _z4_twisted_weyl()
+    fld = g.field
+    for point in (pt(fld, 1), Point((fld.zeta,))):
+        for gamma in group.elements:
+            assert check_gamma_twist(group, psi, [point], gamma)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emapalg.coordalg import GammaGroup, Point
-from emapalg.fields import QQ, field
+from emapalg.fields import QQ, RAW, field
 from emapalg.liealg import integer_weight
 from emapalg.scenario import (
     ScenarioError,
@@ -104,10 +104,10 @@ def test_integral_values_report_alike_whatever_form_they_arrived_in():
     keys = {Point((s,)).sort_key() for s in twos}
     assert keys == {((1, ((2, 1),)),)}
     assert Point((F.scalar("4/2"),)).sort_key() == ((4, ((2, 1), (0, 1))),)
-    w = integer_weight(QQ.scalar("6/3"), 5)
+    w = integer_weight(RAW.scalar("6/3"), 5)
     assert w == 2 and type(w) is int
     with pytest.raises(ValueError):
-        integer_weight(QQ.scalar("5/2"), 5)
+        integer_weight(RAW.scalar("5/2"), 5)
 
 
 def test_malformed_inputs():

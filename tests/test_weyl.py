@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
 from emapalg.ema import TruncatedAlgebra
-from emapalg.fields import QQ, FieldElement, field
+from emapalg.fields import QQ, RAW, FieldElement, _div, field
 from emapalg.liealg import FiniteModule, build_sl, irreducible_module
 from emapalg.linalg import Matrix, Subspace, linear_combination, saturate
 from emapalg.repmod import (
@@ -31,7 +31,6 @@ from emapalg.weyl import (
     _Straightener,
     _build_once,
     _generators,
-    _lift_matrix,
     _maximal_submodule,
     _push_down_seeds,
     _truncation,
@@ -94,6 +93,35 @@ def test_weyl_dim_bound_dominates():
         assert weyl_dim_bound(g, psi) >= weyl_module(g, psi).dim
 
 
+@st.composite
+def _bound_cases(draw):
+    """(n, psi): sl_n for n = 2..4 at one or two points of one or two
+    variables, each weight small enough for the straightener to enumerate
+    its monomials quickly."""
+    n = draw(st.integers(2, 4))
+    nvars = draw(st.integers(1, 2))
+    budget = {2: 3, 3: 2, 4: 1}[n]  # the largest coordinate sum of a weight
+    weight = st.lists(st.integers(0, budget), min_size=n - 1, max_size=n - 1).filter(
+        lambda c: 0 < sum(c) <= budget
+    )
+    from emapalg.coordalg import Point
+
+    points = [
+        Point(tuple(QQ.scalar(k + j + 1) for j in range(nvars)))
+        for k in range(draw(st.integers(1, 2)))
+    ]
+    return n, PsiFunction.of({p: Weight(tuple(draw(weight))) for p in points})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bound_cases())
+def test_weyl_dim_bound_counts_the_enumerated_monomials(case):
+    # the bound is a count; the straightener's enumeration is the oracle
+    n, psi = case
+    g = build_sl(n)
+    assert weyl_dim_bound(g, psi) == _Straightener(_truncation(g, psi), psi, 1).n_low
+
+
 def test_weyl_multiplicities():
     g = build_sl(2)
     w = weyl_module(g, _psi(QQ, {1: (2,)}))
@@ -150,7 +178,7 @@ def _fixed_point_maximal_submodule(module):
     ident = Matrix.identity(fld, n)
     for op in cart:
         k = min(module.cyclic)
-        c = op.apply(module.cyclic).get(k, fld.zero) * module.cyclic[k].inverse()
+        c = _div(op.apply(module.cyclic).get(k, 0), module.cyclic[k])
         shifted = Matrix.combination(fld, n, n, [(fld.one, op), (-c, ident)])
         for j in range(n):
             cur.add_vector(shifted.column(j))
@@ -397,8 +425,7 @@ def _stress_psis():
 def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     # weyl_module builds the non-generator actions on the columns off R's
     # pivots only; the quotient of the full matrices is the same module.
-    # The build is over the integers, so that quotient is taken on ints and
-    # lifted to QQ, as weyl_module lifts its own
+    # Both are raw: the build is over the integers
     g = build_sl(n)
     w = weyl_module(g, psi)
     alg = _truncation(g, psi)
@@ -407,8 +434,8 @@ def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     full = [_unpruned_operator_matrix(st, ai, n_low) for ai in range(alg.dim)]
     cyclic = {st.mono_index[()]: 1}
     want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
-    assert w.module.actions == [_lift_matrix(QQ, op) for op in want.actions]
-    assert w.module.cyclic == {k: QQ.scalar(x) for k, x in want.cyclic.items()}
+    assert w.module.actions == want.actions
+    assert w.module.cyclic == want.cyclic
 
 
 def _over(fld, psi):
@@ -426,24 +453,24 @@ def _over(fld, psi):
 @_SEED_CASES
 @pytest.mark.parametrize("order", [4, 3])
 def test_weyl_module_over_a_cyclotomic_field_lifts_the_rational_module(n, psi, order):
-    # the build runs on ints whatever the field, and only the quotient is
-    # lifted: over Q(zeta_4) and Q(zeta_3) every action entry and the cyclic
-    # vector are elements of that field, equal to the rational module's
+    # the module is raw whatever the field: over Q(zeta_4) and Q(zeta_3) it is
+    # the rational module, entry for entry, with no field element in it; the
+    # field enters only at twist
     fld = field(order)
     w_qq = weyl_module(build_sl(n), psi)
     w = weyl_module(build_sl(n, fld), _over(fld, psi))
     assert w.dim == w_qq.dim
     assert w.certificate == w_qq.certificate
+    assert w.module.field is w_qq.module.field is RAW
     pairs = [(w.module.cyclic, w_qq.module.cyclic)] + [
         (row, row_qq)
         for op, op_qq in zip(w.module.actions, w_qq.module.actions, strict=True)
         for row, row_qq in zip(op.entries, op_qq.entries, strict=True)
     ]
     for vec, vec_qq in pairs:
-        assert vec.keys() == vec_qq.keys()
+        assert vec == vec_qq
         for k, x in vec.items():
-            assert type(x) is FieldElement and x.field is fld
-            assert x.is_rational() and x.as_rational() == vec_qq[k].as_rational()
+            assert type(x) is type(vec_qq[k]) and type(x) is not FieldElement
 
 
 @_SEED_CASES
