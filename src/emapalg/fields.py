@@ -357,5 +357,8 @@ class _RawRationals:
         """An int, rational or "p/q" string as a canonical raw rational."""
         return value if type(value) is int else _canon(_Q(value))
 
+    def __repr__(self):
+        return "RAW"
+
 
 RAW = _RawRationals()

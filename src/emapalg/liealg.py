@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import QQ, RAW
-from .linalg import Matrix, Subspace, joint_eigenspaces, saturate
+from .linalg import Matrix, Subspace, commutator_matches, joint_eigenspaces, saturate
 from .rootdata import RootDatum, Weight
 
 
@@ -310,17 +310,11 @@ class FiniteModule:
     def check_bracket(self):
         """Raise unless the action matrices satisfy [rho(x_i), rho(x_j)] =
         rho([x_i, x_j]) for every pair i < j of algebra basis elements."""
-        fld, dim, actions = self.field, self.dim, self.actions
+        actions = self.actions
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
-                a, b = actions[i], actions[j]
-                lhs = Matrix.combination(
-                    fld, dim, dim, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
-                )
-                rhs = Matrix.combination(
-                    fld, dim, dim, [(c, actions[k]) for k, c in self.algebra.bracket_terms(i, j)]
-                )
-                if lhs != rhs:
+                terms = [(c, actions[k]) for k, c in self.algebra.bracket_terms(i, j)]
+                if not commutator_matches(actions[i], actions[j], terms):
                     raise ValueError(
                         "action does not represent the bracket at basis pair (%d, %d)"
                         % (i, j)
@@ -344,9 +338,14 @@ class FiniteModule:
 
 def transport(module: FiniteModule, phi: Matrix, source_algebra) -> FiniteModule:
     """Pullback of a module along a Lie algebra map phi: source -> owner,
-    given by its matrix in basis coordinates."""
+    given by its matrix in basis coordinates, of the module's scalar kind
+    (lift a raw module with repmod.lift_module first)."""
     if phi.nrows != module.algebra.dim or phi.ncols != source_algebra.dim:
         raise ValueError("transport matrix shape mismatch")
+    if phi.field is not module.field:
+        raise ValueError(
+            "transport matrix over %r, module over %r" % (phi.field, module.field)
+        )
     actions = [module.operator(phi.column(j)) for j in range(source_algebra.dim)]
     return FiniteModule(source_algebra, actions, cyclic=module.cyclic)
 

@@ -14,7 +14,13 @@ and FieldElements from twist on; only lift and lower cross between them.
 The row kernel (sparse rows, reduction, products with vectors, subspaces and
 saturation) takes either: it tests zero by truthiness, it divides only where
 it normalises a row at its pivot, through fields._div for a raw pivot, and it
-stores every raw value in canonical form, so integral input stays on ints."""
+stores every raw value in canonical form, so integral input stays on ints.
+
+Structured matrices are built directly in their final layout: tensor slots
+(kron_slots) and block diagonals row by row, operators given by their images
+(from_columns) column by column, and the bracket certificate
+(commutator_matches) is read row by row without forming a product.
+from_triples is for scattered input."""
 
 from __future__ import annotations
 
@@ -54,11 +60,27 @@ def _reduce(echelon, row):
         _axpy(row, -row[p], echelon[p])
 
 
-def _insert(echelon, row):
+def _column_map(echelon):
+    """{column: pivots of the reduced echelon rows that hold it}, over the
+    non-pivot entries of the rows {pivot: row}."""
+    holders = {}
+    for p, row in echelon.items():
+        for c in row:
+            if c != p:
+                holders.setdefault(c, set()).add(p)
+    return holders
+
+
+def _insert(echelon, holders, row):
     """Add a sparse row to the reduced echelon rows {pivot: row}, keeping
     them reduced: reduce it, normalise it at its first column, and clear that
     column from the rows that have it.  Returns the new pivot, or None if the
-    row lies in their span."""
+    row lies in their span.
+
+    holders maps a column to the pivots of the rows that may hold it (see
+    _column_map), so only those rows are read.  It is a superset: a row is
+    added when it gains the column and never removed, except that a new
+    pivot's entry is dropped once its column is cleared."""
     _reduce(echelon, row)
     if not row:
         return None
@@ -70,10 +92,20 @@ def _insert(echelon, row):
     else:
         # an int entry that the pivot divides stays an int
         row = {c: _div(y, x) for c, y in row.items()}
-    for other in echelon.values():
+    touched = [p]
+    for q in holders.pop(p, ()):
+        other = echelon[q]
         c = other.get(p)
         if c is not None:
             _axpy(other, -c, row)
+            touched.append(q)
+    for c in row:
+        if c != p:
+            held = holders.get(c)
+            if held is None:
+                holders[c] = set(touched)
+            else:
+                held.update(touched)
     echelon[p] = row
     return p
 
@@ -86,9 +118,9 @@ def rref(rows, ncols):
     touches only their nonzeros (as in LinBox or FLINT's fmpq_mat); the
     reduced echelon form is unique, so the order does not change the result.
     """
-    echelon = {}
+    echelon, holders = {}, {}
     for row in rows:
-        _insert(echelon, _sparse(row))
+        _insert(echelon, holders, _sparse(row))
         if len(echelon) == ncols:
             break
     pivots = sorted(echelon)
@@ -162,8 +194,25 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, fld, nrows, columns):
-        """The matrix with nrows rows whose columns are the given vectors."""
-        return cls._of(fld, list(columns), nrows).transpose()
+        """The matrix with nrows rows whose columns are the given vectors.
+        They hold no zeros and are kept, not copied, as its column view."""
+        cols = list(columns)
+        m = cls._of(fld, cols, nrows).transpose()
+        m._cols = cols
+        return m
+
+    @classmethod
+    def block_diagonal(cls, fld, blocks):
+        """The square matrix with the given square blocks down its diagonal.
+        The first block's rows need no offset and are shared, not copied."""
+        rows, offset = [], 0
+        for b in blocks:
+            if offset:
+                rows += [{c + offset: x for c, x in row.items()} for row in b.entries]
+            else:
+                rows += b.entries
+            offset += b.ncols
+        return cls._of(fld, rows, offset)
 
     def _columns(self):
         if self._cols is None:
@@ -277,6 +326,25 @@ def lower(m):
     return Matrix._of(RAW, rows, m.ncols)
 
 
+def commutator_matches(a, b, terms):
+    """Whether a b - b a equals sum c * m over the pairs (c, m) in terms, for
+    square matrices of one size, read row by row: no product or combination
+    matrix is built."""
+    a_rows, b_rows = a.entries, b.entries
+    terms = [(-c, m.entries) for c, m in terms if c]
+    for r in range(a.nrows):
+        out = {}
+        for k, x in a_rows[r].items():
+            _axpy(out, x, b_rows[k])
+        for k, x in b_rows[r].items():
+            _axpy(out, -x, a_rows[k])
+        for c, rows in terms:
+            _axpy(out, c, rows[r])
+        if out:
+            return False
+    return True
+
+
 class Subspace:
     """A subspace of a coordinate space, stored as a reduced-echelon basis."""
 
@@ -287,6 +355,7 @@ class Subspace:
             rows, pivots = rref(vectors, ambient_dim)
             _rows = dict(zip(pivots, rows))
         self._rows = _rows  # pivot column -> sparse basis row
+        self._holders = None  # _column_map of _rows, built by the first add_vector
         self.pivots = sorted(_rows)
 
     @classmethod
@@ -322,7 +391,9 @@ class Subspace:
 
     def add_vector(self, vec):
         """Grow the basis by one vector; returns True if the dimension grew."""
-        p = _insert(self._rows, dict(vec))
+        if self._holders is None:
+            self._holders = _column_map(self._rows)
+        p = _insert(self._rows, self._holders, dict(vec))
         if p is None:
             return False
         insort(self.pivots, p)
@@ -434,21 +505,44 @@ def tensor_strides(dims):
 def kron_slots(fld, dims, terms):
     """sum c * (1 x ... x m x ... x 1), with m acting on tensor slot `slot`,
     over the triples (c, slot, m) in terms, on the tensor product of spaces of
-    dimensions `dims` in the layout of tensor_strides."""
+    dimensions `dims` in the layout of tensor_strides.
+
+    Row k of a term is row r of m, where r is the slot's index in k, shifted
+    to k's position in the other slots: entry (r, j) lands at column
+    k + (j - r) * stride.  Entries that two terms put in one place (their
+    diagonals, for different slots) are summed, and dropped if they cancel."""
     n = prod(dims)
     strides = tensor_strides(dims)
-
-    def triples():
-        for c, slot, m in terms:
-            s = strides[slot]
-            block = dims[slot] * s
-            for r, j, x in m.nonzeros():
-                cx = c * x
-                for lo in range(0, n, block):
-                    for k in range(lo, lo + s):
-                        yield k + r * s, k + j * s, cx
-
-    return Matrix.from_triples(fld, n, n, triples())
+    rows = [{} for _ in range(n)]
+    for c, slot, m in terms:
+        if not c:
+            continue
+        s = strides[slot]
+        block = dims[slot] * s
+        for r, mrow in enumerate(m.entries):
+            if not mrow:
+                continue
+            shift = []
+            for j, x in mrow.items():
+                x = c * x
+                shift.append(((j - r) * s, _canon(x) if type(x) is _Q else x))
+            for lo in range(r * s, n, block):
+                for k in range(lo, lo + s):
+                    row = rows[k]
+                    if not row:
+                        rows[k] = {k + d: x for d, x in shift}
+                        continue
+                    for d, x in shift:
+                        y = row.get(k + d)
+                        if y is None:
+                            row[k + d] = x
+                        else:
+                            y = y + x
+                            if y:
+                                row[k + d] = _canon(y) if type(y) is _Q else y
+                            else:
+                                del row[k + d]
+    return Matrix._of(fld, rows, n)
 
 
 def kron_vector(fld, dims, vectors):

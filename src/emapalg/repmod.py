@@ -150,13 +150,14 @@ def evaluation_module(psi: PsiFunction, target) -> FiniteModule:
     dims = [m.dim for _, m in factors]
     slot_of = {p_idx: s for s, (p_idx, _) in enumerate(factors)}
 
+    zero = kron_slots(RAW, dims, ())  # shared: no action matrix is written into
     actions = []
     for p_idx, g_idx, mono in alg.basis:
-        terms = []
-        if sum(mono) == 0 and p_idx in slot_of:
-            slot = slot_of[p_idx]
-            terms.append((1, slot, factors[slot][1].actions[g_idx]))
-        actions.append(kron_slots(RAW, dims, terms))
+        slot = slot_of.get(p_idx)
+        if sum(mono) or slot is None:
+            actions.append(zero)
+        else:
+            actions.append(kron_slots(RAW, dims, [(1, slot, factors[slot][1].actions[g_idx])]))
     # highest vector: tensor of the factor highest vectors
     hw = kron_vector(RAW, dims, [m.cyclic for _, m in factors])
     return FiniteModule(alg, actions, cyclic=hw)
@@ -419,18 +420,8 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule):
 def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
     if not _same_algebra(m1.algebra, m2.algebra):
         raise ValueError("modules live over different algebras")
-    fld = m1.field
-    d1, dim = m1.dim, m1.dim + m2.dim
     actions = [
-        Matrix.from_triples(
-            fld,
-            dim,
-            dim,
-            itertools.chain(
-                a1.nonzeros(), ((r + d1, c + d1, x) for r, c, x in a2.nonzeros())
-            ),
-        )
-        for a1, a2 in zip(m1.actions, m2.actions)
+        Matrix.block_diagonal(m1.field, (a1, a2)) for a1, a2 in zip(m1.actions, m2.actions)
     ]
     return FiniteModule(m1.algebra, actions)
 

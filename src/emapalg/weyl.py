@@ -182,12 +182,13 @@ class _Straightener:
         the monomial is skipped."""
         f = self.alg_index_to_factor.get(alg_idx)
         up = () if f is None else self.factor_coords[f]
-        triples = []
+        idx = self.mono_index
+        columns = [{} for _ in range(self.n_low)]
         for j in range(self.n_low) if cols is None else cols:
             m = self.monomials[j]
             if all(self.content[m][k] < self.top[k] for k in up):
-                triples += [(self.mono_index[m2], j, c) for m2, c in self.act(alg_idx, m).items()]
-        return Matrix.from_triples(self.field, self.n_low, self.n_low, triples)
+                columns[j] = {idx[m2]: c for m2, c in self.act(alg_idx, m).items()}
+        return Matrix.from_columns(self.field, self.n_low, columns)
 
 
 def _interval_top(alg: TruncatedAlgebra, psi: PsiFunction):

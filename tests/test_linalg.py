@@ -1,6 +1,10 @@
 """Exact linear algebra."""
 
 import ast
+import functools
+import itertools
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -8,22 +12,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emapalg
-from emapalg.fields import QQ, _Q, field
+from emapalg.fields import QQ, RAW, _Q, field
 from emapalg.liealg import FiniteModule, build_sl, natural_module, weight_spaces
 from emapalg.linalg import (
     Matrix,
     Subspace,
+    commutator_matches,
     hom_action,
     intersect,
     joint_eigenspaces,
     kron_slots,
     kron_vector,
+    lift,
     linear_combination,
     lower,
     restrict_operator,
     rref,
     saturate,
+    tensor_strides,
 )
+from emapalg.repmod import PsiFunction, psi_gamma
+from emapalg.rootdata import Weight
+from emapalg.weyl import twisted_weyl
+
+from test_ema import pt, z2_setup
 
 _ints = st.integers(min_value=-5, max_value=5)
 
@@ -653,3 +665,208 @@ def test_raw_rationals_give_the_field_answers(problem):
     assert [_lift(b) for b in raw_sat.basis] == fe_sat.basis
     for b in raw_sat.basis:
         _assert_raw(b)
+
+
+# -- structured matrices built in their final layout ------------------------
+
+
+def _kron_slots_by_triples(fld, dims, terms):
+    """Reference: kron_slots as (row, col, value) triples fed to from_triples."""
+    n = prod(dims)
+    strides = tensor_strides(dims)
+    triples = []
+    for c, slot, m in terms:
+        s = strides[slot]
+        block = dims[slot] * s
+        for r, j, x in m.nonzeros():
+            for lo in range(0, n, block):
+                for k in range(lo, lo + s):
+                    triples.append((k + r * s, k + j * s, c * x))
+    return Matrix.from_triples(fld, n, n, triples)
+
+
+def _block_diagonal_by_triples(fld, blocks):
+    """Reference: the block diagonal as offset triples fed to from_triples."""
+    offsets = list(itertools.accumulate((b.ncols for b in blocks), initial=0))
+    triples = [
+        (r + o, c + o, x) for b, o in zip(blocks, offsets) for r, c, x in b.nonzeros()
+    ]
+    return Matrix.from_triples(fld, offsets[-1], offsets[-1], triples)
+
+
+def _no_stored_zeros(m):
+    """Every stored entry is nonzero, and a raw one is canonical."""
+    for row in m.entries:
+        if m.field is RAW:
+            _assert_raw(row)
+        assert all(row.values())
+
+
+@st.composite
+def _scalar_kinds(draw):
+    """(kind, scalar strategy): raw rationals (ints and halves) or elements of
+    Q(zeta_3)."""
+    if draw(st.booleans()):
+        halves = st.sampled_from([1, 2])
+        return RAW, st.builds(lambda a, b: RAW.scalar(Fraction(a, b)), _ints, halves)
+    fld = field(3)
+    return fld, st.builds(lambda a, b: fld.element([a, b]), _ints, _ints)
+
+
+def _draw_square(draw, fld, scalar, n, diagonal=False):
+    """A sparse n x n matrix, about half of its entries zero; with diagonal,
+    only diagonal entries, drawn from {-1, 1} so that sums cancel often."""
+    if diagonal:
+        triples = [(i, i, fld.scalar(draw(st.sampled_from([-1, 1])))) for i in range(n)]
+    else:
+        triples = [(i, j, draw(scalar)) for i in range(n) for j in range(n) if draw(st.booleans())]
+    return Matrix.from_triples(fld, n, n, triples)
+
+
+@st.composite
+def _kron_problems(draw):
+    """(kind, dims, terms): 1 to 3 slots of dimension 1 to 3 and up to three
+    terms, sometimes none, sometimes two terms on one slot, and sometimes
+    diag(lam) on slot 0 against -diag(lam) on slot 1 of the same dimension,
+    whose sum cancels on the diagonal."""
+    fld, scalar = draw(_scalar_kinds())
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    cancel = len(dims) > 1 and draw(st.booleans())
+    if cancel:
+        dims[1] = dims[0]
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        slot = draw(st.integers(0, len(dims) - 1))
+        diagonal = draw(st.booleans())
+        terms.append((draw(scalar), slot, _draw_square(draw, fld, scalar, dims[slot], diagonal)))
+    if cancel:
+        lam = _draw_square(draw, fld, scalar, dims[0], diagonal=True)
+        terms += [(fld.one, 0, lam), (-fld.one, 1, lam)]
+    return fld, dims, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kron_problems())
+def test_kron_slots_equals_the_triple_construction(problem):
+    fld, dims, terms = problem
+    got = kron_slots(fld, dims, terms)
+    assert got == _kron_slots_by_triples(fld, dims, terms)
+    assert got.nrows == got.ncols == prod(dims)
+    _no_stored_zeros(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalar_kinds(), st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data())
+def test_block_diagonal_equals_the_triple_construction(kind, sizes, data):
+    fld, scalar = kind
+    blocks = [_draw_square(data.draw, fld, scalar, n) for n in sizes]
+    got = Matrix.block_diagonal(fld, blocks)
+    assert got == _block_diagonal_by_triples(fld, blocks)
+    assert got.nrows == got.ncols == sum(sizes)
+    _no_stored_zeros(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalar_kinds(), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_from_columns_keeps_its_columns(kind, nrows, ncols, data):
+    fld, scalar = kind
+    columns = []
+    for _ in range(ncols):
+        col = {i: data.draw(scalar) for i in range(nrows) if data.draw(st.booleans())}
+        columns.append({i: x for i, x in col.items() if x})
+    m = Matrix.from_columns(fld, nrows, columns)
+    assert (m.nrows, m.ncols) == (nrows, ncols)
+    for j, col in enumerate(columns):
+        got = m.column(j)
+        assert got == col and got is not col
+        got[nrows] = fld.one  # a copy: the matrix does not change
+        assert m.column(j) == col
+    # the column view is the transpose of the rows
+    assert [m.column(j) for j in range(ncols)] == m.transpose().entries
+    assert m == Matrix.from_triples(
+        fld, nrows, ncols, [(r, j, x) for j, col in enumerate(columns) for r, x in col.items()]
+    )
+
+
+def _first_failing_pair(algebra, actions):
+    """Reference: the first basis pair i < j at which the products a b - b a
+    differ from the combination of the bracket, built as matrices."""
+    dim = actions[0].nrows
+    fld = actions[0].field
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            a, b = actions[i], actions[j]
+            lhs = Matrix.combination(fld, dim, dim, [(1, a.matmul(b)), (-1, b.matmul(a))])
+            rhs = Matrix.combination(
+                fld, dim, dim, [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
+            )
+            if lhs != rhs:
+                return i, j
+    return None
+
+
+def _perturbed(actions, t, r, c, delta):
+    """The actions with delta added at entry (r, c) of action t."""
+    m = actions[t]
+    bumped = Matrix.from_triples(m.field, m.nrows, m.ncols, [(r, c, delta)])
+    out = list(actions)
+    out[t] = Matrix.combination(m.field, m.nrows, m.ncols, [(1, m), (1, bumped)])
+    return out
+
+
+def _commutator_first_failing_pair(algebra, actions):
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            terms = [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
+            if not commutator_matches(actions[i], actions[j], terms):
+                return i, j
+    return None
+
+
+def _natural_actions(n, lifted):
+    g = build_sl(n)
+    actions = list(natural_module(g).actions)
+    if lifted:
+        actions = [lift(field(3), a) for a in actions]
+    return g, actions
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.data())
+def test_commutator_matches_finds_the_reference_pair(n, lifted, data):
+    g, actions = _natural_actions(n, lifted)
+    assert _commutator_first_failing_pair(g, actions) is None
+    t = data.draw(st.integers(0, g.dim - 1))
+    r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+    delta = actions[0].field.scalar(delta)
+    bad = _perturbed(actions, t, r, c, delta)
+    expected = _first_failing_pair(g, bad)
+    assert expected is not None
+    assert _commutator_first_failing_pair(g, bad) == expected
+
+
+@functools.cache
+def _bracket_modules():
+    """W(2 omega) at the point 1 of sl2 (raw), and its twist by Z/2 (over
+    Q(zeta_4))."""
+    g, group = z2_setup()
+    fld = g.field
+    psi = PsiFunction.of({pt(fld, 1): Weight((2,))})
+    tw, w, _ = twisted_weyl(group, psi_gamma(group, psi), [pt(fld, 1)])
+    return {"weyl": w.module, "twisted": tw}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["weyl", "twisted"]), st.data())
+def test_check_bracket_raises_at_the_reference_pair(which, data):
+    mod = _bracket_modules()[which]
+    mod.check_bracket()
+    t = data.draw(st.integers(0, mod.algebra.dim - 1))
+    r, c = data.draw(st.integers(0, mod.dim - 1)), data.draw(st.integers(0, mod.dim - 1))
+    delta = mod.field.scalar(data.draw(st.sampled_from([1, -1, Fraction(1, 2)])))
+    bad = _perturbed(mod.actions, t, r, c, delta)
+    expected = _first_failing_pair(mod.algebra, bad)
+    assert expected is not None
+    with pytest.raises(ValueError, match=r"basis pair \(%d, %d\)$" % expected):
+        FiniteModule(mod.algebra, bad).check_bracket()

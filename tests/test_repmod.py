@@ -12,7 +12,12 @@ from emapalg.coordalg import (
     Point,
     PointAction,
 )
-from emapalg.ema import InvariantAlgebra, TruncatedAlgebra, constructive_lift
+from emapalg.ema import (
+    InvariantAlgebra,
+    TruncatedAlgebra,
+    constructive_lift,
+    gamma_truncation_matrix,
+)
 from emapalg.fields import QQ, RAW, FieldElement, _Q, field
 from emapalg.liealg import GAutomorphism, build_sl, natural_module, transport
 from emapalg.linalg import Matrix
@@ -29,6 +34,7 @@ from emapalg.repmod import (
     is_isomorphic,
     is_maximal_weight,
     joint_weights,
+    lift_module,
     multiplicities,
     psi_gamma,
     psi_restrict,
@@ -309,14 +315,14 @@ def test_extend_to_finer_truncation():
 def _quotient_matrix(big, small):
     """The quotient Lie map from a finer truncation onto a coarser one:
     x tensor u^beta at p goes to itself while |beta| < small.eta[p], else
-    to zero."""
-    fld = big.field
+    to zero.  Its entries are 0 and 1, so it is raw, like the modules it
+    transports."""
     triples = [
-        (small.index[(small.points.index(big.points[p_idx]), g_idx, mono)], j, fld.one)
+        (small.index[(small.points.index(big.points[p_idx]), g_idx, mono)], j, 1)
         for j, (p_idx, g_idx, mono) in enumerate(big.basis)
         if sum(mono) < small.eta[big.points[p_idx]]
     ]
-    return Matrix.from_triples(fld, small.dim, big.dim, triples)
+    return Matrix.from_triples(RAW, small.dim, big.dim, triples)
 
 
 _sl2_values = st.dictionaries(st.sampled_from([1, 2, 3]), st.integers(1, 2), min_size=1, max_size=2)
@@ -336,6 +342,22 @@ def test_extend_to_is_the_transport_through_the_quotient_map(values, bumps):
     ext = extend_to(w, big)
     ref = transport(w, _quotient_matrix(big, small), big)
     assert ext.algebra is big and ext.actions == ref.actions and ext.cyclic == w.cyclic
+
+
+def test_transport_refuses_a_raw_module_along_a_field_matrix():
+    # the Z/2 element carries W(omega) at 1 to W(omega) at -1 by a zeta matrix
+    g, group = z2_setup()
+    fld = g.field
+    w1 = weyl_module(g, _psi(fld, {1: (1,)})).module
+    w2 = weyl_module(g, _psi(fld, {-1: (1,)})).module
+    gamma = group.elements[1]
+    phi = gamma_truncation_matrix(group, group.inverse(gamma), w2.algebra, w1.algebra)
+    assert phi.field is fld and w1.field is RAW
+    with pytest.raises(ValueError, match=r"over CyclotomicField\(4\), module over RAW"):
+        transport(w1, phi, w2.algebra)
+    pulled = transport(lift_module(w1, fld), phi, w2.algebra)
+    assert pulled.field is fld
+    pulled.check_bracket()
 
 
 def test_extend_to_rejects_a_coarser_or_foreign_target():
