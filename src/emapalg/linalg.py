@@ -184,9 +184,14 @@ class Matrix:
 
     @classmethod
     def combination(cls, fld, nrows, ncols, terms):
-        """The linear combination sum c * m over the pairs (c, m) in terms."""
+        """The linear combination sum c * m over the pairs (c, m) in terms.
+        Every m must be over fld, and over RAW no c may be a FieldElement."""
         rows = [{} for _ in range(nrows)]
         for c, m in terms:
+            if m.field is not fld:
+                raise ValueError("combination over %r of a matrix over %r" % (fld, m.field))
+            if fld is RAW and type(c) is FieldElement:
+                raise ValueError("combination over %r with a coefficient in %r" % (fld, c.field))
             if c:
                 for row, mrow in zip(rows, m.entries):
                     _axpy(row, c, mrow)

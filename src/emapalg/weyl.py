@@ -59,6 +59,11 @@ class _Straightener:
     content is at most top (see _interval_top) there, that is, when its
     excess sum max(0, content - top) is 0.  Those n_low monomials come first.
 
+    A monomial is read by its id, its place in the sorted list monomials
+    (the empty one, the cyclic vector, is 0): content, mono_excess, head (its
+    first factor, -1 at 0), tail (its id without the head) and prepend ({f:
+    id of (f,) + it}).  act maps ids to {id: int}, memoised per basis index.
+
     The relations of W(psi) and the structure constants of a Chevalley basis
     are integral, so every coefficient is a Python int: act and
     operator_matrix are raw, whatever the scenario field."""
@@ -94,32 +99,31 @@ class _Straightener:
         ]
         self.alg_index_to_factor = {ai: fi for fi, ai in enumerate(self.factor_alg_index)}
         self.kind = [g.labels[g_idx][0] for _, g_idx, _ in alg.basis]
-        self._memo = {}
-        self.monomials = self._enumerate()
-        self.mono_index = {m: i for i, m in enumerate(self.monomials)}
-        self.n_low = sum(1 for e in self.mono_excess.values() if not e)
-
-    def drop(self, mono):
-        return sum(self.factors[f][0] for f in mono)
+        self._memo = [{} for _ in range(alg.dim)]
+        self._enumerate()
+        index = {m: j for j, m in enumerate(self.monomials)}
+        self.head = [m[0] if m else -1 for m in self.monomials]
+        self.tail = [index[m[1:]] for m in self.monomials]
+        self.prepend = [{} for _ in self.monomials]
+        for j, m in enumerate(self.monomials[1:], start=1):
+            self.prepend[self.tail[j]][m[0]] = j
+        self.n_low = self.mono_excess.count(0)
 
     def excess(self, content):
         return sum(max(0, c - t) for c, t in zip(content, self.top))
 
     def _enumerate(self):
         """All normal (weakly decreasing) factor monomials of excess at most
-        cap, inside the interval first, each part sorted by drop then
-        lexicographically; excess only grows as factors are added, by one for
-        each coordinate a factor raises past top.  Their contents go to
-        self.content and their excesses to self.mono_excess."""
+        cap, into monomials: inside the interval first, each part sorted by
+        drop (the sum of root heights) then lexicographically; excess only
+        grows as factors are added, by one for each coordinate a factor raises
+        past top.  Their contents and excesses go to content and mono_excess."""
         content = [0] * len(self.top)
         top = self.top
-        self.content = {}
-        excess = self.mono_excess = {}
+        found = []
 
-        def rec(prefix, start, ex):
-            key = tuple(prefix)
-            self.content[key] = tuple(content)
-            excess[key] = ex
+        def rec(prefix, start, ex, drop):
+            found.append((ex > 0, drop, tuple(prefix), tuple(content), ex))
             for f in range(start, -1, -1):
                 up = ex
                 for k in self.factor_coords[f]:
@@ -128,13 +132,14 @@ class _Straightener:
                         up += 1
                 if up <= self.cap:
                     prefix.append(f)
-                    rec(prefix, f, up)
+                    rec(prefix, f, up, drop + self.factors[f][0])
                     prefix.pop()
                 for k in self.factor_coords[f]:
                     content[k] -= 1
 
-        rec([], len(self.factors) - 1, 0)
-        return sorted(excess, key=lambda m: (excess[m] > 0, self.drop(m), m))
+        rec([], len(self.factors) - 1, 0, 0)
+        found.sort()
+        _, _, self.monomials, self.content, self.mono_excess = map(list, zip(*found))
 
     def _char_scalar(self, p_idx, g_idx, mono):
         """Action of h tensor u^beta on the cyclic vector, an int."""
@@ -143,26 +148,25 @@ class _Straightener:
         i = self.alg.g.labels[g_idx][1]
         return self.psi[self.alg.points[p_idx]].coords[i]
 
-    def act(self, alg_idx, mono):
-        """Action of an algebra basis element on a normal monomial, as a dict
-        {enumerated normal monomial: nonzero int}."""
-        key = (alg_idx, mono)
-        out = self._memo.get(key)
+    def act(self, alg_idx, j):
+        """Action of a basis element on the monomial of id j, as {id: nonzero
+        int}: the memo's own dict, to be copied before any write."""
+        memo = self._memo[alg_idx]
+        out = memo.get(j)
         if out is not None:
             return out
         kind = self.kind[alg_idx]
         f = self.alg_index_to_factor.get(alg_idx)
-        if kind == "f" and (not mono or f >= mono[0]):
-            cand = (f,) + mono
-            out = {cand: 1} if cand in self.mono_index else {}
-        elif not mono:
+        if kind == "f" and f >= self.head[j]:
+            k = self.prepend[j].get(f)
+            out = {} if k is None else {k: 1}
+        elif not j:
             c = self._char_scalar(*self.alg.basis[alg_idx]) if kind == "h" else 0
-            out = {(): c} if c else {}
+            out = {0: c} if c else {}
         else:
-            m0 = mono[0]
-            rest = mono[1:]
+            rest = self.tail[j]
             acc = {}
-            m0_alg = self.factor_alg_index[m0]
+            m0_alg = self.factor_alg_index[self.head[j]]
             for m, c in self.act(alg_idx, rest).items():
                 for m2, c2 in self.act(m0_alg, m).items():
                     acc[m2] = acc.get(m2, 0) + c * c2
@@ -170,7 +174,7 @@ class _Straightener:
                 for m2, c2 in self.act(k, rest).items():
                     acc[m2] = acc.get(m2, 0) + s * c2
             out = {m: c for m, c in acc.items() if c}
-        self._memo[key] = out
+        memo[j] = out
         return out
 
     def operator_matrix(self, alg_idx, cols=None):
@@ -179,15 +183,13 @@ class _Straightener:
         with cols, only those columns are built and the others are left
         zero.  act is homogeneous in content, so only a lowering element can
         push an image past top, and then the whole image lies outside and
-        the monomial is skipped."""
+        the monomial is skipped.  Each column is a copy of act's dict."""
         f = self.alg_index_to_factor.get(alg_idx)
         up = () if f is None else self.factor_coords[f]
-        idx = self.mono_index
         columns = [{} for _ in range(self.n_low)]
         for j in range(self.n_low) if cols is None else cols:
-            m = self.monomials[j]
-            if all(self.content[m][k] < self.top[k] for k in up):
-                columns[j] = {idx[m2]: c for m2, c in self.act(alg_idx, m).items()}
+            if all(self.content[j][k] < self.top[k] for k in up):
+                columns[j] = dict(self.act(alg_idx, j))
         return Matrix.from_columns(self.field, self.n_low, columns)
 
 
@@ -255,17 +257,16 @@ def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
     g = alg.g
     # raising[k] is e_i tensor 1_p for the content coordinate k of (i, p)
     raising = [ai for i in range(g.rd.rank) for ai in _at_each_point(alg, g.e(i))]
-    idx = st.mono_index
     seeds = []
-    for m in st.monomials[st.n_low:]:
-        if st.mono_excess[m] == 1:
-            content = st.content[m]
+    for j in range(st.n_low, len(st.monomials)):
+        if st.mono_excess[j] == 1:
+            content = st.content[j]
             k = next(k for k, t in enumerate(st.top) if content[k] > t)
             # act never returns a zero coefficient, so a nonempty image is a
-            # nonzero seed
-            state = st.act(raising[k], m)
+            # nonzero seed; rref copies it, so it may be act's own dict
+            state = st.act(raising[k], j)
             if state:
-                seeds.append({idx[m2]: c for m2, c in state.items()})
+                seeds.append(state)
     return seeds
 
 
@@ -294,9 +295,8 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
     # (see _push_down_seeds), plus the Weyl powers f_i^(lam_i + 1) w; f never
     # lowers the content, so each power only steps from inside the interval
     seeds = _push_down_seeds(alg, st)
-    idx = st.mono_index
     for i in range(alg.g.rd.rank):
-        state = {(): 1}
+        state = {0: 1}
         fi_indices = _lowering_indices(alg, i)
         for _ in range(lam.coords[i] + 1):
             nxt = {}
@@ -304,14 +304,14 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
                 for ai in fi_indices:
                     for m2, c2 in st.act(ai, m).items():
                         nxt[m2] = nxt.get(m2, 0) + c * c2
-            state = {m: c for m, c in nxt.items() if idx[m] < n_low and c}
-        seeds.append({idx[m]: c for m, c in state.items()})
+            state = {m: c for m, c in nxt.items() if m < n_low and c}
+        seeds.append(state)
 
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
     gen_ops = {ai: st.operator_matrix(ai) for ai in _generators(alg)}
     rel = saturate(Subspace(n_low, seeds, fld=RAW), list(gen_ops.values()))
-    if rel.contains({idx[()]: 1}):
+    if rel.contains({0: 1}):
         raise CertificationError("relations collapse the cyclic vector", relation="w in R")
     return st, rel, gen_ops
 
@@ -328,7 +328,7 @@ def _quotient(alg: TruncatedAlgebra, psi: PsiFunction):
     pivots = set(rel.pivots)
     keep = [j for j in range(st.n_low) if j not in pivots]
     ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
-    mod = FiniteModule(alg, ops, cyclic={st.mono_index[()]: 1})
+    mod = FiniteModule(alg, ops, cyclic={0: 1})
     return quotient_module(mod, rel, check=False), st
 
 

@@ -235,7 +235,7 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
     def one_relation_too_many(alg, st):
         # (f x t) w = 0 cuts W(2 omega) down to V(2 omega) in every build alike
         ai = alg.index[(0, alg.g.f(0), (1,))]
-        extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
+        extra = dict(st.act(ai, 0))  # on the empty monomial, id 0
         return push_down_seeds(alg, st) + [extra]
 
     monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from emapalg import liealg
 from emapalg.coordalg import EtaFunction, Point
 from emapalg.ema import TruncatedAlgebra
-from emapalg.fields import QQ, field
+from emapalg.fields import QQ, RAW, field
 from emapalg.linalg import Matrix, linear_combination, lower
 from emapalg.liealg import (
     FiniteModule,
@@ -57,8 +57,8 @@ def test_jacobi_and_antisymmetry(n, a, b, c):
 
 def _matmul_table(g):
     """The bracket table by commutators of the basis matrices, read back in
-    the Chevalley basis from the matrix entries."""
-    fld = g.field
+    the Chevalley basis from the matrix entries.  The basis matrices are
+    raw int matrices, so the table is read in ints."""
     units = {}
     for k, rc in enumerate(g.rd.positive_roots):
         lo = rc.index(1)
@@ -69,16 +69,14 @@ def _matmul_table(g):
     table = {}
     for i, a in enumerate(g.basis_matrices):
         for j, b in enumerate(g.basis_matrices):
-            m = Matrix.combination(
-                fld, g.n, g.n, [(fld.one, a.matmul(b)), (-fld.one, b.matmul(a))]
-            )
+            m = Matrix.combination(RAW, g.n, g.n, [(1, a.matmul(b)), (-1, b.matmul(a))])
             entry = {(r, c): x for r, c, x in m.nonzeros()}
             coeff = {units[rc]: x for rc, x in entry.items() if rc in units}
             out = [(ai, coeff[ai]) for ai in order if ai in coeff]
-            acc = fld.zero
+            acc = 0
             for h in range(g.n - 1):
-                acc = acc + entry.get((h, h), fld.zero)
-                if not acc.is_zero():
+                acc += entry.get((h, h), 0)
+                if acc:
                     out.append((g.index[("h", h)], acc))
             table[(i, j)] = tuple(out)
     return table

@@ -554,6 +554,20 @@ def test_column_nonzeros_and_combination(rows, c):
     assert twice == _mat([[(c + 1) * x for x in r] for r in rows])
 
 
+def test_combination_refuses_a_mixed_scalar_kind():
+    # a term over another kind, or a field coefficient over RAW, is refused
+    # and named, not labelled with the requested kind
+    raw = Matrix.from_triples(RAW, 2, 2, [(0, 1, 1)])
+    over_qq = Matrix.from_triples(QQ, 2, 2, [(0, 1, QQ.one)])
+    with pytest.raises(ValueError, match="over RAW of a matrix over CyclotomicField"):
+        Matrix.combination(RAW, 2, 2, [(1, raw), (1, over_qq)])
+    with pytest.raises(ValueError, match="over CyclotomicField.* of a matrix over RAW"):
+        Matrix.combination(QQ, 2, 2, [(QQ.one, raw)])
+    with pytest.raises(ValueError, match="over RAW with a coefficient in CyclotomicField"):
+        Matrix.combination(RAW, 2, 2, [(QQ.scalar(2), raw)])
+    assert Matrix.combination(RAW, 2, 2, [(2, raw)]) == Matrix.from_triples(RAW, 2, 2, [(0, 1, 2)])
+
+
 def test_only_linalg_knows_matrix_storage():
     """No module but linalg reads the sparse rows of a Matrix or a Subspace,
     their pivot layout or a private constructor, or imports a private linalg

@@ -154,7 +154,8 @@ def test_bracket_check_rejects_perturbed_action(finite):
         return FiniteModule(algebra, acts).check_bracket()
 
     build(actions)
-    doubled = [Matrix.combination(fld, 2, 2, [(fld.scalar(2), actions[0])])]
+    kind = actions[0].field  # the actions' own scalar kind, raw here
+    doubled = [Matrix.combination(kind, 2, 2, [(kind.scalar(2), actions[0])])]
     with pytest.raises(ValueError, match=r"basis pair \(0, 2\)"):
         build(doubled + list(actions[1:]))
 

@@ -1,5 +1,6 @@
 """Local Weyl modules: certified construction, twisting, tensor structure."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from math import comb, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
@@ -303,13 +304,12 @@ def test_certificate_structure():
 def _exhaustive_seeds(alg, st):
     """Push-downs of every monomial outside the interval by every basis
     element that reach the interval, restricted to it."""
-    idx = st.mono_index
     seeds = []
-    for m in st.monomials[st.n_low:]:
+    for j in range(st.n_low, len(st.monomials)):
         for ai in range(alg.dim):
-            state = st.act(ai, m)
-            if any(idx[m2] < st.n_low for m2 in state):
-                seeds.append({idx[m2]: c for m2, c in state.items() if idx[m2] < st.n_low})
+            state = st.act(ai, j)
+            if any(k < st.n_low for k in state):
+                seeds.append({k: c for k, c in state.items() if k < st.n_low})
     return seeds
 
 
@@ -317,9 +317,8 @@ def _unpruned_operator_matrix(st, ai, n):
     """The action of basis element ai on the first n normal monomials modulo
     the others, from every one of those monomials."""
     triples = []
-    for j, m in enumerate(st.monomials[:n]):
-        for m2, c in st.act(ai, m).items():
-            k = st.mono_index[m2]
+    for j in range(n):
+        for k, c in st.act(ai, j).items():
             if k < n:
                 triples.append((k, j, c))
     return Matrix.from_triples(st.field, n, n, triples)
@@ -432,7 +431,7 @@ def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     st, rel, _ = _build_once(alg, psi)
     n_low = st.n_low
     full = [_unpruned_operator_matrix(st, ai, n_low) for ai in range(alg.dim)]
-    cyclic = {st.mono_index[()]: 1}
+    cyclic = {0: 1}  # the empty monomial
     want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
     assert w.module.actions == want.actions
     assert w.module.cyclic == want.cyclic
@@ -481,10 +480,10 @@ def test_weyl_module_over_a_cyclotomic_field_lifts_the_rational_module(n, psi, o
 )
 def test_stored_excess_equals_the_excess_of_the_content(n, psi, kwargs):
     _, st = _straighten(build_sl(n), psi, **kwargs)
-    assert set(st.mono_excess) == set(st.monomials)
-    for m in st.monomials:
-        assert st.mono_excess[m] == st.excess(st.content[m])
-    assert st.n_low == sum(1 for m in st.monomials if not st.excess(st.content[m]))
+    assert len(st.mono_excess) == len(st.content) == len(st.monomials)
+    for j in range(len(st.monomials)):
+        assert st.mono_excess[j] == st.excess(st.content[j])
+    assert st.n_low == sum(1 for c in st.content if not st.excess(c))
 
 
 def _root_content(st, ai):
@@ -508,16 +507,157 @@ def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch,
     reach = {}
     act = _Straightener.act
 
-    def recording(st, alg_idx, mono):
-        c = st.content[mono]
+    def recording(st, alg_idx, j):
+        c = st.content[j]
         top = [max(a, a + d) for a, d in zip(c, _root_content(st, alg_idx))]
         reach[st] = max(reach.get(st, 0), st.excess(top))
-        return act(st, alg_idx, mono)
+        return act(st, alg_idx, j)
 
     monkeypatch.setattr(_Straightener, "act", recording)
     weyl_module(build_sl(n), psi)
     assert len(reach) == 4  # base, buffer+1, N+1, reversed
     assert max(reach.values()) <= 1
+
+
+def _tuple_act(straightener, normal, memo, alg_idx, mono):
+    """The straightening recursion on factor tuples, keyed by (alg_idx,
+    mono) in memo: the action of a basis element on a normal monomial as
+    {monomial in normal: nonzero int}, normal the enumerated monomials."""
+    key = (alg_idx, mono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    s = straightener
+    kind = s.kind[alg_idx]
+    f = s.alg_index_to_factor.get(alg_idx)
+    if kind == "f" and (not mono or f >= mono[0]):
+        cand = (f,) + mono
+        out = {cand: 1} if cand in normal else {}
+    elif not mono:
+        c = s._char_scalar(*s.alg.basis[alg_idx]) if kind == "h" else 0
+        out = {(): c} if c else {}
+    else:
+        rest = mono[1:]
+        acc = {}
+        m0_alg = s.factor_alg_index[mono[0]]
+        for m, c in _tuple_act(s, normal, memo, alg_idx, rest).items():
+            for m2, c2 in _tuple_act(s, normal, memo, m0_alg, m).items():
+                acc[m2] = acc.get(m2, 0) + c * c2
+        for k, b in s.alg.bracket_terms(alg_idx, m0_alg):
+            for m2, c2 in _tuple_act(s, normal, memo, k, rest).items():
+                acc[m2] = acc.get(m2, 0) + b * c2
+        out = {m: c for m, c in acc.items() if c}
+    memo[key] = out
+    return out
+
+
+@st.composite
+def _straightener_cases(draw):
+    """(n, psi, cap, reverse_order): sl_n for n = 2..4 at one or two points
+    of one or two variables, with weights small enough that every basis
+    element can be applied to every monomial of the cap-2 enumeration."""
+    n = draw(st.integers(2, 4))
+    npoints = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 2))
+    # the largest coordinate sum of a weight at each point
+    budget = {2: 3, 3: 2, 4: 1}[n] if npoints == 1 else {2: 2, 3: 1, 4: 1}[n]
+    weight = st.lists(st.integers(0, budget), min_size=n - 1, max_size=n - 1).filter(
+        lambda c: 0 < sum(c) <= budget
+    )
+    from emapalg.coordalg import Point
+
+    points = [Point(tuple(QQ.scalar(k + j + 1) for j in range(nvars))) for k in range(npoints)]
+    psi = PsiFunction.of({p: Weight(tuple(draw(weight))) for p in points})
+    return n, psi, draw(st.integers(1, 2)), draw(st.booleans())
+
+
+def _two_point_case(lam, cap, reverse_order):
+    """The case of lam at the two points (1, 2) and (2, 3)."""
+    from emapalg.coordalg import Point
+
+    psi = PsiFunction.of({Point((QQ.scalar(k), QQ.scalar(k + 1))): Weight(lam) for k in (1, 2)})
+    return len(lam) + 1, psi, cap, reverse_order
+
+
+@settings(max_examples=30, deadline=None)
+@given(_straightener_cases())
+@example(_two_point_case((2,), 2, False))
+@example(_two_point_case((0, 1), 1, True))
+@example(_two_point_case((1, 0, 0), 2, True))
+def test_id_straightener_matches_the_tuple_recursion(case):
+    # every basis element on every enumerated monomial, read back through
+    # monomials, against the recursion on factor tuples
+    n, psi, cap, reverse_order = case
+    alg = _truncation(build_sl(n), psi)
+    straightener = _Straightener(alg, psi, cap, reverse_order=reverse_order)
+    monomials = straightener.monomials
+    normal = set(monomials)
+    assert len(normal) == len(monomials) and monomials[0] == ()
+    memo = {}
+    for ai in range(alg.dim):
+        for j, mono in enumerate(monomials):
+            got = {monomials[k]: c for k, c in straightener.act(ai, j).items()}
+            assert got == _tuple_act(straightener, normal, memo, ai, mono)
+
+
+def _graded_kept_monomials(n, lam):
+    """The kept monomials of the build of W(lam) at one point, the columns
+    off R's pivots, counted by weight and jet degree: {(weight, degree):
+    count}.  R is spanned by vectors homogeneous in both, so these counts are
+    the graded character of W(lam)."""
+    g = build_sl(n)
+    psi = _psi(QQ, {1: lam})
+    straightener, rel, _ = _build_once(_truncation(g, psi), psi)
+    pivots = set(rel.pivots)
+    counts = {}
+    for j in range(straightener.n_low):
+        if j not in pivots:
+            weight = Weight(lam)
+            for c, alpha in zip(straightener.content[j], g.rd.simple_roots):
+                weight = weight - Weight(tuple(c * a for a in alpha.coords))
+            degree = sum(sum(straightener.factors[f][3]) for f in straightener.monomials[j])
+            counts[weight, degree] = counts.get((weight, degree), 0) + 1
+    return counts
+
+
+def _gaussian_binomial(m, k):
+    """The coefficients of the Gaussian binomial [m choose k]_q, by degree,
+    from [m choose k] = [m - 1 choose k - 1] + q^k [m - 1 choose k]."""
+    if k < 0 or k > m:
+        return []
+    if k in (0, m):
+        return [1]
+    out = [0] * (k * (m - k) + 1)
+    for d, c in enumerate(_gaussian_binomial(m - 1, k - 1)):
+        out[d] += c
+    for d, c in enumerate(_gaussian_binomial(m - 1, k)):
+        out[d + k] += c
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_kept_monomials_grade_as_gaussian_binomials_in_type_a1(m):
+    # the weight m - 2k piece of W(m omega) at one point has graded
+    # dimension [m choose k]_q in the jet degree
+    counts = _graded_kept_monomials(2, (m,))
+    for k in range(m + 1):
+        want = _gaussian_binomial(m, k)
+        got = [counts.pop((Weight((m - 2 * k,)), d), 0) for d in range(len(want))]
+        assert got == want
+    assert not counts
+
+
+@pytest.mark.parametrize(
+    "n, lam",
+    [(3, (1, 0)), (3, (1, 1)), (3, (2, 0)), (3, (2, 1))]
+    + [(4, (1, 0, 0)), (4, (0, 1, 0)), (4, (1, 0, 1))],
+    ids=lambda v: str(v).replace(" ", ""),
+)
+def test_degree_zero_kept_monomials_have_the_freudenthal_character(n, lam):
+    # the jet-degree 0 piece of W(lam) at one point is V(lam)
+    counts = _graded_kept_monomials(n, lam)
+    got = {weight: c for (weight, degree), c in counts.items() if degree == 0}
+    assert got == build_sl(n).rd.freudenthal_mults(Weight(lam))
 
 
 def _lie_closure(alg, indices):
@@ -572,7 +712,7 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
 
     def one_relation_too_many(alg, st):
         ai = alg.index[(0, alg.g.f(0), (1,))]
-        extra = {st.mono_index[m]: c for m, c in st.act(ai, ()).items()}
+        extra = dict(st.act(ai, 0))  # on the empty monomial, id 0
         return push_down_seeds(alg, st) + [extra]
 
     def recording(*args, **kwargs):
@@ -663,6 +803,21 @@ def test_weyl_build_runs_under_a_low_recursion_limit():
     assert proc.stdout.split() == ["9", "16"]
     for file in sorted(src.rglob("*.py")):
         assert "setrecursionlimit" not in file.read_text(), file
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, and every certificate must survive
+    # it, so a check in the package raises instead
+    src = Path(__file__).resolve().parents[1] / "src" / "emapalg"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [
+        "%s:%d" % (file.name, node.lineno)
+        for file in files
+        for node in ast.walk(ast.parse(file.read_text(), str(file)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
 
 
 def _chari_loktev_dim(rank, lam):
