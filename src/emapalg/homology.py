@@ -38,17 +38,34 @@ class CEComplex:
     diagonally on V and on n (ValueError otherwise); Hom_s(n, V) is the
     weight-zero part of Hom(n, V) killed by the simple raising elements.
     With s = 0 this is the full complex.  Only the raw actions at the indices
-    of L.levi_split() are read (a dict or a list)."""
+    of L.levi_split() are read (a dict or a list).
+
+    The brackets read, through L.brackets_into, are [h, x_i] for the weights
+    and, since only the weight-zero cochains phi(x_j) enter the rows,
+    [e, x_i] and [x_i, x_i'] (i < i') only where they land on an x_j that
+    carries such a cochain; with no cochain none is read.  A truncation
+    finds those pairs by jet degree."""
 
     def __init__(self, L, actions, vdim):
         self.L, self.actions, self.vdim = L, actions, vdim
         cartan, self.raising, self.nil = L.levi_split()
         by_weight = joint_eigenspaces([actions[h] for h in cartan], vdim)
+        # the weight of each x_i in n, read off [h, x_i] = w_h x_i; every
+        # basis index is a target, so that any term off the diagonal is seen
+        place = {h: t for t, h in enumerate(cartan)}
+        weight = {i: [0] * len(cartan) for i in self.nil}
+        for k, terms in L.brackets_into(range(L.dim), cartan, self.nil).items():
+            for h, i, c in terms:
+                if i != k:
+                    raise ValueError("a Cartan element is not diagonal on n")
+                weight[i][place[h]] = c
         # the weight-zero coordinates (i, a) of Hom(n, V)
-        self.cochains = [(i, a) for i in self.nil for a in by_weight.get(_weight(L, cartan, i), ())]
+        self.cochains = [(i, a) for i in self.nil for a in by_weight.get(tuple(weight[i]), ())]
         index = {key: k for k, key in enumerate(self.cochains)}
-        self._e_brackets = _brackets_by_term(L, ((e, j) for e in self.raising for j in self.nil))
-        self._n_brackets = _brackets_by_term(L, itertools.combinations(self.nil, 2))
+        # only brackets landing on an x_j that carries a cochain are read
+        carried = {i for i, _ in self.cochains}
+        self._e_brackets = L.brackets_into(carried, self.raising, self.nil)
+        self._n_brackets = L.brackets_into(carried, self.nil, self.nil, upper=True)
         invariants = _kernel(  # V^s
             by_weight.get((0,) * len(cartan), []),
             lambda a: (((e, b), x) for e in self.raising for b, x in actions[e].column(a).items()),
@@ -97,25 +114,6 @@ class CEComplex:
     def h1(self):
         """dim ker d1 - dim B^1."""
         return self.d1.ncols - self.d1.rank() - self.b1_dim
-
-
-def _weight(L, cartan, i):
-    """The weight of basis element i, read off bracket_terms; raises
-    ValueError unless each [h, x_i] is a multiple of x_i."""
-    terms = [L.bracket_terms(h, i) for h in cartan]
-    if any(k != i for t in terms for k, _ in t):
-        raise ValueError("a Cartan element is not diagonal on n")
-    return tuple(t[0][1] if t else 0 for t in terms)
-
-
-def _brackets_by_term(L, pairs):
-    """{k: [(x, y, c), ...]} over the pairs (x, y) with [x, y] = c x_k + ...,
-    each c a raw structure constant of L."""
-    out = {}
-    for x, y in pairs:
-        for k, c in L.bracket_terms(x, y):
-            out.setdefault(k, []).append((x, y, c))
-    return out
 
 
 def _keyed_matrix(ncols, triples):

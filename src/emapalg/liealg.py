@@ -30,6 +30,20 @@ class LieAlgebra:
         basis of a nilpotent ideal n with L = s + n.  Here s = 0 and n = L."""
         return [], [], list(range(self.dim))
 
+    def brackets_into(self, targets, xs, ys, upper=False):
+        """{k: [(x, y, c), ...]} over k in targets, for the pairs (x, y) of
+        xs times ys (only those with x < y when upper) with [x_x, x_y] =
+        c x_k + ...; each list keeps the pairs' order, x first."""
+        targets = set(targets)
+        out = {}
+        for x in xs:
+            for y in ys:
+                if not upper or x < y:
+                    for k, c in self.bracket_terms(x, y):
+                        if k in targets:
+                            out.setdefault(k, []).append((x, y, c))
+        return out
+
     def bracket_sparse(self, u, v, out=None):
         """Add [u, v] into the dict `out` (basis index -> coefficient, may
         hold zeros) and return it; u and v are lists of (basis index, nonzero

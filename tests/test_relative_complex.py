@@ -176,6 +176,35 @@ def test_hypothesis_ladders_match_the_full_complex(case):
     assert ladder.dims == [h1 for _, h1 in seen]
 
 
+@pytest.mark.parametrize(
+    "lam1, lam2, hom_s_nonzero",
+    [((1, 1), (1, 1), True), ((2, 1), (0, 1), True), ((1, 1), (0, 0), False)],
+    ids=["W(w,w)-ev(w,w)", "W(2w,w)-ev(0,w)", "W(w,w)-trivial"],
+)
+def test_two_variable_two_point_ladders_match_the_full_complex(lam1, lam2, hom_s_nonzero):
+    # points of A^2: W(psi1) against an evaluation module over sl2 at (1, 2)
+    # and (3, 1), on two rungs, each checked against the full complex
+    g = build_sl(2)
+    pts = [Point((QQ.scalar(1), QQ.scalar(2))), Point((QQ.scalar(3), QQ.scalar(1)))]
+    psi1 = PsiFunction.of({p: Weight((c,)) for p, c in zip(pts, lam1)})
+    psi2 = PsiFunction.of({p: Weight((c,)) for p, c in zip(pts, lam2)})
+    evaluation = TruncatedAlgebra(g, EtaFunction.of({p: 1 for p in pts}))
+    m1 = weyl_module(g, psi1).module
+    m2 = evaluation_module(psi2, evaluation)
+    checked = []
+    with against_oracle(checked) as seen:
+        ladder = ext1_ladder(m1, m2, rungs=2)
+    assert ladder.dims == [h1 for _, h1 in seen] and len(seen) == 2
+    assert all(len(c.L.points) == 2 and c.L.points[0].nvars == 2 for c in checked)
+    if hom_s_nonzero:
+        # Hom_s(n, V) != 0: some rung reaches a nonempty d1 and reads both
+        # bracket tables
+        assert any(c.d1.nrows and c.d1.ncols and c._e_brackets and c._n_brackets for c in checked)
+    else:
+        # no weight-zero cochain, so no bracket is read
+        assert all(not c.cochains and not c._e_brackets and not c._n_brackets for c in checked)
+
+
 def test_off_diagonal_cartan_action_raises_in_the_ladder():
     # the natural module conjugated by [[1, 1], [0, 1]] still represents sl2,
     # but h no longer acts diagonally; there is no fallback to the full complex

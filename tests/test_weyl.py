@@ -1,6 +1,7 @@
 """Local Weyl modules: certified construction, twisting, tensor structure."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -600,23 +601,36 @@ def test_id_straightener_matches_the_tuple_recursion(case):
             assert got == _tuple_act(straightener, normal, memo, ai, mono)
 
 
-def _graded_kept_monomials(n, lam):
-    """The kept monomials of the build of W(lam) at one point, the columns
-    off R's pivots, counted by weight and jet degree: {(weight, degree):
-    count}.  R is spanned by vectors homogeneous in both, so these counts are
-    the graded character of W(lam)."""
+def _graded_kept_monomials(n, lams):
+    """The kept monomials of the build of W(psi), psi = {coordinate: lam},
+    the columns off R's pivots, counted by weight and jet degree at each
+    point, in the truncation's point order: {(weights, degrees): count}.  R
+    is spanned by vectors homogeneous in all of them, so these counts are the
+    multigraded character of W(psi)."""
     g = build_sl(n)
-    psi = _psi(QQ, {1: lam})
-    straightener, rel, _ = _build_once(_truncation(g, psi), psi)
+    psi = _psi(QQ, lams)
+    alg = _truncation(g, psi)
+    straightener, rel, _ = _build_once(alg, psi)
+    npts = len(alg.points)
     pivots = set(rel.pivots)
     counts = {}
     for j in range(straightener.n_low):
         if j not in pivots:
-            weight = Weight(lam)
-            for c, alpha in zip(straightener.content[j], g.rd.simple_roots):
-                weight = weight - Weight(tuple(c * a for a in alpha.coords))
-            degree = sum(sum(straightener.factors[f][3]) for f in straightener.monomials[j])
-            counts[weight, degree] = counts.get((weight, degree), 0) + 1
+            # the content coordinate of (simple root i, point p) is i * npts + p
+            content = straightener.content[j]
+            weights = []
+            for p_idx, p in enumerate(alg.points):
+                weight = psi[p]
+                for i, alpha in enumerate(g.rd.simple_roots):
+                    c = content[i * npts + p_idx]
+                    weight = weight - Weight(tuple(c * a for a in alpha.coords))
+                weights.append(weight)
+            degrees = [0] * npts
+            for f in straightener.monomials[j]:
+                _, _, p_idx, mono = straightener.factors[f]
+                degrees[p_idx] += sum(mono)
+            key = tuple(weights), tuple(degrees)
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -639,11 +653,26 @@ def _gaussian_binomial(m, k):
 def test_kept_monomials_grade_as_gaussian_binomials_in_type_a1(m):
     # the weight m - 2k piece of W(m omega) at one point has graded
     # dimension [m choose k]_q in the jet degree
-    counts = _graded_kept_monomials(2, (m,))
+    counts = _graded_kept_monomials(2, {1: (m,)})
     for k in range(m + 1):
         want = _gaussian_binomial(m, k)
-        got = [counts.pop((Weight((m - 2 * k,)), d), 0) for d in range(len(want))]
+        got = [counts.pop(((Weight((m - 2 * k,)),), (d,)), 0) for d in range(len(want))]
         assert got == want
+    assert not counts
+
+
+@pytest.mark.parametrize("ma, mb", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)])
+def test_two_point_kept_monomials_grade_as_products_in_type_a1(ma, mb):
+    # W(psi) at two points is the tensor product of the one-point modules, so
+    # its character by weight and jet degree at each point is the product of
+    # the two one-point Gaussian binomial characters (checked only; the
+    # build does not use it)
+    counts = _graded_kept_monomials(2, {1: (ma,), 2: (mb,)})
+    for ka, kb in itertools.product(range(ma + 1), range(mb + 1)):
+        weights = Weight((ma - 2 * ka,)), Weight((mb - 2 * kb,))
+        for da, ca in enumerate(_gaussian_binomial(ma, ka)):
+            for db, cb in enumerate(_gaussian_binomial(mb, kb)):
+                assert counts.pop((weights, (da, db)), 0) == ca * cb
     assert not counts
 
 
@@ -655,8 +684,8 @@ def test_kept_monomials_grade_as_gaussian_binomials_in_type_a1(m):
 )
 def test_degree_zero_kept_monomials_have_the_freudenthal_character(n, lam):
     # the jet-degree 0 piece of W(lam) at one point is V(lam)
-    counts = _graded_kept_monomials(n, lam)
-    got = {weight: c for (weight, degree), c in counts.items() if degree == 0}
+    counts = _graded_kept_monomials(n, {1: lam})
+    got = {weight: c for ((weight,), (degree,)), c in counts.items() if degree == 0}
     assert got == build_sl(n).rd.freudenthal_mults(Weight(lam))
 
 
