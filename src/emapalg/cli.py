@@ -25,6 +25,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
+    read_scenario,
     validation_passed,
 )
 from .weyl import CertificationError, twisted_weyl, weyl_dim_bound, weyl_module
@@ -302,11 +303,6 @@ _COMMANDS = {
 }
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
 def _render_human(report):
     lines = []
     lines.append("command: %s" % report["command"])
@@ -396,9 +392,11 @@ def main(argv=None):
         "status": "ok",
     }
     try:
-        scn = load_scenario(args.scenario)
+        # the digest names the very bytes that were parsed
+        raw, data = read_scenario(args.scenario)
+        scn = load_scenario(data=data)
         report["scenario"] = scn.name
-        report["digest"] = _digest(args.scenario)
+        report["digest"] = hashlib.sha256(raw).hexdigest()[:16]
         _check_ranges(args)
         report["results"] = _COMMANDS[args.command](scn, args)
     except ScenarioError as exc:

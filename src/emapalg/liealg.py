@@ -403,7 +403,9 @@ def irreducible_module(g, lam):
     (Chari-Pressley 2001): the local Weyl module of lam at one point over the
     truncation at exponent 1, g tensor A/m = g, read back over g.  It is raw,
     so it does not depend on g's field: each is built once per g, and no
-    caller changes the module it is handed."""
+    caller changes the module it is handed.  The build is checked on the
+    bracket, and its weight counts, keyed by int tuples as weights() reads
+    them, against RootDatum.character(lam.coords)."""
     if not lam.is_dominant():
         raise ValueError("highest weight must be dominant")
     if lam.is_zero():
@@ -417,7 +419,8 @@ def irreducible_module(g, lam):
     # one point and one jet monomial: the truncation's basis is g's, in order
     mod = FiniteModule(g, w.actions, cyclic=w.cyclic)
     mod.check_bracket()
-    if mod.character() != g.rd.freudenthal_mults(lam):
+    counts = {key: len(coords) for key, coords in mod.weights().items()}
+    if counts != g.rd.character(lam.coords):
         raise ValueError("constructed module has wrong character")
     g._irreducibles[lam] = mod
     return mod

@@ -5,6 +5,7 @@ multiplicity tables, Hom spaces, and isomorphism testing."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -211,39 +212,42 @@ def joint_weights(module: FiniteModule):
 
 def multiplicities(module: FiniteModule):
     """Composition multiplicities of evaluation modules, by unitriangular
-    character solve against Freudenthal characters on the Levi copy."""
+    character solve against Freudenthal characters on the Levi copy.
+
+    The solve runs on the int weight keys of module.weights(), sliced into
+    one int tuple per truncation point, against RootDatum.character; Weight
+    objects are built only for the table's PsiFunction keys.  Candidates are
+    taken by height, highest first, then by coordinates."""
     alg = module.algebra
     if isinstance(alg, InvariantAlgebra):
         return equivariant_table(alg.group, multiplicities(untwist(module)))
 
     rd = alg.g.rd
-    counts = dict(joint_weights(module))
-    candidates = [
-        wkey
-        for wkey in counts
-        if all(w.is_dominant() for w in wkey)
-    ]
-
-    candidates.sort(
-        key=lambda wk: (-sum(map(rd.scaled_height, wk)), tuple(w.coords for w in wk))
+    rank = rd.rank
+    cuts = range(0, rank * len(alg.points), rank)
+    heights = rd.scaled_heights * len(alg.points)
+    counts = {key: len(coords) for key, coords in module.weights().items()}
+    candidates = sorted(
+        (key for key in counts if min(key, default=0) >= 0),
+        key=lambda key: (-sum(map(operator.mul, heights, key)), key),
     )
     table = {}
-    chars = {}  # the Freudenthal character of each weight, computed once
-    for wkey in candidates:
-        m = counts.get(wkey, 0)
+    chars = {}  # the character of each point weight, computed once per call
+    for key in candidates:
+        m = counts[key]
         if m <= 0:
             continue
-        psi = PsiFunction.of(
-            {p: w for p, w in zip(alg.points, wkey) if not w.is_zero()}
-        )
+        parts = [key[c : c + rank] for c in cuts]
+        psi = PsiFunction.of({p: Weight(w) for p, w in zip(alg.points, parts) if any(w)})
         table[psi] = table.get(psi, 0) + m
-        for w in wkey:
+        for w in parts:
             if w not in chars:
-                chars[w] = rd.freudenthal_mults(w)
-        for combo in itertools.product(*(chars[w].items() for w in wkey)):
-            jk = tuple(w for w, _ in combo)
+                chars[w] = rd.character(w)
+        for combo in itertools.product(*(chars[w].items() for w in parts)):
+            jk = ()
             cm = m
-            for _, k in combo:
+            for w, k in combo:
+                jk += w
                 cm *= k
             counts[jk] = counts.get(jk, 0) - cm
     if any(v != 0 for v in counts.values()):

@@ -17,7 +17,11 @@ class Weight:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = tuple(self.coords)
+        for c in coords:
+            if type(c) is not int:
+                raise ValueError("weight coordinate %r is not an int" % (c,))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def rank(self):
@@ -29,10 +33,18 @@ class Weight:
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
+    def _check_rank(self, other):
+        if len(other.coords) != len(self.coords):
+            raise ValueError(
+                "weights of ranks %d and %d do not combine" % (self.rank, other.rank)
+            )
+
     def __add__(self, other):
+        self._check_rank(other)
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
+        self._check_rank(other)
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
@@ -84,6 +96,8 @@ class RootDatum:
         # root lattice is worked in ints, scaled by n + 1
         self._scale = n + 1
         self._cinv = [[(min(i, j) + 1) * (n - max(i, j)) for j in range(n)] for i in range(n)]
+        # (n + 1) times the height of each fundamental weight
+        self.scaled_heights = tuple(sum(row) for row in self._cinv)
         self.cartan_inverse = [[rational(c, self._scale) for c in row] for row in self._cinv]
         # positive roots alpha_i + ... + alpha_j in simple-root coordinates
         self.positive_roots = []
@@ -124,7 +138,7 @@ class RootDatum:
     def scaled_height(self, w: Weight):
         """(n + 1) times the height of w, an int: it orders weights as the
         height does."""
-        return sum(self._scaled_coords(w))
+        return sum(c * h for c, h in zip(w.coords, self.scaled_heights))
 
     def pairing_htheta(self, w: Weight):
         """w(h_theta); for type A this is the sum of fundamental coordinates."""
@@ -142,71 +156,81 @@ class RootDatum:
         """mu <= lam iff lam - mu is a nonnegative integer root combination."""
         return all(k >= 0 and k % self._scale == 0 for k in self._scaled_coords(lam - mu))
 
-    def weight_interval(self, lam: Weight):
-        """All mu with w0(lam) <= mu <= lam in dominance order."""
-        if not lam.is_dominant():
-            raise ValueError("weight_interval requires a dominant weight")
-        d = self._scaled_coords(lam - self.w0(lam))
-        if any(k % self._scale for k in d):
+    def character(self, lam):
+        """The character of V(lam), lam a dominant weight given as its int
+        tuple of fundamental coordinates, as {int tuple of fundamental
+        coordinates: multiplicity}, by Freudenthal's formula in ints.
+
+        Each weight mu of the box [w0(lam), lam] is indexed by its drop d,
+        the simple-root coordinates of lam - mu, so the alpha-string mu + k
+        alpha (alpha of root coordinates rc) stays below lam exactly while
+        d - k rc >= 0.  With beta = lam - mu, the Freudenthal denominator is
+        |lam + rho|^2 - |mu + rho|^2 = 2 (lam + rho, beta) - (beta, beta).
+        Coordinates and dominant representatives are computed once per call,
+        and nothing outlives it."""
+        n = self.rank
+        if len(lam) != n or not all(type(c) is int and c >= 0 for c in lam):
+            raise ValueError("V(lam) needs a dominant weight of rank %d: %r" % (n, lam))
+        # lam - w0(lam) = lam + flip(lam), in simple-root coordinates
+        scaled = [
+            sum(c * (a + b) for c, a, b in zip(row, lam, reversed(lam))) for row in self._cinv
+        ]
+        if any(k % self._scale for k in scaled):
             raise AssertionError("lam - w0(lam) is not in the root lattice")
-        box = [range(k // self._scale + 1) for k in d]
-        out = []
-        for drops in itertools.product(*box):
-            mu = lam
-            for i, c in enumerate(drops):
-                if c:
-                    mu = mu - Weight(
-                        tuple(c * x for x in self.simple_roots[i].coords)
-                    )
-            out.append(mu)
-        return set(out)
-
-    def dominant_representative(self, w: Weight) -> Weight:
-        coords = list(w.coords)
-        while True:
-            i = next((k for k, c in enumerate(coords) if c < 0), None)
-            if i is None:
-                return Weight(tuple(coords))
-            # simple reflection s_i
-            ci = coords[i]
-            for j in range(self.rank):
-                coords[j] -= ci * self.cartan[i][j]
-
-    def freudenthal_mults(self, lam: Weight):
-        """Weight multiplicities of the irreducible module V(lam), by
-        Freudenthal's formula with the form scaled by n + 1, all in ints."""
-        if not lam.is_dominant():
-            raise ValueError("freudenthal_mults requires a dominant weight")
-        interval = self.weight_interval(lam)
-        dominants = sorted(
-            (mu for mu in interval if mu.is_dominant()),
-            key=lambda mu: -self.scaled_height(mu),
-        )
-        roots = [(rc, Weight(self._root_to_fundamental(rc))) for rc in self.positive_roots]
-        lam_rho = lam + self.rho
-        nlr = _pair(lam_rho, self._scaled_coords(lam_rho))
+        sizes = [k // self._scale + 1 for k in scaled]
+        # the flat index of a drop, in itertools.product order
+        strides = [1] * n
+        for i in range(n - 2, -1, -1):
+            strides[i] = strides[i + 1] * sizes[i + 1]
+        drops = list(itertools.product(*map(range, sizes)))
+        weights = [
+            tuple(c - sum(a * k for a, k in zip(row, drop)) for c, row in zip(lam, self.cartan))
+            for drop in drops
+        ]
+        dominant = [_dominant(mu) for mu in weights]
+        # (root support, flat index step) of each positive root
+        roots = []
+        for rc in self.positive_roots:
+            support = [i for i, x in enumerate(rc) if x]
+            roots.append((support, sum(strides[i] for i in support)))
+        lam_rho = [c + 1 for c in lam]
         mults = {}
-        for mu in dominants:
-            if mu == lam:
-                mults[lam] = 1
+        # the dominant weights by height, highest first: the drop sum grows
+        for idx in sorted(
+            (idx for idx, mu in enumerate(weights) if min(mu) >= 0),
+            key=lambda idx: sum(drops[idx]),
+        ):
+            mu, drop = weights[idx], drops[idx]
+            if not idx:
+                mults[mu] = 1
                 continue
             num = 0
-            for rc, alpha in roots:
-                nu = mu + alpha
-                while self.dominance_leq(nu, lam):
-                    num += 2 * mults.get(self.dominant_representative(nu), 0) * _pair(nu, rc)
-                    nu = nu + alpha
-            mu_rho = mu + self.rho
-            val, rem = divmod(self._scale * num, nlr - _pair(mu_rho, self._scaled_coords(mu_rho)))
+            for support, step in roots:
+                # (mu + k alpha, alpha) = (mu, alpha) + 2k
+                pair = sum(mu[i] for i in support)
+                for k in range(1, min(drop[i] for i in support) + 1):
+                    m = mults.get(dominant[idx - k * step])
+                    if m:
+                        num += m * (pair + 2 * k)
+            beta_sq = sum(
+                d * sum(a * e for a, e in zip(row, drop)) for d, row in zip(drop, self.cartan)
+            )
+            den = 2 * sum(d * c for d, c in zip(drop, lam_rho)) - beta_sq
+            val, rem = divmod(2 * num, den)
             if rem or val < 0:
                 raise AssertionError("Freudenthal multiplicity is not a nonnegative integer")
             mults[mu] = val
         out = {}
-        for mu in interval:
-            m = mults.get(self.dominant_representative(mu), 0)
+        for mu, top in zip(weights, dominant):
+            m = mults.get(top)
             if m:
                 out[mu] = m
         return out
+
+    def freudenthal_mults(self, lam: Weight):
+        """Weight multiplicities of the irreducible module V(lam): the
+        Weight-keyed view of character(lam.coords)."""
+        return {Weight(mu): m for mu, m in self.character(lam.coords).items()}
 
     def weyl_dim(self, lam: Weight):
         """Dimension of V(lam) by the Weyl dimension formula; (v, alpha) of a
@@ -226,3 +250,12 @@ class RootDatum:
 def _pair(v: Weight, rc):
     """The invariant form of v with the element of simple-root coordinates rc."""
     return sum(c * k for c, k in zip(v.coords, rc))
+
+
+def _dominant(mu):
+    """The dominant weight in the Weyl group orbit of mu (fundamental
+    coordinates): in type A_n the group permutes the n + 1 coordinates
+    e_k = mu_k + ... + mu_n (e_{n+1} = 0), and the dominant one lists them
+    in decreasing order."""
+    e = sorted(itertools.accumulate(reversed(mu), initial=0), reverse=True)
+    return tuple(a - b for a, b in zip(e, e[1:]))

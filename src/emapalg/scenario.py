@@ -124,13 +124,19 @@ def _check_keys(spec, allowed, where):
         raise ScenarioError("%s has unknown keys %s" % (where, unknown))
 
 
+def read_scenario(path):
+    """The bytes of a scenario file, read once, and the JSON they hold."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw, json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError("cannot read scenario: %s" % exc)
+
+
 def load_scenario(path=None, data=None) -> Scenario:
     if data is None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError("cannot read scenario: %s" % exc)
+        _, data = read_scenario(path)
     _check_keys(data, _TOP_KEYS, "scenario")
 
     lie_type = data.get("lie_type")

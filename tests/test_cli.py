@@ -97,6 +97,14 @@ def test_malformed_scenario_exit_2(tmp_path):
     assert json.loads(text)["status"] == "input-error"
 
 
+def test_missing_scenario_exit_2(tmp_path):
+    code, text = _run(["weyl", str(tmp_path / "absent.json"), "psiw"], tmp_path)
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["status"] == "input-error" and rep["digest"] is None
+    assert rep["results"]["error"].startswith("cannot read scenario: ")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

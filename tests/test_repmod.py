@@ -1,5 +1,8 @@
 """Evaluation modules, twisting transports, multiplicities, Hom spaces."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +39,7 @@ from emapalg.repmod import (
     joint_weights,
     lift_module,
     multiplicities,
+    psi_dim,
     psi_gamma,
     psi_restrict,
     support,
@@ -285,6 +289,76 @@ def test_direct_sum_and_tensor():
     mults = multiplicities(t)
     assert mults[_psi(fld, {1: (2,)})] == 1
     assert mults[PsiFunction.of({})] == 1
+
+
+def _weight_keyed_multiplicities(module):
+    """The reference for multiplicities: the same character solve on Weight
+    keys, with joint weights as tuples of Weights, candidates by height and
+    then coordinates, and Freudenthal characters keyed by Weight."""
+    alg = module.algebra
+    rd = alg.g.rd
+    counts = dict(joint_weights(module))
+    candidates = [wkey for wkey in counts if all(w.is_dominant() for w in wkey)]
+    candidates.sort(
+        key=lambda wk: (-sum(map(rd.scaled_height, wk)), tuple(w.coords for w in wk))
+    )
+    table = {}
+    chars = {}
+    for wkey in candidates:
+        m = counts.get(wkey, 0)
+        if m <= 0:
+            continue
+        psi = PsiFunction.of({p: w for p, w in zip(alg.points, wkey) if not w.is_zero()})
+        table[psi] = table.get(psi, 0) + m
+        for w in wkey:
+            if w not in chars:
+                chars[w] = rd.freudenthal_mults(w)
+        for combo in itertools.product(*(chars[w].items() for w in wkey)):
+            jk = tuple(w for w, _ in combo)
+            cm = m
+            for _, k in combo:
+                cm *= k
+            counts[jk] = counts.get(jk, 0) - cm
+    assert not any(counts.values())
+    return table
+
+
+# highest weights of the atoms, per rank: sl2 and sl3
+_ATOM_WEIGHTS = {1: [(0,), (1,), (2,), (3,)], 2: [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_keyed_multiplicities_match_the_weight_keyed_solve(data):
+    # random direct sums of tensor products of evaluation modules of sl2 and
+    # sl3, at one point or two: the int-keyed table is the Weight-keyed one,
+    # entries and order alike
+    rank = data.draw(st.sampled_from([1, 2]), label="rank")
+    npoints = data.draw(st.sampled_from([1, 2]), label="points")
+    g = build_sl(rank + 1, QQ)
+    alg = TruncatedAlgebra(g, EtaFunction.of({pt(QQ, c + 1): 1 for c in range(npoints)}))
+    atom = st.lists(st.sampled_from(_ATOM_WEIGHTS[rank]), min_size=npoints, max_size=npoints)
+    terms = data.draw(
+        st.lists(st.lists(atom, min_size=1, max_size=3), min_size=2, max_size=3), label="terms"
+    )
+    total = None
+    dim = 0
+    for factors in terms:
+        psis = [_psi(QQ, {c + 1: w for c, w in enumerate(ws)}) for ws in factors]
+        term_dim = math.prod(psi_dim(g.rd, psi) for psi in psis)
+        # a term that would take the sum past 72 dimensions is left out
+        if dim + term_dim > 72:
+            continue
+        dim += term_dim
+        term = evaluation_module(psis[0], alg)
+        for psi in psis[1:]:
+            term = tensor_product(term, evaluation_module(psi, alg))
+        total = term if total is None else direct_sum(total, term)
+    if total is None:
+        return
+    got = multiplicities(total)
+    assert list(got.items()) == list(_weight_keyed_multiplicities(total).items())
+    assert sum(m * psi_dim(g.rd, psi) for psi, m in got.items()) == total.dim
 
 
 def test_is_maximal_weight():

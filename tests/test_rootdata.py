@@ -79,7 +79,7 @@ def test_weyl_dim_formula(rank, coords):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([1, 2]), st.tuples(_coords, _coords))
+@given(st.sampled_from([1, 2, 3]), st.tuples(_coords, _coords, _coords))
 def test_freudenthal_sums_to_weyl_dim(rank, coords):
     rd = RootDatum(rank)
     lam = Weight(coords[:rank])
@@ -91,7 +91,9 @@ def test_freudenthal_sums_to_weyl_dim(rank, coords):
 class _RationalReference:
     """The root-lattice formulas of RootDatum on Fractions, through the
     closed-form Cartan inverse (C^-1)_ij = min(i, j)(n + 1 - max(i, j)) / (n + 1);
-    the int parts (roots, rho, w0, dominant representative) are read off rd."""
+    the int parts (roots, rho, w0) are read off rd.  The interval is listed
+    weight by weight and the dominant representative is found by simple
+    reflections, independently of RootDatum.character."""
 
     def __init__(self, rd):
         n = rd.rank
@@ -125,6 +127,17 @@ class _RationalReference:
             out.add(mu)
         return out
 
+    def dominant_representative(self, w):
+        coords = list(w.coords)
+        while True:
+            i = next((k for k, c in enumerate(coords) if c < 0), None)
+            if i is None:
+                return Weight(tuple(coords))
+            # simple reflection s_i
+            ci = coords[i]
+            for j in range(self.rd.rank):
+                coords[j] -= ci * self.rd.cartan[i][j]
+
     def freudenthal_mults(self, lam):
         rd = self.rd
         interval = self.weight_interval(lam)
@@ -136,10 +149,11 @@ class _RationalReference:
             for alpha in self.roots:
                 nu = mu + alpha
                 while self.dominance_leq(nu, lam):
-                    num += 2 * mults.get(rd.dominant_representative(nu), 0) * self.inner(nu, alpha)
+                    rep = self.dominant_representative(nu)
+                    num += 2 * mults.get(rep, 0) * self.inner(nu, alpha)
                     nu = nu + alpha
             mults[mu] = Fraction(1) if mu == lam else num / (norm(lam) - norm(mu))
-        out = {mu: mults.get(rd.dominant_representative(mu), 0) for mu in interval}
+        out = {mu: mults.get(self.dominant_representative(mu), 0) for mu in interval}
         return {mu: m for mu, m in out.items() if m}
 
     def weyl_dim(self, lam):
@@ -166,11 +180,11 @@ def test_integer_root_datum_matches_a_rational_reference(rank, coords, other):
         assert rd.inner(v, w) == ref.inner(v, w) and rd.inner(w, lam) == ref.inner(w, lam)
         assert rd.dominance_leq(w, lam) == ref.dominance_leq(w, lam)
         assert rd.dominance_leq(lam, w) == ref.dominance_leq(lam, w)
-    interval = rd.weight_interval(lam)
-    assert interval == ref.weight_interval(lam)
+    interval = ref.weight_interval(lam)
     for mu in sorted(interval, key=lambda w: w.coords)[:40]:
         assert rd.dominance_leq(mu, v) == ref.dominance_leq(mu, v)
     mults = rd.freudenthal_mults(lam)
+    assert set(mults) <= interval
     assert mults == ref.freudenthal_mults(lam)
     assert all(type(m) is int for m in mults.values())
     dim = rd.weyl_dim(lam)
@@ -184,17 +198,47 @@ def test_freudenthal_adjoint():
     assert mults[Weight((0, 0))] == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_character_matches_the_reference_and_is_reflection_invariant(data):
+    # A1-A3: the int-keyed character is the rational reference's Freudenthal
+    # character key for key, sums to the Weyl dimension, and is invariant
+    # under each simple reflection s_i(mu) = mu - mu_i alpha_i, written here
+    # from the Cartan matrix of A_n alone
+    rank = data.draw(st.integers(min_value=1, max_value=3), label="rank")
+    top = {1: 8, 2: 4, 3: 2}[rank]
+    lam = data.draw(st.tuples(*[st.integers(min_value=0, max_value=top)] * rank), label="lam")
+    rd = RootDatum(rank)
+    char = rd.character(lam)
+    assert all(type(c) is int for mu in char for c in mu)
+    assert all(type(m) is int and m > 0 for m in char.values())
+    ref = _RationalReference(rd).freudenthal_mults(Weight(lam))
+    assert char == {mu.coords: m for mu, m in ref.items()}
+    assert char[lam] == 1
+    assert sum(char.values()) == rd.weyl_dim(Weight(lam)) == _wdim_a(rank, lam)
+    for i in range(rank):
+        alpha = [2 if j == i else -1 if abs(j - i) == 1 else 0 for j in range(rank)]
+        for mu, m in char.items():
+            assert char.get(tuple(c - mu[i] * a for c, a in zip(mu, alpha))) == m
+
+
+@pytest.mark.parametrize("lam", [(-1,), (1, -1), (1,), (1, 0, 0, 0)])
+def test_character_refuses_a_weight_that_is_not_dominant_of_its_rank(lam):
+    with pytest.raises(ValueError, match="dominant weight of rank 3"):
+        RootDatum(3).character(lam)
+
+
 def test_weight_interval_a2():
-    rd = RootDatum(2)
+    ref = _RationalReference(RootDatum(2))
     # dominance interval [w0 lam, lam] for the adjoint weight
-    interval = rd.weight_interval(Weight((1, 1)))
+    interval = ref.weight_interval(Weight((1, 1)))
     assert len(interval) == 9
 
 
 def test_weight_interval_contains_freudenthal_support():
     rd = RootDatum(2)
     lam = Weight((2, 1))
-    interval = set(rd.weight_interval(lam))
+    interval = set(_RationalReference(rd).weight_interval(lam))
     for mu in rd.freudenthal_mults(lam):
         assert mu in interval
 
@@ -207,11 +251,11 @@ def test_dominance():
 
 
 def test_dominant_representative():
-    rd = RootDatum(2)
+    ref = _RationalReference(RootDatum(2))
     for w in (Weight((-1, 2)), Weight((3, -2)), Weight((0, 0))):
-        d = rd.dominant_representative(w)
+        d = ref.dominant_representative(w)
         assert d.is_dominant()
-    assert rd.dominant_representative(Weight((1, 1))) == Weight((1, 1))
+    assert ref.dominant_representative(Weight((1, 1))) == Weight((1, 1))
 
 
 def test_inner_normalization():
@@ -225,6 +269,22 @@ def test_diagram_symmetry():
     assert tau(Weight((1, 0))) == Weight((0, 1))
     assert tau.compose(tau) == DiagramSymmetry.identity(2)
     assert DiagramSymmetry.identity(3)(Weight((1, 2, 3))) == Weight((1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 2.7, 2.0, True, "1", None])
+def test_weight_refuses_a_coordinate_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="is not an int"):
+        Weight((1, bad))
+
+
+def test_weight_arithmetic_refuses_another_rank():
+    two, one = Weight((1, 2)), Weight((1,))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="ranks 2 and 1"):
+            op(two, one)
+        with pytest.raises(ValueError, match="ranks 1 and 2"):
+            op(one, two)
+    assert two + Weight((0, 1)) == Weight((1, 3)) and two - two == Weight((0, 0))
 
 
 def test_bad_rank():
