@@ -57,6 +57,7 @@ PROBES = {
     "battery psi_2w1w2_eq": ("sl3_stress.json", ["battery", "psi_2w1w2_eq", "--bound", "2"]),
     "battery psi_w1_w2_eq": ("sl3_stress.json", ["battery", "psi_w1_w2_eq", "--bound", "1"]),
     "weyl psi_3w_3w": ("sl2_stress.json", ["weyl", "psi_3w_3w"]),
+    "battery psi_4w_eq": ("sl2_stress.json", ["battery", "psi_4w_eq", "--bound", "3"]),
     "mult psi_w1w2^3": ("sl3_stress.json", ["mult", "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)"]),
     "mult V(psi_6w1_6w2)": ("sl3_irreducible.json", ["mult", "V(psi_6w1_6w2)"]),
     "weyl psi_6w1_6w2": ("sl3_irreducible.json", ["weyl", "psi_6w1_6w2"]),

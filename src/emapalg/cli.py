@@ -34,8 +34,8 @@ DEFAULT_MAX_DIM = 4096
 
 
 class CapExceeded(Exception):
-    def __init__(self, size, cap):
-        super().__init__("module dimension %d exceeds EMA_WEYL_MAX_DIM=%d" % (size, cap))
+    def __init__(self, size, cap, what):
+        super().__init__("%s %d exceeds EMA_WEYL_MAX_DIM=%d" % (what, size, cap))
         self.size = size
 
 
@@ -54,10 +54,14 @@ def _max_dim():
     return cap
 
 
-def _check_cap(size):
+def _check_cap(size, what="module dimension"):
     cap = _max_dim()
     if size > cap:
-        raise CapExceeded(size, cap)
+        raise CapExceeded(size, cap, what)
+
+
+def _check_weyl_cap(g, psi):
+    _check_cap(weyl_dim_bound(g, psi), "Weyl dimension bound")
 
 
 def fmt_psi(scn: Scenario, psi) -> str:
@@ -109,7 +113,7 @@ def cmd_validate(scn: Scenario, args):
 
 def cmd_weyl(scn: Scenario, args):
     psi = _plain(scn, args.psi)
-    _check_cap(weyl_dim_bound(scn.algebra, psi))
+    _check_weyl_cap(scn.algebra, psi)
     w = weyl_module(scn.algebra, psi)
     return {
         "psi": fmt_psi(scn, psi),
@@ -134,7 +138,7 @@ def cmd_twist(scn: Scenario, args):
         rest = psi_restrict(psi, scn.group, points)
     except ValueError as exc:
         raise ScenarioError("bad --transversal: %s" % exc)
-    _check_cap(weyl_dim_bound(scn.algebra, rest))
+    _check_weyl_cap(scn.algebra, rest)
     tw, w, _ = twisted_weyl(scn.group, psi, points)
     back = untwist(tw)
     if back.actions != w.module.actions:
@@ -215,7 +219,10 @@ def cmd_mult(scn: Scenario, args):
     # against its monomial bound, a V atom against its exact Weyl dimension
     g = scn.algebra
     for kind, psi in distinct:
-        _check_cap(weyl_dim_bound(g, psi) if kind == "W" else psi_dim(g.rd, psi))
+        if kind == "W":
+            _check_weyl_cap(g, psi)
+        else:
+            _check_cap(psi_dim(g.rd, psi))
     # each distinct W atom is built and certified once
     w_psis = [psi for kind, psi in distinct if kind == "W"]
     weyls = {psi: weyl_module(g, psi).module for psi in w_psis}
@@ -254,7 +261,7 @@ def _battery_module(scn: Scenario, name):
     if not psi.equivariant:
         raise ScenarioError("command needs an equivariant psi (%r is not)" % name)
     reps = [p for p in _orbit_reps(scn) if p in psi.support()]
-    _check_cap(weyl_dim_bound(scn.algebra, psi_restrict(psi, scn.group, reps)))
+    _check_weyl_cap(scn.algebra, psi_restrict(psi, scn.group, reps))
     tw, _, _ = twisted_weyl(scn.group, psi, reps)
     return tw, psi
 

@@ -104,15 +104,6 @@ class LaurentFunction:
             n >>= 1
         return acc
 
-    def evaluate(self, point: Point):
-        acc = self.field.zero
-        for exp, c in self.terms.items():
-            term = c
-            for x, k in zip(point.coords, exp):
-                term = term * x**k
-            acc = acc + term
-        return acc
-
     def is_zero(self):
         return not self.terms
 
@@ -202,18 +193,6 @@ class JetAlgebra:
         self.monomials = jet_monomials(self.nvars, order)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.dim = len(self.monomials)
-
-    def multiply(self, a, b):
-        """Truncated product of two coefficient dicts."""
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if sum(e) < self.order:
-                    c = c1 * c2
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
-        return {e: c for e, c in out.items() if not c.is_zero()}
 
 
 def _binomial_series(x, b, order, fld):
@@ -435,17 +414,6 @@ def acts_freely(group: GammaGroup):
         if group.point_action(gamma).is_trivial():
             violations.append(gamma)
     return (not violations), violations
-
-
-def xi_component(group: GammaGroup, f: LaurentFunction, xi) -> LaurentFunction:
-    """Isotypic projection by character averaging."""
-    fld = group.algebra.field
-    inv_n = fld.scalar(1) / fld.scalar(group.size)
-    acc = LaurentFunction(f.nvars, {}, fld=fld)
-    for gamma in group.elements:
-        chi = group.character_value(xi, gamma).inverse()
-        acc = acc + group.act_function(gamma, f).scale(chi)
-    return acc.scale(inv_n)
 
 
 def interpolate(assignments, fld=None):

@@ -80,6 +80,10 @@ class TruncatedAlgebra(LieAlgebra):
                                 out.setdefault(k, []).append((x, y, c))
         return out
 
+    def jet_degrees(self):
+        """The total jet degree |beta| of each basis element x tensor u^beta."""
+        return [sum(mono) for _, _, mono in self.basis]
+
     def levi_split(self):
         """s = g tensor 1 at each point, split as g is; n = the basis elements
         of positive jet degree."""
@@ -90,16 +94,6 @@ class TruncatedAlgebra(LieAlgebra):
             [k for k, g_idx in at_one if g_idx in raising],
             [k for k, (_, _, mono) in enumerate(self.basis) if any(mono)],
         )
-
-    def project(self, g_vec, f: LaurentFunction):
-        """Image of (g-element tensor function) in the truncation."""
-        out = {}
-        for p_idx, jet in enumerate(self.jets):
-            coeffs = jet_expand(f, jet.point, jet.order)
-            for g_idx, c in g_vec.items():
-                for mono, jc in coeffs.items():
-                    out[self.index[(p_idx, g_idx, mono)]] = c * jc
-        return out
 
 
 class MapElement:

@@ -38,15 +38,23 @@ class CEComplex:
     diagonally on V and on n (ValueError otherwise); Hom_s(n, V) is the
     weight-zero part of Hom(n, V) killed by the simple raising elements.
     With s = 0 this is the full complex.  Only the raw actions at the indices
-    of L.levi_split() are read (a dict or a list).
+    of L.levi_split() are read (a dict or a list, read by index only where
+    the complex needs them).
+
+    With `degrees` (L a truncation, and d(a) per coordinate a of V, which an
+    element of jet degree |beta| maps into degree d(a) + |beta|) the cochain
+    (x_j, a) has degree delta = |beta_j| - d(a), kept by the raising, d0 and
+    d1.  n is generated in degree 1, so no cocycle has delta > 1 - min d,
+    and only the cochains with delta <= 1 - min d are kept; d0(V^s) having
+    a component above that bound raises.
 
     The brackets read, through L.brackets_into, are [h, x_i] for the weights
-    and, since only the weight-zero cochains phi(x_j) enter the rows,
+    and, since only the kept weight-zero cochains phi(x_j) enter the rows,
     [e, x_i] and [x_i, x_i'] (i < i') only where they land on an x_j that
     carries such a cochain; with no cochain none is read.  A truncation
     finds those pairs by jet degree."""
 
-    def __init__(self, L, actions, vdim):
+    def __init__(self, L, actions, vdim, *, degrees=None):
         self.L, self.actions, self.vdim = L, actions, vdim
         cartan, self.raising, self.nil = L.levi_split()
         by_weight = joint_eigenspaces([actions[h] for h in cartan], vdim)
@@ -59,8 +67,13 @@ class CEComplex:
                 if i != k:
                     raise ValueError("a Cartan element is not diagonal on n")
                 weight[i][place[h]] = c
-        # the weight-zero coordinates (i, a) of Hom(n, V)
-        self.cochains = [(i, a) for i in self.nil for a in by_weight.get(tuple(weight[i]), ())]
+        # the weight-zero coordinates (i, a) of Hom(n, V), cut at delta <= top
+        jet, top = (L.jet_degrees(), 1 - min(degrees)) if degrees else (None, None)
+        def kept(i, a):
+            return jet is None or jet[i] - degrees[a] <= top
+        self.cochains = [
+            (i, a) for i in self.nil for a in by_weight.get(tuple(weight[i]), ()) if kept(i, a)
+        ]
         index = {key: k for k, key in enumerate(self.cochains)}
         # only brackets landing on an x_j that carries a cochain are read
         carried = {i for i, _ in self.cochains}
@@ -77,6 +90,8 @@ class CEComplex:
         for v in invariants:
             image = {(i, b): y for i in self.nil for b, y in actions[i].apply(v).items()}
             d0.append({index[key]: y for key, y in image.items() if key in index})
+            if any(not kept(*key) for key in image):
+                raise AssertionError("d0(V^s) has a component above the jet-degree bound")
             if len(d0[-1]) < len(image) or not c1_rel.contains(d0[-1]):
                 raise AssertionError("d0(V^s) is not inside Hom_s(n, V)")
         if not _keyed_matrix(len(d0), self._d1_terms(d0)).is_zero():
@@ -133,27 +148,49 @@ def _kernel(coords, image):
     return [{coords[k]: c for k, c in z.items()} for z in kernel.basis]
 
 
+class _HomActions(dict):
+    """The actions x.T = rho2(x) T - T rho1(x) on Hom(M1, M2) of a truncation's
+    basis elements, from the two modules' action lists; each is built the
+    first time it is read."""
+
+    def __init__(self, a1, a2):
+        super().__init__()
+        self._a1, self._a2 = a1, a2
+
+    def __missing__(self, i):
+        self[i] = act = hom_action(self._a1[i], self._a2[i])
+        return act
+
+
 @dataclass
 class ExtLadder:
+    """The H^1 dimension of each rung, Hom(M1, M2), and e0: every rung from
+    e0 on reports the one cut complex built at max(base, e0); None when a
+    module has no jet grading, and every rung was built."""
+
     rungs: list  # (exponent, h1 dimension)
-    stabilized: bool
     hom_dim: int
+    e0: int | None = None
 
     @property
     def dims(self):
         return [d for _, d in self.rungs]
 
 
-def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras=None) -> ExtLadder:
-    """H^1 of truncations with growing exponent; extensions of any pair of
-    finite modules live on some rung, so stabilized dims certify vanishing up
-    to that depth.  The base exponent sits one above the modules' own
-    truncations so that genuinely new extensions can appear on the ladder.
+def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras=None):
+    """H^1 of the truncations at exponents base, base + 1, ... on the support
+    of the join of the modules' own truncations (base: one above that join,
+    so that genuinely new extensions can appear), and H^0 = Hom(M1, M2).
+    Both modules are raw, over truncations (twisted modules are untwisted
+    first), and x.T = rho2(x) T - T rho1(x) on Hom(M1, M2).
 
-    Both modules live over truncations (twisted modules are untwisted
-    first) and are raw; each rung is the truncation at the support of the
-    join of theirs, and Hom(M1, M2) carries (x.T) = rho2(x) T - T rho1(x),
-    built at the basis elements the complex reads (see CEComplex)."""
+    When both are graded by jet degree (FiniteModule.jet_degrees), the
+    complex is cut at 1 + max deg1 - min deg2 (see CEComplex) and reads only
+    the brackets [x u^a, y u^b] with a + b < e0 = 2 + span1 + span2 (span =
+    max deg - min deg), so it is one complex on every rung from e0 on: the
+    rungs below e0 are built one by one, and the complex at max(base, e0)
+    once, for every rung from e0 on.  Without a grading every rung is
+    built, uncut."""
     alg1, alg2 = m1.algebra, m2.algebra
     if not (isinstance(alg1, TruncatedAlgebra) and isinstance(alg2, TruncatedAlgebra)):
         raise ValueError("ext1_ladder expects modules over truncations")
@@ -163,19 +200,25 @@ def ext1_ladder(m1: FiniteModule, m2: FiniteModule, rungs=3, base=None, algebras
     if base is None:
         base = join.max_exponent() + 1
     algebras = {} if algebras is None else algebras
-    out, homd = [], None
+    deg1, deg2 = m1.jet_degrees(), m2.jet_degrees()
+    e0 = degrees = None
+    if deg1 is not None and deg2 is not None:
+        e0 = 2 + max(deg1) - min(deg1) + max(deg2) - min(deg2)
+        degrees = [d2 - d1 for d2 in deg2 for d1 in deg1]  # of Hom(M1, M2), row-major
+    built, out = {}, []  # built: exponent -> (H^0, H^1)
     for e in range(base, base + rungs):
-        if e not in algebras:
-            algebras[e] = TruncatedAlgebra(alg1.g, EtaFunction.of(dict.fromkeys(join.support(), e)))
-        L = algebras[e]
-        a1, a2 = extend_to(m1, L).actions, extend_to(m2, L).actions
-        read = itertools.chain.from_iterable(L.levi_split())
-        cx = CEComplex(L, {i: hom_action(a1[i], a2[i]) for i in read}, m1.dim * m2.dim)
-        if homd is None:
-            homd = cx.h0_dim()  # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2)
-        out.append((e, cx.h1()))
-    stable = len(out) >= 2 and out[-1][1] == out[-2][1]
-    return ExtLadder(out, stable, homd)
+        at = e if e0 is None else min(e, max(base, e0))
+        if at not in built:
+            L = algebras.get(at)
+            if L is None:
+                eta = EtaFunction.of(dict.fromkeys(join.support(), at))
+                L = algebras[at] = TruncatedAlgebra(alg1.g, eta)
+            actions = _HomActions(extend_to(m1, L).actions, extend_to(m2, L).actions)
+            cx = CEComplex(L, actions, m1.dim * m2.dim, degrees=degrees)
+            built[at] = cx.h0_dim(), cx.h1()
+        out.append((e, built[at][1]))
+    # H^0(L, Hom(M1, M2)) = Hom_L(M1, M2) on every rung
+    return ExtLadder(out, built[base][0], e0)
 
 
 def enumerate_phi(group, orbit_reps, rank, bound):
@@ -186,16 +229,6 @@ def enumerate_phi(group, orbit_reps, rank, bound):
         psi_gamma(group, PsiFunction.of(dict(zip(orbit_reps, combo))))
         for combo in itertools.product(weights, repeat=len(orbit_reps))
     ]
-
-
-def check_hom_dim(hom_dim, ladder: ExtLadder):
-    """Hom does not change when both modules are pulled back along the
-    surjection onto a ladder rung, so the base-algebra Hom dimension must
-    equal the rung's H^0."""
-    if hom_dim != ladder.hom_dim:
-        raise AssertionError(
-            "Hom dimension %d differs from H^0 %d of the ladder" % (hom_dim, ladder.hom_dim)
-        )
 
 
 @dataclass
@@ -254,5 +287,7 @@ def lower_candidates(plain: FiniteModule, group, psi: PsiFunction, bound, rungs)
             n = evaluation_module(psi_restrict(phi, group, trunc.points), trunc)
             hd = len(hom_space(plain, n))
             ladder = ext1_ladder(plain, n, rungs=rungs, algebras=cache)
-            check_hom_dim(hd, ladder)
+            if hd != ladder.hom_dim:  # Hom is unchanged by pulling back to a rung
+                raise AssertionError("Hom dimension %d differs from H^0 %d of the ladder"
+                                     % (hd, ladder.hom_dim))
             yield phi, hd, ladder.dims

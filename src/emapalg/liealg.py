@@ -345,6 +345,34 @@ class FiniteModule:
         ops = [self.actions[i] for i in self.algebra.levi_split()[0]]
         return weight_spaces(ops, self.dim)
 
+    def jet_degrees(self):
+        """The jet degree of each basis vector, when the actions shift it by
+        the jet degrees of the algebra's basis (algebra.jet_degrees(), on a
+        truncation); else None.  It is 0 when every positive-degree element
+        acts by zero, and otherwise read breadth-first from the cyclic vector
+        (degree 0) along the nonzero entries of every action: a clash, an
+        unreached vector or no cyclic vector means no grading."""
+        read = getattr(self.algebra, "jet_degrees", None)
+        shifts = read and read()
+        if shifts and not any(a and not act.is_zero() for a, act in zip(shifts, self.actions)):
+            return [0] * self.dim
+        if not (shifts and self.cyclic):
+            return None
+        steps = [[] for _ in range(self.dim)]  # b -> (c, shift) over the entries (c, b)
+        for a, act in zip(shifts, self.actions):
+            for c, b, _ in act.nonzeros():
+                steps[b].append((c, a))
+        degree = dict.fromkeys(self.cyclic, 0)
+        queue = list(degree)
+        for b in queue:
+            for c, a in steps[b]:
+                if c not in degree:
+                    degree[c] = degree[b] + a
+                    queue.append(c)
+                elif degree[c] != degree[b] + a:
+                    return None
+        return [degree[b] for b in range(self.dim)] if len(degree) == self.dim else None
+
     def character(self):
         """Weight multiplicities of a module over g."""
         return {Weight(key): len(coords) for key, coords in self.weights().items()}
@@ -391,11 +419,6 @@ def trivial_module(algebra):
     """The one-dimensional module on which every element acts by zero."""
     zero = Matrix.from_triples(RAW, 1, 1, ())
     return FiniteModule(algebra, [zero] * algebra.dim, cyclic={0: 1})
-
-
-def natural_module(g):
-    """The natural (n+1)-dimensional representation of sl_{n+1}."""
-    return FiniteModule(g, list(g.basis_matrices), cyclic={0: 1})
 
 
 def irreducible_module(g, lam):

@@ -114,13 +114,14 @@ def rref(rows, ncols):
     """Reduced row echelon form of dense rows or of sparse {col: x} rows.
 
     Returns (rows, pivot_columns): the nonzero rows of the form as sparse
-    rows, in pivot order.  The rows are added one at a time and elimination
-    touches only their nonzeros (as in LinBox or FLINT's fmpq_mat); the
-    reduced echelon form is unique, so the order does not change the result.
+    rows, in pivot order.  The rows are added sparsest first, which limits
+    fill-in, and elimination touches only their nonzeros (as in LinBox or
+    FLINT's fmpq_mat); the reduced echelon form is unique, so the order does
+    not change the result.
     """
     echelon, holders = {}, {}
-    for row in rows:
-        _insert(echelon, holders, _sparse(row))
+    for row in sorted(map(_sparse, rows), key=len):
+        _insert(echelon, holders, row)
         if len(echelon) == ncols:
             break
     pivots = sorted(echelon)
@@ -362,11 +363,6 @@ class Subspace:
         self._rows = _rows  # pivot column -> sparse basis row
         self._holders = None  # _column_map of _rows, built by the first add_vector
         self.pivots = sorted(_rows)
-
-    @classmethod
-    def full(cls, fld, n):
-        """The whole coordinate space of dimension n."""
-        return cls(n, fld=fld, _rows={i: {i: fld.one} for i in range(n)})
 
     @property
     def basis(self):

@@ -289,18 +289,6 @@ def support(module: FiniteModule):
     return tuple(pts)
 
 
-def is_maximal_weight(module: FiniteModule, psi: PsiFunction = None):
-    """Unique top constituent by height, with multiplicity one."""
-    alg = module.algebra
-
-    def h(ps):
-        if isinstance(alg, InvariantAlgebra):
-            return height_psi_orbits(alg.group, ps)
-        return height_psi(alg.g.rd, ps)
-
-    return unique_top(multiplicities(module), h, psi)
-
-
 def unique_top(table, height, psi: PsiFunction = None):
     """(True, top) when the multiplicity table has one constituent of
     greatest height, with multiplicity one (and equal to psi, if given);

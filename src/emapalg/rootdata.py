@@ -144,10 +144,6 @@ class RootDatum:
         """w(h_theta); for type A this is the sum of fundamental coordinates."""
         return sum(w.coords)
 
-    def inner(self, v: Weight, w: Weight):
-        """Invariant form with (alpha, alpha) = 2 on all roots."""
-        return rational(_pair(v, self._scaled_coords(w)), self._scale)
-
     def w0(self, w: Weight) -> Weight:
         """Action of the longest Weyl group element: w0(w) = -flip(w)."""
         return Weight(tuple(-c for c in reversed(w.coords)))
@@ -226,11 +222,6 @@ class RootDatum:
             if m:
                 out[mu] = m
         return out
-
-    def freudenthal_mults(self, lam: Weight):
-        """Weight multiplicities of the irreducible module V(lam): the
-        Weight-keyed view of character(lam.coords)."""
-        return {Weight(mu): m for mu, m in self.character(lam.coords).items()}
 
     def weyl_dim(self, lam: Weight):
         """Dimension of V(lam) by the Weyl dimension formula; (v, alpha) of a

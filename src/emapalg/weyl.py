@@ -109,9 +109,6 @@ class _Straightener:
             self.prepend[self.tail[j]][m[0]] = j
         self.n_low = self.mono_excess.count(0)
 
-    def excess(self, content):
-        return sum(max(0, c - t) for c, t in zip(content, self.top))
-
     def _enumerate(self):
         """All normal (weakly decreasing) factor monomials of excess at most
         cap, into monomials: inside the interval first, each part sorted by

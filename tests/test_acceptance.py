@@ -33,7 +33,6 @@ from emapalg.repmod import (
     evaluation_module,
     extend_to,
     is_isomorphic,
-    is_maximal_weight,
     multiplicities,
     psi_gamma,
     tensor_product,
@@ -50,6 +49,7 @@ from emapalg.weyl import (
     weyl_module,
 )
 
+from helpers import is_maximal_weight
 from sl2_oracle import weyl_dim_sl2
 from test_ema import flip_setup, pt, z2_setup
 

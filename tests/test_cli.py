@@ -292,6 +292,27 @@ def test_cap_exceeded(tmp_path, monkeypatch):
     assert str(rep["results"]["size"]) in rep["results"]["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, cap, message",
+    [
+        (["weyl", "psi2w_plain"], 3, "Weyl dimension bound %d"),
+        (["mult", "W(psi2w_plain)"], 3, "Weyl dimension bound %d"),
+        (["mult", "V(psi2w_plain)"], 2, "module dimension %d"),
+        (["mult", "V(psi2w_plain)*V(psi2w_plain)"], 8, "module dimension %d"),
+    ],
+    ids=["weyl", "mult-W-atom", "mult-V-atom", "mult-product"],
+)
+def test_cap_message_names_the_number_compared(tmp_path, monkeypatch, argv, cap, message):
+    # a W atom is refused on its Weyl dimension bound, which only dominates
+    # its dimension; a V atom and a mult product on their module dimension
+    monkeypatch.setenv("EMA_WEYL_MAX_DIM", str(cap))
+    code, text = _run([argv[0], _fixture("sl2_z2.json")] + argv[1:], tmp_path)
+    rep = json.loads(text)
+    assert code == 1 and rep["status"] == "cap-exceeded"
+    want = message % rep["results"]["size"] + " exceeds EMA_WEYL_MAX_DIM=%d" % cap
+    assert rep["results"]["error"] == want
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
 def test_bad_cap_is_an_input_error(tmp_path, monkeypatch, cap):
     monkeypatch.setenv("EMA_WEYL_MAX_DIM", cap)

@@ -11,7 +11,7 @@ from emapalg.homology import (
     enumerate_phi,
     ext1_ladder,
 )
-from emapalg.liealg import LieAlgebra, build_sl, irreducible_module, natural_module
+from emapalg.liealg import LieAlgebra, build_sl, irreducible_module
 from emapalg.linalg import Matrix, hom_action
 from emapalg.repmod import (
     PsiFunction,
@@ -23,6 +23,7 @@ from emapalg.rootdata import Weight
 from emapalg.weyl import head, twisted_weyl, weyl_module
 
 from ce_oracle import FullComplex
+from helpers import natural_module
 from test_ema import pt, z2_setup
 
 

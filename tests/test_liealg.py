@@ -16,11 +16,12 @@ from emapalg.liealg import (
     GAutomorphism,
     build_sl,
     irreducible_module,
-    natural_module,
     transport,
 )
 from emapalg.repmod import lift_module, tensor_product
 from emapalg.rootdata import DiagramSymmetry, Weight
+
+from helpers import freudenthal_mults, natural_module
 
 _small = st.integers(min_value=-3, max_value=3)
 
@@ -134,7 +135,7 @@ def test_sl2_relations():
 def test_natural_module_character():
     g = build_sl(3)
     nat = natural_module(g)
-    assert nat.character() == g.rd.freudenthal_mults(Weight((1, 0)))
+    assert nat.character() == freudenthal_mults(g.rd, Weight((1, 0)))
 
 
 def test_tensor_product_of_g_modules():
@@ -162,7 +163,7 @@ def test_irreducible_dims(n, coords, dim):
     g = build_sl(n)
     mod = irreducible_module(g, Weight(coords))
     assert mod.dim == dim
-    assert mod.character() == g.rd.freudenthal_mults(Weight(coords))
+    assert mod.character() == freudenthal_mults(g.rd, Weight(coords))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

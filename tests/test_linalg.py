@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import emapalg
 from emapalg.fields import QQ, RAW, _Q, field
-from emapalg.liealg import FiniteModule, build_sl, natural_module, weight_spaces
+from emapalg.liealg import FiniteModule, build_sl, weight_spaces
 from emapalg.linalg import (
     Matrix,
     Subspace,
@@ -35,6 +35,7 @@ from emapalg.repmod import PsiFunction, psi_gamma
 from emapalg.rootdata import Weight
 from emapalg.weyl import twisted_weyl
 
+from helpers import natural_module
 from test_ema import pt, z2_setup
 
 _ints = st.integers(min_value=-5, max_value=5)
@@ -129,6 +130,33 @@ def _sparse_matrices(draw):
         return fld.element([draw(coeff) for _ in range(fld.degree)])
 
     return fld, [tuple(entry() for _ in range(ncols)) for _ in range(nrows)], ncols
+
+
+@st.composite
+def _raw_or_field_rows(draw):
+    """(field, dense rows, ncols): _sparse_matrices, or up to 5 x 5 raw
+    rationals, most of them zero."""
+    if draw(st.booleans()):
+        return draw(_sparse_matrices())
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, _Q(1, 2), _Q(-2, 3)])
+    return RAW, [tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_or_field_rows(), st.data())
+def test_rref_nullspace_and_subspace_ignore_row_order(drawn, data):
+    # rref adds the rows sparsest first; the reduced echelon form is unique,
+    # so no permutation of the rows changes it, the nullspace or a span
+    fld, rows, ncols = drawn
+    order = data.draw(st.permutations(range(len(rows))))
+
+    def views(rs):
+        triples = ((r, c, x) for r, row in enumerate(rs) for c, x in enumerate(row) if x)
+        m = Matrix.from_triples(fld, len(rs), ncols, triples)
+        return rref(rs, ncols), m.nullspace().basis, Subspace(ncols, rs, fld=fld).basis
+
+    assert views(rows) == views([rows[i] for i in order])
 
 
 @settings(max_examples=150, deadline=None)
@@ -385,7 +413,8 @@ def _scan_reference(ops, n, eigenvalues):
     coordinate space of dimension n, by one nullspace per piece and candidate
     eigenvalue: a reference that needs no diagonal, keys in candidate
     order."""
-    pieces = {(): Subspace.full(ops[0].field, n)}
+    one = ops[0].field.one
+    pieces = {(): Subspace(n, [{i: one} for i in range(n)], fld=ops[0].field)}
     for op in ops:
         new = {}
         for key, sp in pieces.items():

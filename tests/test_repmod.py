@@ -22,7 +22,7 @@ from emapalg.ema import (
     gamma_truncation_matrix,
 )
 from emapalg.fields import QQ, RAW, FieldElement, _Q, field
-from emapalg.liealg import GAutomorphism, build_sl, natural_module, transport
+from emapalg.liealg import GAutomorphism, build_sl, transport
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
     FiniteModule,
@@ -35,7 +35,6 @@ from emapalg.repmod import (
     hom_space,
     is_equivariant,
     is_isomorphic,
-    is_maximal_weight,
     joint_weights,
     lift_module,
     multiplicities,
@@ -51,6 +50,7 @@ from emapalg.repmod import (
 from emapalg.rootdata import DiagramSymmetry, RootDatum, Weight
 from emapalg.weyl import check_gamma_twist, twisted_weyl, weyl_module
 
+from helpers import freudenthal_mults, is_maximal_weight, natural_module
 from test_ema import flip_setup, pt, z2_setup
 
 
@@ -312,7 +312,7 @@ def _weight_keyed_multiplicities(module):
         table[psi] = table.get(psi, 0) + m
         for w in wkey:
             if w not in chars:
-                chars[w] = rd.freudenthal_mults(w)
+                chars[w] = freudenthal_mults(rd, w)
         for combo in itertools.product(*(chars[w].items() for w in wkey)):
             jk = tuple(w for w, _ in combo)
             cm = m

@@ -46,6 +46,7 @@ from emapalg.weyl import (
     weyl_module,
 )
 
+from helpers import freudenthal_mults
 from sl2_oracle import weyl_dim_sl2, weyl_weight_dims_sl2
 from test_ema import flip_setup, pt, z2_setup
 
@@ -473,6 +474,12 @@ def test_weyl_module_over_a_cyclotomic_field_lifts_the_rational_module(n, psi, o
             assert type(x) is type(vec_qq[k]) and type(x) is not FieldElement
 
 
+def _excess(st, content):
+    """How far a content lies past the interval's top, summed over the
+    (simple root, point) coordinates."""
+    return sum(max(0, c - t) for c, t in zip(content, st.top))
+
+
 @_SEED_CASES
 @pytest.mark.parametrize(
     "kwargs",
@@ -483,8 +490,8 @@ def test_stored_excess_equals_the_excess_of_the_content(n, psi, kwargs):
     _, st = _straighten(build_sl(n), psi, **kwargs)
     assert len(st.mono_excess) == len(st.content) == len(st.monomials)
     for j in range(len(st.monomials)):
-        assert st.mono_excess[j] == st.excess(st.content[j])
-    assert st.n_low == sum(1 for c in st.content if not st.excess(c))
+        assert st.mono_excess[j] == _excess(st, st.content[j])
+    assert st.n_low == sum(1 for c in st.content if not _excess(st, c))
 
 
 def _root_content(st, ai):
@@ -511,7 +518,7 @@ def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch,
     def recording(st, alg_idx, j):
         c = st.content[j]
         top = [max(a, a + d) for a, d in zip(c, _root_content(st, alg_idx))]
-        reach[st] = max(reach.get(st, 0), st.excess(top))
+        reach[st] = max(reach.get(st, 0), _excess(st, top))
         return act(st, alg_idx, j)
 
     monkeypatch.setattr(_Straightener, "act", recording)
@@ -661,6 +668,20 @@ def test_kept_monomials_grade_as_gaussian_binomials_in_type_a1(m):
     assert not counts
 
 
+@pytest.mark.parametrize("n, lam", [(2, (1,)), (2, (3,)), (2, (4,)), (3, (1, 1)), (3, (2, 1))])
+def test_jet_degree_reader_matches_the_kept_monomials(n, lam):
+    # FiniteModule.jet_degrees reads the grading off the built module's
+    # actions; the kept monomials give it independently
+    w = weyl_module(build_sl(n), _psi(QQ, {1: lam})).module
+    degrees = w.jet_degrees()
+    got = {}
+    for key, coords in w.weights().items():
+        for c in coords:
+            graded = (Weight(key),), (degrees[c],)
+            got[graded] = got.get(graded, 0) + 1
+    assert got == _graded_kept_monomials(n, {1: lam})
+
+
 @pytest.mark.parametrize("ma, mb", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)])
 def test_two_point_kept_monomials_grade_as_products_in_type_a1(ma, mb):
     # W(psi) at two points is the tensor product of the one-point modules, so
@@ -686,7 +707,7 @@ def test_degree_zero_kept_monomials_have_the_freudenthal_character(n, lam):
     # the jet-degree 0 piece of W(lam) at one point is V(lam)
     counts = _graded_kept_monomials(n, {1: lam})
     got = {weight: c for ((weight,), (degree,)), c in counts.items() if degree == 0}
-    assert got == build_sl(n).rd.freudenthal_mults(Weight(lam))
+    assert got == freudenthal_mults(build_sl(n).rd, Weight(lam))
 
 
 def _lie_closure(alg, indices):
@@ -876,7 +897,7 @@ def _fundamental_power_character(rd, lam):
     char = {Weight((0,) * rank): 1}
     for i, k in enumerate(lam.coords):
         omega = Weight(tuple(int(j == i) for j in range(rank)))
-        fundamental = rd.freudenthal_mults(omega)
+        fundamental = freudenthal_mults(rd, omega)
         for _ in range(k):
             out = {}
             for mu, a in char.items():
