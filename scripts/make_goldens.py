@@ -35,6 +35,7 @@ PAIRS = [
     ("sl2_z2.json", "mult_weyl_two_points", ["mult", "W(psi2w_plain)*V(psi_two_pt)"]),
     ("sl2_z2.json", "mult_repeated_atoms",
      ["mult", "V(psi2w_plain)*V(psi2w_plain)+W(psi2w_plain)*V(psi_two_pt)+W(psi2w_plain)"]),
+    ("sl2_plane.json", "battery_psi_2w_eq", ["battery", "psi_2w_eq"]),
 ]
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json,
-fixtures/sl2_stress.json and fixtures/sl3_irreducible.json.
+fixtures/sl2_stress.json, fixtures/sl3_irreducible.json and
+fixtures/sl2_plane.json.
 
     python3 scripts/stress.py --out BENCH.json [--src DIR]
 
@@ -10,9 +11,10 @@ its time at reference host speed, the child's peak RSS, the Python
 version, the core count and the scalar backend (gmpy2 or fractions).  Every answer is checked against a closed
 form: the Weyl and twist dimensions against the Chari-Loktev formula
 dim W(lam) = prod_i C(r + 1, i) ** lam_i, multiplicative over distinct
-points, the battery against PASS over at least one candidate, each
-with Hom 0 and every ladder rung 0, and a mult table against its
-hand-computed decomposition and its dimension.  A cap probe's only right
+points (at a point of the plane, sl2 W(m omega) against the Catalan number
+C_{m+1} instead, after Feigin-Loktev), the battery against PASS over at
+least one candidate, each with Hom 0 and every ladder rung 0, and a mult
+table against its hand-computed decomposition and its dimension.  A cap probe's only right
 answer is a ``cap-exceeded`` report with exit code 1, reached under a 1 GB
 address-space limit on its child.
 
@@ -39,6 +41,7 @@ import resource
 import subprocess
 import sys
 from functools import partial
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -61,6 +64,7 @@ PROBES = {
     "mult psi_w1w2^3": ("sl3_stress.json", ["mult", "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)"]),
     "mult V(psi_6w1_6w2)": ("sl3_irreducible.json", ["mult", "V(psi_6w1_6w2)"]),
     "weyl psi_6w1_6w2": ("sl3_irreducible.json", ["weyl", "psi_6w1_6w2"]),
+    "weyl psi_4w": ("sl2_plane.json", ["weyl", "psi_4w"]),
 }
 # W((6, 6)) of sl3 has dim 3^12, far over EMA_WEYL_MAX_DIM: its bound must be
 # compared with the cap without listing the module
@@ -80,6 +84,11 @@ MULT_DIMS = {
     "V(psi_w1w2)*V(psi_w1w2)*V(psi_w1w2)": 512,
     "V(psi_6w1_6w2)": 343,
 }
+# probe -> its Weyl dimension at a point of the plane, where the one-variable
+# Chari-Loktev formula does not apply: the Catalan number
+# C_5 = binom(10, 5) / 6 of sl2 W(4 omega) (Feigin-Loktev, Comm. Math. Phys.
+# 251, 2004)
+PLANE_DIMS = {"weyl psi_4w": comb(10, 5) // 6}
 TIMEOUT_S = 900
 
 
@@ -120,7 +129,7 @@ def check(name, scenario, args, report, code):
             return "table %s, expected %s" % (table, want)
         want = MULT_DIMS[args[1]]
         return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
-    want = expected_dim(scenario, args[1])
+    want = PLANE_DIMS[name] if name in PLANE_DIMS else expected_dim(scenario, args[1])
     return None if results["dim"] == want else "dim %s, expected %d" % (results["dim"], want)
 
 

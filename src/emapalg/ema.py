@@ -50,36 +50,6 @@ class TruncatedAlgebra(LieAlgebra):
             self._bracket_cache[(i, j)] = out
         return out
 
-    def brackets_into(self, targets, xs, ys, upper=False):
-        # [x tensor u^a, y tensor u^b] lands on a target only when both sit
-        # at its point and their jet degrees add up to its degree, so each x
-        # reads one (point, degree) class of ys per target degree, with the
-        # coefficients taken from g's int table
-        targets = set(targets)
-        degrees = {}  # point -> the jet degrees of the targets there
-        for k in targets:
-            p, _, mono = self.basis[k]
-            degrees.setdefault(p, set()).add(sum(mono))
-        classes = {}  # (point, jet degree) -> [(y, g index, monomial)] in ys order
-        for y in ys:
-            q, gy, mb = self.basis[y]
-            if q in degrees:
-                classes.setdefault((q, sum(mb)), []).append((y, gy, mb))
-        g_terms, index, out = self.g.bracket_terms, self.index, {}
-        for x in xs:
-            p, gx, ma = self.basis[x]
-            da = sum(ma)
-            for d in degrees.get(p, ()):
-                for y, gy, mb in classes.get((p, d - da), ()):
-                    terms = g_terms(gx, gy)
-                    if terms and not (upper and y <= x):
-                        mono = tuple(a + b for a, b in zip(ma, mb))
-                        for gk, c in terms:
-                            k = index[(p, gk, mono)]
-                            if k in targets:
-                                out.setdefault(k, []).append((x, y, c))
-        return out
-
     def jet_degrees(self):
         """The total jet degree |beta| of each basis element x tensor u^beta."""
         return [sum(mono) for _, _, mono in self.basis]

@@ -48,11 +48,10 @@ class CEComplex:
     and only the cochains with delta <= 1 - min d are kept; d0(V^s) having
     a component above that bound raises.
 
-    The brackets read, through L.brackets_into, are [h, x_i] for the weights
+    The brackets are read through L.bracket_terms: [h, x_i] for the weights
     and, since only the kept weight-zero cochains phi(x_j) enter the rows,
-    [e, x_i] and [x_i, x_i'] (i < i') only where they land on an x_j that
-    carries such a cochain; with no cochain none is read.  A truncation
-    finds those pairs by jet degree."""
+    [e, x_i] and [x_i, x_i'] (i < i') only onto an x_j that carries such a
+    cochain; with no cochain none is read."""
 
     def __init__(self, L, actions, vdim, *, degrees=None):
         self.L, self.actions, self.vdim = L, actions, vdim
@@ -62,7 +61,7 @@ class CEComplex:
         # basis index is a target, so that any term off the diagonal is seen
         place = {h: t for t, h in enumerate(cartan)}
         weight = {i: [0] * len(cartan) for i in self.nil}
-        for k, terms in L.brackets_into(range(L.dim), cartan, self.nil).items():
+        for k, terms in _brackets_into(L, range(L.dim), cartan, self.nil).items():
             for h, i, c in terms:
                 if i != k:
                     raise ValueError("a Cartan element is not diagonal on n")
@@ -77,8 +76,8 @@ class CEComplex:
         index = {key: k for k, key in enumerate(self.cochains)}
         # only brackets landing on an x_j that carries a cochain are read
         carried = {i for i, _ in self.cochains}
-        self._e_brackets = L.brackets_into(carried, self.raising, self.nil)
-        self._n_brackets = L.brackets_into(carried, self.nil, self.nil, upper=True)
+        self._e_brackets = _brackets_into(L, carried, self.raising, self.nil)
+        self._n_brackets = _brackets_into(L, carried, self.nil, self.nil, upper=True)
         invariants = _kernel(  # V^s
             by_weight.get((0,) * len(cartan), []),
             lambda a: (((e, b), x) for e in self.raising for b, x in actions[e].column(a).items()),
@@ -129,6 +128,22 @@ class CEComplex:
     def h1(self):
         """dim ker d1 - dim B^1."""
         return self.d1.ncols - self.d1.rank() - self.b1_dim
+
+
+def _brackets_into(L, targets, xs, ys, upper=False):
+    """{k: [(x, y, c), ...]} over k in targets, for the pairs (x, y) of xs
+    times ys (only those with x < y when upper) with [x_x, x_y] = c x_k + ...;
+    each list keeps the pairs' order, x first.  No target, no bracket read."""
+    if not targets:
+        return {}
+    targets, out = set(targets), {}
+    for x in xs:
+        for y in ys:
+            if not upper or x < y:
+                for k, c in L.bracket_terms(x, y):
+                    if k in targets:
+                        out.setdefault(k, []).append((x, y, c))
+    return out
 
 
 def _keyed_matrix(ncols, triples):

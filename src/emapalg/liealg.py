@@ -30,38 +30,17 @@ class LieAlgebra:
         basis of a nilpotent ideal n with L = s + n.  Here s = 0 and n = L."""
         return [], [], list(range(self.dim))
 
-    def brackets_into(self, targets, xs, ys, upper=False):
-        """{k: [(x, y, c), ...]} over k in targets, for the pairs (x, y) of
-        xs times ys (only those with x < y when upper) with [x_x, x_y] =
-        c x_k + ...; each list keeps the pairs' order, x first."""
-        targets = set(targets)
+    def bracket(self, u, v):
+        """Bracket of two coefficient vectors over the basis."""
         out = {}
-        for x in xs:
-            for y in ys:
-                if not upper or x < y:
-                    for k, c in self.bracket_terms(x, y):
-                        if k in targets:
-                            out.setdefault(k, []).append((x, y, c))
-        return out
-
-    def bracket_sparse(self, u, v, out=None):
-        """Add [u, v] into the dict `out` (basis index -> coefficient, may
-        hold zeros) and return it; u and v are lists of (basis index, nonzero
-        coefficient)."""
-        out = {} if out is None else out
-        for i, a in u:
-            for j, b in v:
+        for i, a in u.items():
+            for j, b in v.items():
                 c = a * b
                 # s on the left: an int structure constant scales a field
                 # element without being lifted (FieldElement.__rmul__)
                 for k, s in self.bracket_terms(i, j):
                     x = out.get(k)
                     out[k] = s * c if x is None else x + s * c
-        return out
-
-    def bracket(self, u, v):
-        """Bracket of two coefficient vectors over the basis."""
-        out = self.bracket_sparse(u.items(), v.items())
         return {k: x for k, x in out.items() if x}
 
     def check_jacobi(self, samples=60):
@@ -72,7 +51,8 @@ class LieAlgebra:
         for i, j, k in itertools.islice(triples, samples):
             s = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                self.bracket_sparse([(a, 1)], self.bracket_terms(b, c), s)
+                for t, x in self.bracket({a: 1}, dict(self.bracket_terms(b, c))).items():
+                    s[t] = s.get(t, 0) + x
             if any(s.values()):
                 raise AssertionError(
                     "Jacobi identity failed at basis triple (%d, %d, %d)" % (i, j, k)

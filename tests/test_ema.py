@@ -5,8 +5,6 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from emapalg.coordalg import (
     EtaFunction,
@@ -29,8 +27,8 @@ from emapalg.ema import (
     verify_annihilation,
     verify_lift,
 )
-from emapalg.fields import QQ, field
-from emapalg.liealg import GAutomorphism, LieAlgebra, build_sl
+from emapalg.fields import field
+from emapalg.liealg import GAutomorphism, build_sl
 from emapalg.linalg import Matrix, Subspace
 from emapalg.rootdata import DiagramSymmetry, Weight
 from emapalg.scenario import load_scenario
@@ -92,42 +90,6 @@ def test_bracket_constant_part_matches_g():
                 for k, c in g.bracket(g.basis_vector(i), g.basis_vector(j)).items()
             }
             assert br == expect
-
-
-@st.composite
-def bracket_reads(draw):
-    """(truncation, targets, xs, ys, upper) for one of the CE complex's three
-    reads: A1-A3, one or two points of one or two variables, orders 1-4, and
-    targets empty, all of n or a random set of basis indices."""
-    nvars = draw(st.integers(1, 2))
-    coords = [(1, 2), (3, 1)] if nvars == 2 else [(1,), (2,)]
-    orders = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
-    eta = {Point(tuple(QQ.scalar(c) for c in p)): k for p, k in zip(coords, orders)}
-    alg = TruncatedAlgebra(build_sl(draw(st.integers(2, 4))), EtaFunction.of(eta))
-    cartan, raising, nil = alg.levi_split()
-    targets = draw(
-        st.one_of(
-            st.just([]),
-            st.just(nil),
-            st.lists(st.booleans(), min_size=alg.dim, max_size=alg.dim).map(
-                lambda keep: [k for k, kept in enumerate(keep) if kept]
-            ),
-        )
-    )
-    xs, ys, upper = draw(
-        st.sampled_from([(cartan, nil, False), (raising, nil, False), (nil, nil, True)])
-    )
-    return alg, targets, xs, ys, upper
-
-
-@settings(max_examples=60, deadline=None)
-@given(bracket_reads())
-def test_graded_brackets_into_matches_every_pair(case):
-    # the truncation's graded read against the generic one, which takes every
-    # pair through bracket_terms: the same triples, in the same order
-    alg, targets, xs, ys, upper = case
-    got = alg.brackets_into(targets, xs, ys, upper)
-    assert got == LieAlgebra.brackets_into(alg, targets, xs, ys, upper)
 
 
 def _project(alg, g_vec, f):

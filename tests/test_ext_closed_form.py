@@ -15,20 +15,29 @@ Evaluation modules sit in jet degree 0, where the positive-degree actions
 vanish, so their complexes never read the module terms of d1.  Those are
 reached by the paper's characterization of local Weyl modules: Hom and
 every Ext^1 rung from W(lam) into a simple evaluation module of lower
-height vanish."""
+height vanish.
+
+The twisted case goes through the category isomorphism: evaluation
+modules over the invariant algebra of a fixture scenario, untwisted onto
+the truncation at the orbit leaders, meet the same closed form."""
+
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction, Point
-from emapalg.ema import TruncatedAlgebra
+from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
 from emapalg.fields import QQ
 from emapalg.homology import ext1_ladder
 from emapalg.liealg import build_sl
-from emapalg.repmod import PsiFunction, evaluation_module
+from emapalg.repmod import PsiFunction, evaluation_module, psi_gamma, untwist
 from emapalg.rootdata import Weight
+from emapalg.scenario import load_scenario
 from emapalg.weyl import weyl_module
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def adjoint_tensor_multiplicity(rd, lam, mu):
@@ -109,3 +118,33 @@ def test_weyl_module_has_no_ext_into_lower_evaluation_modules(lam, nvars):
     for mu in lower:
         ladder = ext1_ladder(w, evaluation_module(PsiFunction.of({p: Weight(mu)}), alg), rungs=2)
         assert (ladder.hom_dim, ladder.dims) == (0, [0, 0])
+
+
+def _twisted_pairs():
+    """(fixture, lam, mu, same point) parameters over the _WEIGHTS of sl2_z2
+    and sl3_flip, with sl2_z2 also at two points of different orbits."""
+    for name, rank, two_points in (("sl2_z2", 1, True), ("sl3_flip", 2, False)):
+        for lam in _WEIGHTS[rank]:
+            for mu in _WEIGHTS[rank]:
+                for same in (True, False) if two_points else (True,):
+                    tag = "%s-%s-%s-%s" % (name, lam, mu, "one" if same else "two")
+                    yield pytest.param(name, lam, mu, same, id=tag.replace(" ", ""))
+
+
+@pytest.mark.parametrize("name, lam, mu, same", _twisted_pairs())
+def test_twisted_ladder_rungs_equal_the_closed_form(name, lam, mu, same):
+    # equivariant evaluation modules over the invariant algebra, untwisted
+    scn = load_scenario(os.path.join(FIXTURES, name + ".json"))
+    p, q = scn.points["p1"], scn.points["p1" if same else "p2"]
+    inv = InvariantAlgebra(scn.algebra, scn.group, EtaFunction.of(dict.fromkeys({p, q}, 1)))
+    m1, m2 = (
+        untwist(evaluation_module(psi_gamma(scn.group, PsiFunction.of({x: Weight(w)})), inv))
+        for x, w in ((p, lam), (q, mu))
+    )
+    ladder = ext1_ladder(m1, m2, rungs=3)
+    if not same and any(lam) and any(mu):
+        want = 0
+    else:
+        want = adjoint_tensor_multiplicity(scn.algebra.rd, lam, mu)
+    assert ladder.hom_dim == int(lam == mu and (same or not any(lam)))
+    assert ladder.dims == [want] * 3

@@ -71,6 +71,20 @@ def test_sl2_dims_match_oracle(m):
     assert w.certificate["reversed"] == w.dim
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sl2_dims_at_a_point_of_the_plane_are_catalan_numbers(m):
+    """dim W(m omega) of sl2 tensor C[x, y] at one point is the Catalan number
+    C_{m+1} = binom(2m + 2, m + 1) / (m + 2), after Feigin-Loktev,
+    "Multi-dimensional Weyl modules and symmetric functions", Comm. Math.
+    Phys. 251 (2004).  The exact statement there was not checked offline;
+    the numbers here come from the formula, not from recorded outputs."""
+    scn = load_scenario(FIXTURES / "sl2_plane.json")
+    w = weyl_module(scn.algebra, scn.psis["psi_%sw" % ("" if m == 1 else m)])
+    assert w.dim == comb(2 * m + 2, m + 1) // (m + 2)
+    for entry in ("buffer+1", "N+1", "reversed"):
+        assert w.certificate[entry] == w.dim
+
+
 def test_sl2_weight_layers_match_oracle():
     g = build_sl(2)
     for m in (2, 3):
