@@ -58,6 +58,8 @@ class _Straightener:
     point); its weight at p lies in [w0 psi(p), psi(p)] exactly when its
     content is at most top (see _interval_top) there, that is, when its
     excess sum max(0, content - top) is 0.  Those n_low monomials come first.
+    At cap 0 they are all there is, and act works modulo the span of the
+    monomials outside the interval: a term past it is never formed.
 
     A monomial is read by its id, its place in the sorted list monomials
     (the empty one, the cyclic vector, is 0): content, mono_excess, head (its
@@ -114,7 +116,10 @@ class _Straightener:
         cap, into monomials: inside the interval first, each part sorted by
         drop (the sum of root heights) then lexicographically; excess only
         grows as factors are added, by one for each coordinate a factor raises
-        past top.  Their contents and excesses go to content and mono_excess."""
+        past top, so the recursion stops at the first factor past the cap.
+        At cap 0 that lists the n_low monomials weyl_dim_bound counts and
+        nothing past the interval.  Their contents and excesses go to content
+        and mono_excess."""
         content = [0] * len(self.top)
         top = self.top
         found = []
@@ -161,18 +166,23 @@ class _Straightener:
             c = self._char_scalar(*self.alg.basis[alg_idx]) if kind == "h" else 0
             out = {0: c} if c else {}
         else:
-            rest = self.tail[j]
-            acc = {}
-            m0_alg = self.factor_alg_index[self.head[j]]
-            for m, c in self.act(alg_idx, rest).items():
-                for m2, c2 in self.act(m0_alg, m).items():
-                    acc[m2] = acc.get(m2, 0) + c * c2
-            for k, s in self.alg.bracket_terms(alg_idx, m0_alg):
-                for m2, c2 in self.act(k, rest).items():
-                    acc[m2] = acc.get(m2, 0) + s * c2
-            out = {m: c for m, c in acc.items() if c}
+            out = self.act_prepended(alg_idx, self.head[j], self.tail[j])
         memo[j] = out
         return out
+
+    def act_prepended(self, alg_idx, f, j):
+        """Action of a basis element x on h m, h the factor f and m the
+        monomial of id j, f at least head(m) so that h m is normal, as {id:
+        nonzero int}: x h m = h (x m) + [x, h] m.  h m need not be listed."""
+        acc = {}
+        h_alg = self.factor_alg_index[f]
+        for m, c in self.act(alg_idx, j).items():
+            for m2, c2 in self.act(h_alg, m).items():
+                acc[m2] = acc.get(m2, 0) + c * c2
+        for k, s in self.alg.bracket_terms(alg_idx, h_alg):
+            for m2, c2 in self.act(k, j).items():
+                acc[m2] = acc.get(m2, 0) + s * c2
+        return {m: c for m, c in acc.items() if c}
 
     def operator_matrix(self, alg_idx, cols=None):
         """Matrix of a basis element, with int entries, on the span of the
@@ -238,60 +248,69 @@ def _generators(alg: TruncatedAlgebra):
 
 
 def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
-    """The push-downs into the weight interval of the monomials of excess 1,
-    as sparse rows over the first n_low monomials: such a monomial is one past
-    top in a single coordinate (i, p), and e_i tensor 1_p is the one raising
-    generator that brings it back inside.
+    """The relation seeds pushed down into the weight interval from one step
+    past it, as sparse rows over the first n_low monomials.  There is one per
+    pair (t, h): t an enumerated tail, h a factor at least head(t) such that
+    the normal monomial h t has excess exactly 1, one past top at the
+    coordinate k of (i, p).  The seed is e_k (h t) = h (e_k t) + [e_k, h] t,
+    e_k = e_i tensor 1_p the one raising generator that brings h t back
+    inside; h t itself need not be enumerated (act_prepended).
 
-    Together with saturation under _generators these give the same relation
-    space as the push-downs of every monomial outside the interval by every
-    basis element.  act is homogeneous in content; f tensor u and h tensor u
-    never lower a coordinate of it, and e_i tensor 1_p lowers only (i, p), by
-    one.  Hence R + span(excess > 0) is stable under the generators once R
-    holds these seeds and is stable under their induced operators; the
-    elements that keep a subspace stable form a Lie subalgebra, so it is then
-    stable under the whole truncation."""
+    At cap 1 the tails include the excess-1 monomials, so the pairs are every
+    excess-1 monomial split at its head: the push-downs of all monomials one
+    step past the interval.  Together with saturation under _generators these
+    give the same relation space as the push-downs of every monomial outside
+    the interval by every basis element.  act is homogeneous in content;
+    f tensor u and h tensor u never lower a coordinate of it, and e_i tensor
+    1_p lowers only (i, p), by one.  Hence R + span(excess > 0) is stable
+    under the generators once R holds these seeds and is stable under their
+    induced operators; the elements that keep a subspace stable form a Lie
+    subalgebra, so it is then stable under the whole truncation.
+
+    At cap 0 the tails lie inside the interval, and the pairs with a tail t
+    past it are left out.  Such a t is already one past top at k, so its head
+    h misses k: h sits at another point, or, in type A, its root does not
+    contain alpha_i.  Either way h commutes with e_k, so the seed left out,
+    e_k (h t) = h (e_k t), is h's induced action on the tail's seed, and down
+    the tails every seed left out is a product of lowering elements applied
+    to a kept one.  That lies in R once R + span(outside) is stable under the
+    generators.  The argument leans on the stability it helps to give, so it
+    is checked, not assumed: the seeds left out are relations too, so a
+    cap-0 build can only come out too large, and the buffer+1 rebuild
+    straightens the full cap-1 family on its own and must agree."""
     g = alg.g
+    top = st.top
     # raising[k] is e_i tensor 1_p for the content coordinate k of (i, p)
     raising = [ai for i in range(g.rd.rank) for ai in _at_each_point(alg, g.e(i))]
+    coords = [frozenset(c) for c in st.factor_coords]
     seeds = []
-    for j in range(st.n_low, len(st.monomials)):
-        if st.mono_excess[j] == 1:
-            content = st.content[j]
-            k = next(k for k, t in enumerate(st.top) if content[k] > t)
-            # act never returns a zero coefficient, so a nonempty image is a
-            # nonzero seed; rref copies it, so it may be act's own dict
-            state = st.act(raising[k], j)
-            if state:
-                seeds.append(state)
+    for t, content in enumerate(st.content):
+        excess = st.mono_excess[t]
+        if excess > 1:
+            continue
+        # the coordinates where a factor raises the excess, and the one where
+        # t is already past top, if any
+        full = frozenset(k for k, c in enumerate(content) if c >= top[k])
+        over = [k for k, c in enumerate(content) if c > top[k]]
+        for h in range(max(st.head[t], 0), len(st.factors)):
+            hits = full & coords[h]
+            if excess + len(hits) == 1:
+                # act never returns a zero coefficient, so a nonempty image
+                # is a nonzero seed
+                state = st.act_prepended(raising[min(hits) if hits else over[0]], h, t)
+                if state:
+                    seeds.append(state)
     return seeds
 
 
-def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse_order=False):
-    """Straighten, seed and saturate over the truncation alg: the
-    straightener (excess cap 1 + buffer_extra) with its number n_low of
-    monomials inside the weight interval, the relation space R among them,
-    and the generators' operator matrices {basis index: matrix} that R is
-    closed under.  W(psi) is the quotient of the first n_low monomials by R,
-    so its dimension is n_low - dim R.  The relations are integral, so all of
-    it is raw rationals (see linalg), no field element: ints, and the
-    fractions that R's pivots bring in.
-
-    act(x, m) only produces content c(m) + root(x), and every call it makes
-    stays coordinatewise below max(c(m), c(m) + root(x)), so the cap cuts
-    nothing off while every top-level call stays at excess <= 1.  They do:
-    the seeds push down from excess 1, operator_matrix skips every image
-    outside the interval, and the Weyl powers step only from inside it."""
-    lam = psi.total_weight()
-    st = _Straightener(alg, psi, 1 + buffer_extra, reverse_order=reverse_order)
-    n_low = st.n_low
-
-    # every monomial outside the interval is a relation, so the whole
-    # computation lives in the quotient by their span.  The relation seeds
-    # inside the interval are the push-downs of the monomials just past it
-    # (see _push_down_seeds), plus the Weyl powers f_i^(lam_i + 1) w; f never
-    # lowers the content, so each power only steps from inside the interval
-    seeds = _push_down_seeds(alg, st)
+def _weyl_power_seeds(alg: TruncatedAlgebra, st: _Straightener):
+    """The Weyl powers f_i^(lam_i + 1) w, f_i the sum of f_i tensor 1_p over
+    the points, as sparse rows over the first n_low monomials.  f never
+    lowers the content, so each power only steps from inside the interval;
+    the terms a step pushes past it are dropped (at cap 0 act never forms
+    them), since they lie in the span of the monomials outside."""
+    lam = st.psi.total_weight()
+    seeds = []
     for i in range(alg.g.rd.rank):
         state = {0: 1}
         fi_indices = _lowering_indices(alg, i)
@@ -301,8 +320,44 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
                 for ai in fi_indices:
                     for m2, c2 in st.act(ai, m).items():
                         nxt[m2] = nxt.get(m2, 0) + c * c2
-            state = {m: c for m, c in nxt.items() if m < n_low and c}
+            state = {m: c for m, c in nxt.items() if m < st.n_low and c}
         seeds.append(state)
+    return seeds
+
+
+def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse_order=False):
+    """Straighten, seed and saturate over the truncation alg: the
+    straightener (excess cap buffer_extra) with its number n_low of
+    monomials inside the weight interval, the relation space R among them,
+    and the generators' operator matrices {basis index: matrix} that R is
+    closed under.  W(psi) is the quotient of the first n_low monomials by R,
+    so its dimension is n_low - dim R.  The relations are integral, so all of
+    it is raw rationals (see linalg), no field element: ints, and the
+    fractions that R's pivots bring in.
+
+    act(x, m) only produces content c(m) + root(x), and every call it makes
+    stays coordinatewise below max(c(m), c(m) + root(x)).  At cap 0 every
+    call whose result is kept stays inside the interval: the seeds push
+    down from inside tails, and operator_matrix skips every image outside.
+    Only the Weyl powers step a lowering element past the interval, and
+    the terms they push past it are dropped: the build divides out the span
+    of the monomials outside.  At cap 1 (buffer+1) the seeds start from excess-1 tails and
+    every call stays at excess <= 1, so that cap cuts nothing off either.
+    A seed on a monomial past the interval (possible only at cap >= 1, from
+    a push-down at the wrong coordinate) raises CertificationError."""
+    st = _Straightener(alg, psi, buffer_extra, reverse_order=reverse_order)
+    n_low = st.n_low
+
+    # every monomial outside the interval is a relation, so the whole
+    # computation lives in the quotient by their span.  The relation seeds
+    # inside the interval are the push-downs of the monomials just past it
+    # (see _push_down_seeds), plus the Weyl powers
+    seeds = _push_down_seeds(alg, st)
+    if any(m >= n_low for seed in seeds for m in seed):
+        raise CertificationError(
+            "a relation seed leaves the weight interval", relation="seed outside the interval"
+        )
+    seeds += _weyl_power_seeds(alg, st)
 
     # induced operators on the low quotient; the relation space only needs
     # closing under the generators
@@ -374,12 +429,17 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     max(1, psi(p)(h_theta)) at each support point p, built on the monomials
     whose weight lies in the interval [w0 psi(p), psi(p)] at every point.
 
-    Its dimension is certified by three rebuilds (excess cap one higher,
-    every truncation exponent one higher, the reversed factor order), each
-    of which only computes its relation space, and, when every point has one
-    variable, by the Chari-Loktev closed form: the product over the points
-    of prod_i C(r + 1, i) ** lam_i.  Every failed check raises
-    CertificationError."""
+    The build, like the N+1 and reversed rebuilds, runs at excess cap 0:
+    it lists nothing past the interval and seeds its relations from the
+    head-tail pairs of _push_down_seeds.  Its dimension is certified by
+    three rebuilds (excess cap one higher, every truncation exponent one
+    higher, the reversed factor order), each of which only computes its
+    relation space, and, when every point has one variable, by the
+    Chari-Loktev closed form: the product over the points of
+    prod_i C(r + 1, i) ** lam_i.  buffer+1, at cap 1, seeds from the
+    push-downs of every monomial one step past the interval, straightened on
+    their own, so it checks the smaller cap-0 seed family against the full
+    one.  Every failed check raises CertificationError."""
     if psi.is_zero():
         raise ValueError("psi must be nonzero")
     rd = g.rd

@@ -268,6 +268,24 @@ def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
     assert "action does not represent the bracket" in rep["results"]["error"]
 
 
+def test_weyl_seed_past_the_interval_exit_1(tmp_path, monkeypatch):
+    # a push-down left past the weight interval, which only the buffer+1
+    # rebuild (cap 1) lists, is a failed check, not a crash inside saturate
+    from emapalg import weyl
+
+    push_down_seeds = weyl._push_down_seeds
+
+    def stray(alg, st):
+        return push_down_seeds(alg, st) + [{len(st.monomials) - 1: 1}]
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", stray)
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert "leaves the weight interval" in rep["results"]["error"]
+
+
 def test_weyl_weight_read_failure_exit_1(tmp_path, monkeypatch):
     # a build on a box off the weight interval whose Cartan actions carry an
     # eigenvalue that is no integer weight of a module of its dimension
