@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Stress tier: time the larger-psi CLI probes on fixtures/sl3_stress.json,
-fixtures/sl2_stress.json, fixtures/sl3_irreducible.json and
-fixtures/sl2_plane.json.
+fixtures/sl2_stress.json, fixtures/sl3_irreducible.json,
+fixtures/sl2_plane.json and fixtures/sl4_stress.json.
 
     python3 scripts/stress.py --out BENCH.json [--src DIR]
 
@@ -65,6 +65,7 @@ PROBES = {
     "mult V(psi_6w1_6w2)": ("sl3_irreducible.json", ["mult", "V(psi_6w1_6w2)"]),
     "weyl psi_6w1_6w2": ("sl3_irreducible.json", ["weyl", "psi_6w1_6w2"]),
     "weyl psi_4w": ("sl2_plane.json", ["weyl", "psi_4w"]),
+    "weyl psi_w1w3": ("sl4_stress.json", ["weyl", "psi_w1w3"]),
 }
 # W((6, 6)) of sl3 has dim 3^12, far over EMA_WEYL_MAX_DIM: its bound must be
 # compared with the cap without listing the module

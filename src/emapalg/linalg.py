@@ -20,7 +20,14 @@ Structured matrices are built directly in their final layout: tensor slots
 (kron_slots) and block diagonals row by row, operators given by their images
 (from_columns) column by column, and the bracket certificate
 (commutator_matches) is read row by row without forming a product.
-from_triples is for scattered input."""
+from_triples is for scattered input.
+
+A Matrix keeps whichever view it was built on and builds the other on its
+first read: rows (`entries`) for products, ranks and comparisons, columns for
+products with a vector and saturation.  The vectors of either view are
+shared, not copied, with whoever built them and with a transpose, so they
+are read-only: the kernel never writes into a matrix's rows or columns, and
+column, apply, basis and reduce return fresh dicts."""
 
 from __future__ import annotations
 
@@ -128,6 +135,16 @@ def rref(rows, ncols):
     return [echelon[p] for p in pivots], pivots
 
 
+def _transpose(vectors, n):
+    """The other view of a matrix given by sparse vectors: n sparse vectors,
+    the j-th holding x at i wherever vectors[i] holds x at j."""
+    out = [{} for _ in range(n)]
+    for i, vec in enumerate(vectors):
+        for j, x in vec.items():
+            out[j][i] = x
+    return out
+
+
 def linear_combination(terms):
     """The sparse vector sum c * v over the pairs (c, v) in terms."""
     out = {}
@@ -138,7 +155,8 @@ def linear_combination(terms):
 
 
 class Matrix:
-    """An exact matrix.  `entries` holds one sparse row per matrix row."""
+    """An exact matrix on sparse rows, sparse columns or both (see the
+    module docstring).  `entries` holds one sparse row per matrix row."""
 
     def __init__(self, entries, ncols=None, fld=None):
         """A matrix from dense rows of FieldElements."""
@@ -152,10 +170,18 @@ class Matrix:
 
     def _set(self, fld, rows, ncols):
         self.field = fld
-        self.entries = rows
+        self._rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
         self._cols = None  # sparse columns, built by the first product with a vector
+
+    @property
+    def entries(self):
+        """The sparse rows; a matrix built from its columns builds them here,
+        on the first read."""
+        if self._rows is None:
+            self._rows = _transpose(self._cols, self.nrows)
+        return self._rows
 
     @classmethod
     def _of(cls, fld, rows, ncols):
@@ -201,10 +227,15 @@ class Matrix:
     @classmethod
     def from_columns(cls, fld, nrows, columns):
         """The matrix with nrows rows whose columns are the given vectors.
-        They hold no zeros and are kept, not copied, as its column view."""
-        cols = list(columns)
-        m = cls._of(fld, cols, nrows).transpose()
-        m._cols = cols
+        They hold no zeros and are shared, not copied, as its column view, so
+        they must not change while the matrix is in use; its rows are built
+        on the first read of `entries`."""
+        m = cls.__new__(cls)
+        m.field = fld
+        m._rows = None
+        m._cols = list(columns)
+        m.nrows = nrows
+        m.ncols = len(m._cols)
         return m
 
     @classmethod
@@ -222,7 +253,7 @@ class Matrix:
 
     def _columns(self):
         if self._cols is None:
-            self._cols = self.transpose().entries
+            self._cols = _transpose(self._rows, self.ncols)
         return self._cols
 
     def column(self, j):
@@ -276,20 +307,22 @@ class Matrix:
 
     def matmul(self, other):
         """The product self * other, row by row over the nonzeros."""
+        other_rows = other.entries
         rows = []
         for row in self.entries:
             out = {}
             for k, a in row.items():
-                _axpy(out, a, other.entries[k])
+                _axpy(out, a, other_rows[k])
             rows.append(out)
         return Matrix._of(self.field, rows, other.ncols)
 
     def transpose(self):
-        rows = [{} for _ in range(self.ncols)]
-        for r, row in enumerate(self.entries):
-            for c, x in row.items():
-                rows[c][r] = x
-        return Matrix._of(self.field, rows, self.nrows)
+        """The transpose, whose columns are this matrix's rows and whose rows
+        are its columns, shared where they are already built."""
+        rows = self._cols if self._cols is not None else _transpose(self._rows, self.ncols)
+        t = Matrix._of(self.field, rows, self.nrows)
+        t._cols = self._rows
+        return t
 
     def is_zero(self):
         return not any(self.entries)
@@ -361,7 +394,7 @@ class Subspace:
             rows, pivots = rref(vectors, ambient_dim)
             _rows = dict(zip(pivots, rows))
         self._rows = _rows  # pivot column -> sparse basis row
-        self._holders = None  # _column_map of _rows, built by the first add_vector
+        self._holders = None  # _column_map of _rows, built by the first insertion
         self.pivots = sorted(_rows)
 
     @property
@@ -425,15 +458,28 @@ class Subspace:
 
 def saturate(seed, operators):
     """Smallest subspace containing `seed` and stable under every operator
-    (Matrix instances)."""
+    (Matrix instances).
+
+    Each image is formed from the operators' columns and inserted without a
+    copy: _insert reduces it in place and stores a normalised copy, so the
+    frontier keeps the residue.  The residue differs from the image by a
+    vector already in the space, so the frontier still spans what was added,
+    and the reduced echelon basis returned is the unique one of the closure."""
     space = seed.copy()
-    frontier = space.basis
+    echelon, pivots = space._rows, space.pivots
+    holders = space._holders = _column_map(echelon)
+    op_columns = [op._columns() for op in operators]
+    frontier = [seed._rows[p] for p in seed.pivots]
     while frontier:
         new = []
         for v in frontier:
-            for op in operators:
-                w = op.apply(v)
-                if space.add_vector(w):
+            for cols in op_columns:
+                w = {}
+                for j, x in v.items():
+                    _axpy(w, x, cols[j])
+                p = _insert(echelon, holders, w)
+                if p is not None:
+                    insort(pivots, p)
                     new.append(w)
         frontier = new
     return space
@@ -484,12 +530,15 @@ def joint_eigenspaces(ops, dim):
     an absent entry is zero) to the list of coordinate indices that carry it,
     keys in the order of their first coordinate.  Raises ValueError if some
     operator has a nonzero entry off its diagonal."""
+    diagonals = []
     for op in ops:
-        if any(row.keys() - {i} for i, row in enumerate(op.entries)):
+        rows = op.entries
+        if any(row.keys() - {i} for i, row in enumerate(rows)):
             raise ValueError("operator is not diagonal on the basis")
+        diagonals.append((rows, op.field.zero))
     groups = {}
     for i in range(dim):
-        key = tuple(op.entries[i].get(i, op.field.zero) for op in ops)
+        key = tuple(rows[i].get(i, zero) for rows, zero in diagonals)
         groups.setdefault(key, []).append(i)
     return groups
 

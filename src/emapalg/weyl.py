@@ -152,7 +152,8 @@ class _Straightener:
 
     def act(self, alg_idx, j):
         """Action of a basis element on the monomial of id j, as {id: nonzero
-        int}: the memo's own dict, to be copied before any write."""
+        int}: the memo's own dict, which operator_matrix shares as a column,
+        so it is read-only."""
         memo = self._memo[alg_idx]
         out = memo.get(j)
         if out is not None:
@@ -176,8 +177,12 @@ class _Straightener:
         nonzero int}: x h m = h (x m) + [x, h] m.  h m need not be listed."""
         acc = {}
         h_alg = self.factor_alg_index[f]
+        h_memo = self._memo[h_alg]
         for m, c in self.act(alg_idx, j).items():
-            for m2, c2 in self.act(h_alg, m).items():
+            image = h_memo.get(m)
+            if image is None:
+                image = self.act(h_alg, m)
+            for m2, c2 in image.items():
                 acc[m2] = acc.get(m2, 0) + c * c2
         for k, s in self.alg.bracket_terms(alg_idx, h_alg):
             for m2, c2 in self.act(k, j).items():
@@ -190,13 +195,19 @@ class _Straightener:
         with cols, only those columns are built and the others are left
         zero.  act is homogeneous in content, so only a lowering element can
         push an image past top, and then the whole image lies outside and
-        the monomial is skipped.  Each column is a copy of act's dict."""
+        the monomial is skipped.  The columns are act's memo dicts, shared,
+        not copied (Matrix.from_columns): the matrix never writes into them."""
         f = self.alg_index_to_factor.get(alg_idx)
         up = () if f is None else self.factor_coords[f]
-        columns = [{} for _ in range(self.n_low)]
+        content, top = self.content, self.top
+        columns = [{}] * self.n_low  # one shared empty column, read-only too
         for j in range(self.n_low) if cols is None else cols:
-            if all(self.content[j][k] < self.top[k] for k in up):
-                columns[j] = dict(self.act(alg_idx, j))
+            c = content[j]
+            for k in up:
+                if c[k] >= top[k]:
+                    break
+            else:
+                columns[j] = self.act(alg_idx, j)
         return Matrix.from_columns(self.field, self.n_low, columns)
 
 

@@ -813,10 +813,7 @@ def test_block_diagonal_equals_the_triple_construction(kind, sizes, data):
 @given(_scalar_kinds(), st.integers(1, 4), st.integers(0, 4), st.data())
 def test_from_columns_keeps_its_columns(kind, nrows, ncols, data):
     fld, scalar = kind
-    columns = []
-    for _ in range(ncols):
-        col = {i: data.draw(scalar) for i in range(nrows) if data.draw(st.booleans())}
-        columns.append({i: x for i, x in col.items() if x})
+    columns = _draw_columns(data, scalar, nrows, ncols)
     m = Matrix.from_columns(fld, nrows, columns)
     assert (m.nrows, m.ncols) == (nrows, ncols)
     for j, col in enumerate(columns):
@@ -829,6 +826,102 @@ def test_from_columns_keeps_its_columns(kind, nrows, ncols, data):
     assert m == Matrix.from_triples(
         fld, nrows, ncols, [(r, j, x) for j, col in enumerate(columns) for r, x in col.items()]
     )
+    _assert_rows_built_on_first_read(fld, scalar, nrows, columns, data)
+
+
+def _draw_columns(data, scalar, nrows, ncols):
+    """ncols sparse columns of length nrows, about half of their entries
+    drawn and the zeros among those dropped."""
+    columns = []
+    for _ in range(ncols):
+        col = {i: data.draw(scalar) for i in range(nrows) if data.draw(st.booleans())}
+        columns.append({i: x for i, x in col.items() if x})
+    return columns
+
+
+def _by_columns_and_triples(fld, nrows, columns):
+    """A maker of fresh matrices built from the columns, whose rows are
+    never read, and the same matrix built from its triples."""
+
+    def fresh():
+        m = Matrix.from_columns(fld, nrows, columns)
+        assert m._rows is None
+        return m
+
+    triples = [(r, j, x) for j, col in enumerate(columns) for r, x in col.items()]
+    return fresh, Matrix.from_triples(fld, nrows, len(columns), triples)
+
+
+def _assert_rows_built_on_first_read(fld, scalar, nrows, columns, data):
+    """Every reader agrees between a column-built matrix whose rows were
+    never read and the same matrix built from its triples; a transpose
+    leaves the rows unbuilt, and building them changes no column."""
+    ncols = len(columns)
+    fresh, ref = _by_columns_and_triples(fld, nrows, columns)
+    assert fresh() == ref and ref == fresh()
+    k = data.draw(st.integers(0, 3))
+    right = Matrix.from_triples(
+        fld, ncols, k, [(r, c, data.draw(scalar)) for r in range(ncols) for c in range(k)]
+    )
+    left = Matrix.from_triples(
+        fld, k, nrows, [(r, c, data.draw(scalar)) for r in range(k) for c in range(nrows)]
+    )
+    assert fresh().matmul(right) == ref.matmul(right)
+    assert left.matmul(fresh()) == left.matmul(ref)
+    m = fresh()
+    t = m.transpose()
+    assert t == ref.transpose()
+    assert m._rows is None
+    for r in range(nrows):
+        assert t.column(r) == ref.transpose().column(r) == ref.entries[r]
+    assert list(fresh().nonzeros()) == list(ref.nonzeros())
+    assert fresh().rank() == ref.rank()
+    sq, sq_ref = _by_columns_and_triples(fld, nrows, _draw_columns(data, scalar, nrows, nrows))
+    b = _draw_square(data.draw, fld, scalar, nrows)
+    terms = [(fld.one, sq_ref.matmul(b)), (-fld.one, b.matmul(sq_ref))]
+    assert commutator_matches(sq(), b, terms)
+    assert commutator_matches(b, sq(), terms) == commutator_matches(b, sq_ref, terms)
+    m = fresh()
+    assert m.entries == ref.entries
+    assert [m.column(j) for j in range(ncols)] == columns
+
+
+def _saturate_by_copies(seed, operators):
+    """Reference: the closure that copies every vector, applying each
+    operator through apply and inserting through add_vector."""
+    space = seed.copy()
+    frontier = space.basis
+    while frontier:
+        new = []
+        for v in frontier:
+            for op in operators:
+                w = op.apply(dict(v))
+                if space.add_vector(dict(w)):
+                    new.append(dict(w))
+        frontier = new
+    return space
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalar_kinds(), st.integers(1, 6), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_saturate_matches_the_copying_closure(kind, n, nseeds, nops, data):
+    # saturate inserts each image without a copy and keeps the residues as
+    # its frontier; the reduced echelon basis of the closure is unique
+    fld, scalar = kind
+    seed = Subspace(n, _draw_columns(data, scalar, n, nseeds), fld=fld)
+    before = seed.copy()
+    ops, op_columns = [], []
+    for _ in range(nops):
+        columns = _draw_columns(data, scalar, n, n)
+        fresh, by_triples = _by_columns_and_triples(fld, n, columns)
+        ops.append(fresh() if data.draw(st.booleans()) else by_triples)
+        op_columns.append(columns)
+    got = saturate(seed, ops)
+    want = _saturate_by_copies(seed, ops)
+    assert got == want and got.pivots == want.pivots
+    assert seed == before and seed.pivots == before.pivots
+    for op, columns in zip(ops, op_columns):
+        assert [op.column(j) for j in range(n)] == columns
 
 
 def _first_failing_pair(algebra, actions):

@@ -1,6 +1,7 @@
 """Local Weyl modules: certified construction, twisting, tensor structure."""
 
 import ast
+import copy
 import itertools
 import os
 import subprocess
@@ -532,6 +533,72 @@ def test_kept_column_quotient_equals_the_full_quotient(n, psi):
     want = quotient_module(FiniteModule(alg, full, cyclic=cyclic), rel, check=False)
     assert w.module.actions == want.actions
     assert w.module.cyclic == want.cyclic
+
+
+def _assert_memo_kept(snapshots):
+    """Every memo entry of each (straightener, deep copy of its memo) is
+    still there, equal to its copy; entries added since are not compared."""
+    for st, memo in snapshots:
+        for ai, images in enumerate(memo):
+            for j, image in images.items():
+                assert st._memo[ai][j] == image
+
+
+@pytest.mark.parametrize(
+    "n, psi",
+    [
+        pytest.param(2, _psi(QQ, {1: (4,)}), id="A1-4w"),
+        pytest.param(4, _psi(QQ, {1: (1, 0, 0)}), id="A3-w1"),
+        pytest.param(2, "psi_2w", id="A1-2w@plane"),
+    ],
+)
+def test_shared_columns_leave_the_memo_unchanged(monkeypatch, n, psi):
+    # operator_matrix hands act's memo dicts to Matrix.from_columns as its
+    # columns, uncopied: the quotient, every certificate check and the
+    # multiplicities read them and must never write into them
+    from emapalg import weyl
+
+    if isinstance(psi, str):
+        scn = load_scenario(FIXTURES / "sl2_plane.json")
+        g, psi = scn.algebra, scn.psis[psi]
+    else:
+        g = build_sl(n)
+    snapshots = []
+    build_once, quotient = weyl._build_once, weyl.quotient_module
+
+    def recording_build(*args, **kwargs):
+        out = build_once(*args, **kwargs)
+        snapshots.append((out[0], copy.deepcopy(out[0]._memo)))
+        return out
+
+    def checked_quotient(module, sub, check=True):
+        (st, memo), = snapshots
+        # the kept-column actions added memo entries: they are shared too
+        snapshots.append((st, copy.deepcopy(st._memo)))
+        out = quotient(module, sub, check)
+        _assert_memo_kept(snapshots)
+        pivots = set(sub.pivots)
+        pos = {j: k for k, j in enumerate(j for j in range(module.dim) if j not in pivots)}
+        for op, qop, images in zip(module.actions, out.actions, st._memo):
+            for j, k in pos.items():
+                if j in images:
+                    # a column read out of a matrix is a copy of the shared
+                    # one, and the quotient's column is its residue mod R,
+                    # here reduced with the memo's own dict as the argument
+                    col = op.column(j)
+                    assert col == images[j] and col is not images[j]
+                    residue = sub.reduce(images[j])
+                    assert qop.column(k) == {pos[c]: x for c, x in residue.items()}
+        _assert_memo_kept(snapshots)
+        return out
+
+    monkeypatch.setattr(weyl, "_build_once", recording_build)
+    monkeypatch.setattr(weyl, "quotient_module", checked_quotient)
+    w = weyl_module(g, psi)
+    assert len(snapshots) == 5  # base (twice), buffer+1, N+1, reversed
+    _assert_memo_kept(snapshots)
+    multiplicities(w.module)
+    _assert_memo_kept(snapshots)
 
 
 @pytest.mark.parametrize(
