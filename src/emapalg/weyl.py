@@ -59,7 +59,10 @@ class _Straightener:
     content is at most top (see _interval_top) there, that is, when its
     excess sum max(0, content - top) is 0.  Those n_low monomials come first.
     At cap 0 they are all there is, and act works modulo the span of the
-    monomials outside the interval: a term past it is never formed.
+    monomials outside the interval: a term past it is never formed.  The
+    base build of weyl_module runs at cap 1: it seeds from its excess-0
+    tails only, as a cap-0 build does, and its buffer+1 check then pushes
+    down from the excess-1 tails on the same memo.
 
     A monomial is read by its id, its place in the sorted list monomials
     (the empty one, the cyclic vector, is 0): content, mono_excess, head (its
@@ -187,7 +190,9 @@ class _Straightener:
         for k, s in self.alg.bracket_terms(alg_idx, h_alg):
             for m2, c2 in self.act(k, j).items():
                 acc[m2] = acc.get(m2, 0) + s * c2
-        return {m: c for m, c in acc.items() if c}
+        for m in [m for m, c in acc.items() if not c]:
+            del acc[m]
+        return acc
 
     def operator_matrix(self, alg_idx, cols=None):
         """Matrix of a basis element, with int entries, on the span of the
@@ -258,10 +263,11 @@ def _generators(alg: TruncatedAlgebra):
     return out
 
 
-def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
+def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, tails=None):
     """The relation seeds pushed down into the weight interval from one step
     past it, as sparse rows over the first n_low monomials.  There is one per
-    pair (t, h): t an enumerated tail, h a factor at least head(t) such that
+    pair (t, h): t a tail in tails (by default every enumerated monomial, so
+    the full family at st.cap), h a factor at least head(t) such that
     the normal monomial h t has excess exactly 1, one past top at the
     coordinate k of (i, p).  The seed is e_k (h t) = h (e_k t) + [e_k, h] t,
     e_k = e_i tensor 1_p the one raising generator that brings h t back
@@ -278,27 +284,29 @@ def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener):
     induced operators; the elements that keep a subspace stable form a Lie
     subalgebra, so it is then stable under the whole truncation.
 
-    At cap 0 the tails lie inside the interval, and the pairs with a tail t
-    past it are left out.  Such a t is already one past top at k, so its head
-    h misses k: h sits at another point, or, in type A, its root does not
-    contain alpha_i.  Either way h commutes with e_k, so the seed left out,
-    e_k (h t) = h (e_k t), is h's induced action on the tail's seed, and down
-    the tails every seed left out is a product of lowering elements applied
-    to a kept one.  That lies in R once R + span(outside) is stable under the
-    generators.  The argument leans on the stability it helps to give, so it
-    is checked, not assumed: the seeds left out are relations too, so a
-    cap-0 build can only come out too large, and the buffer+1 rebuild
-    straightens the full cap-1 family on its own and must agree."""
+    At cap 0, or with tails the first n_low ids, the tails lie inside the
+    interval, and the pairs with a tail t past it are left out.  Such a t is
+    already one past top at k, so its head h misses k: h sits at another
+    point, or, in type A, its root does not contain alpha_i.  Either way h
+    commutes with e_k, so the seed left out, e_k (h t) = h (e_k t), is h's
+    induced action on the tail's seed, and down the tails every seed left
+    out is a product of lowering elements applied to a kept one.  That lies
+    in R once R + span(outside) is stable under the generators.  The
+    argument leans on the stability it helps to give, so it is checked, not
+    assumed: the seeds left out are relations too, so a build on the inside
+    tails can only come out too large, and weyl_module's buffer+1 check
+    requires every seed left out to lie in R."""
     g = alg.g
     top = st.top
     # raising[k] is e_i tensor 1_p for the content coordinate k of (i, p)
     raising = [ai for i in range(g.rd.rank) for ai in _at_each_point(alg, g.e(i))]
     coords = [frozenset(c) for c in st.factor_coords]
     seeds = []
-    for t, content in enumerate(st.content):
+    for t in range(len(st.monomials)) if tails is None else tails:
         excess = st.mono_excess[t]
         if excess > 1:
             continue
+        content = st.content[t]
         # the coordinates where a factor raises the excess, and the one where
         # t is already past top, if any
         full = frozenset(k for k, c in enumerate(content) if c >= top[k])
@@ -336,12 +344,16 @@ def _weyl_power_seeds(alg: TruncatedAlgebra, st: _Straightener):
     return seeds
 
 
-def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse_order=False):
+def _build_once(
+    alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse_order=False, inside_tails=False
+):
     """Straighten, seed and saturate over the truncation alg: the
     straightener (excess cap buffer_extra) with its number n_low of
     monomials inside the weight interval, the relation space R among them,
     and the generators' operator matrices {basis index: matrix} that R is
-    closed under.  W(psi) is the quotient of the first n_low monomials by R,
+    closed under.  The push-downs come from every enumerated tail, or with
+    inside_tails from the tails inside the interval alone, the cap-0 family
+    at any cap.  W(psi) is the quotient of the first n_low monomials by R,
     so its dimension is n_low - dim R.  The relations are integral, so all of
     it is raw rationals (see linalg), no field element: ints, and the
     fractions that R's pivots bring in.
@@ -352,10 +364,12 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
     down from inside tails, and operator_matrix skips every image outside.
     Only the Weyl powers step a lowering element past the interval, and
     the terms they push past it are dropped: the build divides out the span
-    of the monomials outside.  At cap 1 (buffer+1) the seeds start from excess-1 tails and
-    every call stays at excess <= 1, so that cap cuts nothing off either.
-    A seed on a monomial past the interval (possible only at cap >= 1, from
-    a push-down at the wrong coordinate) raises CertificationError."""
+    of the monomials outside.  At cap 1 the seeds may start from excess-1
+    tails and every call stays at excess <= 1, so that cap cuts nothing off
+    either; inside the interval a cap-1 build forms the same ids, images,
+    generator matrices and R as a cap-0 one.  A seed on a monomial past the
+    interval (possible only at cap >= 1, from a push-down at the wrong
+    coordinate) raises CertificationError."""
     st = _Straightener(alg, psi, buffer_extra, reverse_order=reverse_order)
     n_low = st.n_low
 
@@ -363,7 +377,7 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
     # computation lives in the quotient by their span.  The relation seeds
     # inside the interval are the push-downs of the monomials just past it
     # (see _push_down_seeds), plus the Weyl powers
-    seeds = _push_down_seeds(alg, st)
+    seeds = _push_down_seeds(alg, st, range(n_low) if inside_tails else None)
     if any(m >= n_low for seed in seeds for m in seed):
         raise CertificationError(
             "a relation seed leaves the weight interval", relation="seed outside the interval"
@@ -379,20 +393,21 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, buffer_extra=0, reverse
     return st, rel, gen_ops
 
 
-def _quotient(alg: TruncatedAlgebra, psi: PsiFunction):
-    """W(psi) over the truncation alg, raw, and its straightener.
+def _quotient(alg: TruncatedAlgebra, psi: PsiFunction, cap=0):
+    """W(psi) over the truncation alg, raw, with its straightener (excess
+    cap cap, seeded from the tails inside the interval) and relation space.
 
     R + span(excess > 0) is stable under a generating set, hence under every
     basis element (see _push_down_seeds), so R is invariant under every
     induced operator and the quotient skips the check.  The quotient reads
     only the columns off R's pivots, so the actions other than the
     generators' are built on those alone."""
-    st, rel, gen_ops = _build_once(alg, psi)
+    st, rel, gen_ops = _build_once(alg, psi, cap, inside_tails=True)
     pivots = set(rel.pivots)
     keep = [j for j in range(st.n_low) if j not in pivots]
     ops = [gen_ops[ai] if ai in gen_ops else st.operator_matrix(ai, keep) for ai in range(alg.dim)]
     mod = FiniteModule(alg, ops, cyclic={0: 1})
-    return quotient_module(mod, rel, check=False), st
+    return quotient_module(mod, rel, check=False), st, rel
 
 
 def one_point_weyl_module(g, lam: Weight) -> FiniteModule:
@@ -440,23 +455,30 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     max(1, psi(p)(h_theta)) at each support point p, built on the monomials
     whose weight lies in the interval [w0 psi(p), psi(p)] at every point.
 
-    The build, like the N+1 and reversed rebuilds, runs at excess cap 0:
-    it lists nothing past the interval and seeds its relations from the
-    head-tail pairs of _push_down_seeds.  Its dimension is certified by
-    three rebuilds (excess cap one higher, every truncation exponent one
-    higher, the reversed factor order), each of which only computes its
-    relation space, and, when every point has one variable, by the
+    The build runs at excess cap 1 but seeds its relations only from the
+    head-tail pairs of _push_down_seeds whose tail lies inside the interval
+    (the cap-0 family), so its ids inside the interval, generator matrices,
+    R and quotient are those of a cap-0 build.  Its dimension is certified
+    by two rebuilds at cap 0 (every truncation exponent one higher, the
+    reversed factor order), each of which only computes its relation space;
+    by the buffer+1 check; and, when every point has one variable, by the
     Chari-Loktev closed form: the product over the points of
-    prod_i C(r + 1, i) ** lam_i.  buffer+1, at cap 1, seeds from the
-    push-downs of every monomial one step past the interval, straightened on
-    their own, so it checks the smaller cap-0 seed family against the full
-    one.  Every failed check raises CertificationError."""
+    prod_i C(r + 1, i) ** lam_i.
+
+    buffer+1 straightens, on the build's own straightener, the push-downs
+    from the excess-1 tails, the seeds the cap-0 family leaves out, and
+    requires each to lie in R (so inside the interval).  The cap-0 family is
+    a subset of the full cap-1 family, and R is closed under the generator
+    matrices they share, so the closure of the full family is R exactly when
+    every extra seed lies in R: the check is as strong as a full cap-1
+    rebuild compared by dimension.  Every failed check raises
+    CertificationError."""
     if psi.is_zero():
         raise ValueError("psi must be nonzero")
     rd = g.rd
     lam = psi.total_weight()
     alg = _truncation(g, psi)
-    mod, st = _quotient(alg, psi)
+    mod, st, rel = _quotient(alg, psi, cap=1)
     cert = {}
 
     # defining relations in the quotient
@@ -516,8 +538,17 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
         raise CertificationError("module is not cyclic on w", relation="cyclic")
     cert["cyclic"] = True
 
+    # R lies in the span of the interval's monomials, so a seed that leaves
+    # the interval fails too
+    for seed in _push_down_seeds(alg, st, range(st.n_low, len(st.monomials))):
+        if not rel.contains(seed):
+            raise CertificationError(
+                "a push-down from one step past the interval is not a relation (buffer+1)",
+                relation=("recompute", "buffer+1"),
+            )
+    cert["buffer+1"] = st.n_low - rel.dim
+
     for tag, other_alg, kwargs in (
-        ("buffer+1", alg, {"buffer_extra": 1}),
         ("N+1", _truncation(g, psi, n_extra=1), {}),
         ("reversed", alg, {"reverse_order": True}),
     ):

@@ -1,5 +1,6 @@
 """Helpers that only tests call: the Weight-keyed character of V(lam), the
-natural module of sl_{n+1} and the maximal-weight test."""
+natural module of sl_{n+1}, the maximal-weight test and a fault for the
+buffer+1 check of local Weyl modules."""
 
 from emapalg.ema import InvariantAlgebra
 from emapalg.liealg import FiniteModule
@@ -28,3 +29,17 @@ def is_maximal_weight(module, psi=None):
         return height_psi(alg.g.rd, ps)
 
     return unique_top(multiplicities(module), h, psi)
+
+
+def one_more_seed_past_the_interval(push_down_seeds):
+    """weyl._push_down_seeds with one relation too many, (f_1 x t) w = 0,
+    among the push-downs from the tails one step past the interval only."""
+
+    def seeds(alg, st, tails=None):
+        out = push_down_seeds(alg, st, tails)
+        if any(st.mono_excess[t] for t in (range(len(st.monomials)) if tails is None else tails)):
+            ai = alg.index[(0, alg.g.f(0), (1,))]
+            out.append(dict(st.act(ai, 0)))  # on the empty monomial, id 0
+        return out
+
+    return seeds

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from emapalg.cli import main
+from helpers import one_more_seed_past_the_interval
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -240,11 +241,11 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def one_relation_too_many(alg, st):
+    def one_relation_too_many(alg, st, tails=None):
         # (f x t) w = 0 cuts W(2 omega) down to V(2 omega) in every build alike
         ai = alg.index[(0, alg.g.f(0), (1,))]
         extra = dict(st.act(ai, 0))  # on the empty monomial, id 0
-        return push_down_seeds(alg, st) + [extra]
+        return push_down_seeds(alg, st, tails) + [extra]
 
     monkeypatch.setattr(weyl, "_push_down_seeds", one_relation_too_many)
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
@@ -254,13 +255,28 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
     assert "Chari-Loktev" in rep["results"]["error"]
 
 
+def test_weyl_buffer_one_failure_exit_1(tmp_path, monkeypatch):
+    # (f x t) w = 0 among the push-downs from the tails one step past the
+    # interval only, which buffer+1 alone reads: a failed check
+    from emapalg import weyl
+
+    monkeypatch.setattr(
+        weyl, "_push_down_seeds", one_more_seed_past_the_interval(weyl._push_down_seeds)
+    )
+    code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert "buffer+1" in rep["results"]["error"]
+
+
 def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
     # without the push-down seeds nothing cuts the span of the monomials in
     # the weight interval of 2 omega down to W(2 omega), and that span is no
     # module: the bracket check fails, and the CLI reports it as a failed check
     from emapalg import weyl
 
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails=None: [])
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
     assert code == 1
     rep = json.loads(text)
@@ -269,14 +285,14 @@ def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
 
 
 def test_weyl_seed_past_the_interval_exit_1(tmp_path, monkeypatch):
-    # a push-down left past the weight interval, which only the buffer+1
-    # rebuild (cap 1) lists, is a failed check, not a crash inside saturate
+    # a push-down left past the weight interval, which only a build at cap 1
+    # (the base) lists, is a failed check, not a crash inside saturate
     from emapalg import weyl
 
     push_down_seeds = weyl._push_down_seeds
 
-    def stray(alg, st):
-        return push_down_seeds(alg, st) + [{len(st.monomials) - 1: 1}]
+    def stray(alg, st, tails=None):
+        return push_down_seeds(alg, st, tails) + [{len(st.monomials) - 1: 1}]
 
     monkeypatch.setattr(weyl, "_push_down_seeds", stray)
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
@@ -292,7 +308,7 @@ def test_weyl_weight_read_failure_exit_1(tmp_path, monkeypatch):
     from emapalg import weyl
 
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails=None: [])
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi_two_pt"], tmp_path)
     assert code == 1
     rep = json.loads(text)

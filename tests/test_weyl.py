@@ -47,7 +47,7 @@ from emapalg.weyl import (
     weyl_module,
 )
 
-from helpers import freudenthal_mults
+from helpers import freudenthal_mults, one_more_seed_past_the_interval
 from sl2_oracle import weyl_dim_sl2, weyl_weight_dims_sl2
 from test_ema import flip_setup, pt, z2_setup
 
@@ -489,8 +489,8 @@ def test_a_seed_past_the_interval_raises(monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def stray(alg, st):
-        return push_down_seeds(alg, st) + [{len(st.monomials) - 1: 1}]
+    def stray(alg, st, tails=None):
+        return push_down_seeds(alg, st, tails) + [{len(st.monomials) - 1: 1}]
 
     monkeypatch.setattr(weyl, "_push_down_seeds", stray)
     psi = _psi(QQ, {1: (2,)})
@@ -581,7 +581,10 @@ def test_shared_columns_leave_the_memo_unchanged(monkeypatch, n, psi):
         pos = {j: k for k, j in enumerate(j for j in range(module.dim) if j not in pivots)}
         for op, qop, images in zip(module.actions, out.actions, st._memo):
             for j, k in pos.items():
-                if j in images:
+                # at cap 1 the memo also holds images past the interval,
+                # which operator_matrix skips (an image is homogeneous in
+                # content, so it lies wholly inside or wholly past it)
+                if j in images and all(m < module.dim for m in images[j]):
                     # a column read out of a matrix is a copy of the shared
                     # one, and the quotient's column is its residue mod R,
                     # here reduced with the memo's own dict as the argument
@@ -595,7 +598,7 @@ def test_shared_columns_leave_the_memo_unchanged(monkeypatch, n, psi):
     monkeypatch.setattr(weyl, "_build_once", recording_build)
     monkeypatch.setattr(weyl, "quotient_module", checked_quotient)
     w = weyl_module(g, psi)
-    assert len(snapshots) == 5  # base (twice), buffer+1, N+1, reversed
+    assert len(snapshots) == 4  # base (twice), N+1, reversed
     _assert_memo_kept(snapshots)
     multiplicities(w.module)
     _assert_memo_kept(snapshots)
@@ -696,10 +699,11 @@ def _root_content(st, ai):
 def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch, n, psi):
     # act(x, m) reaches content at most max(c(m), c(m) + root x) in every
     # (simple root, point) coordinate.  Outside the Weyl powers every call
-    # stays within the build's cap: excess 0 at cap 0 (base, N+1, reversed),
-    # 1 at cap 1 (buffer+1), so the cap never cuts a term.  Only a Weyl-power
-    # step reaches past the interval, to excess 1, with a lowering element
-    # whose image is dropped: at cap 0 act never forms it
+    # stays within the build's cap: excess 0 at cap 0 (N+1, reversed), 1 at
+    # cap 1 (the base, which its buffer+1 check reuses), so the cap never
+    # cuts a term.  Only a Weyl-power step reaches past the interval, to
+    # excess 1, with a lowering element whose image is dropped: at cap 0 act
+    # never forms it
     from emapalg import weyl
 
     reach = {}
@@ -727,8 +731,8 @@ def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch,
     monkeypatch.setattr(_Straightener, "act", recording)
     monkeypatch.setattr(weyl, "_weyl_power_seeds", powers)
     weyl_module(build_sl(n), psi)
-    assert len(reach) == 4  # base, buffer+1, N+1, reversed
-    assert sorted(st.cap for st in reach) == [0, 0, 0, 1]
+    assert len(reach) == 3  # base (and buffer+1), N+1, reversed
+    assert sorted(st.cap for st in reach) == [0, 0, 1]
     for st, seen in reach.items():
         assert seen["other"] <= st.cap
         assert seen["powers"] <= 1
@@ -960,18 +964,20 @@ def test_generators_generate_the_truncation(n, eta):
 @pytest.mark.parametrize("n, lam", [(2, (2,)), (3, (2, 0))], ids=["A1-2w", "A2-2w1"])
 def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
     # one relation too many, (f_1 x t) w = 0, in every build cuts W(lam)
-    # down to a proper quotient that passes the relation, bracket, cyclic
-    # and rebuild checks; only the Chari-Loktev closed form sees it
+    # down to a proper quotient that passes the relation, bracket, cyclic,
+    # buffer+1 and rebuild checks (the base build, N+1 and reversed all
+    # agree, and the buffer+1 push-downs lie in the base's R); only the
+    # Chari-Loktev closed form sees it
     from emapalg import weyl
 
     push_down_seeds = weyl._push_down_seeds
     build_once = weyl._build_once
     dims = []
 
-    def one_relation_too_many(alg, st):
+    def one_relation_too_many(alg, st, tails=None):
         ai = alg.index[(0, alg.g.f(0), (1,))]
         extra = dict(st.act(ai, 0))  # on the empty monomial, id 0
-        return push_down_seeds(alg, st) + [extra]
+        return push_down_seeds(alg, st, tails) + [extra]
 
     def recording(*args, **kwargs):
         out = build_once(*args, **kwargs)
@@ -982,8 +988,23 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
     monkeypatch.setattr(weyl, "_build_once", recording)
     with pytest.raises(CertificationError, match="Chari-Loktev"):
         weyl_module(build_sl(n), _psi(QQ, {1: lam}))
-    assert len(dims) == 4 and len(set(dims)) == 1
+    assert len(dims) == 3 and len(set(dims)) == 1  # base, N+1, reversed
     assert dims[0] < _chari_loktev_dim(n - 1, lam)
+
+
+@pytest.mark.parametrize("n, lam", [(2, (2,)), (3, (2, 0))], ids=["A1-2w", "A2-2w1"])
+def test_buffer_one_catches_a_fault_only_its_seeds_carry(monkeypatch, n, lam):
+    # no build seeds from a tail past the interval but buffer+1, so only
+    # buffer+1 holds the extra relation: it is no element of the base
+    # build's R, and the check fails before the Chari-Loktev closed form
+    from emapalg import weyl
+
+    monkeypatch.setattr(
+        weyl, "_push_down_seeds", one_more_seed_past_the_interval(weyl._push_down_seeds)
+    )
+    with pytest.raises(CertificationError, match="buffer\\+1") as err:
+        weyl_module(build_sl(n), _psi(QQ, {1: lam}))
+    assert err.value.relation == ("recompute", "buffer+1")
 
 
 @pytest.mark.parametrize("mapping", [{1: (1,), 2: (1,)}, {1: (2,), 2: (1,)}], ids=["w+w", "2w+w"])
@@ -1002,7 +1023,7 @@ def test_interval_check_is_per_point(monkeypatch, mapping):
         weyl, "_truncation", lambda g, psi, n_extra=0: truncation(g, psi, n_extra + 1)
     )
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails=None: [])
     with pytest.raises(CertificationError, match="weight escapes the interval") as err:
         weyl_module(build_sl(2), _psi(QQ, mapping))
     assert err.value.relation == ("weight", (-3,))
@@ -1014,7 +1035,7 @@ def test_unreadable_weight_fails_the_interval_check(monkeypatch):
     from emapalg import weyl
 
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails=None: [])
     with pytest.raises(CertificationError, match="-3 is not an integer weight") as err:
         weyl_module(build_sl(2), _psi(QQ, {1: (2,), 2: (1,)}))
     assert err.value.relation == "weight"
