@@ -433,15 +433,8 @@ def interpolate(assignments, fld=None):
         v = v if hasattr(v, "field") else fld.scalar(v)
         if not v.is_zero():
             values[i] = v
-    ladder = []
-    deg = 0
-    while True:
-        for exp in sorted(
-            e
-            for e in itertools.product(range(deg + 1), repeat=nvars)
-            if sum(e) == deg
-        ):
-            ladder.append(exp)
+    for deg in range(4 * len(points) + 5):
+        ladder = jet_monomials(nvars, deg + 1)
         rows = []
         for p in points:
             row = []
@@ -454,6 +447,4 @@ def interpolate(assignments, fld=None):
         sol = Matrix(rows, ncols=len(ladder), fld=fld).solve(values)
         if sol is not None:
             return LaurentFunction(nvars, {ladder[k]: c for k, c in sol.items()}, fld=fld)
-        deg += 1
-        if deg > 4 * len(points) + 4:
-            raise RuntimeError("interpolation ladder failed to close")
+    raise RuntimeError("interpolation ladder failed to close")

@@ -63,8 +63,9 @@ class _Straightener:
     content and jet degree.
 
     The n_low monomials inside the interval come first, listed one jet
-    degree at a time (the constructor lists degree 0), then, for the
-    buffer+1 check, those past it up to an excess cap.  act works modulo the
+    degree at a time with the push-down pairs each degree meets (the
+    constructor lists degree 0, kept as degree_zero), then, for the buffer+1
+    check, those past it up to an excess cap.  act works modulo the
     span of the monomials not listed, which is stable: an image past the
     listed degree or the cap is {} and is not memoised, so a later listing
     never meets a stale entry.  A monomial is read by its id, its place in
@@ -111,36 +112,41 @@ class _Straightener:
         self.kind = [g.labels[g_idx][0] for _, g_idx, _ in alg.basis]
         # raising[k] is e_i tensor 1_p for the content coordinate k of (i, p)
         self.raising = [ai for i in range(rd.rank) for ai in _at_each_point(alg, g.e(i))]
-        self.alg_degree = [sum(mono) for _, _, mono in alg.basis]
+        self.alg_degree = alg.jet_degrees()
         self._memo = [{} for _ in range(alg.dim)]
         self.monomials, self.content, self.mono_excess, self.full = [], [], [], []
         self.jet_degree = []
         self.head, self.tail, self.prepend, self._index = [], [], [], {}
         self.n_low = self.cap = 0
-        self.list_degree(0)
+        self.degree_zero = self.list_degree(0)
 
     def list_degree(self, d):
         """List the monomials of jet degree d inside the interval, after
-        those of lower degree; returns their ids."""
+        those of lower degree; returns their ids and the push-down pairs of
+        degree d (see _list)."""
         self.degree = d
-        ids = self._list(d, 0, 0)
+        ids, pairs = self._list(d, 0, 0)
         self.n_low += len(ids)
-        return ids
+        return ids, pairs
 
     def list_past(self, cap):
         """List the monomials past the interval of excess at most cap and jet
-        degree at most the listed one, after all those inside it."""
+        degree at most the listed one, after all those inside it; returns
+        their ids."""
         self.cap = cap
         for d in range(self.degree + 1):
             self._list(d, 1, cap)
+        return range(self.n_low, len(self.monomials))
 
     def _list(self, degree, low, cap):
         """List the normal (weakly decreasing) factor monomials of jet degree
         degree and excess from low to cap, each a head h on a listed tail of
         degree degree - deg(h) or on a shorter new one, sorted by drop (the
         sum of root heights, or of the content) and then lexicographically,
-        so that each tail comes first; returns their ids."""
-        top, found, factors = self.top, [], self.factors
+        so that each tail comes first; returns their ids and, at cap 0, the
+        build's push-down pairs (see _build_once): each (h, t, k) it meets
+        with h t one past top at the content coordinate k alone."""
+        top, found, pairs, factors = self.top, [], [], self.factors
         masks, coords = self.factor_mask, self.factor_coords
         if not self.monomials:  # 1, the empty monomial, is id 0; top is 0 where psi is
             full = sum(1 << k for k, t in enumerate(top) if not t)
@@ -148,13 +154,16 @@ class _Straightener:
 
         def grow(drop, m, c, ex, full, heads):
             for h in heads[bisect_left(heads, m[0]) if m else 0 :]:
-                up = ex + (full & masks[h]).bit_count()
+                hits = full & masks[h]  # the coordinates where h raises the excess
+                up = ex + hits.bit_count()
                 if low <= up <= cap:
                     c2, raised = list(c), full
                     for k in coords[h]:
                         c2[k] += 1
                         raised |= (c2[k] >= top[k]) << k
                     found.append((drop + factors[h][0], (h,) + m, tuple(c2), up, raised))
+                elif up == 1:  # only at cap 0, where ex is 0 and hits one bit
+                    pairs.append((h, m, hits.bit_length() - 1))
 
         for j, (m, c) in enumerate(zip(self.monomials, self.content)):
             heads = self.heads.get(degree - self.jet_degree[j])
@@ -175,7 +184,8 @@ class _Straightener:
             self.prepend.append({})
             if m:
                 self.prepend[self.tail[j]][m[0]] = j
-        return range(start, len(self.monomials))
+        index = self._index
+        return range(start, len(self.monomials)), [(h, index[m], k) for h, m, k in pairs]
 
     def _char_scalar(self, p_idx, g_idx, mono):
         """Action of h tensor u^beta on the cyclic vector, an int."""
@@ -232,17 +242,17 @@ class _Straightener:
             del acc[m]
         return acc
 
-    def operator_matrix(self, alg_idx, cols=None):
+    def operator_matrix(self, alg_idx, cols):
         """Matrix of a basis element, with int entries, on the span of the
-        n_low monomials inside the interval, modulo the span of the others;
-        with cols, only those columns are built and the others are left
-        zero.  Only a lowering element can push an image past top, and then
-        the whole image lies past it and is skipped, never formed.  The
-        columns are act's memo dicts, shared, not copied
-        (Matrix.from_columns): the matrix never writes into them."""
+        n_low monomials inside the interval, modulo the span of the others,
+        with only the columns cols built and the others left zero.  Only a
+        lowering element can push an image past top, and then the whole
+        image lies past it and is skipped, never formed.  The columns are
+        act's memo dicts, shared, not copied (Matrix.from_columns): the
+        matrix never writes into them."""
         up = self.factor_mask[self.alg_index_to_factor[alg_idx]] if self.kind[alg_idx] == "f" else 0
         full, columns = self.full, [{}] * self.n_low  # one shared empty column, read-only too
-        for j in range(self.n_low) if cols is None else cols:
+        for j in cols:
             if not full[j] & up:
                 columns[j] = self.act(alg_idx, j)
         return Matrix.from_columns(self.field, self.n_low, columns)
@@ -289,54 +299,24 @@ def _generators(alg: TruncatedAlgebra):
     return out
 
 
-def _push_down_seeds(alg: TruncatedAlgebra, st: _Straightener, tails, degree):
-    """The relation seeds of jet degree degree pushed down into the weight
-    interval from one step past it, as sparse rows over the listed
-    monomials: one per pair (t, h), t in tails and h a factor at least
-    head(t) of jet degree degree - deg(t) such that the normal monomial h t
-    has excess exactly 1, one past top at the coordinate k of (i, p).  The
-    seed is e_k (h t) = h (e_k t) + [e_k, h] t, e_k = e_i tensor 1_p the one
-    raising generator that brings h t back inside; h t need not be listed.
-
-    From every tail of excess at most 1 these are the push-downs of every
-    excess-1 monomial.  act is homogeneous in content, f tensor u and
-    h tensor u never lower it, and e_i tensor 1_p lowers only (i, p), by
-    one, so R + span(excess > 0) is stable under the generators, hence under
-    the truncation, once R holds these seeds and is stable under the
-    generators' induced operators.  The builds take the tails inside the
-    interval alone.  A tail t past it is already one past top at k, so h
-    misses k and commutes with e_k: the seed left out, h (e_k t), is h's
-    induced action on the tail's seed, and down the tails a product of
-    lowering elements on a kept one.  That argument leans on the stability
-    it helps to give, so weyl_module's buffer+1 check requires every seed
-    left out to lie in R."""
-    seeds = []
-    for t in tails:
-        excess = st.mono_excess[t]
-        if excess > 1 or degree - st.jet_degree[t] not in st.heads:
-            continue
-        # the coordinate where t is already past top, if any
-        over = [k for k, c in enumerate(st.content[t]) if c > st.top[k]] if excess else ()
-        for h in st.heads[degree - st.jet_degree[t]]:
-            # the coordinates where h raises the excess
-            hits = st.full[t] & st.factor_mask[h]
-            if h >= st.head[t] and excess + hits.bit_count() == 1:
-                # act never returns a zero coefficient, so a nonempty image
-                # is a nonzero seed
-                k = (hits & -hits).bit_length() - 1 if hits else over[0]
-                state = st.act_prepended(st.raising[k], h, t)
-                if state:
-                    seeds.append(state)
-    return seeds
+def _push_down_seeds(st: _Straightener, pairs):
+    """The relation seeds pushed down into the weight interval from one step
+    past it, as sparse rows over the listed monomials: for each pair (h, t,
+    k), h t normal and one past top at the coordinate k of (i, p) alone, the
+    seed e_k (h t) = h (e_k t) + [e_k, h] t, e_k = e_i tensor 1_p the one
+    raising generator that brings h t back inside (h t need not be listed),
+    where it is nonzero: act never returns a zero coefficient."""
+    seeds = (st.act_prepended(st.raising[k], h, t) for h, t, k in pairs)
+    return [seed for seed in seeds if seed]
 
 
-def _weyl_power_seeds(alg: TruncatedAlgebra, st: _Straightener):
+def _weyl_power_seeds(st: _Straightener):
     """The Weyl powers f_i^(lam_i + 1) w, f_i the sum of f_i tensor 1_p over
     the points, as sparse rows over the first n_low monomials, of jet degree
     0.  f never lowers the content, so each power only steps from inside the
     interval; the terms it pushes past it lie in the span of the monomials
     outside and are dropped."""
-    lam = st.psi.total_weight()
+    alg, lam = st.alg, st.psi.total_weight()
     seeds = []
     for i in range(alg.g.rd.rank):
         state = {0: 1}
@@ -366,21 +346,33 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, reverse_order=False):
     generators' images of R_{d-1}; no monomial past d is listed for it.  W
     is generated from w in degrees 0 and 1, W_{d+1} = U(g tensor 1) (g
     tensor u) W_d, so the build stops at the first d with R_d = V_d, and its
-    quotient is all of W.  The seeds push down from the tails inside the
-    interval, and act forms no term past it."""
+    quotient is all of W.
+
+    The degree-d seeds push down the pairs that listing degree d meets
+    (_Straightener._list): the excess-1 monomials on a tail inside the
+    interval.  act is homogeneous in content, f tensor u and h tensor u
+    never lower it, and e_i tensor 1_p lowers only (i, p), by one, so R +
+    span(excess > 0) is stable under the generators, hence the truncation,
+    once R holds the push-downs of every excess-1 monomial and is stable
+    under the generators' induced operators.  A tail t past the interval is
+    already one past top at k, so h misses k and commutes with e_k: the seed
+    left out, h (e_k t), is h's induced action on the tail's seed, and down
+    the tails a product of lowering elements on a kept one.  That argument
+    leans on the stability it helps to give, so weyl_module's buffer+1
+    check requires every seed left out to lie in R."""
     st = _Straightener(alg, psi, reverse_order=reverse_order)
     gens = _generators(alg)
     spaces, ids = [], range(0)
     for d in itertools.count():
-        ids, prev = st.list_degree(d) if d else range(st.n_low), ids
+        (ids, pairs), prev = st.list_degree(d) if d else st.degree_zero, ids
         if not ids:
             break
-        seeds = _push_down_seeds(alg, st, range(st.n_low), d)
+        seeds = _push_down_seeds(st, pairs)
         if d:
             lifts = [st.operator_matrix(ai, prev) for ai in gens if st.alg_degree[ai]]
             seeds += [op.apply(v) for op in lifts for v in spaces[-1].basis]
         else:
-            seeds += _weyl_power_seeds(alg, st)
+            seeds += _weyl_power_seeds(st)
         if any(m >= st.n_low or st.jet_degree[m] != d for seed in seeds for m in seed):
             raise CertificationError("a relation seed is off the build's degree", "seed degree")
         level = [st.operator_matrix(ai, ids) for ai in gens if not st.alg_degree[ai]]
@@ -405,7 +397,7 @@ def _degree_dims(st: _Straightener, rel: Subspace):
 def _quotient(alg: TruncatedAlgebra, psi: PsiFunction):
     """W(psi) over the truncation alg, raw, with its straightener and
     relation space.  R + span(excess > 0) is stable under every basis element
-    (see _push_down_seeds), so the quotient skips the check.  It reads only
+    (see _build_once), so the quotient skips the check.  It reads only
     the columns off R's pivots, so the actions are built on those alone."""
     st, rel = _build_once(alg, psi)
     keep = sorted(set(range(st.n_low)).difference(rel.pivots))
@@ -463,9 +455,10 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
     order), each to its own stop degree, must give the same dim W_d at every
     degree d.  buffer+1 lists, on the build's own straightener, the
     monomials one step past the interval through degree c, and requires the
-    push-downs from them, the seeds the builds leave out, to lie in R: R is
-    closed under the generators, so that holds exactly when the closure of
-    all the seeds is R (those past c lie in R_{>c} = V_{>c}).  When every
+    push-downs of those on a tail past it too, the seeds the builds leave
+    out, to lie in R: R is closed under the generators, so that holds
+    exactly when the closure of all the seeds is R (those past c lie in
+    R_{>c} = V_{>c}).  When every
     point has one variable, the Chari-Loktev closed form, the product over
     the points of prod_i C(r + 1, i) ** lam_i, checks the dimension too.
     Every failed check raises CertificationError."""
@@ -530,19 +523,25 @@ def weyl_module(g, psi: PsiFunction) -> WeylModule:
         raise CertificationError("module is not cyclic on w", relation="cyclic")
     cert["cyclic"] = True
 
-    st.list_past(1)
-    for d in range(st.degree + 1):
-        for seed in _push_down_seeds(alg, st, range(st.n_low, len(st.monomials)), d):
-            if max(seed) >= st.n_low:
-                raise CertificationError(
-                    "a relation seed leaves the weight interval",
-                    relation="seed outside the interval",
-                )
-            if not rel.contains(seed):
-                raise CertificationError(
-                    "a push-down from one step past the interval is not a relation (buffer+1)",
-                    relation=("recompute", "buffer+1"),
-                )
+    # the pairs the builds leave out: the excess-1 monomials h t with the
+    # tail t past the interval too, at its one coordinate k past top
+    pairs = []
+    for m in st.list_past(1):
+        t = st.tail[m]
+        if t >= st.n_low:
+            k = next(k for k, (c, b) in enumerate(zip(st.content[t], st.top)) if c > b)
+            pairs.append((st.head[m], t, k))
+    for seed in _push_down_seeds(st, pairs):
+        if max(seed) >= st.n_low:
+            raise CertificationError(
+                "a relation seed leaves the weight interval",
+                relation="seed outside the interval",
+            )
+        if not rel.contains(seed):
+            raise CertificationError(
+                "a push-down from one step past the interval is not a relation (buffer+1)",
+                relation=("recompute", "buffer+1"),
+            )
     cert["buffer+1"] = st.n_low - rel.dim
 
     dims = _degree_dims(st, rel)

@@ -38,12 +38,13 @@ def is_maximal_weight(module, psi=None):
 def one_more_seed_past_the_interval(push_down_seeds):
     """weyl._push_down_seeds with one relation too many, (f_1 x t) w = 0, of
     jet degree 1, among the push-downs from the tails one step past the
-    interval only."""
+    interval only: buffer+1's, the one call made once monomials past the
+    interval are listed (there may be no such pairs)."""
 
-    def seeds(alg, st, tails, degree):
-        out = push_down_seeds(alg, st, tails, degree)
-        if degree == 1 and any(st.mono_excess[t] for t in tails):
-            ai = alg.index[(0, alg.g.f(0), (1,))]
+    def seeds(st, pairs):
+        out = push_down_seeds(st, pairs)
+        if len(st.monomials) > st.n_low:
+            ai = st.alg.index[(0, st.alg.g.f(0), (1,))]
             out.append(dict(st.act(ai, 0)))  # on the empty monomial, id 0
         return out
 
@@ -56,18 +57,36 @@ def full_straightener(alg, psi, cap=0, reverse_order=False):
     those past it of excess at most cap and no higher jet degree."""
     st = weyl._Straightener(alg, psi, reverse_order=reverse_order)
     d = 1
-    while st.list_degree(d):
+    while st.list_degree(d)[0]:
         d += 1
     st.list_past(cap)
     return st
 
 
-def every_push_down_seed(alg, st, tails=None):
-    """weyl._push_down_seeds at every jet degree, by default from every
-    listed tail: the full family at the straightener's cap."""
-    tails = range(len(st.monomials)) if tails is None else tails
-    degrees = range(max(st.jet_degree) + max(st.factor_degree) + 1)
-    return [seed for d in degrees for seed in weyl._push_down_seeds(alg, st, tails, d)]
+def every_push_down_pair(st, tails=None):
+    """The reference loop over (tail, head) pairs: (h, t, k) for every tail
+    t of excess at most 1, by default every listed one, and every factor h
+    at least head(t) such that h t has excess exactly 1, one past top at
+    the coordinate k."""
+    pairs = []
+    for t in range(len(st.monomials)) if tails is None else tails:
+        excess = st.mono_excess[t]
+        if excess > 1:
+            continue
+        # the coordinate where t is already past top, if any
+        over = [k for k, c in enumerate(st.content[t]) if c > st.top[k]]
+        for h in range(max(st.head[t], 0), len(st.factors)):
+            # the coordinates where h raises the excess
+            hits = st.full[t] & st.factor_mask[h]
+            if excess + hits.bit_count() == 1:
+                pairs.append((h, t, (hits & -hits).bit_length() - 1 if hits else over[0]))
+    return pairs
+
+
+def every_push_down_seed(st, tails=None):
+    """weyl._push_down_seeds on every_push_down_pair: the full family at the
+    straightener's cap."""
+    return weyl._push_down_seeds(st, every_push_down_pair(st, tails))
 
 
 def uncut_build(alg, psi, cap=0, reverse_order=False, inside_tails=True):
@@ -79,9 +98,9 @@ def uncut_build(alg, psi, cap=0, reverse_order=False, inside_tails=True):
     family at cap.  The reference for the build by jet degree."""
     st = full_straightener(alg, psi, cap, reverse_order)
     n_low = st.n_low
-    seeds = every_push_down_seed(alg, st, range(n_low) if inside_tails else None)
+    seeds = every_push_down_seed(st, range(n_low) if inside_tails else None)
     assert all(m < n_low for seed in seeds for m in seed)
-    seeds += weyl._weyl_power_seeds(alg, st)
-    gen_ops = {ai: st.operator_matrix(ai) for ai in weyl._generators(alg)}
+    seeds += weyl._weyl_power_seeds(st)
+    gen_ops = {ai: st.operator_matrix(ai, range(n_low)) for ai in weyl._generators(alg)}
     rel = saturate(Subspace(n_low, seeds, fld=RAW), list(gen_ops.values()))
     return st, rel, gen_ops

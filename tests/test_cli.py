@@ -241,12 +241,12 @@ def test_weyl_closed_form_failure_exit_1(tmp_path, monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def one_relation_too_many(alg, st, tails, degree):
+    def one_relation_too_many(st, pairs):
         # (f x t) w = 0, of jet degree 1, cuts W(2 omega) down to V(2 omega)
         # in every build alike
-        out = push_down_seeds(alg, st, tails, degree)
-        if degree == 1:
-            ai = alg.index[(0, alg.g.f(0), (1,))]
+        out = push_down_seeds(st, pairs)
+        if st.degree == 1:
+            ai = st.alg.index[(0, st.alg.g.f(0), (1,))]
             out.append(dict(st.act(ai, 0)))  # on the empty monomial, id 0
         return out
 
@@ -279,7 +279,7 @@ def test_weyl_bracket_failure_exit_1(tmp_path, monkeypatch):
     # module: the bracket check fails, and the CLI reports it as a failed check
     from emapalg import weyl
 
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails, degree: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda st, pairs: [])
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi2w_plain"], tmp_path)
     assert code == 1
     rep = json.loads(text)
@@ -294,8 +294,8 @@ def test_weyl_seed_past_the_interval_exit_1(tmp_path, monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def stray(alg, st, tails, degree):
-        out = push_down_seeds(alg, st, tails, degree)
+    def stray(st, pairs):
+        out = push_down_seeds(st, pairs)
         return out + [{len(st.monomials) - 1: 1}] if len(st.monomials) > st.n_low else out
 
     monkeypatch.setattr(weyl, "_push_down_seeds", stray)
@@ -312,7 +312,7 @@ def test_weyl_weight_read_failure_exit_1(tmp_path, monkeypatch):
     from emapalg import weyl
 
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails, degree: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda st, pairs: [])
     code, text = _run(["weyl", _fixture("sl2_z2.json"), "psi_two_pt"], tmp_path)
     assert code == 1
     rep = json.loads(text)

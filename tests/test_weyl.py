@@ -409,10 +409,10 @@ def _assert_seeds_generate_the_relations(alg, st, reverse_order=False):
     wide = full_straightener(alg, st.psi, st.cap + int(rd.height(rd.theta)), reverse_order)
     n = st.n_low
     assert wide.n_low == n and wide.monomials[:n] == st.monomials[:n]
-    seeds = every_push_down_seed(alg, st)
+    seeds = every_push_down_seed(st)
     exhaustive = _exhaustive_seeds(alg, wide)
     assert all(seed in exhaustive for seed in seeds)
-    gens = [st.operator_matrix(ai) for ai in _generators(alg)]
+    gens = [st.operator_matrix(ai, range(n)) for ai in _generators(alg)]
     every = [_unpruned_operator_matrix(wide, ai, n) for ai in range(alg.dim)]
     assert saturate(Subspace(n, seeds, fld=QQ), gens) == saturate(
         Subspace(n, exhaustive, fld=QQ), every
@@ -462,7 +462,7 @@ def _push_down_seed_families(n, psi, n_extra=0):
     """The push-down seeds of the build on the truncation of psi (n_extra
     exponents higher) at cap 0 and at cap 1, and the truncation."""
     alg = _truncation(build_sl(n), psi, n_extra)
-    return [every_push_down_seed(alg, full_straightener(alg, psi, cap)) for cap in (0, 1)] + [alg]
+    return [every_push_down_seed(full_straightener(alg, psi, cap)) for cap in (0, 1)] + [alg]
 
 
 def test_cap_zero_drops_the_seeds_of_tails_past_the_interval():
@@ -474,7 +474,7 @@ def test_cap_zero_drops_the_seeds_of_tails_past_the_interval():
     assert len(small) == 82 and len(full) == 114
     assert all(seed in full for seed in small)
     st = full_straightener(alg, psi)
-    gens = [st.operator_matrix(ai) for ai in _generators(alg)]
+    gens = [st.operator_matrix(ai, range(st.n_low)) for ai in _generators(alg)]
     assert saturate(Subspace(st.n_low, small, fld=QQ), gens) == saturate(
         Subspace(st.n_low, full, fld=QQ), gens
     )
@@ -497,8 +497,8 @@ def test_a_seed_past_the_interval_raises(monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def stray(alg, st, tails, degree):
-        out = push_down_seeds(alg, st, tails, degree)
+    def stray(st, pairs):
+        out = push_down_seeds(st, pairs)
         return out + [{len(st.monomials) - 1: 1}] if len(st.monomials) > st.n_low else out
 
     monkeypatch.setattr(weyl, "_push_down_seeds", stray)
@@ -515,8 +515,8 @@ def test_a_seed_off_the_build_degree_raises(monkeypatch):
 
     push_down_seeds = weyl._push_down_seeds
 
-    def stray(alg, st, tails, degree):
-        return push_down_seeds(alg, st, tails, degree) + ([{0: 1}] if degree == 1 else [])
+    def stray(st, pairs):
+        return push_down_seeds(st, pairs) + ([{0: 1}] if st.degree == 1 else [])
 
     monkeypatch.setattr(weyl, "_push_down_seeds", stray)
     psi = _psi(QQ, {1: (2,)})
@@ -534,7 +534,8 @@ def test_operator_matrix_skips_only_images_past_the_prefix(n, psi):
     _, wide = _straighten(build_sl(n), psi, buffer_extra=1)
     for ai in range(alg.dim):
         want = _unpruned_operator_matrix(wide, ai, st.n_low)
-        assert st.operator_matrix(ai) == wide.operator_matrix(ai) == want
+        cols = range(st.n_low)
+        assert st.operator_matrix(ai, cols) == wide.operator_matrix(ai, cols) == want
 
 
 def _stress_psis():
@@ -781,10 +782,10 @@ def test_builds_touch_no_monomial_past_one_drop_beyond_the_interval(monkeypatch,
             seen["kept"] = max(seen["kept"], top)
         return out
 
-    def powers(alg, st):
+    def powers(st):
         phase[0] = "powers"
         try:
-            return weyl_power_seeds(alg, st)
+            return weyl_power_seeds(st)
         finally:
             phase[0] = "other"
 
@@ -1035,10 +1036,10 @@ def test_closed_form_catches_a_fault_every_build_shares(monkeypatch, n, lam):
     build_once = weyl._build_once
     dims = []
 
-    def one_relation_too_many(alg, st, tails, degree):
-        out = push_down_seeds(alg, st, tails, degree)
-        if degree == 1:  # the jet degree of the extra relation
-            ai = alg.index[(0, alg.g.f(0), (1,))]
+    def one_relation_too_many(st, pairs):
+        out = push_down_seeds(st, pairs)
+        if st.degree == 1:  # the jet degree of the extra relation
+            ai = st.alg.index[(0, st.alg.g.f(0), (1,))]
             out.append(dict(st.act(ai, 0)))  # on the empty monomial, id 0
         return out
 
@@ -1068,6 +1069,78 @@ def test_buffer_one_catches_a_fault_only_its_seeds_carry(monkeypatch, n, lam):
     with pytest.raises(CertificationError, match="buffer\\+1") as err:
         weyl_module(build_sl(n), _psi(QQ, {1: lam}))
     assert err.value.relation == ("recompute", "buffer+1")
+
+
+def test_buffer_one_pairs_match_a_brute_force_count_through_the_stop_degree(monkeypatch):
+    # sl4 W(omega_1 + omega_3): buffer+1 pushes down every excess-1 monomial
+    # h t whose tail t is past the interval too, at every jet degree through
+    # the stop degree c, against a brute force over every (tail, head) on a
+    # cap-1 straightener with every degree listed, by content arithmetic
+    from collections import Counter
+
+    from emapalg import weyl
+
+    push_down_seeds = weyl._push_down_seeds
+    calls = []
+
+    def recording(st, pairs):
+        if len(st.monomials) > st.n_low:  # buffer+1's, past the interval listed
+            calls.append((st, pairs))
+        return push_down_seeds(st, pairs)
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", recording)
+    psi = _psi(QQ, {1: (1, 0, 1)})
+    weyl_module(build_sl(4), psi)
+    ((st, pairs),) = calls
+    c = st.degree
+    got = {((h,) + st.monomials[t], k) for h, t, k in pairs}
+    assert len(got) == len(pairs)
+
+    full = full_straightener(st.alg, psi, cap=1)
+    want = set()
+    for t in range(full.n_low, len(full.monomials)):
+        for h in range(full.head[t], len(full.factors)):
+            content = list(full.content[t])
+            for k in full.factor_coords[h]:
+                content[k] += 1
+            over = [k for k, (a, b) in enumerate(zip(content, full.top)) if a > b]
+            excess = sum(a - full.top[k] for k, a in enumerate(content) if k in over)
+            if excess == 1 and full.jet_degree[t] + full.factor_degree[h] <= c:
+                want.add(((h,) + full.monomials[t], over[0]))
+
+    def by_degree(monos):
+        return Counter(sum(full.factor_degree[f] for f in m) for m, _ in monos)
+
+    assert by_degree(got) == by_degree(want)
+    assert by_degree(want)[c] > 0
+    assert got == want
+
+
+def test_a_stray_term_in_a_stop_degree_buffer_one_seed_raises(monkeypatch):
+    # at the stop degree c, R_c = V_c, so only the interval test can fail on
+    # a buffer+1 push-down there: a term past the interval in one seed of
+    # degree c alone is named, not passed
+    from emapalg import weyl
+
+    push_down_seeds = weyl._push_down_seeds
+    injected = []
+
+    def stray(st, pairs):
+        out = []
+        for h, t, k in pairs:
+            seeds = push_down_seeds(st, [(h, t, k)])
+            at_c = st.jet_degree[t] + st.factor_degree[h] == st.degree
+            if seeds and at_c and st.mono_excess[t] and not injected:
+                injected.append((h, t))
+                seeds = [{**seeds[0], len(st.monomials) - 1: 1}]
+            out += seeds
+        return out
+
+    monkeypatch.setattr(weyl, "_push_down_seeds", stray)
+    with pytest.raises(CertificationError, match="leaves the weight interval") as err:
+        weyl_module(build_sl(4), _psi(QQ, {1: (1, 0, 1)}))
+    assert err.value.relation == "seed outside the interval"
+    assert len(injected) == 1
 
 
 @pytest.mark.parametrize("tag", ["N+1", "reversed"])
@@ -1175,7 +1248,7 @@ def test_build_by_degree_equals_the_uncut_build(case):
     if not reverse_order:
         from emapalg import weyl
 
-        ops = [full_st.operator_matrix(ai) for ai in range(alg.dim)]
+        ops = [full_st.operator_matrix(ai, range(full_st.n_low)) for ai in range(alg.dim)]
         want = quotient_module(FiniteModule(alg, ops, cyclic={0: 1}), full_rel, check=False)
         assert weyl._quotient(alg, psi)[0].actions == want.actions
 
@@ -1196,7 +1269,7 @@ def test_interval_check_is_per_point(monkeypatch, mapping):
         weyl, "_truncation", lambda g, psi, n_extra=0: truncation(g, psi, n_extra + 1)
     )
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails, degree: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda st, pairs: [])
     with pytest.raises(CertificationError, match="weight escapes the interval") as err:
         weyl_module(build_sl(2), _psi(QQ, mapping))
     assert err.value.relation == ("weight", (-3,))
@@ -1208,7 +1281,7 @@ def test_unreadable_weight_fails_the_interval_check(monkeypatch):
     from emapalg import weyl
 
     monkeypatch.setattr(weyl, "_interval_top", lambda alg, psi: [0, 2])
-    monkeypatch.setattr(weyl, "_push_down_seeds", lambda alg, st, tails, degree: [])
+    monkeypatch.setattr(weyl, "_push_down_seeds", lambda st, pairs: [])
     with pytest.raises(CertificationError, match="-3 is not an integer weight") as err:
         weyl_module(build_sl(2), _psi(QQ, {1: (2,), 2: (1,)}))
     assert err.value.relation == "weight"
