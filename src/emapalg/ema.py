@@ -50,6 +50,21 @@ class TruncatedAlgebra(LieAlgebra):
             self._bracket_cache[(i, j)] = out
         return out
 
+    def generators(self):
+        """Basis indices of a minimal set that generates the truncation as a
+        Lie algebra: e_i tensor 1_p and f_i tensor 1_p for the simple roots i,
+        and h_1 tensor u_k for each variable u_k, at each point p.  The e_i
+        and f_i generate g tensor 1_p, which holds h_j tensor 1_p = [e_j,
+        f_j]; under it g tensor u_k is the adjoint module, irreducible, so h_1
+        tensor u_k generates it; and [g tensor u_k, g tensor u^beta] = g
+        tensor u^(beta + e_k) gives every higher jet."""
+        g = self.g
+        ones = [(p_idx, (0,) * p.nvars) for p_idx, p in enumerate(self.points)]
+        return [self.index[(p_idx, x, one)] for x in g.generators() for p_idx, one in ones] + [
+            ai for ai, (_, g_idx, mono) in enumerate(self.basis)
+            if g_idx == g.h(0) and sum(mono) == 1
+        ]
+
     def jet_degrees(self):
         """The total jet degree |beta| of each basis element x tensor u^beta."""
         return [sum(mono) for _, _, mono in self.basis]

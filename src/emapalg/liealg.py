@@ -24,6 +24,21 @@ class LieAlgebra:
     def basis_vector(self, i):
         return {i: self.field.one}
 
+    def generators(self):
+        """Basis indices of a set G that generates the algebra as a Lie
+        algebra: here every basis index (ChevalleyAlgebra and
+        TruncatedAlgebra return smaller sets).
+
+        The bracket checks walk G x basis only (generator_pairs), and that is
+        exact.  For an action rho, the x with [rho x, rho y] = rho [x, y] for
+        every y form a subspace S, and S is closed under the bracket: for x1,
+        x2 in S, rho [x1, x2] = [rho x1, rho x2], and the Jacobi identity in
+        the algebra and in End(V) gives [rho [x1, x2], rho y] = rho [[x1, x2],
+        y].  So G in S gives S = L.  The same holds for a linear map phi: L ->
+        L' (phi [x, y] = [phi x, phi y]), and a subspace stable under rho(G)
+        is stable under rho of all of L once rho represents the bracket."""
+        return list(range(self.dim))
+
     def levi_split(self):
         """(cartan, raising, nil): the basis indices of the Cartan elements and
         of the simple raising elements of a semisimple subalgebra s, and the
@@ -59,15 +74,27 @@ class LieAlgebra:
                 )
 
 
+def generator_pairs(algebra):
+    """The basis pairs (x, y), x in algebra.generators() and y any other basis
+    index, a pair inside the generators once: checking a bracket identity on
+    them checks it on every pair (see LieAlgebra.generators)."""
+    done = set()
+    for x in algebra.generators():
+        done.add(x)
+        for y in range(algebra.dim):
+            if y not in done:
+                yield x, y
+
+
 def preserves_bracket(mat, source, target):
     """True iff the matrix of a linear map source -> target carries [x_i, x_j]
-    to [mat x_i, mat x_j] for every pair i < j of source basis elements."""
+    to [mat x_i, mat x_j] for every pair of source basis elements, checked on
+    generator_pairs(source)."""
     images = [mat.column(i) for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(i + 1, source.dim):
-            lhs = mat.apply(source.bracket(source.basis_vector(i), source.basis_vector(j)))
-            if lhs != target.bracket(images[i], images[j]):
-                return False
+    for i, j in generator_pairs(source):
+        lhs = mat.apply(source.bracket(source.basis_vector(i), source.basis_vector(j)))
+        if lhs != target.bracket(images[i], images[j]):
+            return False
     return True
 
 
@@ -154,6 +181,12 @@ class ChevalleyAlgebra(LieAlgebra):
     def bracket_terms(self, i, j):
         """[x_i, x_j] as a tuple of (basis index, nonzero int coefficient)."""
         return self._table[(i, j)]
+
+    def generators(self):
+        """The simple e_i and f_i, as (e_1, f_1, e_2, f_2, ...): they generate
+        g, which holds h_i = [e_i, f_i] and every root vector as a bracket
+        word in them."""
+        return [x for pair in zip(self._e, self._f) for x in pair]
 
     def levi_split(self):
         """s = g and n = 0."""
@@ -303,20 +336,25 @@ class FiniteModule:
 
     def check_bracket(self):
         """Raise unless the action matrices satisfy [rho(x_i), rho(x_j)] =
-        rho([x_i, x_j]) for every pair i < j of algebra basis elements."""
+        rho([x_i, x_j]) for every pair of algebra basis elements, checked on
+        generator_pairs(algebra): the x at which it holds against every basis
+        element form a subalgebra (LieAlgebra.generators)."""
         actions = self.actions
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                terms = [(c, actions[k]) for k, c in self.algebra.bracket_terms(i, j)]
-                if not commutator_matches(actions[i], actions[j], terms):
-                    raise ValueError(
-                        "action does not represent the bracket at basis pair (%d, %d)"
-                        % (i, j)
-                    )
+        for i, j in generator_pairs(self.algebra):
+            terms = [(c, actions[k]) for k, c in self.algebra.bracket_terms(i, j)]
+            if not commutator_matches(actions[i], actions[j], terms):
+                raise ValueError(
+                    "action does not represent the bracket at basis pair (%d, %d)" % (i, j)
+                )
 
     def is_cyclic_from(self, vec):
-        space = saturate(Subspace(self.dim, [vec], fld=self.field), self.actions)
-        return space.dim == self.dim
+        """True iff vec generates the module, read as its closure under the
+        actions of algebra.generators().  Once the actions represent the
+        bracket (check_bracket), a subspace stable under rho(x1) and rho(x2)
+        is stable under rho([x1, x2]) = [rho(x1), rho(x2)], so that closure is
+        stable under every element: it is the submodule vec generates."""
+        gens = [self.actions[i] for i in self.algebra.generators()]
+        return saturate(Subspace(self.dim, [vec], fld=self.field), gens).dim == self.dim
 
     def weights(self):
         """The weight spaces: {integer weight: coordinates}, a weight being the

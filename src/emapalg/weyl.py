@@ -280,25 +280,6 @@ def _at_each_point(alg: TruncatedAlgebra, x):
     return [alg.index[(p_idx, x, (0,) * p.nvars)] for p_idx, p in enumerate(alg.points)]
 
 
-def _generators(alg: TruncatedAlgebra):
-    """Basis indices of a minimal set that generates the truncation as a Lie
-    algebra: e_i tensor 1_p and f_i tensor 1_p for the simple roots i, and
-    h_1 tensor u_k for each variable u_k, at each point p.  The e_i and f_i
-    generate g tensor 1_p, which holds h_j tensor 1_p = [e_j, f_j]; under it
-    g tensor u_k is the adjoint module, irreducible, so h_1 tensor u_k
-    generates it; and [g tensor u_k, g tensor u^beta] = g tensor
-    u^(beta + e_k) gives every higher jet."""
-    g = alg.g
-    out = []
-    for i in range(g.rd.rank):
-        out += _at_each_point(alg, g.e(i)) + _at_each_point(alg, g.f(i))
-    out += [
-        ai for ai, (_, g_idx, mono) in enumerate(alg.basis)
-        if g_idx == g.h(0) and sum(mono) == 1
-    ]
-    return out
-
-
 def _push_down_seeds(st: _Straightener, pairs):
     """The relation seeds pushed down into the weight interval from one step
     past it, as sparse rows over the listed monomials: for each pair (h, t,
@@ -361,7 +342,7 @@ def _build_once(alg: TruncatedAlgebra, psi: PsiFunction, reverse_order=False):
     leans on the stability it helps to give, so weyl_module's buffer+1
     check requires every seed left out to lie in R."""
     st = _Straightener(alg, psi, reverse_order=reverse_order)
-    gens = _generators(alg)
+    gens = alg.generators()
     spaces, ids = [], range(0)
     for d in itertools.count():
         (ids, pairs), prev = st.list_degree(d) if d else st.degree_zero, ids

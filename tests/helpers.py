@@ -101,6 +101,6 @@ def uncut_build(alg, psi, cap=0, reverse_order=False, inside_tails=True):
     seeds = every_push_down_seed(st, range(n_low) if inside_tails else None)
     assert all(m < n_low for seed in seeds for m in seed)
     seeds += weyl._weyl_power_seeds(st)
-    gen_ops = {ai: st.operator_matrix(ai, range(n_low)) for ai in weyl._generators(alg)}
+    gen_ops = {ai: st.operator_matrix(ai, range(n_low)) for ai in alg.generators()}
     rel = saturate(Subspace(n_low, seeds, fld=RAW), list(gen_ops.values()))
     return st, rel, gen_ops

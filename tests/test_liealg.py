@@ -240,3 +240,35 @@ def test_invalid_automorphism():
     g = build_sl(2, F)
     with pytest.raises((ValueError, ZeroDivisionError)):
         GAutomorphism(g, DiagramSymmetry.identity(1), (1,), F.zero)
+
+
+def _preserves_every_pair(mat, g):
+    """Reference: mat carries [x_i, x_j] to [mat x_i, mat x_j] on every basis
+    pair i < j."""
+    images = [mat.column(i) for i in range(g.dim)]
+    return all(
+        mat.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+        == g.bracket(images[i], images[j])
+        for i, j in itertools.combinations(range(g.dim), 2)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.booleans(), st.booleans(), st.data())
+def test_preserves_bracket_matches_every_pair(n, flip, perturb, data):
+    # preserves_bracket walks the generators against the basis only; on the
+    # automorphisms and on single-entry perturbations of them it gives the
+    # all-pairs verdict
+    F = field(4)
+    g = build_sl(n, F)
+    rank = n - 1
+    tau = DiagramSymmetry.flip(rank) if flip else DiagramSymmetry.identity(rank)
+    exponents = data.draw(st.tuples(*[st.integers(0, 3)] * rank))
+    mat = GAutomorphism(g, tau, exponents, F.zeta).matrix
+    if perturb:
+        r, c = data.draw(st.integers(0, g.dim - 1)), data.draw(st.integers(0, g.dim - 1))
+        delta = data.draw(st.sampled_from([F.one, -F.one, F.zeta]))
+        bump = Matrix.from_triples(F, g.dim, g.dim, [(r, c, delta)])
+        mat = Matrix.combination(F, g.dim, g.dim, [(F.one, mat), (F.one, bump)])
+    assert liealg.preserves_bracket(mat, g, g) == _preserves_every_pair(mat, g)
+    assert perturb or _preserves_every_pair(mat, g)

@@ -924,20 +924,36 @@ def test_saturate_matches_the_copying_closure(kind, n, nseeds, nops, data):
         assert [op.column(j) for j in range(n)] == columns
 
 
-def _first_failing_pair(algebra, actions):
-    """Reference: the first basis pair i < j at which the products a b - b a
-    differ from the combination of the bracket, built as matrices."""
+def _pair_fails(algebra, actions, i, j):
+    """Reference: the products a b - b a differ from the combination of the
+    bracket [x_i, x_j], built as matrices."""
     dim = actions[0].nrows
     fld = actions[0].field
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            a, b = actions[i], actions[j]
-            lhs = Matrix.combination(fld, dim, dim, [(1, a.matmul(b)), (-1, b.matmul(a))])
-            rhs = Matrix.combination(
-                fld, dim, dim, [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
-            )
-            if lhs != rhs:
-                return i, j
+    a, b = actions[i], actions[j]
+    lhs = Matrix.combination(fld, dim, dim, [(1, a.matmul(b)), (-1, b.matmul(a))])
+    rhs = Matrix.combination(
+        fld, dim, dim, [(c, actions[k]) for k, c in algebra.bracket_terms(i, j)]
+    )
+    return lhs != rhs
+
+
+def _first_failing_pair(algebra, actions):
+    """Reference: the first basis pair i < j at which _pair_fails."""
+    for i, j in itertools.combinations(range(algebra.dim), 2):
+        if _pair_fails(algebra, actions, i, j):
+            return i, j
+    return None
+
+
+def _first_failing_generator_pair(algebra, actions):
+    """The first pair (x, y) at which _pair_fails in generators-then-basis
+    order: x over algebra.generators(), y over every other basis index but
+    the generators before x."""
+    gens = algebra.generators()
+    for n, x in enumerate(gens):
+        for y in range(algebra.dim):
+            if y != x and y not in gens[:n] and _pair_fails(algebra, actions, x, y):
+                return x, y
     return None
 
 
@@ -994,15 +1010,29 @@ def _bracket_modules():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["weyl", "twisted"]), st.data())
-def test_check_bracket_raises_at_the_reference_pair(which, data):
+@given(st.sampled_from(["weyl", "twisted"]), st.booleans(), st.data())
+def test_check_bracket_raises_at_the_reference_pair(which, conjugate, data):
+    # check_bracket walks the generators against the basis only: it raises
+    # exactly when the all-pairs reference finds a failing pair, and names
+    # the first failing pair in its own order.  A single-entry perturbation
+    # breaks the bracket; a conjugation by I + delta E_rc (r != c) keeps it
     mod = _bracket_modules()[which]
     mod.check_bracket()
     t = data.draw(st.integers(0, mod.algebra.dim - 1))
     r, c = data.draw(st.integers(0, mod.dim - 1)), data.draw(st.integers(0, mod.dim - 1))
     delta = mod.field.scalar(data.draw(st.sampled_from([1, -1, Fraction(1, 2)])))
-    bad = _perturbed(mod.actions, t, r, c, delta)
+    if conjugate:
+        c = c if c != r else (r + 1) % mod.dim
+        ident = Matrix.identity(mod.field, mod.dim)
+        p, p_inv = (_perturbed([ident], 0, r, c, x)[0] for x in (delta, -delta))
+        bad = [p.matmul(a).matmul(p_inv) for a in mod.actions]
+    else:
+        bad = _perturbed(mod.actions, t, r, c, delta)
     expected = _first_failing_pair(mod.algebra, bad)
-    assert expected is not None
-    with pytest.raises(ValueError, match=r"basis pair \(%d, %d\)$" % expected):
+    named = _first_failing_generator_pair(mod.algebra, bad)
+    assert (expected is None) == conjugate == (named is None)
+    if conjugate:
         FiniteModule(mod.algebra, bad).check_bracket()
+    else:
+        with pytest.raises(ValueError, match=r"basis pair \(%d, %d\)$" % named):
+            FiniteModule(mod.algebra, bad).check_bracket()

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import functools
 import itertools
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emapalg.coordalg import EtaFunction
-from emapalg.ema import TruncatedAlgebra
+from emapalg.ema import InvariantAlgebra, TruncatedAlgebra
 from emapalg.fields import QQ, RAW, FieldElement, _div, field
 from emapalg.liealg import FiniteModule, build_sl, irreducible_module
 from emapalg.linalg import Matrix, Subspace, linear_combination, saturate
@@ -34,7 +35,6 @@ from emapalg.weyl import (
     _Straightener,
     _build_once,
     _degree_dims,
-    _generators,
     _maximal_submodule,
     _truncation,
     check_choice_independence,
@@ -412,7 +412,7 @@ def _assert_seeds_generate_the_relations(alg, st, reverse_order=False):
     seeds = every_push_down_seed(st)
     exhaustive = _exhaustive_seeds(alg, wide)
     assert all(seed in exhaustive for seed in seeds)
-    gens = [st.operator_matrix(ai, range(n)) for ai in _generators(alg)]
+    gens = [st.operator_matrix(ai, range(n)) for ai in alg.generators()]
     every = [_unpruned_operator_matrix(wide, ai, n) for ai in range(alg.dim)]
     assert saturate(Subspace(n, seeds, fld=QQ), gens) == saturate(
         Subspace(n, exhaustive, fld=QQ), every
@@ -474,7 +474,7 @@ def test_cap_zero_drops_the_seeds_of_tails_past_the_interval():
     assert len(small) == 82 and len(full) == 114
     assert all(seed in full for seed in small)
     st = full_straightener(alg, psi)
-    gens = [st.operator_matrix(ai, range(st.n_low)) for ai in _generators(alg)]
+    gens = [st.operator_matrix(ai, range(st.n_low)) for ai in alg.generators()]
     assert saturate(Subspace(st.n_low, small, fld=QQ), gens) == saturate(
         Subspace(st.n_low, full, fld=QQ), gens
     )
@@ -1013,7 +1013,7 @@ def test_generators_generate_the_truncation(n, eta):
 
     points = {Point(tuple(QQ.scalar(c) for c in p)): k for p, k in eta.items()}
     alg = TruncatedAlgebra(build_sl(n), EtaFunction.of(points))
-    gens = _generators(alg)
+    gens = alg.generators()
     assert _lie_closure(alg, gens).dim == alg.dim
     # the set is minimal: without any one element it generates less
     for ai in gens:
@@ -1021,6 +1021,25 @@ def test_generators_generate_the_truncation(n, eta):
     # without the degree-one jets of h the generated algebra is g tensor 1
     degree_zero = [ai for ai in gens if sum(alg.basis[ai][2]) == 0]
     assert _lie_closure(alg, degree_zero).dim == len(alg.points) * alg.g.dim
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simple_generators_generate_g(n):
+    g = build_sl(n)
+    gens = g.generators()
+    assert set(gens) == {g.e(i) for i in range(n - 1)} | {g.f(i) for i in range(n - 1)}
+    assert _lie_closure(g, gens).dim == g.dim
+    # the set is minimal: without any one element it generates less
+    for ai in gens:
+        assert _lie_closure(g, [x for x in gens if x != ai]).dim < g.dim
+
+
+@pytest.mark.parametrize("setup", [z2_setup, flip_setup])
+def test_invariant_algebra_generators_are_the_basis(setup):
+    # the default: an invariant algebra's bracket checks walk every pair
+    g, group = setup()
+    inv = InvariantAlgebra(g, group, EtaFunction.of({pt(g.field, 1): 2}))
+    assert inv.generators() == list(range(inv.dim))
 
 
 @pytest.mark.parametrize("n, lam", [(2, (2,)), (3, (2, 0))], ids=["A1-2w", "A2-2w1"])
@@ -1420,3 +1439,30 @@ def test_weyl_weight_table_matches_freudenthal_characters(case):
         want = {key + (mu,): a * b for key, a in want.items() for mu, b in char.items()}
     assert joint_weights(w.module) == want
     assert w.dim == prod(_chari_loktev_dim(n - 1, lam) for lam in mapping.values())
+
+
+@functools.cache
+def _cyclic_modules():
+    """W(4 omega) at the point 1 of sl2, W(omega_1) at the point 1 of sl4 and
+    W(4 omega) at the point (1, 2) of the plane over sl2."""
+    return [
+        weyl_module(build_sl(2), _psi(QQ, {1: (4,)})).module,
+        weyl_module(build_sl(4), _psi(QQ, {1: (1, 0, 0)})).module,
+        weyl_module(build_sl(2), _two_variable_psi((4,))).module,
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.data())
+def test_closure_under_the_generators_is_the_submodule(which, data):
+    # is_cyclic_from saturates under the generators' actions only: on a
+    # module that closure is the submodule the vector generates
+    mod = _cyclic_modules()[which]
+    coords = data.draw(st.lists(st.integers(0, mod.dim - 1), min_size=1, max_size=3, unique=True))
+    vec = {k: data.draw(st.integers(1, 3)) * data.draw(st.sampled_from([1, -1])) for k in coords}
+    gens = [mod.actions[i] for i in mod.algebra.generators()]
+    closure = saturate(Subspace(mod.dim, [vec], fld=RAW), gens)
+    every = saturate(Subspace(mod.dim, [vec], fld=RAW), mod.actions)
+    assert closure.dim == every.dim
+    assert mod.is_cyclic_from(vec) == (every.dim == mod.dim)
+    assert mod.is_cyclic_from(mod.cyclic)
