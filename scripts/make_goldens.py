@@ -3,9 +3,12 @@
 
 Each (scenario, command) pair is run once and its machine report written to
 fixtures/golden/<scenario-stem>__<slug>.json.  The regression suite replays
-every pair and asserts byte equality.
+every pair and asserts byte equality.  Every scenario under fixtures/ gets a
+`validate` pair, found by glob, so a new fixture is covered without an entry
+here.
 """
 
+import glob
 import os
 import sys
 
@@ -14,8 +17,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from emapalg.cli import main  # noqa: E402
 
+FIXTURES = os.path.join(ROOT, "fixtures")
+
 PAIRS = [
-    ("sl2_z2.json", "validate", ["validate"]),
+    (os.path.basename(path), "validate", ["validate"])
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+] + [
     ("sl2_z2.json", "weyl_psi2w_plain", ["weyl", "psi2w_plain"]),
     ("sl2_z2.json", "twist_psi2w", ["twist", "psi2w"]),
     ("sl2_z2.json", "irreps_b1", ["irreps", "--bound", "1"]),
@@ -23,7 +30,6 @@ PAIRS = [
     ("sl2_z2.json", "ext_psiw", ["ext", "psiw", "--rungs", "2", "--bound", "1"]),
     ("sl2_z2.json", "battery_psi2w", ["battery", "psi2w", "--bound", "2"]),
     ("sl2_z2_one_orbit.json", "irreps_b1", ["irreps", "--bound", "1"]),
-    ("sl3_flip.json", "validate", ["validate"]),
     ("sl3_flip.json", "weyl_psi_w1_plain", ["weyl", "psi_w1_plain"]),
     ("sl3_flip.json", "twist_psi_w1", ["twist", "psi_w1"]),
     ("sl3_flip.json", "irreps_b1", ["irreps", "--bound", "1"]),
@@ -41,18 +47,18 @@ PAIRS = [
 
 def golden_path(scenario, slug):
     stem = scenario.rsplit(".", 1)[0]
-    return os.path.join(ROOT, "fixtures", "golden", "%s__%s.json" % (stem, slug))
+    return os.path.join(FIXTURES, "golden", "%s__%s.json" % (stem, slug))
 
 
 def run_pair(scenario, slug, argv, out_path):
-    scn_path = os.path.join(ROOT, "fixtures", scenario)
+    scn_path = os.path.join(FIXTURES, scenario)
     code = main([argv[0], scn_path, "--format", "machine", "--output", out_path] + argv[1:])
     if code != 0:
         raise SystemExit("command %r on %s exited %d" % (argv, scenario, code))
 
 
 if __name__ == "__main__":
-    os.makedirs(os.path.join(ROOT, "fixtures", "golden"), exist_ok=True)
+    os.makedirs(os.path.join(FIXTURES, "golden"), exist_ok=True)
     for scenario, slug, argv in PAIRS:
         out = golden_path(scenario, slug)
         run_pair(scenario, slug, argv, out)
