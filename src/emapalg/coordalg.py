@@ -267,23 +267,26 @@ class PointAction:
     def is_trivial(self):
         return all(s == s.field.one for s in self.scalings)
 
-    def compose(self, other):
-        return PointAction(tuple(a * b for a, b in zip(self.scalings, other.scalings)))
-
 
 @dataclass
 class GroupGenerator:
+    """One generator of Gamma, as plain data: its declared order, its point
+    scaling, and the matrix on g of its automorphism
+    (liealg.automorphism_matrix) with that automorphism's diagram part tau.
+    GammaGroup.axiom_errors checks that these fit together."""
+
     order: int
     point_action: PointAction
-    automorphism: object  # GAutomorphism
-    zeta: object  # primitive `order`-th root of unity in the scenario field
+    matrix: Matrix
+    tau: DiagramSymmetry
 
 
 class GammaGroup:
     """A finite abelian group acting on the torus by coordinate scalings and
-    on g by commuting automorphisms."""
+    on g by commuting automorphisms.  Building one checks nothing: read
+    axiom_errors() for that."""
 
-    def __init__(self, algebra, generators, check=True):
+    def __init__(self, algebra, generators):
         self.algebra = algebra
         self.generators = list(generators)
         self.elements = list(
@@ -293,10 +296,6 @@ class GammaGroup:
         self.characters = list(self.elements)
         self._gmat = {}
         self._scaling = {}
-        if check:
-            errors = self.axiom_errors()
-            if errors:
-                raise ValueError(errors[0])
 
     @property
     def identity(self):
@@ -313,7 +312,7 @@ class GammaGroup:
             m = Matrix.identity(self.algebra.field, self.algebra.dim)
             for k, gen in zip(gamma, self.generators):
                 for _ in range(k):
-                    m = gen.automorphism.matrix.matmul(m)
+                    m = gen.matrix.matmul(m)
             self._gmat[gamma] = m
         return m
 
@@ -335,14 +334,11 @@ class GammaGroup:
         tau = DiagramSymmetry.identity(rank)
         for k, gen in zip(gamma, self.generators):
             for _ in range(k):
-                tau = gen.automorphism.out_part.compose(tau)
+                tau = gen.tau.compose(tau)
         return tau
 
     def act_point(self, gamma, p: Point) -> Point:
         return self.point_action(gamma).act_point(p)
-
-    def act_function(self, gamma, f: LaurentFunction) -> LaurentFunction:
-        return self.point_action(gamma).act_function(f)
 
     def act_weight(self, gamma, w):
         return self.out_part(gamma)(w)
@@ -368,25 +364,27 @@ class GammaGroup:
         return out
 
     def character_value(self, xi, gamma):
-        """Value of the character labelled xi on the group element gamma."""
+        """Value of the character labelled xi on the group element gamma: the
+        product of zeta_n^(t k) over the generators, zeta_n the primitive
+        root of unity of the generator's order n."""
         fld = self.algebra.field
         acc = fld.one
         for t, k, gen in zip(xi, gamma, self.generators):
-            acc = acc * gen.zeta ** (t * k)
+            acc = acc * fld.root_of_unity(gen.order, t * k)
         return acc
 
     def axiom_errors(self):
         """The failed group axioms, one message each: every generator's
-        automorphism, point scaling and zeta have an order dividing the
-        declared one, and the automorphisms commute."""
+        automorphism and point scaling have an order dividing the declared
+        one, and the automorphisms commute.  This is the one check of them:
+        an automorphism of infinite order fails the first."""
         fld = self.algebra.field
         one = Matrix.identity(fld, self.algebra.dim)
         errors = []
         for idx, gen in enumerate(self.generators):
-            m = gen.automorphism.matrix
-            acc = m
+            acc = gen.matrix
             for _ in range(gen.order - 1):
-                acc = acc.matmul(m)
+                acc = acc.matmul(gen.matrix)
             if acc != one:
                 errors.append(
                     "generator %d: automorphism order does not divide %d" % (idx, gen.order)
@@ -395,12 +393,8 @@ class GammaGroup:
                 errors.append(
                     "generator %d: point scaling order does not divide %d" % (idx, gen.order)
                 )
-            if gen.zeta**gen.order != fld.one:
-                errors.append(
-                    "generator %d: zeta is not a root of unity of order %d" % (idx, gen.order)
-                )
         for (i1, g1), (i2, g2) in itertools.combinations(enumerate(self.generators), 2):
-            if not g1.automorphism.commutes_with(g2.automorphism):
+            if g1.matrix.matmul(g2.matrix) != g2.matrix.matmul(g1.matrix):
                 errors.append("generators %d and %d do not commute" % (i1, i2))
         return errors
 

@@ -1,6 +1,6 @@
 """The concrete semisimple Lie algebra sl_{n+1} with Chevalley basis and
-matrix realization, finite-order automorphisms of torus-scaling x diagram
-form, the one module class (exact action matrices over any of the Lie
+matrix realization, the matrices of automorphisms of torus-scaling x
+diagram form, the one module class (exact action matrices over any of the Lie
 algebras, weights read off the diagonal Cartan actions), and the irreducible
 highest weight modules, built as local Weyl modules of g."""
 
@@ -239,75 +239,41 @@ def build_sl(n_plus_1, fld=QQ):
     return ChevalleyAlgebra(n_plus_1, fld)
 
 
-class GAutomorphism:
-    """An automorphism of g of the form torus scaling composed with a diagram
-    symmetry: e_i -> zeta^{a_i} e_{tau(i)}, f_i -> zeta^{-a_i} f_{tau(i)},
-    h_i -> h_{tau(i)}."""
-
-    def __init__(self, algebra, tau, exponents, zeta, matrix=None):
-        self.algebra = algebra
-        self.out_part = tau
-        self.exponents = tuple(exponents)
-        self.zeta = zeta
-        self.matrix = matrix if matrix is not None else self._extend()
-        self._verify()
-        self.order = self._compute_order()
-
-    def _extend(self):
-        g = self.algebra
-        fld = g.field
-        rank = g.rd.rank
-        images = {}  # basis index -> image
-        for i in range(rank):
-            zp = self.zeta ** self.exponents[i]
-            ti = self.out_part.perm[i]
-            images[g.e(i)] = {g.e(ti): zp}
-            images[g.f(i)] = {g.f(ti): zp.inverse()}
-            images[g.h(i)] = g.basis_vector(g.h(ti))
-        # extend to non-simple root vectors by bracket words, in height order
-        for k, rc in enumerate(g.rd.positive_roots):
-            if sum(rc) == 1:
-                continue
-            i = rc.index(1)
-            rest = tuple(0 if j == i else rc[j] for j in range(len(rc)))
-            krest = g.rd.positive_roots.index(rest)
-            for kind, simple in (("e", g.e(i)), ("f", g.f(i))):
-                b, target = g.index[(kind, krest)], g.index[(kind, k)]
-                c = g.bracket(g.basis_vector(simple), g.basis_vector(b)).get(target)
-                if c is None:
-                    raise AssertionError("zero bracket coefficient for root vector %d" % k)
-                img = g.bracket(images[simple], images[b])
-                inv = c.inverse()
-                images[target] = {r: x * inv for r, x in img.items()}
-        return Matrix.from_columns(fld, g.dim, [images[j] for j in range(g.dim)])
-
-    def _verify(self):
-        if not preserves_bracket(self.matrix, self.algebra, self.algebra):
-            raise ValueError("not an automorphism: bracket not preserved")
-
-    def _compute_order(self):
-        ident = Matrix.identity(self.algebra.field, self.algebra.dim)
-        m = self.matrix
-        for k in range(1, 257):
-            if m == ident:
-                return k
-            m = m.matmul(self.matrix)
-        raise ValueError("automorphism order exceeds bound")
-
-    def apply(self, v):
-        return self.matrix.apply(v)
-
-    def compose(self, other):
-        return GAutomorphism(
-            self.algebra,
-            self.out_part.compose(other.out_part),
-            (0,) * self.algebra.rd.rank,
-            self.algebra.field.one,
-            matrix=self.matrix.matmul(other.matrix),
-        )
-
-    def commutes_with(self, other):
-        return self.matrix.matmul(other.matrix) == other.matrix.matmul(self.matrix)
+def automorphism_matrix(g, tau, exponents, zeta):
+    """The matrix of the automorphism of g of torus scaling x diagram form,
+    e_i -> zeta^{a_i} e_{tau(i)}, f_i -> zeta^{-a_i} f_{tau(i)},
+    h_i -> h_{tau(i)}, extended to the other root vectors by bracket words.
+    Raises ValueError when zeta is 0 and some exponent a_i is not (zeta^0 is
+    1), or when the map does not preserve the bracket."""
+    if zeta.is_zero() and any(exponents):
+        raise ValueError("zeta is 0, so zeta^a is not invertible")
+    rank = g.rd.rank
+    images = {}  # basis index -> image
+    for i in range(rank):
+        zp = zeta ** exponents[i]
+        ti = tau.perm[i]
+        images[g.e(i)] = {g.e(ti): zp}
+        images[g.f(i)] = {g.f(ti): zp.inverse()}
+        images[g.h(i)] = g.basis_vector(g.h(ti))
+    # extend to non-simple root vectors by bracket words, in height order
+    for k, rc in enumerate(g.rd.positive_roots):
+        if sum(rc) == 1:
+            continue
+        i = rc.index(1)
+        rest = tuple(0 if j == i else rc[j] for j in range(len(rc)))
+        krest = g.rd.positive_roots.index(rest)
+        for kind, simple in (("e", g.e(i)), ("f", g.f(i))):
+            b, target = g.index[(kind, krest)], g.index[(kind, k)]
+            c = g.bracket(g.basis_vector(simple), g.basis_vector(b)).get(target)
+            if c is None:
+                raise AssertionError("zero bracket coefficient for root vector %d" % k)
+            img = g.bracket(images[simple], images[b])
+            inv = c.inverse()
+            images[target] = {r: x * inv for r, x in img.items()}
+    mat = Matrix.from_columns(g.field, g.dim, [images[j] for j in range(g.dim)])
+    if not preserves_bracket(mat, g, g):
+        raise ValueError("not an automorphism: bracket not preserved")
+    return mat
 
 
 class FiniteModule:

@@ -93,7 +93,16 @@ def height_psi_orbits(group, psi: PsiFunction):
 
 def psi_gamma(group, psi: PsiFunction) -> PsiFunction:
     """Equivariant extension: (psi^Gamma)(x) = sum over gamma of the diagram
-    action applied to psi(inverse(gamma) . x)."""
+    action applied to psi(inverse(gamma) . x).
+
+    It sets psi(gamma . p) = gamma . psi(p) for every gamma and support point
+    p, and raises ValueError on a point reached twice with two values.  On a
+    group whose axiom_errors() are empty, gamma -> (point scaling, diagram
+    symmetry) is a group action: a scaling's declared order n kills it, and
+    an automorphism matrix m with m^n = I has tau^n = id.  Then whenever it
+    returns, its output psi' has psi'(delta . q) = delta . psi'(q) at every
+    point q = gamma . p it set, so it is equivariant: returning is the one
+    check of equivariance."""
     points = psi.support()
     if len(group.orbits(points)) != len(points):
         raise ValueError("support contains two points of one orbit: %r" % (points,))
@@ -118,15 +127,6 @@ def psi_restrict(psi: PsiFunction, group, points) -> PsiFunction:
         if p not in covered:
             raise ValueError("transversal misses the support orbit of %r" % (p,))
     return PsiFunction.of({p: psi[p] for p in points}, equivariant=False)
-
-
-def is_equivariant(group, psi: PsiFunction) -> bool:
-    for p, w in psi.assignments:
-        for gamma in group.elements:
-            q = group.act_point(gamma, p)
-            if psi[q] != group.act_weight(gamma, w):
-                return False
-    return True
 
 
 def evaluation_module(psi: PsiFunction, target) -> FiniteModule:

@@ -1,7 +1,7 @@
 """Helpers that only tests call: the Weight-keyed character of V(lam), the
-natural module of sl_{n+1}, the maximal-weight test, a fault for the
-buffer+1 check of local Weyl modules, and the uncut Weyl build that the
-build by jet degree is checked against."""
+natural module of sl_{n+1}, the maximal-weight test, the equivariance
+reference, a fault for the buffer+1 check of local Weyl modules, and the
+uncut Weyl build that the build by jet degree is checked against."""
 
 from emapalg import weyl
 from emapalg.ema import InvariantAlgebra
@@ -33,6 +33,17 @@ def is_maximal_weight(module, psi=None):
         return height_psi(alg.g.rd, ps)
 
     return unique_top(multiplicities(module), h, psi)
+
+
+def is_equivariant(group, psi):
+    """Reference: psi(gamma . p) = gamma . psi(p) for every group element
+    gamma and support point p, checked point by point."""
+    for p, w in psi.assignments:
+        for gamma in group.elements:
+            q = group.act_point(gamma, p)
+            if psi[q] != group.act_weight(gamma, w):
+                return False
+    return True
 
 
 def one_more_seed_past_the_interval(push_down_seeds):

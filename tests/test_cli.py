@@ -90,6 +90,82 @@ def test_zero_scaling_is_an_input_error(tmp_path):
         assert json.loads(text)["status"] == "input-error"
 
 
+def _with_automorphism(tmp_path, fixture, **automorphism):
+    """The path of a copy of the fixture with its first generator's
+    automorphism entries replaced."""
+    data = json.load(open(_fixture(fixture)))
+    data["generators"][0]["automorphism"].update(automorphism)
+    path = tmp_path / ("aut_" + fixture)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fixture, psi, a", [("sl2_z2.json", "psi2w", [1]), ("sl3_flip.json", "psi_w1", [0, 1])]
+)
+def test_zero_zeta_is_an_input_error(tmp_path, fixture, psi, a):
+    # zeta^a for a zero zeta and a nonzero a has no inverse to send f_i to
+    path = _with_automorphism(tmp_path, fixture, a=a, zeta="0")
+    for argv in (
+        ["validate"],
+        ["weyl", psi],
+        ["twist", psi],
+        ["irreps"],
+        ["mult", "W(%s)" % psi],
+        ["ext", psi],
+        ["battery", psi],
+    ):
+        code, text = _run(argv[:1] + [path] + argv[1:], tmp_path)
+        assert code == 2, (argv, text)
+        rep = json.loads(text)
+        assert rep["status"] == "input-error"
+        assert rep["results"]["error"].startswith("bad automorphism: zeta is 0")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.abspath(ROOT), "src")] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emapalg.cli", "validate", path, "--format", "machine"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and not proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "a, zeta",
+    [
+        # zeta^0 is 1, so this is the plain flip
+        ([0, 0], "0"),
+        # e_1 -> 2 e_2 and e_2 -> e_1 / 2 square to the identity: zeta need
+        # not be a root of unity, only the automorphism has order 2
+        ([1, -1], "2"),
+    ],
+)
+def test_flip_automorphisms_of_order_two_validate(tmp_path, a, zeta):
+    path = _with_automorphism(tmp_path, "sl3_flip.json", a=a, zeta=zeta)
+    code, text = _run(["validate", path], tmp_path)
+    assert code == 0, text
+    assert json.loads(text)["results"]["passed"]
+
+
+def test_automorphism_of_infinite_order_fails_the_order_axiom(tmp_path):
+    # e -> 2e on sl2 has infinite order: a failed group axiom (exit 1), and
+    # psi2w is then not extended, so twist refuses it as not equivariant
+    path = _with_automorphism(tmp_path, "sl2_z2.json", a=[1], zeta="2")
+    code, text = _run(["validate", path], tmp_path)
+    assert code == 1, text
+    rep = json.loads(text)
+    assert rep["status"] == "check-failed"
+    assert rep["results"]["group_axiom_errors"] == [
+        "generator 0: automorphism order does not divide 2"
+    ]
+    code, text = _run(["twist", path, "psi2w"], tmp_path)
+    assert code == 2, text
+    rep = json.loads(text)
+    assert rep["status"] == "input-error"
+    assert rep["results"]["error"].startswith("twist needs an equivariant psi")
+
+
 def test_malformed_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -18,7 +18,7 @@ from emapalg.coordalg import (
     jet_monomials,
 )
 from emapalg.fields import QQ, field
-from emapalg.liealg import GAutomorphism, build_sl
+from emapalg.liealg import automorphism_matrix, build_sl
 from emapalg.rootdata import DiagramSymmetry
 
 _nz = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -46,15 +46,16 @@ def _xi_component(group, f, xi):
     acc = LaurentFunction(f.nvars, {}, fld=fld)
     for gamma in group.elements:
         chi = group.character_value(xi, gamma).inverse()
-        acc = acc + group.act_function(gamma, f).scale(chi)
+        acc = acc + group.point_action(gamma).act_function(f).scale(chi)
     return acc.scale(inv_n)
 
 
 def _z2_group(fld=None):
     fld = fld or field(2)
     g = build_sl(2, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (1,), -fld.one)
-    gen = GroupGenerator(2, PointAction((-fld.one,)), aut, -fld.one)
+    tau = DiagramSymmetry.identity(1)
+    mat = automorphism_matrix(g, tau, (1,), -fld.one)
+    gen = GroupGenerator(2, PointAction((-fld.one,)), mat, tau)
     return GammaGroup(g, [gen])
 
 
@@ -200,8 +201,9 @@ def test_group_orbits_follow_the_listed_points():
 def test_non_free_action():
     fld = field(2)
     g = build_sl(2, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (1,), -fld.one)
-    gen = GroupGenerator(2, PointAction((fld.one,)), aut, -fld.one)
+    tau = DiagramSymmetry.identity(1)
+    mat = automorphism_matrix(g, tau, (1,), -fld.one)
+    gen = GroupGenerator(2, PointAction((fld.one,)), mat, tau)
     group = GammaGroup(g, [gen])
     free, viol = acts_freely(group)
     assert not free and viol == [(1,)]

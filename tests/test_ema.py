@@ -28,7 +28,7 @@ from emapalg.ema import (
     verify_lift,
 )
 from emapalg.fields import field
-from emapalg.liealg import GAutomorphism, build_sl
+from emapalg.liealg import automorphism_matrix, build_sl
 from emapalg.linalg import Matrix, Subspace
 from emapalg.rootdata import DiagramSymmetry, Weight
 from emapalg.scenario import load_scenario
@@ -41,8 +41,9 @@ def z2_setup(order=4):
     fld = field(order)
     g = build_sl(2, fld)
     minus = -fld.one
-    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (1,), minus)
-    gen = GroupGenerator(2, PointAction((minus,)), aut, minus)
+    tau = DiagramSymmetry.identity(1)
+    mat = automorphism_matrix(g, tau, (1,), minus)
+    gen = GroupGenerator(2, PointAction((minus,)), mat, tau)
     return g, GammaGroup(g, [gen])
 
 
@@ -50,8 +51,9 @@ def flip_setup():
     """sl3 with Z/2 acting by t -> -t and the diagram flip."""
     fld = field(4)
     g = build_sl(3, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.flip(2), (0, 0), fld.one)
-    gen = GroupGenerator(2, PointAction((-fld.one,)), aut, -fld.one)
+    tau = DiagramSymmetry.flip(2)
+    mat = automorphism_matrix(g, tau, (0, 0), fld.one)
+    gen = GroupGenerator(2, PointAction((-fld.one,)), mat, tau)
     return g, GammaGroup(g, [gen])
 
 
@@ -175,8 +177,9 @@ def test_invariant_algebra_rejects_a_non_free_orbit():
     # sl3 with the flip and the trivial scaling: every point is fixed
     fld = field(4)
     g = build_sl(3, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.flip(2), (0, 0), fld.one)
-    group = GammaGroup(g, [GroupGenerator(2, PointAction((fld.one,)), aut, -fld.one)])
+    tau = DiagramSymmetry.flip(2)
+    mat = automorphism_matrix(g, tau, (0, 0), fld.one)
+    group = GammaGroup(g, [GroupGenerator(2, PointAction((fld.one,)), mat, tau)])
     with pytest.raises(ValueError, match="does not act freely"):
         InvariantAlgebra(g, group, EtaFunction.of({pt(fld, 1): 1}))
 
@@ -184,8 +187,9 @@ def test_invariant_algebra_rejects_a_non_free_orbit():
 def test_order_one_generator_gives_the_whole_truncation():
     fld = field(4)
     g = build_sl(2, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (0,), fld.one)
-    group = GammaGroup(g, [GroupGenerator(1, PointAction((fld.one,)), aut, fld.one)])
+    tau = DiagramSymmetry.identity(1)
+    mat = automorphism_matrix(g, tau, (0,), fld.one)
+    group = GammaGroup(g, [GroupGenerator(1, PointAction((fld.one,)), mat, tau)])
     eta = EtaFunction.of({pt(fld, 1): 2})
     assert InvariantAlgebra(g, group, eta).dim == TruncatedAlgebra(g, eta).dim
 

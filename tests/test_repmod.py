@@ -22,7 +22,7 @@ from emapalg.ema import (
     gamma_truncation_matrix,
 )
 from emapalg.fields import QQ, RAW, FieldElement, _Q, field
-from emapalg.liealg import GAutomorphism, build_sl, transport
+from emapalg.liealg import automorphism_matrix, build_sl, transport
 from emapalg.linalg import Matrix
 from emapalg.repmod import (
     FiniteModule,
@@ -33,7 +33,6 @@ from emapalg.repmod import (
     height_psi,
     height_psi_orbits,
     hom_space,
-    is_equivariant,
     is_isomorphic,
     joint_weights,
     lift_module,
@@ -50,7 +49,7 @@ from emapalg.repmod import (
 from emapalg.rootdata import DiagramSymmetry, RootDatum, Weight
 from emapalg.weyl import check_gamma_twist, twisted_weyl, weyl_module
 
-from helpers import freudenthal_mults, is_maximal_weight, natural_module
+from helpers import freudenthal_mults, is_equivariant, is_maximal_weight, natural_module
 from test_ema import flip_setup, pt, z2_setup
 
 
@@ -451,8 +450,9 @@ def _z4_setup():
     """sl2 with Z/4 acting by t -> i t and e -> i e, f -> -i f."""
     fld = field(4)
     g = build_sl(2, fld)
-    aut = GAutomorphism(g, DiagramSymmetry.identity(1), (1,), fld.zeta)
-    return g, GammaGroup(g, [GroupGenerator(4, PointAction((fld.zeta,)), aut, fld.zeta)])
+    tau = DiagramSymmetry.identity(1)
+    mat = automorphism_matrix(g, tau, (1,), fld.zeta)
+    return g, GammaGroup(g, [GroupGenerator(4, PointAction((fld.zeta,)), mat, tau)])
 
 
 def _shares_an_orbit(group, points):
